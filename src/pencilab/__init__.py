@@ -6,8 +6,8 @@ half-line Dirichlet solutions, and numerical certification sweeps for
 the associated two-sided estimates.
 """
 
-from .errors import (EllipticityError, OutOfRangeError, PencilabError,
-                     PencilFormatError, UnsupportedShapeError)
+from .errors import (BandError, EllipticityError, OutOfRangeError,
+                     PencilabError, PencilFormatError, UnsupportedShapeError)
 from .polygon import NewtonPolygon, Side, build_polygon, principal_part, r_degree
 from .weights import (HomogeneousWeight, ProductWeight, from_polygon,
                       kappa_index, lemma32_integral, shift,

@@ -19,3 +19,7 @@ class PencilFormatError(PencilabError):
 
 class EllipticityError(PencilabError):
     """An ellipticity assumption needed by the requested computation fails."""
+
+
+class BandError(PencilabError):
+    """A computed value escapes the two-sided band a lemma guarantees."""

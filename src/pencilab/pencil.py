@@ -107,20 +107,6 @@ def eval_symbol(p: Pencil, xi, lam: float) -> complex:
     return out
 
 
-def homogeneous_part(p: Pencil, j: int, xi) -> complex:
-    """A_j(xi), the degree-j homogeneous part."""
-    xi = np.asarray(xi, dtype=float)
-    out = 0j
-    for t in p.terms:
-        if t.j != j:
-            continue
-        mono = 1.0
-        for x, a in zip(xi, t.alpha):
-            mono *= x ** a
-        out += t.coeff * mono
-    return out
-
-
 def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     """Coefficients (ascending) of tau -> A(xi', tau, lambda), degree 2m."""
     xi_prime = np.asarray(xi_prime, dtype=float)
@@ -234,11 +220,102 @@ class GridSpec:
     tol: float = 1e-6
 
     def direction_count(self, n: int) -> int:
-        if n == 2:
-            return self.directions
         if n == 3:
             return max(self.directions, 2000)
         return self.directions
+
+
+# Complex values per block of a slice scan (720 directions x 11 columns):
+# the temporaries stay near half a megabyte whatever the grid size.
+SLICE_BLOCK_ENTRIES = 8192
+# Points per half side of the patches that refine a sphere minimum.
+ZOOM = 5
+
+
+def homogeneous_table(p: Pencil, dirs: np.ndarray) -> np.ndarray:
+    """(directions x (2m+1)) table of the homogeneous parts A_j(omega)."""
+    table = np.zeros((len(dirs), 2 * p.m + 1), dtype=complex)
+    for t in p.terms:
+        mono = np.ones(len(dirs))
+        for i, a in enumerate(t.alpha):
+            mono = mono * dirs[:, i] ** a
+        table[:, t.j] += t.coeff * mono
+    return table
+
+
+def symbol_blocks(table: np.ndarray, rho, lam):
+    """Yield (cols, block) with block[k, d] = A(rho[c] omega_d, lam[c]) for
+    c = cols.start + k, over consecutive slices `cols` of the columns.
+
+    Homogeneity gives A(rho omega, lambda) = sum_j rho^j lambda^(2m-j)
+    A_j(omega), with A_j(omega) read from `table` (see homogeneous_table).
+    The sum over j is elementwise in a fixed order and uses no matrix
+    product, so the values do not depend on the BLAS build or its threads.
+    """
+    rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
+    top = table.shape[1] - 1
+    parts = [(j, np.ascontiguousarray(table[:, j]))
+             for j in range(top + 1) if np.any(table[:, j])]
+    step = max(1, SLICE_BLOCK_ENTRIES // len(table))
+    for start in range(0, len(rho), step):
+        cols = slice(start, start + step)
+        r, l = rho[cols, None], lam[cols, None]
+        block = np.zeros((len(r), len(table)), dtype=complex)
+        for j, a_j in parts:
+            block += (r ** j * l ** (top - j)) * a_j
+        yield cols, block
+
+
+def _slice_nodes(p: Pencil, angular: int):
+    """Nodes (rho, lambda) = (cos th, sin th) at the midpoints of `angular`
+    cells of [0, pi/2], and the normaliser rho^2mu (lambda+rho)^(2m-2mu)."""
+    theta = (np.arange(angular) + 0.5) / angular * (np.pi / 2.0)
+    rho, lam = np.cos(theta), np.sin(theta)
+    return rho, lam, rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
+
+
+def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
+    """Smallest |A_j| found on the unit sphere, and its direction.
+
+    The grid minimum is refined by zooming in: each round samples a patch
+    of 2*ZOOM+1 points a side, parallel to the tangent plane at the grid
+    minimum and centred on the best direction so far, and the next round
+    samples one cell of it.  The first patch reaches the nearest grid
+    direction, so a zero between grid directions is still found: 90
+    directions in the plane miss the zero (0, 1) of xi_1^2 with |A_j| =
+    1.2e-3 at the nearest one, far above the default tolerance.
+    """
+    vals = np.abs(table[:, j])
+    k = int(np.argmin(vals))
+    best, value = dirs[k], float(vals[k])
+    if p.n == 1:                    # the two directions are the whole sphere
+        return best, value
+    gaps = np.sum((dirs - best) ** 2, axis=1)
+    gaps[k] = np.inf
+    step = math.sqrt(gaps.min()) / ZOOM
+    # Columns 2..n of the Householder reflection that maps e_1 to -+best
+    # span the tangent plane at best.
+    v = best.copy()
+    v[0] += math.copysign(1.0, best[0])
+    tangent = (np.eye(p.n) - 2.0 * np.outer(v, v) / np.sum(v * v))[:, 1:]
+    side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
+    patch = np.stack(np.meshgrid(*[side] * (p.n - 1)), axis=-1).reshape(-1, p.n - 1)
+    offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
+    while step > 1e-15:
+        pts = best + step * offsets
+        pts /= np.sqrt(np.sum(pts * pts, axis=1))[:, None]
+        patch_vals = np.abs(homogeneous_table(p, pts)[:, j])
+        i = int(np.argmin(patch_vals))
+        if patch_vals[i] < value:
+            best, value = pts[i], float(patch_vals[i])
+        step /= ZOOM
+    return best, value
+
+
+def _normalised(values: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """values / denom; +inf where the normaliser underflows."""
+    out = np.full(values.shape, np.inf)
+    return np.divide(values, denom, out=out, where=denom > 1e-300)
 
 
 @dataclass(frozen=True)
@@ -249,6 +326,7 @@ class EllipticityReport:
     min_a2m: float
     min_a2mu: float
     min_abs: float
+    min_ratio: float
     C_est: float
     witness_i: np.ndarray
     witness_ii: np.ndarray
@@ -264,45 +342,43 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     """Test the three equivalent conditions for parameter ellipticity.
 
     (i), (ii): the extreme homogeneous parts do not vanish on the unit
-    sphere; (iii): the full symbol does not vanish on the compact set
-    |xi|^2 + lambda^2 = 1, lambda >= 0, xi != 0.  The empirical lower-bound
-    constant C_est = min |A| / (|xi|^2mu (lambda+|xi|)^(2m-2mu)) is taken
-    over the same set (the symbol is homogeneous of degree 2m, so this
-    slice determines the constant).
+    sphere, with the grid minima refined by a local search; (iii): on the
+    compact set |xi|^2 + lambda^2 = 1, lambda >= 0, xi != 0, the ratio
+    |A| / (|xi|^2mu (lambda+|xi|)^(2m-2mu)) stays away from zero.  The raw
+    min |A| (reported as `min_abs`) tends to 0 as the grid approaches xi = 0
+    whenever mu > 0, so (iii) tests the ratio, whose minimum is also the
+    empirical lower-bound constant C_est (the symbol is homogeneous of
+    degree 2m, so this slice determines the constant).  witness_iii is the
+    first minimising node in (angle, direction) order.
     """
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
-    scale = p.coeff_scale
-    tol = grid.tol * scale
+    tol = grid.tol * p.coeff_scale
+    table = homogeneous_table(p, dirs)
+    witness_i, min_a2m = _sphere_min(p, 2 * p.m, dirs, table)
+    witness_ii, min_a2mu = _sphere_min(p, 2 * p.mu, dirs, table)
 
-    vals_2m = np.array([abs(homogeneous_part(p, 2 * p.m, w)) for w in dirs])
-    vals_2mu = np.array([abs(homogeneous_part(p, 2 * p.mu, w)) for w in dirs])
-    i_min = int(np.argmin(vals_2m))
-    ii_min = int(np.argmin(vals_2mu))
+    rho, lam, denom = _slice_nodes(p, grid.angular)
+    min_abs = min_ratio = np.inf
+    node = (0, 0)
+    for cols, block in symbol_blocks(table, rho, lam):
+        a = np.abs(block)
+        min_abs = min(min_abs, float(a.min()))
+        ratio = _normalised(a, denom[cols, None])
+        k, d = np.unravel_index(np.argmin(ratio), ratio.shape)
+        if ratio[k, d] < min_ratio:
+            min_ratio, node = float(ratio[k, d]), (cols.start + k, d)
 
-    theta = (np.arange(grid.angular) + 0.5) / grid.angular * (np.pi / 2.0)
-    min_abs = np.inf
-    c_est = np.inf
-    witness = (dirs[0], 0.0)
-    for th in theta:
-        rho, lam = math.cos(th), math.sin(th)
-        for w in dirs:
-            a = abs(eval_symbol(p, rho * w, lam))
-            denom = rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
-            if a < min_abs:
-                min_abs = a
-                witness = (rho * w, lam)
-            if denom > 1e-300:
-                c_est = min(c_est, a / denom)
-
-    cond_i = bool(vals_2m[i_min] > tol)
-    cond_ii = bool(vals_2mu[ii_min] > tol)
-    cond_iii = bool(min_abs > tol)
+    k, d = node
+    cond_i = bool(min_a2m > tol)
+    cond_ii = bool(min_a2mu > tol)
+    cond_iii = bool(min_ratio > tol)
     return EllipticityReport(
         cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii,
-        min_a2m=float(vals_2m[i_min]), min_a2mu=float(vals_2mu[ii_min]),
-        min_abs=float(min_abs),
-        C_est=float(c_est) if (cond_i and cond_ii and cond_iii) else 0.0,
-        witness_i=dirs[i_min], witness_ii=dirs[ii_min], witness_iii=witness,
+        min_a2m=min_a2m, min_a2mu=min_a2mu,
+        min_abs=min_abs, min_ratio=min_ratio,
+        C_est=min_ratio if (cond_i and cond_ii and cond_iii) else 0.0,
+        witness_i=witness_i, witness_ii=witness_ii,
+        witness_iii=(rho[k] * dirs[d], float(lam[k])),
         grid=grid)
 
 
@@ -348,20 +424,18 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
 
     even_order: only even homogeneity orders occur, so Q is a polynomial in
     tau^2.  strongly_elliptic: Re A dominates |xi|^2mu (lambda+|xi|)^(2m-2mu)
-    on the compact slice.  Either condition implies regular degeneration.
+    on the compact slice, with c_min the smallest ratio of the two.  Either
+    condition implies regular degeneration.
     """
     even_order = all(t.j % 2 == 0 for t in p.terms if t.coeff != 0)
-    dirs = sphere_directions(p.n, grid.direction_count(p.n))
-    theta = (np.arange(grid.angular) + 0.5) / grid.angular * (np.pi / 2.0)
+    table = homogeneous_table(p, sphere_directions(p.n, grid.direction_count(p.n)))
+    rho, lam, denom = _slice_nodes(p, grid.angular)
     c_min = np.inf
-    for th in theta:
-        rho, lam = math.cos(th), math.sin(th)
-        for w in dirs:
-            denom = rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
-            if denom > 1e-300:
-                c_min = min(c_min, eval_symbol(p, rho * w, lam).real / denom)
+    for cols, block in symbol_blocks(table, rho, lam):
+        c_min = min(c_min, float(_normalised(block.real, denom[cols, None]).min()))
     return {"even_order": even_order,
-            "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale)}
+            "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale),
+            "c_min": c_min}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import halfline, weights
 from .errors import PencilabError
-from .pencil import GridSpec, Pencil, check_lemma21, group_roots
+from .pencil import (GridSpec, Pencil, check_lemma21, eval_symbol, group_roots,
+                     homogeneous_table, sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
@@ -137,23 +138,16 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     xi_grid = np.concatenate([[0.0], geom_grid(1e-2, 1e3, 11 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 7 * density)
 
-    if np_.degenerate:
-        for lam in lam_grid:
-            for xi in xi_grid:
-                s = weights.xi_sum_eval(np_, xi, lam)
-                p = weights.xi_product_eval(w, xi, lam)
-                rep.records.append({"xi_prime_abs": xi, "lambda": lam,
-                                    "lhs": s, "rhs": p, "ratio": s / p})
-        rep.extras["degenerate"] = True
-        rep.runtime = time.perf_counter() - t0
-        return rep
-
     for lam in lam_grid:
         for xi in xi_grid:
             s = weights.xi_sum_eval(np_, xi, lam)
             p = weights.xi_product_eval(w, xi, lam)
             rep.records.append({"xi_prime_abs": xi, "lambda": lam,
                                 "lhs": s, "rhs": p, "ratio": s / p})
+    if np_.degenerate:
+        rep.extras["degenerate"] = True
+        rep.runtime = time.perf_counter() - t0
+        return rep
 
     # Binomial identity: Xi^2 against sum_l xi_n^2l (shifted weight)^2.
     total = 2 * w.total_exponent
@@ -455,7 +449,6 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         "density": density, "lambda0": lambda0, "xi_max": xi_max,
         "lam_max": lam_max, "angular": grid.angular,
         "directions": grid.directions})
-    from .pencil import eval_symbol, sphere_directions
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     xi_grid = np.concatenate([[0.0], geom_grid(1e-2, xi_max, 10 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 8 * density)
@@ -465,18 +458,25 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         wgt = energy_weight_value(p, xa, lam)
         return wgt / (a2 / wgt + lam ** (2 * p.m - 2 * p.mu))
 
+    # One column per (lambda, |xi|) record: the maximum of ratio_at over the
+    # directions, taken on symbol blocks of whole columns.
+    lam_col = np.repeat(lam_grid, len(xi_grid))
+    xa_col = np.tile(xi_grid, len(lam_grid))
+    wgt = energy_weight_value(p, xa_col, lam_col)[:, None]
+    lam_pow = lam_col[:, None] ** (2 * p.m - 2 * p.mu)
+    best = np.empty(len(xa_col))
+    best_dir = np.empty(len(xa_col), dtype=int)
+    for cols, block in symbol_blocks(homogeneous_table(p, dirs), xa_col, lam_col):
+        vals = wgt[cols] / (np.abs(block) ** 2 / wgt[cols] + lam_pow[cols])
+        best_dir[cols] = np.argmax(vals, axis=1)
+        best[cols] = vals.max(axis=1)
+
     peak = (0.0, 0.0, 0.0, dirs[0])
-    for lam in lam_grid:
-        for xa in xi_grid:
-            best, bdir = 0.0, dirs[0]
-            for wdir in dirs:
-                val = ratio_at(xa, lam, wdir)
-                if val > best:
-                    best, bdir = val, wdir
-            if best > peak[0]:
-                peak = (best, xa, lam, bdir)
-            rep.records.append({"xi_prime_abs": xa, "lambda": lam,
-                                "lhs": best, "rhs": 1.0, "ratio": best})
+    for xa, lam, val, d in zip(xa_col, lam_col, best, best_dir):
+        if val > peak[0]:
+            peak = (val, xa, lam, dirs[d])
+        rep.records.append({"xi_prime_abs": xa, "lambda": lam,
+                            "lhs": val, "rhs": 1.0, "ratio": val})
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak.

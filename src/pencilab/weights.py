@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import OutOfRangeError
+from .errors import BandError, OutOfRangeError
 from .polygon import INF, NewtonPolygon
 
 # Single equivalence constant used when asserting the two-sided integral
@@ -209,7 +209,7 @@ def lemma32_integral(a, m, l: int):
     lower = bound / LEMMA32_BAND_CONSTANT
     upper = bound * LEMMA32_BAND_CONSTANT
     if not (lower <= value <= upper):
-        raise AssertionError(
+        raise BandError(
             f"integral {value} escapes band [{lower}, {upper}] (a={a}, m={m}, l={l})")
     return value, lower, upper
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pencilab import weights
 from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import run
 from pencilab.pencil import pencil_to_dict
@@ -80,6 +81,13 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(capsys):
     assert run(["polygon", "/nonexistent/x.json"]) == 2
+
+
+def test_band_escape_exit_2(e1_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(weights, "LEMMA32_BAND_CONSTANT", 1.0)
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--suite", "trace", "--out", str(out)]) == 2
+    assert "error: integral" in capsys.readouterr().err
 
 
 def test_verify_all_writes_reports(e1_path, tmp_path, capsys):

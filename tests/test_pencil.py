@@ -14,7 +14,8 @@ from pencilab.pencil import (GridSpec, Pencil, Term, check_lemma21,
                              check_regular_degeneration, eval_symbol,
                              group_roots, pencil_from_dict, pencil_to_dict,
                              poly_roots, q_polynomial, remark22_checks,
-                             tau_polynomial, tau_roots)
+                             sphere_directions, tau_polynomial, tau_roots)
+from pencilab.verify import energy_weight_value, sweep_multiplier_rn
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
 
@@ -81,6 +82,20 @@ def test_check_lemma21_broken_witness():
     # the lowest part xi_1^2 vanishes in the direction (0, +-1)
     assert min(np.linalg.norm(rep.witness_ii - np.array([0.0, 1.0])),
                np.linalg.norm(rep.witness_ii - np.array([0.0, -1.0]))) < 1e-6
+
+
+@pytest.mark.parametrize("angular", [240, 480, 720, 1440])
+def test_check_lemma21_verdicts_stable_under_refinement(angular):
+    # Condition (iii) is tested on the normalised ratio; the raw min |A|
+    # tends to 0 as the grid approaches xi = 0, which used to flip e1 to
+    # "not elliptic" from 480 angular points on.
+    grid = GridSpec(angular=angular, directions=720)
+    for p in (e1_pencil(), agmon_pencil()):
+        rep = check_lemma21(p, grid)
+        assert rep.cond_iii and rep.n_elliptic
+        assert rep.C_est == rep.min_ratio >= 0.4
+    bad = check_lemma21(broken_pencil(), grid)
+    assert not bad.cond_ii and not bad.n_elliptic
 
 
 def test_q_polynomial():
@@ -227,3 +242,72 @@ def test_c_est_bound_holds_on_fresh_samples():
         # C_est is a grid minimum, so fresh samples may dip below by the
         # grid resolution; allow one percent slack.
         assert abs(eval_symbol(p, xi, lam)) >= bound * 0.99
+
+
+# ---------------------------------------------------------------------------
+# vectorised slice scans against a scalar eval_symbol loop
+
+@st.composite
+def _odd_order_pencils(draw):
+    """sum_i c_i xi_i^2m + lambda^(2m-2mu) sum_i d_i xi_i^2mu, which keeps
+    |A| and Re A away from zero on the slice, plus small complex terms of
+    odd orders between 2mu and 2m."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    mu = draw(st.integers(0, m - 1))
+    terms = [Term(tuple(j if k == i else 0 for k in range(n)), j,
+                  draw(st.floats(0.5, 2.0)))
+             for i in range(n) for j in (2 * m, 2 * mu)]
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.sampled_from(range(2 * mu + 1, 2 * m, 2)))
+        cuts = sorted(draw(st.lists(st.integers(0, j), min_size=n - 1,
+                                    max_size=n - 1)))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [j]))
+        coeff = complex(draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01)))
+        terms.append(Term(alpha, j, coeff))
+    return Pencil(n=n, m=m, mu=mu, terms=tuple(terms))
+
+
+def _normaliser(p, rho, lam):
+    return rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_odd_order_pencils(), st.integers(1, 9), st.integers(3, 40),
+       st.lists(st.integers(0, 87), min_size=3, max_size=3))
+def test_slice_scans_match_scalar_loop(p, angular, directions, records):
+    grid = GridSpec(angular=angular, directions=directions)
+    dirs = sphere_directions(p.n, grid.direction_count(p.n))
+    theta = (np.arange(angular) + 0.5) / angular * (np.pi / 2.0)
+    vals = np.array([[eval_symbol(p, np.cos(th) * w, np.sin(th)) for w in dirs]
+                     for th in theta])
+    denom = _normaliser(p, np.cos(theta), np.sin(theta))[:, None]
+    a2mu = Pencil(p.n, p.m, p.mu, tuple(t for t in p.terms if t.j == 2 * p.mu))
+    close = dict(rel=1e-12, abs=0.0)
+
+    rep = check_lemma21(p, grid)
+    assert rep.n_elliptic
+    assert rep.min_abs == pytest.approx(np.abs(vals).min(), **close)
+    assert rep.C_est == pytest.approx((np.abs(vals) / denom).min(), **close)
+    # Conditions (i) and (ii) refine the grid minimum, which can only lower it.
+    assert rep.min_a2m <= min(abs(eval_symbol(p, w, 0.0)) for w in dirs) * (1 + 1e-12)
+    assert rep.min_a2mu <= min(abs(eval_symbol(a2mu, w, 1.0)) for w in dirs) * (1 + 1e-12)
+    # Witnesses: the scalar value at the reported node is the minimum.
+    assert abs(eval_symbol(p, rep.witness_i, 0.0)) == pytest.approx(rep.min_a2m, **close)
+    assert abs(eval_symbol(a2mu, rep.witness_ii, 1.0)) == pytest.approx(
+        rep.min_a2mu, **close)
+    xi, lam = rep.witness_iii
+    ratio = abs(eval_symbol(p, xi, lam)) / _normaliser(p, np.linalg.norm(xi), lam)
+    assert ratio == pytest.approx(rep.C_est, **close)
+
+    c_min = remark22_checks(p, grid)["c_min"]
+    assert c_min == pytest.approx((vals.real / denom).min(), **close)
+
+    sweep = sweep_multiplier_rn(p, grid=grid)
+    for k in records:
+        rec = sweep.records[k]
+        xa, lam = rec["xi_prime_abs"], rec["lambda"]
+        wgt = energy_weight_value(p, xa, lam)
+        best = max(wgt / (abs(eval_symbol(p, xa * w, lam)) ** 2 / wgt
+                          + lam ** (2 * p.m - 2 * p.mu)) for w in dirs)
+        assert rec["lhs"] == pytest.approx(best, **close)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilab import weights
-from pencilab.errors import OutOfRangeError
+from pencilab.errors import BandError, OutOfRangeError
 from pencilab.polygon import INF, build_polygon
 from pencilab.weights import (HomogeneousWeight, ProductWeight, from_polygon,
                               kappa_index, lemma32_integral, shift,
@@ -120,6 +120,13 @@ def test_lemma32_two_scale_band():
 def test_lemma32_divergent_rejected():
     with pytest.raises(OutOfRangeError):
         lemma32_integral([1.0, 2.0], [F(1, 2), F(1, 2)], 2)
+
+
+def test_lemma32_band_escape_raises(monkeypatch):
+    # A band of width 1 cannot hold the quadrature value.
+    monkeypatch.setattr(weights, "LEMMA32_BAND_CONSTANT", 1.0)
+    with pytest.raises(BandError, match="escapes band"):
+        lemma32_integral([1.0, 10.0], [F(1), F(1)], 0)
 
 
 def test_lemma32_coincident_scales_merged():

@@ -3,7 +3,8 @@
 Subcommands analyze a pencil given as a JSON file (see the pencil module
 for the schema) and the `verify` subcommand runs the certification sweeps,
 writing one CSV per suite plus a JSON summary.  Exit codes: 0 on success,
-1 when a verification verdict failed, 2 on input or configuration errors.
+1 when a verification verdict is "fail" or, under --check-refinement,
+"unstable", 2 on input, configuration or numerical errors.
 """
 
 from __future__ import annotations
@@ -154,13 +155,11 @@ def cmd_verify(args) -> int:
     summary = {}
     worst = 0
     for name in suites:
-        rep = verify.run_suite(name, p, density=args.density,
-                               lambda0=args.lambda0, threads=args.threads,
-                               decades=args.grid_decades)
+        suite = functools.partial(verify.run_suite, name, p,
+                                  lambda0=args.lambda0, decades=args.grid_decades)
+        rep = suite(density=args.density)
         if args.check_refinement and rep.verdict == "pass":
-            _, rep2, drift = verify.refinement_drift(
-                name, p, density=args.density, lambda0=args.lambda0,
-                threads=args.threads, decades=args.grid_decades)
+            drift = verify.drift_between(rep, suite(density=2 * args.density))
             rep.extras["refinement_drift"] = drift
             if drift >= 0.05:
                 rep.verdict = "unstable"
@@ -170,7 +169,7 @@ def cmd_verify(args) -> int:
               f"{rep.max_ratio:.6g}]  records={len(rep.records)}")
         for reason in rep.reasons:
             print(f"    {reason}")
-        if rep.verdict == "fail":
+        if rep.verdict in ("fail", "unstable"):
             worst = 1
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=str)
@@ -226,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lambda range decades above lambda0 (default 3)")
     sp.add_argument("--density", type=int, default=1,
                     help="grid density multiplier (default 1)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for sweeps (default 1)")
     sp.add_argument("--out", default="report",
                     help="output directory for CSV/JSON reports (default report/)")
     sp.add_argument("--check-refinement", action="store_true",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -118,6 +117,14 @@ def geom_grid(lo: float, hi: float, count: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def _add_records(rep: SweepReport, xi, lam, lhs, rhs, **fixed) -> None:
+    """One record per grid point, in array order, with ratio lhs / rhs."""
+    for x, y, a, b, r in zip(xi.tolist(), lam.tolist(), lhs.tolist(),
+                             rhs.tolist(), (lhs / rhs).tolist()):
+        rep.records.append({"xi_prime_abs": x, "lambda": y, **fixed,
+                            "lhs": a, "rhs": b, "ratio": r})
+
+
 # ---------------------------------------------------------------------------
 # polygon / weight equivalences
 
@@ -138,53 +145,46 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     xi_grid = np.concatenate([[0.0], geom_grid(1e-2, 1e3, 11 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 7 * density)
 
-    for lam in lam_grid:
-        for xi in xi_grid:
-            s = weights.xi_sum_eval(np_, xi, lam)
-            p = weights.xi_product_eval(w, xi, lam)
-            rep.records.append({"xi_prime_abs": xi, "lambda": lam,
-                                "lhs": s, "rhs": p, "ratio": s / p})
+    # Rows follow lambda, columns |xi|, as in the records.
+    lam_col = np.repeat(lam_grid, len(xi_grid))
+    xi_col = np.tile(xi_grid, len(lam_grid))
+    _add_records(rep, xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
+                 weights.xi_product_eval(w, xi_col, lam_col))
     if np_.degenerate:
         rep.extras["degenerate"] = True
         rep.runtime = time.perf_counter() - t0
         return rep
 
     # Binomial identity: Xi^2 against sum_l xi_n^2l (shifted weight)^2.
-    total = 2 * w.total_exponent
-    bin_ratios = []
-    shifted = [weights.shift(w, l) for l in range(int(total) + 1)]
-    for lam in lam_grid:
-        for xp in xi_grid[::2]:
-            for xn in xi_grid[::2]:
-                full = weights.xi_product_eval(w, float(np.hypot(xp, xn)), lam) ** 2
-                acc = sum(xn ** (2 * l)
-                          * weights.xi_product_eval(sw, xp, lam) ** 2
-                          for l, sw in enumerate(shifted))
-                bin_ratios.append(full / acc)
-    rep.extras["binomial_band"] = [float(min(bin_ratios)), float(max(bin_ratios))]
+    lam, xp, xn = np.ix_(lam_grid, xi_grid[::2], xi_grid[::2])
+    full = weights.xi_product_eval(w, np.hypot(xp, xn), lam) ** 2
+    acc = sum((xn ** (2 * l) * weights.xi_product_eval(weights.shift(w, l), xp, lam)
+               ** 2 for l in range(int(2 * w.total_exponent) + 1)), 0.0)
+    bin_ratios = full / acc
+    rep.extras["binomial_band"] = [float(bin_ratios.min()),
+                                   float(bin_ratios.max())]
 
     # Side scaling: d_s from the support function equals the factor formula,
     # and the rescaled sum converges to the side-restricted sum.
     scaling = []
-    factors = w.factors
-    for s_idx, side in enumerate(np_.sides):
+    points = np_.integer_points()
+    for side in np_.sides:
         if side.is_horizontal:
             continue
         rs = side.r
         d_exact = r_degree(np_, rs)
         d_formula = Fraction(0)
-        for q, (rq, mq) in enumerate(factors):
+        for rq, mq in w.factors:
             if rq == INF or rq > rs:
                 d_formula += 2 * mq
             else:
                 d_formula += 2 * (rs / rq) * mq
-        side_pts = [(i, k) for i, k in np_.integer_points()
-                    if Fraction(i) + rs * k == d_exact]
+        side_pts = [(i, k) for i, k in points if Fraction(i) + rs * k == d_exact]
         xi0, lam0v = 1.3, 1.7
         limit = sum(xi0 ** i * lam0v ** k for i, k in side_pts)
-        ts = [10.0, 100.0, 1000.0]
-        vals = [weights.xi_sum_eval(np_, t * xi0, t ** float(rs) * lam0v)
-                / t ** float(d_exact) for t in ts]
+        ts = np.array([10.0, 100.0, 1000.0])
+        vals = (weights.xi_sum_eval(np_, ts * xi0, ts ** float(rs) * lam0v)
+                / ts ** float(d_exact)).tolist()
         scaling.append({
             "r": str(rs), "d": str(d_exact),
             "formula_matches": d_exact == d_formula,
@@ -199,7 +199,7 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     rep.extras["sum_product_band"] = [lo, hi]
     if not (band_limits[0] <= lo and hi <= band_limits[1]):
         rep.fail(f"sum/product band [{lo}, {hi}] outside limits {band_limits}")
-    if not (band_limits[0] <= min(bin_ratios) and max(bin_ratios) <= band_limits[1]):
+    if not (band_limits[0] <= bin_ratios.min() and bin_ratios.max() <= band_limits[1]):
         rep.fail("binomial band outside limits")
     rep.runtime = time.perf_counter() - t0
     return rep
@@ -217,21 +217,23 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
         "weight": w.to_json_dict()})
     xi_grid = np.concatenate([[0.0], geom_grid(1e-1, xi_max, 7 * density)])
     lam_grid = geom_grid(w.lambda0, lam_max, 7 * density)
+    # Rows follow lambda, columns |xi'|, as in the records.
+    lam_col = np.repeat(lam_grid, len(xi_grid))
+    xi_col = np.tile(xi_grid, len(lam_grid))
+    quad_err = 0.0
     for l in l_list:
-        ratios = []
-        sw = weights.shift(w, Fraction(l) + Fraction(1, 2))
-        for lam in lam_grid:
-            for xp in xi_grid:
-                lhs = weights.trace_weight_quadrature(w, l, xp, lam)
-                rhs = weights.xi_product_eval(sw, xp, lam)
-                ratio = lhs / rhs
-                ratios.append(ratio)
-                rep.records.append({"xi_prime_abs": xp, "lambda": lam, "l": l,
-                                    "lhs": lhs, "rhs": rhs, "ratio": ratio})
-        width = max(ratios) / min(ratios)
-        rep.extras[f"band_l{l}"] = [float(min(ratios)), float(max(ratios))]
-        if width > band_width_limit:
-            rep.fail(f"l={l}: band width {width} exceeds {band_width_limit}")
+        lhs, err = weights.trace_weight_quadrature(w, l, xi_col, lam_col,
+                                                   full_output=True)
+        rhs = weights.xi_product_eval(
+            weights.shift(w, Fraction(l) + Fraction(1, 2)), xi_col, lam_col)
+        ratios = lhs / rhs
+        quad_err = max(quad_err, float(err.max()))
+        _add_records(rep, xi_col, lam_col, lhs, rhs, l=l)
+        lo, hi = float(ratios.min()), float(ratios.max())
+        rep.extras[f"band_l{l}"] = [lo, hi]
+        if hi / lo > band_width_limit:
+            rep.fail(f"l={l}: band width {hi / lo} exceeds {band_width_limit}")
+    rep.extras["quad_err_max"] = quad_err
     rep.runtime = time.perf_counter() - t0
     return rep
 
@@ -263,7 +265,7 @@ def rhs_419(mu: int, j: int, l: int, lam: float) -> float:
 
 def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
                     xi_range=(1e-2, 1e2), lam_range=(1.0, 1e3),
-                    ratio_limit: float = 1e3, threads: int = 1) -> SweepReport:
+                    ratio_limit: float = 1e3) -> SweepReport:
     """Ratios of exact derivative norms to the four-case estimate table.
 
     Also sweeps the reduced estimate on the unit sphere and spot-checks the
@@ -278,28 +280,18 @@ def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
     xi_grid = geom_grid(*xi_range, 7 * density)
     lam_grid = geom_grid(*lam_range, 6 * density)
 
-    def norms_at(point):
-        xa, lam = point
+    for xa in xi_grid:
         xi_prime = np.zeros(p.n - 1)
         xi_prime[0] = xa
-        sols = halfline.solve(p, xi_prime, lam)
-        out = []
-        for j in j_list:
-            for l in l_list:
-                lhs = halfline.l2_norm_deriv(sols[j - 1], l)
-                rhs = rhs_44(p.mu, j, l, xa, lam)
-                out.append({"xi_prime_abs": xa, "lambda": lam, "j": j, "l": l,
-                            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-        return out
-
-    points = [(xa, lam) for xa in xi_grid for lam in lam_grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(norms_at, points))
-    else:
-        chunks = [norms_at(pt) for pt in points]
-    for chunk in chunks:
-        rep.records.extend(chunk)
+        for lam in lam_grid:
+            sols = halfline.solve(p, xi_prime, lam)
+            for j in j_list:
+                for l in l_list:
+                    lhs = halfline.l2_norm_deriv(sols[j - 1], l)
+                    rhs = rhs_44(p.mu, j, l, xa, lam)
+                    rep.records.append({"xi_prime_abs": xa, "lambda": lam,
+                                        "j": j, "l": l, "lhs": lhs, "rhs": rhs,
+                                        "ratio": lhs / rhs})
 
     # Reduced sweep at |omega'| = 1.
     reduced_max = 0.0
@@ -471,16 +463,12 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         best_dir[cols] = np.argmax(vals, axis=1)
         best[cols] = vals.max(axis=1)
 
-    peak = (0.0, 0.0, 0.0, dirs[0])
-    for xa, lam, val, d in zip(xa_col, lam_col, best, best_dir):
-        if val > peak[0]:
-            peak = (val, xa, lam, dirs[d])
-        rep.records.append({"xi_prime_abs": xa, "lambda": lam,
-                            "lhs": val, "rhs": 1.0, "ratio": val})
+    _add_records(rep, xa_col, lam_col, best, np.ones_like(best))
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak.
-    c_val, xa0, lam0v, bdir = peak
+    i = int(np.argmax(best))
+    c_val, xa0, lam0v, bdir = best[i], xa_col[i], lam_col[i], dirs[best_dir[i]]
     if xa0 > 0.0:
         from scipy.optimize import minimize
         def neg(u):
@@ -551,7 +539,7 @@ SUITES = ("polygon", "trace", "thm41", "asymptotics", "prop52", "halfspace")
 
 
 def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
-              threads: int = 1, decades: int = 3) -> SweepReport:
+              decades: int = 3) -> SweepReport:
     """Dispatch one named suite for a pencil with default desk-scale grids."""
     np_ = build_polygon(p.exponent_points())
     lam_max = lambda0 * 10.0 ** decades
@@ -560,13 +548,11 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
                                          lam_max=lam_max)
     if name == "trace":
         w = weights.from_polygon(np_, lambda0=lambda0)
-        max_l = int(np.ceil(2 * float(w.total_exponent))) - 1
-        l_list = [l for l in range(min(4, max_l + 1))
-                  if 2 * l + 1 < 4 * w.total_exponent]
+        l_list = [l for l in range(4) if 2 * l + 1 < 4 * w.total_exponent]
         return sweep_trace_equivalence(w, l_list, density=density,
                                        lam_max=lam_max)
     if name == "thm41":
-        return sweep_theorem41(p, density=density, threads=threads,
+        return sweep_theorem41(p, density=density,
                                lam_range=(lambda0, lam_max))
     if name == "asymptotics":
         return sweep_group_asymptotics(
@@ -580,11 +566,15 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
     raise PencilabError(f"unknown suite {name!r}")
 
 
+def drift_between(r1: SweepReport, r2: SweepReport) -> float:
+    """Relative change of the reported constant (prop52) or max ratio."""
+    c1 = r1.extras.get("C", r1.max_ratio)
+    c2 = r2.extras.get("C", r2.max_ratio)
+    return abs(c2 - c1) / abs(c1) if c1 else 0.0
+
+
 def refinement_drift(name: str, p: Pencil, density: int = 1, **kw) -> tuple:
     """Max-ratio drift between a grid and its 2x refinement."""
     r1 = run_suite(name, p, density=density, **kw)
     r2 = run_suite(name, p, density=2 * density, **kw)
-    c1 = r1.extras.get("C", r1.max_ratio)
-    c2 = r2.extras.get("C", r2.max_ratio)
-    drift = abs(c2 - c1) / abs(c1) if c1 else 0.0
-    return r1, r2, drift
+    return r1, r2, drift_between(r1, r2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pencilab import weights
+from pencilab import verify, weights
 from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import run
 from pencilab.pencil import pencil_to_dict
@@ -112,6 +112,35 @@ def test_verify_byte_identical(e1_path, tmp_path, capsys):
     assert run(["verify", e1_path, "--suite", "all", "--out", str(out2)]) == 0
     for f in out1.glob("*.csv"):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+
+def test_check_refinement_runs_each_density_once(e1_path, tmp_path,
+                                                monkeypatch, capsys):
+    densities = []
+    run_suite = verify.run_suite
+
+    def counting(name, p, density=1, **kw):
+        densities.append((name, density))
+        return run_suite(name, p, density=density, **kw)
+
+    monkeypatch.setattr(verify, "run_suite", counting)
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--suite", "polygon", "--density", "2",
+                "--check-refinement", "--out", str(out)]) == 0
+    assert densities == [("polygon", 2), ("polygon", 4)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["polygon"]["extras"]["refinement_drift"] < 0.05
+
+
+def test_unstable_verdict_exit_1(e1_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "drift_between", lambda r1, r2: 0.5)
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--suite", "polygon", "--check-refinement",
+                "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["polygon"]["verdict"] == "unstable"
+    # Without the refinement check the same suite passes.
+    assert run(["verify", e1_path, "--suite", "polygon", "--out", str(out)]) == 0
 
 
 def test_help_documents_defaults(capsys):

@@ -45,6 +45,25 @@ def test_trace_sweep_band():
         assert hi / lo < 100.0
 
 
+def test_trace_sweep_matches_scalar_quadrature():
+    # The sweep evaluates whole grids at once; each record must agree with
+    # the one-point call to a few ulps of the summed nodes.
+    w = weights.from_polygon(build_polygon({(4, 0), (2, 2)}))
+    rep = verify.sweep_trace_equivalence(w, [0, 1, 3], lam_max=1e6)
+    assert len(rep.records) == 3 * 8 * 7
+    for rec in rep.records:
+        lhs = weights.trace_weight_quadrature(w, rec["l"], rec["xi_prime_abs"],
+                                              rec["lambda"])
+        assert rec["lhs"] == pytest.approx(lhs, rel=1e-14)
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
+def test_trace_quadrature_error_reported(pencil):
+    rep = verify.run_suite("trace", pencil())
+    err = rep.summary()["extras"]["quad_err_max"]
+    assert np.isfinite(err) and 0.0 <= err < 1e-6
+
+
 def test_trace_sweep_agmon_shape():
     # mu = 0: sigma'_0 tracks (lambda + |xi'|)^(1/2)
     w = weights.from_polygon(build_polygon({(2, 0), (0, 2)}))
@@ -128,6 +147,15 @@ def test_halfspace_table_dominates_derivative_table():
 def test_refinement_drift_small_for_e1():
     _, _, drift = verify.refinement_drift("thm41", e1_pencil())
     assert drift < 0.05
+
+
+def test_drift_between_uses_constant_when_reported():
+    r1 = verify.SweepReport("prop52", {}, extras={"C": 2.0})
+    r2 = verify.SweepReport("prop52", {}, extras={"C": 2.2})
+    assert verify.drift_between(r1, r2) == pytest.approx(0.1)
+    r1 = verify.SweepReport("thm41", {}, records=[{"ratio": 4.0}])
+    r2 = verify.SweepReport("thm41", {}, records=[{"ratio": 3.0}])
+    assert verify.drift_between(r1, r2) == pytest.approx(0.25)
 
 
 def test_csv_deterministic(tmp_path):

@@ -103,11 +103,62 @@ def test_shift_semigroup(ms, s, t):
 
 
 def test_lemma32_single_scale_closed_forms():
-    for a in np.geomspace(1e-2, 1e3, 11):
+    for a in np.geomspace(1e-6, 1e6, 25):
         v0, _, _ = lemma32_integral([a], [F(1)], 0)
-        assert v0 == pytest.approx(math.pi / (2 * a ** 3), rel=1e-8)
+        assert v0 == pytest.approx(math.pi / (2 * a ** 3), rel=1e-13)
         v1, _, _ = lemma32_integral([a], [F(1)], 1)
-        assert v1 == pytest.approx(math.pi / (2 * a), rel=1e-8)
+        assert v1 == pytest.approx(math.pi / (2 * a), rel=1e-13)
+
+
+@pytest.mark.parametrize("ratio", np.geomspace(1.0, 1e-6, 13))
+def test_lemma32_two_scale_closed_forms(ratio):
+    # int dt / ((t^2+a^2)^2 (t^2+b^2)^2) = pi (a^2+3ab+b^2) / (2 a^3 b^3 (a+b)^3)
+    # int t^2 dt / (...)                  = pi / (2 a b (a+b)^3)
+    # Adaptive quadrature was 18% off at a = 1e-3, b = 1e3.
+    for a, b in ((ratio, 1.0), (math.sqrt(ratio), 1.0 / math.sqrt(ratio))):
+        v0, _, _ = lemma32_integral([a, b], [F(1), F(1)], 0)
+        ref0 = math.pi * (a * a + 3 * a * b + b * b) / (2 * (a * b) ** 3 * (a + b) ** 3)
+        assert v0 == pytest.approx(ref0, rel=1e-13)
+        v1, _, _ = lemma32_integral([a, b], [F(1), F(1)], 1)
+        assert v1 == pytest.approx(math.pi / (2 * a * b * (a + b) ** 3), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [F(1, 3), F(5, 6), F(4, 3)])
+def test_lemma32_fractional_exponents(m):
+    # Single scale: int t^2l / (t^2+a^2)^p dt = a^(2l+1-2p) B(l+1/2, p-l-1/2).
+    p = float(2 * m)
+    for l in range(int(2 * m) + 1):
+        if 2 * l + 1 >= 4 * m:
+            break
+        for a in (1e-3, 1.0, 1e3):
+            v, _, _ = lemma32_integral([a], [m], l)
+            ref = (a ** (2 * l + 1 - 2 * p) * math.gamma(l + 0.5)
+                   * math.gamma(p - l - 0.5) / math.gamma(p))
+            assert v == pytest.approx(ref, rel=1e-13)
+    # Merged scales: three factors of exponent m at one scale are one
+    # factor of exponent 3m.
+    for a in (1e-3, 1.0, 1e3):
+        v, _, _ = lemma32_integral([a] * 3, [m] * 3, 0)
+        ref, _, _ = lemma32_integral([a], [3 * m], 0)
+        assert v == pytest.approx(ref, rel=1e-13)
+
+
+def test_lemma32_arrays_match_scalar_calls():
+    a = np.geomspace(1e-2, 1e2, 7)
+    b = np.geomspace(1e3, 1.0, 7)
+    values, lowers, uppers = lemma32_integral([a, b], [F(1, 2), F(1)], 1)
+    assert values.shape == lowers.shape == uppers.shape == (7,)
+    for i in range(7):
+        v, lo, hi = lemma32_integral([a[i], b[i]], [F(1, 2), F(1)], 1)
+        assert values[i] == pytest.approx(v, rel=1e-14)
+        assert lowers[i] == pytest.approx(lo, rel=1e-14)
+        assert uppers[i] == pytest.approx(hi, rel=1e-14)
+
+
+def test_lemma32_error_estimate():
+    _, _, _, err = lemma32_integral([1.0, 1e3], [F(1), F(1)], 1,
+                                    full_output=True)
+    assert 0.0 <= err < 1e-6
 
 
 def test_lemma32_two_scale_band():
@@ -115,6 +166,17 @@ def test_lemma32_two_scale_band():
     assert lower <= value <= upper
     # exact: int dt / ((t^2+1)^2 (t^2+100)^2) dominated by a_1 scale
     assert value == pytest.approx(math.pi / 2 * 1e-4, rel=0.05)
+
+
+def test_lemma32_band_center():
+    # B = a_kappa^(2l+1-4(m_1+..+m_kappa)) prod_{s>kappa} a_s^(-4 m_s)
+    cases = [([1.0, 10.0], [F(1), F(1)], 0, 1e-4),     # kappa = 1
+             ([1.0, 10.0], [F(1), F(1)], 2, 1e-3),     # kappa = 2: 2 < 2 fails
+             ([10.0, 1.0], [F(1), F(1)], 1, 1e-4),     # scales sorted first
+             ([2.0, 2.0], [F(1, 2), F(1, 2)], 1, 0.5)]  # tie: as one factor
+    for a, m, l, bound in cases:
+        _, lower, upper = lemma32_integral(a, m, l)
+        assert math.sqrt(lower * upper) == pytest.approx(bound, rel=1e-14)
 
 
 def test_lemma32_divergent_rejected():
@@ -127,6 +189,10 @@ def test_lemma32_band_escape_raises(monkeypatch):
     monkeypatch.setattr(weights, "LEMMA32_BAND_CONSTANT", 1.0)
     with pytest.raises(BandError, match="escapes band"):
         lemma32_integral([1.0, 10.0], [F(1), F(1)], 0)
+    # One escaping point among many still raises.
+    with pytest.raises(BandError, match="escapes band"):
+        lemma32_integral([np.ones(5), np.geomspace(1.0, 1e4, 5)],
+                         [F(1), F(1)], 0)
 
 
 def test_lemma32_coincident_scales_merged():
@@ -142,6 +208,18 @@ def test_trace_weight_agmon_closed_form():
     a = math.hypot(3.0, 4.0)
     got = trace_weight_quadrature(w, 1, 3.0, 4.0)
     assert got == pytest.approx(math.sqrt(2 * a / math.pi), rel=1e-8)
+
+
+def test_trace_weight_large_lambda_closed_form():
+    # E1 weight, l = 1: int t^2 / ((t^2+a^2)^2 (t^2+b^2)^2) = pi / (2ab(a+b)^3)
+    # with a^2 = |xi'|^2 + 1, b^2 = |xi'|^2 + lambda^2.  At lambda = 1e6,
+    # |xi'| = 1 adaptive quadrature was off by 135%.
+    w = ProductWeight(((INF, F(1)), (F(1), F(1))))
+    for lam in (1e3, 1e6):
+        a, b = math.sqrt(2.0), math.hypot(1.0, lam)
+        got = trace_weight_quadrature(w, 1, 1.0, lam)
+        ref = (math.pi / (2 * a * b * (a + b) ** 3)) ** -0.5
+        assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_trace_weight_energy_shape():

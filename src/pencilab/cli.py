@@ -2,9 +2,11 @@
 
 Subcommands analyze a pencil given as a JSON file (see the pencil module
 for the schema) and the `verify` subcommand runs the certification sweeps,
-writing one CSV per suite plus a JSON summary.  Exit codes: 0 on success,
+writing one CSV per suite plus a JSON summary.  Each subcommand takes only
+the options its handler reads (see SUBCOMMANDS).  Exit codes: 0 on success,
 1 when a verification verdict is "fail" or, under --check-refinement,
-"unstable", 2 on input, configuration or numerical errors.
+"unstable", 2 on usage errors (an option the subcommand does not take among
+them) and on input, configuration or numerical errors.
 """
 
 from __future__ import annotations
@@ -177,6 +179,44 @@ def cmd_verify(args) -> int:
     return worst
 
 
+# Every option, and the options each subcommand takes: only those its
+# handler reads.
+OPTIONS = {
+    "--lambda0": dict(type=float, default=1.0, help="lower end of the "
+                      "spectral parameter ray (default 1.0)"),
+    "--tol": dict(type=float, default=1e-6,
+                  help="zero-detection tolerance (default 1e-6)"),
+    "--grid-angular": dict(type=int, default=720, help="angular grid points "
+                           "for compact-set checks (default 720)"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="machine output format; csv keeps the plain text "
+                          "summary (default csv)"),
+    "--xi-prime": dict(default="1.0", help="tangential frequency, comma "
+                       "separated (default 1.0)"),
+    "--lam": dict(type=float, default=10.0,
+                  help="spectral parameter (default 10.0)"),
+    "--suite": dict(default="all", choices=verify.SUITES + ("all",)),
+    "--grid-decades": dict(type=int, default=3, help="lambda range decades "
+                           "above lambda0 (default 3)"),
+    "--density": dict(type=int, default=1,
+                      help="grid density multiplier (default 1)"),
+    "--out": dict(default="report", help="output directory for CSV/JSON "
+                  "reports (default report/)"),
+    "--check-refinement": dict(action="store_true", help="also rerun each "
+                               "suite at 2x density and flag suites whose "
+                               "max ratio drifts by 5%% or more"),
+}
+SUBCOMMANDS = (
+    ("polygon", cmd_polygon, ("--lambda0", "--format")),
+    ("ellipticity", cmd_ellipticity, ("--tol", "--grid-angular", "--format")),
+    ("degeneration", cmd_degeneration, ("--format",)),
+    ("roots", cmd_roots, ("--xi-prime", "--lam", "--format")),
+    ("solve", cmd_solve, ("--xi-prime", "--lam", "--format")),
+    ("verify", cmd_verify, ("--lambda0", "--suite", "--grid-decades",
+                            "--density", "--out", "--check-refinement")),
+)
+
+
 # One parser per process: building one takes about 1.4 ms, and its
 # reference cycles stay in memory until a full garbage collection, so
 # rebuilding it on every in-process `run` grew the heap with each call.
@@ -188,49 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "polygon geometry, weights, roots, half-line solutions, "
                     "and numerical certification of the two-sided estimates.")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
+    for name, fn, options in SUBCOMMANDS:
+        sp = sub.add_parser(name)
         sp.add_argument("pencil", help="pencil description (JSON)")
-        sp.add_argument("--lambda0", type=float, default=1.0,
-                        help="lower end of the spectral parameter ray (default 1.0)")
-        sp.add_argument("--tol", type=float, default=1e-6,
-                        help="zero-detection tolerance (default 1e-6)")
-        sp.add_argument("--grid-angular", type=int, default=720,
-                        help="angular grid points for compact-set checks (default 720)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="machine output format; csv keeps the plain text "
-                             "summary (default csv)")
-
-    for name, fn in (("polygon", cmd_polygon), ("ellipticity", cmd_ellipticity),
-                     ("degeneration", cmd_degeneration)):
-        sp = sub.add_parser(name)
-        common(sp)
+        for flag in options:
+            sp.add_argument(flag, **OPTIONS[flag])
         sp.set_defaults(func=fn)
-
-    for name, fn in (("roots", cmd_roots), ("solve", cmd_solve)):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.add_argument("--xi-prime", default="1.0",
-                        help="tangential frequency, comma separated (default 1.0)")
-        sp.add_argument("--lam", type=float, default=10.0,
-                        help="spectral parameter (default 10.0)")
-        sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("verify")
-    common(sp)
-    sp.add_argument("--suite", default="all",
-                    choices=("polygon", "trace", "thm41", "asymptotics",
-                             "prop52", "halfspace", "all"))
-    sp.add_argument("--grid-decades", type=int, default=3,
-                    help="lambda range decades above lambda0 (default 3)")
-    sp.add_argument("--density", type=int, default=1,
-                    help="grid density multiplier (default 1)")
-    sp.add_argument("--out", default="report",
-                    help="output directory for CSV/JSON reports (default report/)")
-    sp.add_argument("--check-refinement", action="store_true",
-                    help="also rerun each suite at 2x density and flag "
-                         "suites whose max ratio drifts by 5%% or more")
-    sp.set_defaults(func=cmd_verify)
     return ap
 
 

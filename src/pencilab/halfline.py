@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import Pencil, cluster_roots, tau_polynomial, tau_roots
+from .pencil import Pencil, cluster_roots, tau_roots
 
 MAX_RESIDUE_MULTIPLICITY = 4
 
@@ -122,14 +122,13 @@ def _boundary_matrix(terms) -> np.ndarray:
     return mat
 
 
-def solve_from_roots(upper_roots, full_coeffs=None):
+def solve_from_roots(upper_roots):
     """Solutions w_1..w_m for the given upper roots (with multiplicity).
 
     If the residue construction loses boundary accuracy (ill-conditioned
     clusters) the coefficients are recomputed from the confluent boundary
-    system and the solution is flagged.  `full_coeffs` (ascending tau
-    coefficients of the full symbol) is only used by callers for residual
-    checks; A_+ divides it, so either way the ODE is satisfied.
+    system and the solution is flagged.  A_+ divides the full symbol, so
+    the solutions satisfy its ODE either way (see `ode_residual`).
     """
     upper_roots = list(upper_roots)
     m = len(upper_roots)
@@ -170,8 +169,7 @@ def _boundary_solve(j, clusters, upper_roots, a) -> ExpPolySolution:
 
 def solve(p: Pencil, xi_prime, lam: float):
     """The m half-line Dirichlet solutions of the pencil at (xi', lambda)."""
-    rs = tau_roots(p, xi_prime, lam)
-    return solve_from_roots(rs.upper, tau_polynomial(p, xi_prime, lam))
+    return solve_from_roots(tau_roots(p, xi_prime, lam).upper)
 
 
 # ---------------------------------------------------------------------------

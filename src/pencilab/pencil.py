@@ -501,15 +501,15 @@ def group_roots(p: Pencil, xi_prime, lam: float,
     else:
         bounded_targets = np.zeros(0, dtype=complex)
 
-    q = q_polynomial(p)
-    q_upper = poly_roots(q)
-    q_upper = q_upper[q_upper.imag > 0]
-    if len(q_upper) != p.m - p.mu:
-        raise EllipticityError(
-            f"Q has {len(q_upper)} upper roots, expected m - mu = {p.m - p.mu}")
-    clusters = cluster_roots(q_upper)
-    k1 = max((len(members) for _, members in clusters), default=0)
-    large_targets = lam * q_upper
+    deg = check_regular_degeneration(p)
+    if deg.regular is None:
+        raise EllipticityError("Q has a root on the real axis (within "
+                               "REAL_AXIS_TOL): no large-group targets")
+    if not deg.regular:
+        raise EllipticityError(f"Q has {len(deg.upper_roots)} upper roots, "
+                               f"expected m - mu = {p.m - p.mu}")
+    k1 = deg.k1
+    large_targets = lam * np.array(deg.upper_roots)
 
     targets = np.concatenate([bounded_targets, large_targets])
     cost = np.abs(upper[:, None] - targets[None, :])

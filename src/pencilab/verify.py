@@ -241,6 +241,29 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
 # ---------------------------------------------------------------------------
 # half-line estimates
 
+def _norm_records(p: Pencil, xi_grid, lam_grid, j_list, l_list,
+                  rhs: dict) -> list[dict]:
+    """Records of ||D^l w_j|| against rhs[j, l] on the (|xi'|, lambda) mesh.
+
+    `rhs[j, l]` has shape (len(xi_grid), len(lam_grid)).  One half-line
+    solve per node; records come in (|xi'|, lambda, j, l) order.
+    """
+    records = []
+    for a, xa in enumerate(xi_grid):
+        xi_prime = np.zeros(p.n - 1)
+        xi_prime[0] = xa
+        for b, lam in enumerate(lam_grid):
+            sols = halfline.solve(p, xi_prime, lam)
+            for j in j_list:
+                for l in l_list:
+                    lhs = halfline.l2_norm_deriv(sols[j - 1], l)
+                    rhs_v = rhs[j, l][a, b]
+                    records.append({"xi_prime_abs": xa, "lambda": lam,
+                                    "j": j, "l": l, "lhs": lhs, "rhs": rhs_v,
+                                    "ratio": lhs / rhs_v})
+    return records
+
+
 def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
     """Four-case right-hand side of the half-line derivative estimate."""
     if j <= mu and l <= mu:
@@ -279,32 +302,18 @@ def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
         "ratio_limit": ratio_limit})
     xi_grid = geom_grid(*xi_range, 7 * density)
     lam_grid = geom_grid(*lam_range, 6 * density)
-
-    for xa in xi_grid:
-        xi_prime = np.zeros(p.n - 1)
-        xi_prime[0] = xa
-        for lam in lam_grid:
-            sols = halfline.solve(p, xi_prime, lam)
-            for j in j_list:
-                for l in l_list:
-                    lhs = halfline.l2_norm_deriv(sols[j - 1], l)
-                    rhs = rhs_44(p.mu, j, l, xa, lam)
-                    rep.records.append({"xi_prime_abs": xa, "lambda": lam,
-                                        "j": j, "l": l, "lhs": lhs, "rhs": rhs,
-                                        "ratio": lhs / rhs})
+    # Scalar calls through np.vectorize: numpy's array powers can round
+    # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
+    xa_m, lam_m = np.ix_(xi_grid, lam_grid)
+    rep.records.extend(_norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+        (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa_m, lam_m)
+        for j in j_list for l in l_list}))
 
     # Reduced sweep at |omega'| = 1.
-    reduced_max = 0.0
-    for lam in lam_grid:
-        xi_prime = np.zeros(p.n - 1)
-        xi_prime[0] = 1.0
-        sols = halfline.solve(p, xi_prime, lam)
-        for j in j_list:
-            for l in l_list:
-                ratio = (halfline.l2_norm_deriv(sols[j - 1], l)
-                         / rhs_419(p.mu, j, l, lam))
-                reduced_max = max(reduced_max, ratio)
-    rep.extras["reduced_max_ratio"] = reduced_max
+    reduced = _norm_records(p, np.ones(1), lam_grid, j_list, l_list, {
+        (j, l): np.vectorize(rhs_419)(p.mu, j, l, lam_grid[None, :])
+        for j in j_list for l in l_list})
+    rep.extras["reduced_max_ratio"] = max([0.0] + [r["ratio"] for r in reduced])
 
     # Scaling identity spot checks.
     homo_err = 0.0
@@ -382,36 +391,31 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
 
     # (c) split-solution growth on the unit sphere.  The tabulated exponents
     # are asymptotic in lambda, so fit on the upper half of the range where
-    # the small-lambda transient has died out.
-    split_fits = {}
-    tail = slice(len(lambda_list) // 2, None)
+    # the small-lambda transient has died out.  Each split part has its own
+    # expected slope, by (j, l).
+    rules = {"w1": lambda j, l: 0.0 if j <= p.mu else float(p.mu - j),
+             "w2": lambda j, l: (l - p.mu - 0.5) if j <= p.mu else (l - j + 0.5)}
+    norms = {part: {(j, l): [] for j in range(1, p.m + 1)
+                    for l in range(0, l_max + 1)} for part in rules}
     omega = xi_prime / (xa or 1.0)
-    norms1 = {}
-    norms2 = {}
     for lam in lambda_list:
         sols = halfline.solve(p, omega, lam)
         g = group_roots(p, omega, lam)
         for j in range(1, p.m + 1):
-            w1, w2 = halfline.split_by_group(sols[j - 1], g)
-            for l in range(0, l_max + 1):
-                norms1.setdefault((j, l), []).append(halfline.l2_norm_deriv(w1, l))
-                norms2.setdefault((j, l), []).append(halfline.l2_norm_deriv(w2, l))
-    for (j, l), vals in norms1.items():
-        expected = 0.0 if j <= p.mu else float(p.mu - j)
-        if max(vals) <= 1e-13:
-            continue
-        slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
-        split_fits[f"w1_j{j}_l{l}"] = {"slope": slope, "expected": expected}
-        if abs(slope - expected) > slope_tol:
-            rep.fail(f"w1 j={j} l={l}: slope {slope} vs {expected}")
-    for (j, l), vals in norms2.items():
-        expected = (l - p.mu - 0.5) if j <= p.mu else (l - j + 0.5)
-        if max(vals) <= 1e-13:
-            continue
-        slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
-        split_fits[f"w2_j{j}_l{l}"] = {"slope": slope, "expected": expected}
-        if abs(slope - expected) > slope_tol:
-            rep.fail(f"w2 j={j} l={l}: slope {slope} vs {expected}")
+            for part, w in zip(rules, halfline.split_by_group(sols[j - 1], g)):
+                for l in range(0, l_max + 1):
+                    norms[part][j, l].append(halfline.l2_norm_deriv(w, l))
+    split_fits = {}
+    tail = slice(len(lambda_list) // 2, None)
+    for part, rule in rules.items():
+        for (j, l), vals in norms[part].items():
+            if max(vals) <= 1e-13:
+                continue
+            expected = rule(j, l)
+            slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
+            split_fits[f"{part}_j{j}_l{l}"] = {"slope": slope, "expected": expected}
+            if abs(slope - expected) > slope_tol:
+                rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
     rep.extras["split_fits"] = split_fits
     rep.runtime = time.perf_counter() - t0
     return rep
@@ -508,24 +512,14 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1, j_list=None, l_list=None,
         "xi_range": list(xi_range), "lam_range": list(lam_range),
         "ratio_limit": ratio_limit})
     phi = homogeneous_energy_weight(p)
-    shifts_j = {j: weights.shift(phi, Fraction(2 * j - 1, 2)) for j in j_list}
-    shifts_l = {l: weights.shift(phi, l) for l in l_list}
     xi_grid = geom_grid(*xi_range, 6 * density)
     lam_grid = geom_grid(*lam_range, 6 * density)
-    for xa in xi_grid:
-        xi_prime = np.zeros(p.n - 1)
-        xi_prime[0] = xa
-        for lam in lam_grid:
-            sols = halfline.solve(p, xi_prime, lam)
-            for j in j_list:
-                num = weights.xi_product_eval(shifts_j[j], xa, lam)
-                for l in l_list:
-                    den = weights.xi_product_eval(shifts_l[l], xa, lam)
-                    lhs = halfline.l2_norm_deriv(sols[j - 1], l)
-                    rhs = num / den
-                    rep.records.append({"xi_prime_abs": xa, "lambda": lam,
-                                        "j": j, "l": l, "lhs": lhs, "rhs": rhs,
-                                        "ratio": lhs / rhs})
+    mesh = np.ix_(xi_grid, lam_grid)
+    shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), *mesh)
+    num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
+    den = {l: shifted(l) for l in l_list}
+    rep.records.extend(_norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+        (j, l): num[j] / den[l] for j in j_list for l in l_list}))
     if rep.max_ratio > ratio_limit:
         rep.fail(f"max ratio {rep.max_ratio} exceeds {ratio_limit}")
     rep.runtime = time.perf_counter() - t0

@@ -122,7 +122,7 @@ def test_criterion_6_halfline_solver():
         full = np.array([1.0 + 0j])
         for r in np.concatenate([upper, np.conj(upper)]):   # symmetrized
             full = np.convolve(full, [-r, 1.0])
-        for sol in halfline.solve_from_roots(upper, full):
+        for sol in halfline.solve_from_roots(upper):
             assert halfline.boundary_defect(sol) < 1e-8
             assert halfline.ode_residual(sol, full) < 1e-8
             for t in (0.0, 0.5, 2.0):

@@ -1,12 +1,13 @@
 """Tests for the command line interface."""
 
+import argparse
 import json
 
 import pytest
 
 from pencilab import verify, weights
 from pencilab.catalog import broken_pencil, e1_pencil
-from pencilab.cli import run
+from pencilab.cli import build_parser, run
 from pencilab.pencil import pencil_to_dict
 
 
@@ -147,3 +148,40 @@ def test_help_documents_defaults(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out
     assert "polygon" in out and "verify" in out
+
+
+class _Recorder:
+    """Parsed-arguments proxy that records every attribute read."""
+
+    def __init__(self, ns):
+        self.__dict__["_ns"] = ns
+        self.__dict__["read"] = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._ns, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon"], ["ellipticity", "--grid-angular", "24"], ["degeneration"],
+    ["roots"], ["solve"], ["verify", "--suite", "polygon", "--grid-decades", "1"]])
+def test_handlers_read_every_option_offered(argv, e1_path, tmp_path, capsys):
+    ap = build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = {a.dest for a in sub.choices[argv[0]]._actions
+               if not isinstance(a, argparse._HelpAction)}
+    argv = argv[:1] + [e1_path] + argv[1:]
+    if argv[0] == "verify":
+        argv += ["--out", str(tmp_path / "report")]
+    ns = ap.parse_args(argv)
+    args = _Recorder(ns)
+    ns.func(args)
+    capsys.readouterr()
+    assert args.read == offered
+
+
+def test_option_not_taken_is_usage_error(e1_path, capsys):
+    assert run(["verify", e1_path, "--tol", "1e-3"]) == 2
+    assert run(["degeneration", e1_path, "--grid-angular", "90"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -171,9 +171,10 @@ def test_random_instances_residue_vs_contour():
         full = np.array([1.0 + 0j])
         for r in np.concatenate([roots, np.conj(roots)]):
             full = np.convolve(full, [-r, 1.0])
-        sols = solve_from_roots(roots, full)
+        sols = solve_from_roots(roots)
         for sol in sols:
             assert boundary_defect(sol) < 1e-8
+            assert ode_residual(sol, full) < 1e-8
             for t in (0.0, 0.5, 2.0):
                 assert abs(contour_eval(sol, 0, t)
                            - eval_deriv(sol, 0, t)) < 1e-8

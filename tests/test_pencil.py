@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import EllipticityError, PencilFormatError
 from pencilab.pencil import (GridSpec, Pencil, Term, check_lemma21,
@@ -228,6 +229,29 @@ def test_group_roots_mu_zero():
     g = group_roots(agmon_pencil(), np.array([1.0]), 10.0)
     assert g.group_bounded == ()
     assert len(g.group_large) == 1
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
+def test_group_roots_targets_are_q_upper_roots(pencil):
+    p = pencil()
+    q = poly_roots(q_polynomial(p))
+    g = group_roots(p, np.array([1.0]), 10.0)
+    assert g.large_targets == tuple(10.0 * q[q.imag > 0])
+    assert g.k1 == check_regular_degeneration(p).k1
+
+
+def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
+    p = e1_pencil()
+    deg = check_regular_degeneration(p)
+    monkeypatch.setattr(pencil_mod, "check_regular_degeneration",
+                        lambda p: deg._replace(regular=None))
+    with pytest.raises(EllipticityError, match="real axis"):
+        group_roots(p, np.array([1.0]), 10.0)
+    monkeypatch.setattr(pencil_mod, "check_regular_degeneration",
+                        lambda p: deg._replace(regular=False, upper_roots=()))
+    with pytest.raises(EllipticityError,
+                       match="Q has 0 upper roots, expected m - mu = 1"):
+        group_roots(p, np.array([1.0]), 10.0)
 
 
 def test_c_est_bound_holds_on_fresh_samples():

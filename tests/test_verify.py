@@ -61,7 +61,7 @@ def test_trace_sweep_matches_scalar_quadrature():
 def test_trace_quadrature_error_reported(pencil):
     rep = verify.run_suite("trace", pencil())
     err = rep.summary()["extras"]["quad_err_max"]
-    assert np.isfinite(err) and 0.0 <= err < 1e-6
+    assert np.isfinite(err) and 0.0 <= err < 1e-12
 
 
 def test_trace_sweep_agmon_shape():
@@ -142,6 +142,42 @@ def test_halfspace_table_dominates_derivative_table():
                     assert ratio > 0.2
                     if xa >= lam:
                         assert ratio < 5.0
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
+def test_norm_sweeps_match_pointwise_loop(pencil):
+    # Reference: the per-point loop the sweeps replaced.  The thm41 table is
+    # made of scalar calls, so it is exact; the halfspace weights are array
+    # calls, whose powers may round 1-2 ulp away from scalar ones.
+    from fractions import Fraction
+    p = pencil()
+    phi = verify.homogeneous_energy_weight(p)
+    thm = verify.sweep_theorem41(p)
+    half = verify.sweep_halfspace_ratio(p)
+    for rep, xi_count, rhs, rel in (
+            (thm, 7, lambda j, l, xa, lam: verify.rhs_44(p.mu, j, l, xa, lam),
+             0.0),
+            (half, 6, lambda j, l, xa, lam: (
+                weights.xi_product_eval(
+                    weights.shift(phi, Fraction(2 * j - 1, 2)), xa, lam)
+                / weights.xi_product_eval(weights.shift(phi, l), xa, lam)),
+             1e-15)):
+        cfg = rep.config
+        expected = []
+        for xa in verify.geom_grid(*cfg["xi_range"], xi_count):
+            for lam in verify.geom_grid(*cfg["lam_range"], 6):
+                sols = halfline.solve(p, np.array([xa] + [0.0] * (p.n - 2)), lam)
+                for j in cfg["j_list"]:
+                    for l in cfg["l_list"]:
+                        expected.append((xa, lam, j, l,
+                                         halfline.l2_norm_deriv(sols[j - 1], l),
+                                         rhs(j, l, xa, lam)))
+        assert len(rep.records) == len(expected)
+        for rec, (xa, lam, j, l, lhs, r) in zip(rep.records, expected):
+            assert (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"],
+                    rec["lhs"]) == (xa, lam, j, l, lhs)
+            assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
+            assert rec["ratio"] == lhs / rec["rhs"]
 
 
 def test_refinement_drift_small_for_e1():

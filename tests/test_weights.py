@@ -156,9 +156,29 @@ def test_lemma32_arrays_match_scalar_calls():
 
 
 def test_lemma32_error_estimate():
-    _, _, _, err = lemma32_integral([1.0, 1e3], [F(1), F(1)], 1,
-                                    full_output=True)
-    assert 0.0 <= err < 1e-6
+    for a, m, l in (([1.0, 1e3], [F(1), F(1)], 1),
+                    # |I_h - I_2h| / I_h, the error of the step-2h value,
+                    # read 1.6e-6 here, while the step-h value matched
+                    # 30-digit mpmath to 2.4e-15.
+                    ([0.0059, 272.0, 0.0042], [F(5, 3), F(1, 3), F(5, 3)], 2)):
+        _, _, _, err = lemma32_integral(a, m, l, full_output=True)
+        assert 0.0 <= err < 1e-10
+
+
+def test_lemma32_error_estimate_bounds_halved_step(monkeypatch):
+    # The estimate covers the change from halving the step, up to a floor
+    # for the rounding of the sums.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        a = (10.0 ** rng.uniform(-3, 3, k)).tolist()
+        m = [F(int(x), 3) for x in rng.integers(1, 7, k)]
+        l = int(rng.choice([l for l in range(4) if 2 * l + 1 < 4 * sum(m)]))
+        value, _, _, err = lemma32_integral(a, m, l, full_output=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(weights, "_STEP", weights._STEP / 2)
+            finer, _, _ = lemma32_integral(a, m, l)
+        assert abs(value - finer) / finer <= max(err, 1e-14), (a, m, l)
 
 
 def test_lemma32_two_scale_band():

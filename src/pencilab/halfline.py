@@ -5,16 +5,23 @@ ordinary differential operator A(xi', D_t, lambda) in t > 0.  The decaying
 solution with k-th boundary derivative delta_jk is a finite sum of
 (polynomial in t) * exp(i tau t) over the upper roots tau; the coefficients
 come from residues of M_j exp(i t tau) / A_+ at those roots.
+
+`solve` and `l2_norm_deriv` work at one point.  `mesh_norms` gives the
+same norms, bit for bit, on a whole (|xi'|, lambda) mesh at once with
+array arithmetic; nodes whose upper roots cluster, or whose residue
+construction misses the boundary data, still go through `solve`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .pencil import Pencil, cluster_roots, tau_roots
+from .pencil import (CLUSTER_TOL, Pencil, cluster_roots, mesh_upper_roots,
+                     tau_roots)
 
 MAX_RESIDUE_MULTIPLICITY = 4
 
@@ -294,6 +301,170 @@ def split_by_group(sol: ExpPolySolution, grouping):
     mk = lambda ts: ExpPolySolution(j=sol.j, terms=tuple(ts), roots=sol.roots,
                                     vieta=sol.vieta, fallback=sol.fallback)
     return mk(part1), mk(part2)
+
+
+# ---------------------------------------------------------------------------
+# the whole (|xi'|, lambda) mesh at once
+#
+# mesh_norms repeats, on arrays over the nodes, the arithmetic that solve
+# and l2_norm_deriv do for one node with separated upper roots, so that the
+# two agree bit for bit.  Where that code uses numpy's array multiply (in
+# Horner steps and D_t), so does this; where it uses numpy scalar or
+# CPython complex products, which round all four real products, this
+# writes them out in real arithmetic: on FMA hardware the array multiply
+# fuses one product into the sum and can move the last bit.  np.convolve
+# goes through a BLAS dot, whose partial sums start from 0.0 (`_dot`).
+
+class MeshNorms(NamedTuple):
+    values: np.ndarray   # ||D^l w_j|| by (|xi'|, lambda, j, l)
+    pointwise: int       # nodes solved one at a time by `solve`
+    fallbacks: int       # solutions among those with fallback=True
+
+
+def _pack(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _scalar_mul(x, y) -> np.ndarray:
+    """x * y as numpy scalars (and CPython) round it."""
+    return _pack(x.real * y.real - x.imag * y.imag,
+                 x.real * y.imag + x.imag * y.real)
+
+
+def _dot(x0, y0, x1=None):
+    """np.convolve's output x0*y0 (+ x1*1 when x1 is given) as a BLAS dot."""
+    d = [0.0 + x0.real * y0.real, 0.0 + x0.imag * y0.imag,
+         0.0 + x0.real * y0.imag, 0.0 + x0.imag * y0.real]
+    if x1 is not None:
+        d = [x1.real + d[0], d[1] + x1.imag * 0.0,
+             d[2] + x1.real * 0.0, x1.imag + d[3]]
+    return _pack(0.0 + (d[0] - d[1]), 0.0 + (d[2] + d[3]))
+
+
+def _mesh_vieta(roots) -> list[np.ndarray]:
+    """vieta(roots) for columns of roots: the coefficients a_0..a_m."""
+    one = np.ones_like(roots[0])
+    a = [one]
+    for r in roots:
+        if len(a) == 1:          # np.convolve swaps the shorter operand first
+            a = [_dot(one, a[0]), _dot(-r, a[0])]
+        else:
+            a = ([_dot(a[0], one)]
+                 + [_dot(a[i - 1], -r, a[i]) for i in range(1, len(a))]
+                 + [_dot(a[-1], -r)])
+    return a
+
+
+def _mesh_horner(coeffs, x) -> np.ndarray:
+    """np.polyval(coeffs, x) / 1.0 as _poly_taylor takes it, descending coeffs."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y = y * x + c
+    return y / 1.0
+
+
+def _separated(upper: np.ndarray) -> np.ndarray:
+    """Nodes where cluster_roots(upper) would return only singletons."""
+    ok = np.ones(upper.shape[0], dtype=bool)
+    for i in range(upper.shape[1]):
+        center = upper[:, i] / 1            # np.mean of one root
+        for k in range(i + 1, upper.shape[1]):
+            gap = upper[:, k] - center
+            ok &= (np.hypot(gap.real, gap.imag)
+                   > CLUSTER_TOL * (1.0 + np.hypot(center.real, center.imag)))
+    return ok
+
+
+def _mesh_terms(upper: np.ndarray, j_list, l_max: int):
+    """Residue coefficients of each w_j at the separated roots upper[:, k],
+    as _residue_terms computes them, and the largest boundary defect.
+
+    Returns (taus, derivs, defect): derivs[j][k] lists the coefficients of
+    D_t^q w_j at tau_k for q <= max(l_max, m - 1), each one tau * (the
+    previous) as _deriv_once forms it.
+    """
+    m = upper.shape[1]
+    a = _mesh_vieta([upper[:, k] for k in range(m)])
+    taus = [upper[:, k] / 1 for k in range(m)]          # np.mean of one root
+    # 1 / (tau_k - tau_o), the series inverse of vieta([tau_o]) at tau_k
+    inverse = {(k, o): 1.0 / _mesh_horner(_mesh_vieta([taus[o]]), taus[k])
+               for k in range(m) for o in range(m) if o != k}
+    derivs, defect = {}, np.zeros(upper.shape[0])
+    for j in j_list:
+        derivs[j] = []
+        for k in range(m):
+            series = _mesh_horner(a[: m - j + 1], taus[k])
+            for o in range(m):
+                if o != k:
+                    series = _dot(series, inverse[k, o])
+            d = [_scalar_mul(series, np.complex128(1.0)) / 1]   # * 1j**0 / 0!
+            while len(d) <= max(l_max, m - 1):
+                d.append(taus[k] * d[-1])
+            derivs[j].append(d)
+        # D_t^q w_j(0) sums the coefficients times e^0, a factor that can
+        # only flip the sign of a zero part and so leaves |.| unchanged.
+        for q in range(m):
+            value = 0j
+            for k in range(m):
+                value = value + derivs[j][k][q]
+            value = value - (1.0 if q + 1 == j else 0.0)
+            defect = np.maximum(defect, np.hypot(value.real, value.imag))
+    return taus, derivs, defect
+
+
+def _mesh_gram(taus, derivs, l: int) -> np.ndarray:
+    """The sum under the square root of l2_norm_deriv for simple roots."""
+    total = 0j
+    for ta, da in zip(taus, derivs):
+        for tb, db in zip(taus, derivs):
+            c = _scalar_mul(np.complex128(-1j), ta - np.conj(tb))
+            prod = _scalar_mul(da[l], np.conj(db[l]))
+            prod = _scalar_mul(prod, np.complex128(1.0))      # * 0!
+            total = total + prod / c
+    return total.real
+
+
+def mesh_norms(p: Pencil, xi_abs, lam, j_list, l_list) -> MeshNorms:
+    """||D^l w_j|| at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam,
+    equal to l2_norm_deriv(solve(p, xi', lambda)[j - 1], l) bit for bit.
+
+    Nodes with separated upper roots whose residue construction meets the
+    boundary tolerance are solved together.  Every other node (clustered
+    roots, the boundary-defect fallback, or roots that tau_roots rejects)
+    goes through `solve`, in (|xi'|, lambda) order, so that an error is
+    raised at the same node as a loop over `solve` would raise it.
+    """
+    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
+    upper, ok = mesh_upper_roots(p, xi_abs, lam)
+    upper, ok = upper.reshape(-1, p.m), ok.ravel()
+    nodes = np.flatnonzero(ok)
+    nodes = nodes[_separated(upper[nodes])]
+    taus, derivs, defect = _mesh_terms(upper[nodes], j_list, max(l_list))
+    accept = defect <= 1e-8
+    norms = np.empty((len(nodes), len(j_list), len(l_list)))
+    for ji, j in enumerate(j_list):
+        for li, l in enumerate(l_list):
+            total = _mesh_gram(taus, derivs[j], l)
+            # max(total, 0.0) as Python takes it, which keeps -0.0 and NaN
+            norms[:, ji, li] = np.sqrt(np.where(total < 0.0, 0.0, total))
+    values = np.empty((ok.size, len(j_list), len(l_list)))
+    values[nodes[accept]] = norms[accept]
+    rest = np.ones(ok.size, dtype=bool)
+    rest[nodes[accept]] = False
+    fallbacks = 0
+    xi_prime = np.zeros(p.n - 1)
+    for node in np.flatnonzero(rest):
+        a, b = divmod(int(node), len(lam))
+        xi_prime[0] = xi_abs[a]
+        sols = solve(p, xi_prime, lam[b])
+        for ji, j in enumerate(j_list):
+            fallbacks += sols[j - 1].fallback
+            for li, l in enumerate(l_list):
+                values[node, ji, li] = l2_norm_deriv(sols[j - 1], l)
+    return MeshNorms(values.reshape(len(xi_abs), len(lam), len(j_list), len(l_list)),
+                     int(np.count_nonzero(rest)), fallbacks)
 
 
 def homogeneity_check(p: Pencil, xi_prime, lam: float, r: float,

@@ -125,6 +125,38 @@ def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     return coeffs
 
 
+def tau_coefficient_table(p: Pencil, xi_abs, lam) -> np.ndarray:
+    """tau_polynomial at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam.
+
+    Returns shape (len(xi_abs), len(lam), 2m+1), equal to tau_polynomial
+    at each node bit for bit: every power is one scalar `**` on a grid
+    value (numpy's array powers can round differently), and each term is
+    multiplied and summed in tau_polynomial's order, with its complex-by-
+    real products written out as CPython rounds them.  The leading-
+    coefficient check is left to the caller.
+    """
+    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
+    re = np.zeros((len(xi_abs), len(lam), 2 * p.m + 1))
+    im = np.zeros_like(re)
+    xi_prime = np.zeros(p.n - 1)
+    for t in p.terms:
+        mono = np.empty(len(xi_abs))
+        for a, xa in enumerate(xi_abs):
+            xi_prime[0] = xa
+            mono[a] = 1.0
+            for x, e in zip(xi_prime, t.alpha[:-1]):
+                mono[a] *= x ** e
+        lam_pow = np.array([y ** (2 * p.m - t.j) for y in lam])
+        # (coeff * mono) * lam_pow, each factor a complex with imaginary part 0.0
+        cr = t.coeff.real * mono - t.coeff.imag * 0.0
+        ci = t.coeff.real * 0.0 + t.coeff.imag * mono
+        re[:, :, t.alpha[-1]] += cr[:, None] * lam_pow - ci[:, None] * 0.0
+        im[:, :, t.alpha[-1]] += cr[:, None] * 0.0 + ci[:, None] * lam_pow
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def a2mu_tau_polynomial(p: Pencil, xi_prime) -> np.ndarray:
     """Coefficients (ascending) of tau -> A_2mu(xi', tau), degree 2mu."""
     xi_prime = np.asarray(xi_prime, dtype=float)
@@ -151,8 +183,15 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
     if coeffs.size <= 1:
         return np.zeros(0, dtype=complex)
-    roots = np.roots(coeffs[::-1])
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    return _newton_polish(coeffs, np.roots(coeffs[::-1]))
+
+
+def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Four damped Newton steps on the roots of the polynomials whose
+    ascending coefficients run along the first axis of coeffs: shape (d+1,)
+    for one polynomial with roots (k,), (d+1, N, 1) for N with roots (N, k)."""
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs)).reshape(
+        (-1,) + (1,) * (coeffs.ndim - 1))
     for _ in range(4):
         val = np.polyval(coeffs[::-1], roots)
         dval = np.polyval(dcoeffs[::-1], roots)
@@ -162,6 +201,13 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
         step = np.where(np.abs(step) < 1e-2 * (1.0 + np.abs(roots)), step, 0.0)
         roots = roots - step
     return roots
+
+
+def _near_real_axis(roots: np.ndarray) -> np.ndarray:
+    """Whether any root (along the last axis) lies within REAL_AXIS_TOL *
+    (1 + max |root|) of the real axis."""
+    scale = 1.0 + np.abs(roots).max(axis=-1, initial=0.0, keepdims=True)
+    return (np.abs(roots.imag) <= REAL_AXIS_TOL * scale).any(axis=-1)
 
 
 def cluster_roots(roots, tol_factor: float = CLUSTER_TOL):
@@ -410,8 +456,7 @@ def check_regular_degeneration(p: Pencil) -> DegenerationResult:
     """Count upper-half-plane roots of Q; regular iff the count is m - mu."""
     q = q_polynomial(p)
     roots = poly_roots(q)
-    scale = 1.0 + np.max(np.abs(roots), initial=0.0)
-    if np.any(np.abs(roots.imag) <= REAL_AXIS_TOL * scale):
+    if _near_real_axis(roots):
         return DegenerationResult(None, tuple(roots[roots.imag > 0]), 0)
     upper = roots[roots.imag > 0]
     clusters = cluster_roots(upper)
@@ -456,8 +501,7 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
         raise ValueError("need xi' != 0 or lambda > 0")
     coeffs = tau_polynomial(p, xi_prime, lam)
     roots = poly_roots(coeffs)
-    scale = 1.0 + np.max(np.abs(roots), initial=0.0)
-    if np.any(np.abs(roots.imag) <= REAL_AXIS_TOL * scale):
+    if _near_real_axis(roots):
         raise EllipticityError(
             f"root on the real axis at xi'={xi_prime}, lambda={lam}")
     upper = tuple(roots[roots.imag > 0])
@@ -466,6 +510,39 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
         raise EllipticityError(
             f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
     return RootSet(tuple(roots), upper, lower)
+
+
+def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
+    """tau_roots(p, (|xi'|, 0, ..., 0), lambda).upper on the mesh xi_abs x lam.
+
+    Returns (upper, ok) of shapes (len(xi_abs), len(lam), m) and
+    (len(xi_abs), len(lam)).  Where ok is False, tau_roots raises at that
+    node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
+    the companion matrices of np.roots go to one stacked eigensolve and
+    the same Newton polish.
+    """
+    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
+    coeffs = tau_coefficient_table(p, xi_abs, lam)
+    mags = np.abs(coeffs)
+    scale = np.max(mags, axis=-1)
+    scale[scale == 0.0] = 1.0
+    lead = np.hypot(coeffs[..., -1].real, coeffs[..., -1].imag)   # scalar abs
+    # A zero constant term is a root at 0, which tau_roots rejects as real.
+    ok = (np.all(np.isfinite(mags), axis=-1) & (lead > 1e-14 * scale)
+          & (coeffs[..., 0] != 0))
+    ok &= (xi_abs[:, None] != 0.0) | (lam[None, :] != 0.0)
+    c = coeffs[ok]
+    desc = c[:, ::-1]
+    companion = np.zeros((len(c), 2 * p.m, 2 * p.m), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(2 * p.m - 1)
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    roots = _newton_polish(c.T[:, :, None], np.linalg.eigvals(companion))
+    good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
+    roots = roots[good]
+    upper = np.full(ok.shape + (p.m,), np.nan, dtype=complex)
+    ok[ok] = good
+    upper[ok] = roots[roots.imag > 0].reshape(-1, p.m)
+    return upper, ok
 
 
 @dataclass(frozen=True)

@@ -242,26 +242,31 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
 # half-line estimates
 
 def _norm_records(p: Pencil, xi_grid, lam_grid, j_list, l_list,
-                  rhs: dict) -> list[dict]:
+                  rhs: dict) -> tuple[list[dict], halfline.MeshNorms]:
     """Records of ||D^l w_j|| against rhs[j, l] on the (|xi'|, lambda) mesh.
 
-    `rhs[j, l]` has shape (len(xi_grid), len(lam_grid)).  One half-line
-    solve per node; records come in (|xi'|, lambda, j, l) order.
+    `rhs[j, l]` has shape (len(xi_grid), len(lam_grid)).  The norms come
+    from one `halfline.mesh_norms` call; records come in (|xi'|, lambda, j,
+    l) order.
     """
+    solved = halfline.mesh_norms(p, xi_grid, lam_grid, j_list, l_list)
     records = []
     for a, xa in enumerate(xi_grid):
-        xi_prime = np.zeros(p.n - 1)
-        xi_prime[0] = xa
         for b, lam in enumerate(lam_grid):
-            sols = halfline.solve(p, xi_prime, lam)
-            for j in j_list:
-                for l in l_list:
-                    lhs = halfline.l2_norm_deriv(sols[j - 1], l)
+            for ji, j in enumerate(j_list):
+                for li, l in enumerate(l_list):
+                    lhs = float(solved.values[a, b, ji, li])
                     rhs_v = rhs[j, l][a, b]
                     records.append({"xi_prime_abs": xa, "lambda": lam,
                                     "j": j, "l": l, "lhs": lhs, "rhs": rhs_v,
                                     "ratio": lhs / rhs_v})
-    return records
+    return records, solved
+
+
+def _report_pointwise(rep: SweepReport, *solved: halfline.MeshNorms) -> None:
+    """Mesh nodes that needed the per-point solve, and its fallbacks."""
+    rep.extras["pointwise_nodes"] = sum(s.pointwise for s in solved)
+    rep.extras["residue_fallbacks"] = sum(s.fallbacks for s in solved)
 
 
 def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
@@ -305,15 +310,17 @@ def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
     xa_m, lam_m = np.ix_(xi_grid, lam_grid)
-    rep.records.extend(_norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+    records, solved = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
         (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa_m, lam_m)
-        for j in j_list for l in l_list}))
+        for j in j_list for l in l_list})
+    rep.records.extend(records)
 
     # Reduced sweep at |omega'| = 1.
-    reduced = _norm_records(p, np.ones(1), lam_grid, j_list, l_list, {
+    reduced, reduced_solved = _norm_records(p, np.ones(1), lam_grid, j_list, l_list, {
         (j, l): np.vectorize(rhs_419)(p.mu, j, l, lam_grid[None, :])
         for j in j_list for l in l_list})
     rep.extras["reduced_max_ratio"] = max([0.0] + [r["ratio"] for r in reduced])
+    _report_pointwise(rep, solved, reduced_solved)
 
     # Scaling identity spot checks.
     homo_err = 0.0
@@ -359,10 +366,11 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
 
     xi_prime = np.asarray(xi_prime_list[0], dtype=float)
     xa = float(np.linalg.norm(xi_prime))
-    eps, corr, bounded_res = [], [], []
+    eps, corr, bounded_res, groupings = [], [], [], []
     k1 = 1
     for lam in lambda_list:
         g = group_roots(p, xi_prime, lam)
+        groupings.append(g)
         k1 = g.k1
         bounded = max(g.residual_bounded, default=0.0)
         large = max((abs(g.upper_roots[i] - t) / lam
@@ -398,9 +406,11 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     norms = {part: {(j, l): [] for j in range(1, p.m + 1)
                     for l in range(0, l_max + 1)} for part in rules}
     omega = xi_prime / (xa or 1.0)
-    for lam in lambda_list:
+    same = np.array_equal(omega, xi_prime)      # |xi'| = 1: reuse (a)'s groupings
+    for lam, g in zip(lambda_list, groupings):
         sols = halfline.solve(p, omega, lam)
-        g = group_roots(p, omega, lam)
+        if not same:
+            g = group_roots(p, omega, lam)
         for j in range(1, p.m + 1):
             for part, w in zip(rules, halfline.split_by_group(sols[j - 1], g)):
                 for l in range(0, l_max + 1):
@@ -518,8 +528,10 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1, j_list=None, l_list=None,
     shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), *mesh)
     num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
     den = {l: shifted(l) for l in l_list}
-    rep.records.extend(_norm_records(p, xi_grid, lam_grid, j_list, l_list, {
-        (j, l): num[j] / den[l] for j in j_list for l in l_list}))
+    records, solved = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+        (j, l): num[j] / den[l] for j in j_list for l in l_list})
+    rep.records.extend(records)
+    _report_pointwise(rep, solved)
     if rep.max_ratio > ratio_limit:
         rep.fail(f"max ratio {rep.max_ratio} exceeds {ratio_limit}")
     rep.runtime = time.perf_counter() - t0

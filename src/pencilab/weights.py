@@ -153,6 +153,10 @@ def _trapezoid(log_a, exps, l: int):
     `exps` holds the exponents 2 m_s; the step-2h sum reuses every other node.
     r = |I_h - I_2h| / I_h is the error of the step-2h value; the error falls
     like exp(-pi^2 / h), so the step-h value's relative error is about r^2.
+    That is an asymptotic estimate, not a bound: it holds at the default
+    step h = 0.2, where the error is at rounding level, but at h = 0.3-0.6
+    the change from halving the step exceeded r^2 in 19-98 of 500 random
+    sets of one to three scales.
     """
     lo_rate = 2 * l + 1
     hi_rate = 2.0 * exps.sum() - lo_rate

@@ -1,6 +1,7 @@
 """Tests for the exponential-polynomial half-line solutions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from pencilab import halfline
 from pencilab.catalog import agmon_pencil, e1_pencil
+from pencilab.errors import EllipticityError
 from pencilab.halfline import (boundary_defect, contour_eval, eval_deriv,
                                l2_norm_deriv, mj, ode_residual, solve,
                                solve_from_roots, split_by_group, vieta)
-from pencilab.pencil import group_roots, tau_polynomial
+from pencilab.pencil import Pencil, Term, group_roots, tau_polynomial
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -178,3 +180,106 @@ def test_random_instances_residue_vs_contour():
             for t in (0.0, 0.5, 2.0):
                 assert abs(contour_eval(sol, 0, t)
                            - eval_deriv(sol, 0, t)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# mesh_norms against a loop over solve + l2_norm_deriv
+
+def _pointwise_norms(p, xi_abs, lam, j_list, l_list):
+    out = np.empty((len(xi_abs), len(lam), len(j_list), len(l_list)))
+    for a, xa in enumerate(xi_abs):
+        xi_prime = np.zeros(p.n - 1)
+        xi_prime[0] = xa
+        for b, y in enumerate(lam):
+            sols = solve(p, xi_prime, y)
+            for ji, j in enumerate(j_list):
+                for li, l in enumerate(l_list):
+                    out[a, b, ji, li] = l2_norm_deriv(sols[j - 1], l)
+    return out
+
+
+def _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list):
+    """Same bits as the loop, or the same error at the same node."""
+    try:
+        expected = _pointwise_norms(p, xi_abs, lam, j_list, l_list)
+    except EllipticityError as exc:
+        with pytest.raises(EllipticityError, match=f"^{re.escape(str(exc))}$"):
+            halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
+        return None
+    got = halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
+    assert got.values.tobytes() == expected.tobytes()
+    return got
+
+
+@st.composite
+def _half_line_pencils(draw):
+    """Dominant sum_i c_i xi_i^2m + lambda^(2m-2mu) sum_i d_i xi_i^2mu in
+    n = 2, 3 variables, plus small complex terms of odd orders."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 3))
+    mu = draw(st.integers(0, m - 1))
+    terms = [Term(tuple(j if k == i else 0 for k in range(n)), j,
+                  draw(st.floats(0.5, 2.0)))
+             for i in range(n) for j in (2 * m, 2 * mu)]
+    for j in draw(st.lists(st.sampled_from(range(2 * mu + 1, 2 * m, 2)),
+                           max_size=3)):
+        cuts = sorted(draw(st.lists(st.integers(0, j), min_size=n - 1,
+                                    max_size=n - 1)))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [j]))
+        coeff = complex(draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01)))
+        terms.append(Term(alpha, j, coeff))
+    return Pencil(n=n, m=m, mu=mu, terms=tuple(terms))
+
+
+_grid = st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_half_line_pencils(), _grid, _grid, st.data())
+def test_mesh_norms_match_solve_loop(p, xi_abs, lam, data):
+    j_list = data.draw(st.lists(st.integers(1, p.m), min_size=1, unique=True))
+    l_list = data.draw(st.lists(st.integers(0, p.m + 1), min_size=1, unique=True))
+    _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list)
+
+
+def test_mesh_norms_match_solve_loop_order_three():
+    # With m = 3 the Vieta coefficients are sums of products, so this case
+    # also checks that the mesh sums them in np.convolve's order.
+    p = Pencil(n=3, m=3, mu=0, terms=(
+        Term((6, 0, 0), 6, 1.0), Term((0, 6, 0), 6, 1.0), Term((0, 0, 6), 6, 1.0),
+        Term((0, 0, 0), 0, 1.0), Term((1, 1, 1), 3, 0.01 + 0.005j),
+        Term((2, 3, 0), 5, -0.004 + 0.008j)))
+    _assert_mesh_matches_loop(p, np.geomspace(0.1, 10.0, 7),
+                              np.geomspace(1.0, 100.0, 6), [1, 2, 3], [0, 1, 2, 3])
+
+
+def _confluent(c):
+    """(|xi|^2 + lambda^2)(|xi|^2 + c lambda^2) in n = 2: a double root
+    at c = 1, a close pair near it."""
+    return Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
+        Term((2, 0), 2, 1.0 + c), Term((0, 2), 2, 1.0 + c), Term((0, 0), 0, c)))
+
+
+@pytest.mark.parametrize("c, clustered, fallback", [(1.0, 29, 10),
+                                                    (1.0 + 1e-6, 1, 4)])
+def test_mesh_norms_route_confluent_nodes_to_solve(c, clustered, fallback):
+    # The thm41 mesh at density 1: clustered roots, and a residue
+    # construction that misses the boundary data at separated roots, both
+    # go through solve, and the norms stay those of the loop.
+    p = _confluent(c)
+    xi_abs, lam = np.geomspace(1e-2, 1e2, 7), np.geomspace(1.0, 1e3, 6)
+    got = _assert_mesh_matches_loop(p, xi_abs, lam, [1, 2], [0, 1, 2])
+    assert got.pointwise == clustered + fallback
+    assert got.fallbacks > 0
+
+
+def test_mesh_norms_real_axis_error_at_first_node():
+    # xi'^2 + tau^2 - lambda^2 has real roots where lambda > |xi'|: the
+    # second and third nodes in (|xi'|, lambda) order.
+    p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0),
+                                      Term((0, 0), 0, -1.0)))
+    xi_abs, lam = np.array([2.0, 0.5]), np.array([1.0, 3.0])
+    _assert_mesh_matches_loop(p, xi_abs, lam, [1], [0, 1])
+    with pytest.raises(EllipticityError, match=r"xi'=\[2\.\], lambda=3\.0$"):
+        halfline.mesh_norms(p, xi_abs, lam, [1], [0, 1])

@@ -5,7 +5,7 @@ import pytest
 
 from pencilab import verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.pencil import group_roots
+from pencilab.pencil import Pencil, Term, group_roots
 from pencilab.polygon import build_polygon
 from pencilab import halfline
 
@@ -178,6 +178,46 @@ def test_norm_sweeps_match_pointwise_loop(pencil):
                     rec["lhs"]) == (xa, lam, j, l, lhs)
             assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
             assert rec["ratio"] == lhs / rec["rhs"]
+
+
+def _double_root_pencil():
+    """(|xi|^2 + lambda^2)^2: a double upper root at every (xi', lambda)."""
+    return Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
+        Term((2, 0), 2, 2.0), Term((0, 2), 2, 2.0), Term((0, 0), 0, 1.0)))
+
+
+@pytest.mark.parametrize("pencil, pointwise", [(e1_pencil, False),
+                                               (agmon_pencil, False),
+                                               (_double_root_pencil, True)])
+def test_norm_sweeps_report_pointwise_nodes(pencil, pointwise, tmp_path):
+    # Mesh nodes solved one at a time (clustered roots or the boundary
+    # fallback) are counted in summary.json, never in the CSV.
+    for rep in (verify.sweep_theorem41(pencil()),
+                verify.sweep_halfspace_ratio(pencil())):
+        extras = rep.summary()["extras"]
+        assert (extras["pointwise_nodes"] > 0) == pointwise
+        assert (extras["residue_fallbacks"] > 0) == pointwise
+        verify.write_csv(rep, tmp_path / "out.csv")
+        assert "pointwise" not in (tmp_path / "out.csv").read_text()
+
+
+def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
+    # At |xi'| = 1 the split loop reuses the residual loop's groupings.  At
+    # |xi'| = 2 it groups again at omega = xi'/|xi'|, the same unit vector,
+    # so both runs must give the same split fits.
+    seen = []
+    def counting(*args):
+        seen.append(args)
+        return group_roots(*args)
+    monkeypatch.setattr(verify, "group_roots", counting)
+    fits = {}
+    for xa, per_lambda in ((1.0, 1), (2.0, 2)):
+        seen.clear()
+        rep = verify.sweep_group_asymptotics(e1_pencil(), xi_prime_list=[np.array([xa])])
+        assert len(seen) == per_lambda * len(rep.config["lambda_list"])
+        fits[xa] = rep.extras["split_fits"]
+    assert fits[1.0] == fits[2.0]
 
 
 def test_refinement_drift_small_for_e1():

@@ -6,6 +6,8 @@ half-line Dirichlet solutions, and numerical certification sweeps for
 the associated two-sided estimates.
 """
 
+__version__ = "0.1.0"   # before the submodules: verify reports it
+
 from .errors import (BandError, EllipticityError, OutOfRangeError,
                      PencilabError, PencilFormatError, UnsupportedShapeError)
 from .polygon import NewtonPolygon, Side, build_polygon, principal_part, r_degree
@@ -22,4 +24,3 @@ from .halfline import (ExpPolySolution, ExpPolyTerm, boundary_defect,
 from .catalog import BUILTIN, agmon_pencil, broken_pencil, e1_pencil
 from .verify import SweepReport, run_suite, write_csv
 
-__version__ = "0.1.0"

@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify, weights
+from . import halfline, verify, weights
 from .errors import PencilabError
 from .pencil import (GridSpec, check_lemma21, check_regular_degeneration,
                      group_roots, load_pencil, poly_roots, q_polynomial,
                      tau_roots)
 from .polygon import INF, build_polygon
-from . import halfline
 
 
 def _c(z: complex) -> str:
@@ -133,15 +132,17 @@ def cmd_roots(args) -> int:
 def cmd_solve(args) -> int:
     p = load_pencil(args.pencil)
     xi_prime, lam = _parse_point(args, p.n)
-    sols = halfline.solve(p, xi_prime, lam)
+    upper = tau_roots(p, xi_prime, lam).upper
+    ls = list(range(p.m + 1))
+    norm_table = halfline.gramian_norms([upper], range(1, p.m + 1), ls)[0]
     payload = {}
     lines = []
-    for sol in sols:
+    for sol in halfline.solve_from_roots(upper):
         payload[f"w{sol.j}"] = sol.to_json_dict()
         lines.append(f"w_{sol.j}: " + "; ".join(
             f"exp(i t {_c(t.tau)}) * poly{tuple(_c(c) for c in t.poly)}"
             for t in sol.terms) + (", via boundary solve" if sol.fallback else ""))
-        norms = {l: halfline.l2_norm_deriv(sol, l) for l in range(p.m + 1)}
+        norms = dict(zip(ls, norm_table[sol.j - 1].tolist()))
         payload[f"w{sol.j}_norms"] = norms
         lines.append("    norms ||D^l w||, l=0..m: "
                      + ", ".join(f"{v:.9g}" for v in norms.values()))

@@ -6,22 +6,21 @@ solution with k-th boundary derivative delta_jk is a finite sum of
 (polynomial in t) * exp(i tau t) over the upper roots tau; the coefficients
 come from residues of M_j exp(i t tau) / A_+ at those roots.
 
-`solve` and `l2_norm_deriv` work at one point.  `mesh_norms` gives the
-same norms, bit for bit, on a whole (|xi'|, lambda) mesh at once with
-array arithmetic; nodes whose upper roots cluster, or whose residue
-construction misses the boundary data, still go through `solve`.
+`solve` gives that form at one point; `l2_norm_deriv` takes norms of it or
+of its `split_by_group` parts.  Norms of full solutions, at any number of
+nodes, come from the Lyapunov Gramian instead (`gramian_norms`), which stays
+accurate at confluent roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .pencil import (CLUSTER_TOL, Pencil, cluster_roots, mesh_upper_roots,
-                     tau_roots)
+from .pencil import Pencil, cluster_roots, mesh_upper_roots, tau_roots
 
 MAX_RESIDUE_MULTIPLICITY = 4
 
@@ -37,7 +36,6 @@ class ExpPolySolution:
     j: int
     terms: tuple[ExpPolyTerm, ...]
     roots: tuple[complex, ...]
-    vieta: tuple[complex, ...]
     fallback: bool = False      # residue construction replaced by boundary solve
 
     def to_json_dict(self) -> dict:
@@ -145,18 +143,17 @@ def solve_from_roots(upper_roots):
     sols = []
     for j in range(1, m + 1):
         if big > MAX_RESIDUE_MULTIPLICITY:
-            sol = _boundary_solve(j, clusters, upper_roots, a)
+            sol = _boundary_solve(j, clusters, upper_roots)
         else:
             terms = tuple(_residue_terms(mj(a, j), clusters))
-            sol = ExpPolySolution(j=j, terms=terms, roots=tuple(upper_roots),
-                                  vieta=tuple(a))
+            sol = ExpPolySolution(j=j, terms=terms, roots=tuple(upper_roots))
             if boundary_defect(sol) > 1e-8:
-                sol = _boundary_solve(j, clusters, upper_roots, a)
+                sol = _boundary_solve(j, clusters, upper_roots)
         sols.append(sol)
     return sols
 
 
-def _boundary_solve(j, clusters, upper_roots, a) -> ExpPolySolution:
+def _boundary_solve(j, clusters, upper_roots) -> ExpPolySolution:
     """Fallback: solve the confluent boundary interpolation system directly."""
     proto = [ExpPolyTerm(c, tuple(0j for _ in members))
              for c, members in clusters]
@@ -171,7 +168,7 @@ def _boundary_solve(j, clusters, upper_roots, a) -> ExpPolySolution:
         terms.append(ExpPolyTerm(complex(center), tuple(coef[pos: pos + p])))
         pos += p
     return ExpPolySolution(j=j, terms=tuple(terms), roots=tuple(upper_roots),
-                           vieta=tuple(a), fallback=True)
+                           fallback=True)
 
 
 def solve(p: Pencil, xi_prime, lam: float):
@@ -268,7 +265,7 @@ def contour_eval(sol: ExpPolySolution, l: int, t: float,
     circles keep |e^{izt}| moderate on the contour, which preserves
     relative accuracy.  Serves as an oracle for the residue construction.
     """
-    a = np.asarray(sol.vieta, dtype=complex)
+    a = vieta(sol.roots)
     mj_desc = mj(a, sol.j)
     clusters = cluster_roots(np.array(sol.roots))
     centers = np.array([c for c, _ in clusters])
@@ -298,173 +295,77 @@ def split_by_group(sol: ExpPolySolution, grouping):
     for term in sol.terms:
         idx = int(np.argmin(np.abs(upper - term.tau)))
         (part1 if idx in grouping.group_bounded else part2).append(term)
-    mk = lambda ts: ExpPolySolution(j=sol.j, terms=tuple(ts), roots=sol.roots,
-                                    vieta=sol.vieta, fallback=sol.fallback)
-    return mk(part1), mk(part2)
+    return replace(sol, terms=tuple(part1)), replace(sol, terms=tuple(part2))
 
 
 # ---------------------------------------------------------------------------
-# the whole (|xi'|, lambda) mesh at once
+# norms from the Lyapunov Gramian (Bartels and Stewart 1972)
 #
-# mesh_norms repeats, on arrays over the nodes, the arithmetic that solve
-# and l2_norm_deriv do for one node with separated upper roots, so that the
-# two agree bit for bit.  Where that code uses numpy's array multiply (in
-# Horner steps and D_t), so does this; where it uses numpy scalar or
-# CPython complex products, which round all four real products, this
-# writes them out in real arithmetic: on FMA hardware the array multiply
-# fuses one product into the sum and can move the last bit.  np.convolve
-# goes through a BLAS dot, whose partial sums start from 0.0 (`_dot`).
+# y = (w, Dw, ..., D^(m-1) w) obeys y' = iCy, y(0) = e_j, with C the companion
+# matrix of A_+ = prod (tau - tau_k); so ||D^l w_j||^2 = r_l G_j r_l^H with
+# r_l = e_1^T C^l and (iC) G_j + G_j (iC)^H = -e_j e_j^H.  A_+ needs only the
+# symmetric functions of the upper roots, so no 1/gap term appears.  The
+# Kronecker matrix has the eigenvalues i(tau_b - conj(tau_a)) and degrades
+# only as a root nears the real axis, where tau_roots refuses.
 
 class MeshNorms(NamedTuple):
-    values: np.ndarray   # ||D^l w_j|| by (|xi'|, lambda, j, l)
-    pointwise: int       # nodes solved one at a time by `solve`
-    fallbacks: int       # solutions among those with fallback=True
+    values: np.ndarray          # ||D^l w_j|| by (|xi'|, lambda, j, l)
+    root_clearance_min: float   # smallest Im tau / |tau| over the mesh
 
 
-def _pack(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+def gramian_norms(upper, j_list, l_list) -> np.ndarray:
+    """||D^l w_j|| by (node, j, l) for upper roots of shape (N, m).
 
-
-def _scalar_mul(x, y) -> np.ndarray:
-    """x * y as numpy scalars (and CPython) round it."""
-    return _pack(x.real * y.real - x.imag * y.imag,
-                 x.real * y.imag + x.imag * y.real)
-
-
-def _dot(x0, y0, x1=None):
-    """np.convolve's output x0*y0 (+ x1*1 when x1 is given) as a BLAS dot."""
-    d = [0.0 + x0.real * y0.real, 0.0 + x0.imag * y0.imag,
-         0.0 + x0.real * y0.imag, 0.0 + x0.imag * y0.real]
-    if x1 is not None:
-        d = [x1.real + d[0], d[1] + x1.imag * 0.0,
-             d[2] + x1.real * 0.0, x1.imag + d[3]]
-    return _pack(0.0 + (d[0] - d[1]), 0.0 + (d[2] + d[3]))
-
-
-def _mesh_vieta(roots) -> list[np.ndarray]:
-    """vieta(roots) for columns of roots: the coefficients a_0..a_m."""
-    one = np.ones_like(roots[0])
-    a = [one]
-    for r in roots:
-        if len(a) == 1:          # np.convolve swaps the shorter operand first
-            a = [_dot(one, a[0]), _dot(-r, a[0])]
-        else:
-            a = ([_dot(a[0], one)]
-                 + [_dot(a[i - 1], -r, a[i]) for i in range(1, len(a))]
-                 + [_dot(a[-1], -r)])
-    return a
-
-
-def _mesh_horner(coeffs, x) -> np.ndarray:
-    """np.polyval(coeffs, x) / 1.0 as _poly_taylor takes it, descending coeffs."""
-    y = np.zeros_like(x)
-    for c in coeffs:
-        y = y * x + c
-    return y / 1.0
-
-
-def _separated(upper: np.ndarray) -> np.ndarray:
-    """Nodes where cluster_roots(upper) would return only singletons."""
-    ok = np.ones(upper.shape[0], dtype=bool)
-    for i in range(upper.shape[1]):
-        center = upper[:, i] / 1            # np.mean of one root
-        for k in range(i + 1, upper.shape[1]):
-            gap = upper[:, k] - center
-            ok &= (np.hypot(gap.real, gap.imag)
-                   > CLUSTER_TOL * (1.0 + np.hypot(center.real, center.imag)))
-    return ok
-
-
-def _mesh_terms(upper: np.ndarray, j_list, l_max: int):
-    """Residue coefficients of each w_j at the separated roots upper[:, k],
-    as _residue_terms computes them, and the largest boundary defect.
-
-    Returns (taus, derivs, defect): derivs[j][k] lists the coefficients of
-    D_t^q w_j at tau_k for q <= max(l_max, m - 1), each one tau * (the
-    previous) as _deriv_once forms it.
+    Each node's roots are first divided by a power of two 2^e near their
+    largest modulus, which is exact; ||D^l w_j|| scales as (2^e)^(l-j+1/2).
+    Every step is elementwise or one LAPACK solve per node, so a node gives
+    the same bits alone (N = 1) as in a stack.
     """
-    m = upper.shape[1]
-    a = _mesh_vieta([upper[:, k] for k in range(m)])
-    taus = [upper[:, k] / 1 for k in range(m)]          # np.mean of one root
-    # 1 / (tau_k - tau_o), the series inverse of vieta([tau_o]) at tau_k
-    inverse = {(k, o): 1.0 / _mesh_horner(_mesh_vieta([taus[o]]), taus[k])
-               for k in range(m) for o in range(m) if o != k}
-    derivs, defect = {}, np.zeros(upper.shape[0])
-    for j in j_list:
-        derivs[j] = []
-        for k in range(m):
-            series = _mesh_horner(a[: m - j + 1], taus[k])
-            for o in range(m):
-                if o != k:
-                    series = _dot(series, inverse[k, o])
-            d = [_scalar_mul(series, np.complex128(1.0)) / 1]   # * 1j**0 / 0!
-            while len(d) <= max(l_max, m - 1):
-                d.append(taus[k] * d[-1])
-            derivs[j].append(d)
-        # D_t^q w_j(0) sums the coefficients times e^0, a factor that can
-        # only flip the sign of a zero part and so leaves |.| unchanged.
-        for q in range(m):
-            value = 0j
-            for k in range(m):
-                value = value + derivs[j][k][q]
-            value = value - (1.0 if q + 1 == j else 0.0)
-            defect = np.maximum(defect, np.hypot(value.real, value.imag))
-    return taus, derivs, defect
-
-
-def _mesh_gram(taus, derivs, l: int) -> np.ndarray:
-    """The sum under the square root of l2_norm_deriv for simple roots."""
-    total = 0j
-    for ta, da in zip(taus, derivs):
-        for tb, db in zip(taus, derivs):
-            c = _scalar_mul(np.complex128(-1j), ta - np.conj(tb))
-            prod = _scalar_mul(da[l], np.conj(db[l]))
-            prod = _scalar_mul(prod, np.complex128(1.0))      # * 0!
-            total = total + prod / c
-    return total.real
+    upper = np.asarray(upper, dtype=complex)
+    n, m = upper.shape
+    e = np.frexp(np.abs(upper).max(axis=1))[1][:, None]
+    tau = upper * np.ldexp(1.0, -e)
+    a = np.zeros((n, m + 1), dtype=complex)             # A_+, descending
+    a[:, 0] = 1.0
+    for k in range(m):
+        a[:, 1:k + 2] = a[:, 1:k + 2] - tau[:, k:k + 1] * a[:, :k + 1]
+    comp = np.zeros((n, m, m), dtype=complex)
+    comp[:, :-1, 1:] = np.eye(m - 1)
+    comp[:, -1, :] = -a[:, :0:-1]
+    # row-major vec(X G + G X^H) = (X kron I + I kron conj(X)) vec(G), X = iC
+    x, eye = 1j * comp, np.eye(m)
+    kron = (x[:, :, None, :, None] * eye[:, None, :]
+            + eye[:, None, :, None] * x.conj()[:, None, :, None, :])
+    rhs = np.zeros((m * m, len(j_list)))
+    rhs[[(j - 1) * (m + 1) for j in j_list], range(len(j_list))] = -1.0
+    gram = np.linalg.solve(kron.reshape(n, m * m, m * m), rhs).reshape(n, m, m, -1)
+    sq = np.empty((n, len(j_list), len(l_list)))
+    r = np.broadcast_to(eye[0], (n, m))                 # r_l = e_1^T C^l
+    for l in range(max(l_list) + 1):
+        if l in l_list:
+            sq[:, :, l_list.index(l)] = ((r[:, :, None, None] * gram).sum(axis=1)
+                                         * r.conj()[:, :, None]).sum(axis=1).real
+        r = (r[:, :, None] * comp).sum(axis=1)
+    power = 2 * (np.asarray(l_list) - np.asarray(j_list)[:, None]) + 1
+    return np.sqrt(np.ldexp(sq, e[:, :, None] * power))
 
 
 def mesh_norms(p: Pencil, xi_abs, lam, j_list, l_list) -> MeshNorms:
-    """||D^l w_j|| at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam,
-    equal to l2_norm_deriv(solve(p, xi', lambda)[j - 1], l) bit for bit.
+    """||D^l w_j|| at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam.
 
-    Nodes with separated upper roots whose residue construction meets the
-    boundary tolerance are solved together.  Every other node (clustered
-    roots, the boundary-defect fallback, or roots that tau_roots rejects)
-    goes through `solve`, in (|xi'|, lambda) order, so that an error is
-    raised at the same node as a loop over `solve` would raise it.
+    The upper roots are those of tau_roots bit for bit.  At nodes that
+    mesh_upper_roots rejects, tau_roots runs in (|xi'|, lambda) order, so
+    an error names the same node as a loop over the mesh would.
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
     upper, ok = mesh_upper_roots(p, xi_abs, lam)
-    upper, ok = upper.reshape(-1, p.m), ok.ravel()
-    nodes = np.flatnonzero(ok)
-    nodes = nodes[_separated(upper[nodes])]
-    taus, derivs, defect = _mesh_terms(upper[nodes], j_list, max(l_list))
-    accept = defect <= 1e-8
-    norms = np.empty((len(nodes), len(j_list), len(l_list)))
-    for ji, j in enumerate(j_list):
-        for li, l in enumerate(l_list):
-            total = _mesh_gram(taus, derivs[j], l)
-            # max(total, 0.0) as Python takes it, which keeps -0.0 and NaN
-            norms[:, ji, li] = np.sqrt(np.where(total < 0.0, 0.0, total))
-    values = np.empty((ok.size, len(j_list), len(l_list)))
-    values[nodes[accept]] = norms[accept]
-    rest = np.ones(ok.size, dtype=bool)
-    rest[nodes[accept]] = False
-    fallbacks = 0
     xi_prime = np.zeros(p.n - 1)
-    for node in np.flatnonzero(rest):
-        a, b = divmod(int(node), len(lam))
+    for a, b in zip(*np.nonzero(~ok)):
         xi_prime[0] = xi_abs[a]
-        sols = solve(p, xi_prime, lam[b])
-        for ji, j in enumerate(j_list):
-            fallbacks += sols[j - 1].fallback
-            for li, l in enumerate(l_list):
-                values[node, ji, li] = l2_norm_deriv(sols[j - 1], l)
-    return MeshNorms(values.reshape(len(xi_abs), len(lam), len(j_list), len(l_list)),
-                     int(np.count_nonzero(rest)), fallbacks)
+        upper[a, b] = tau_roots(p, xi_prime, lam[b]).upper
+    values = gramian_norms(upper.reshape(-1, p.m), j_list, l_list)
+    return MeshNorms(values.reshape(upper.shape[:2] + values.shape[1:]),
+                     float(np.min(upper.imag / np.abs(upper))))
 
 
 def homogeneity_check(p: Pencil, xi_prime, lam: float, r: float,
@@ -476,6 +377,7 @@ def homogeneity_check(p: Pencil, xi_prime, lam: float, r: float,
     scaled point; the two agree for exact arithmetic.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
-    lhs = l2_norm_deriv(solve(p, xi_prime, lam)[j - 1], l)
-    scaled = l2_norm_deriv(solve(p, xi_prime / r, lam / r)[j - 1], l)
-    return lhs, r ** (0.5 - j + l) * scaled
+    upper = [tau_roots(p, xi_prime, lam).upper,
+             tau_roots(p, xi_prime / r, lam / r).upper]
+    lhs, scaled = gramian_norms(upper, [j], [l])[:, 0, 0]
+    return float(lhs), r ** (0.5 - j + l) * float(scaled)

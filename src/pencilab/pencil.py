@@ -118,8 +118,16 @@ def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
         for x, a in zip(xi_prime, t.alpha[:-1]):
             mono *= x ** a
         coeffs[t.alpha[-1]] += t.coeff * mono * lam ** (2 * p.m - t.j)
-    scale = np.max(np.abs(coeffs)) or 1.0
-    if abs(coeffs[-1]) <= 1e-14 * scale:
+    # A is jointly homogeneous of degree 2m, so with rho = |xi'| + lambda the
+    # |c_k| rho^(k-2m) are the coefficients of A(xi'/rho, ., lambda/rho): the
+    # test compares numbers of one scale.  mesh_upper_roots repeats it.
+    inv = 1.0 / float(np.linalg.norm(xi_prime) + abs(lam) or 1.0)
+    *lower, lead = coeffs.tolist()
+    weight, scale = 1.0, 0.0
+    for c in reversed(lower):
+        weight *= inv
+        scale = max(scale, abs(c) * weight)
+    if abs(lead) <= 1e-14 * scale:
         raise EllipticityError(
             "leading tau coefficient vanishes: A_2m is not elliptic in xi_n")
     return coeffs
@@ -523,14 +531,17 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
     coeffs = tau_coefficient_table(p, xi_abs, lam)
-    mags = np.abs(coeffs)
-    scale = np.max(mags, axis=-1)
-    scale[scale == 0.0] = 1.0
-    lead = np.hypot(coeffs[..., -1].real, coeffs[..., -1].imag)   # scalar abs
+    # tau_polynomial's leading-coefficient test, with the same products.
+    # |(|xi'|, 0, ..., 0)| is |xi'| exactly: sqrt(x * x) == |x| in binary
+    # floating point.
+    rho = np.abs(xi_abs)[:, None] + np.abs(lam)[None, :]
+    inv = 1.0 / np.where(rho == 0.0, 1.0, rho)
+    weights = np.cumprod(np.repeat(inv[..., None], 2 * p.m, axis=-1), axis=-1)
+    mags = np.hypot(coeffs.real, coeffs.imag)         # abs as CPython takes it
+    scale = (mags[..., -2::-1] * weights).max(axis=-1)
     # A zero constant term is a root at 0, which tau_roots rejects as real.
-    ok = (np.all(np.isfinite(mags), axis=-1) & (lead > 1e-14 * scale)
-          & (coeffs[..., 0] != 0))
-    ok &= (xi_abs[:, None] != 0.0) | (lam[None, :] != 0.0)
+    ok = (np.all(np.isfinite(coeffs), axis=-1) & (mags[..., -1] > 1e-14 * scale)
+          & (coeffs[..., 0] != 0) & (rho != 0.0))
     c = coeffs[ok]
     desc = c[:, ::-1]
     companion = np.zeros((len(c), 2 * p.m, 2 * p.m), dtype=complex)

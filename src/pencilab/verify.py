@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import halfline, weights
+from . import __version__, halfline, weights
 from .errors import PencilabError
 from .pencil import (GridSpec, Pencil, check_lemma21, eval_symbol, group_roots,
                      homogeneous_table, sphere_directions, symbol_blocks)
@@ -81,6 +82,8 @@ class SweepReport:
             "extras": self.extras,
             "config": self.config,
             "config_hash": self.config_hash,
+            "provenance": {"pencilab": __version__, "numpy": np.__version__,
+                           "python": platform.python_version()},
             "runtime_s": self.runtime,
             "records": len(self.records),
         }
@@ -242,8 +245,9 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
 # half-line estimates
 
 def _norm_records(p: Pencil, xi_grid, lam_grid, j_list, l_list,
-                  rhs: dict) -> tuple[list[dict], halfline.MeshNorms]:
-    """Records of ||D^l w_j|| against rhs[j, l] on the (|xi'|, lambda) mesh.
+                  rhs: dict) -> tuple[list[dict], float]:
+    """Records of ||D^l w_j|| against rhs[j, l] on the (|xi'|, lambda) mesh,
+    and the mesh's root clearance (`halfline.MeshNorms`).
 
     `rhs[j, l]` has shape (len(xi_grid), len(lam_grid)).  The norms come
     from one `halfline.mesh_norms` call; records come in (|xi'|, lambda, j,
@@ -260,13 +264,7 @@ def _norm_records(p: Pencil, xi_grid, lam_grid, j_list, l_list,
                     records.append({"xi_prime_abs": xa, "lambda": lam,
                                     "j": j, "l": l, "lhs": lhs, "rhs": rhs_v,
                                     "ratio": lhs / rhs_v})
-    return records, solved
-
-
-def _report_pointwise(rep: SweepReport, *solved: halfline.MeshNorms) -> None:
-    """Mesh nodes that needed the per-point solve, and its fallbacks."""
-    rep.extras["pointwise_nodes"] = sum(s.pointwise for s in solved)
-    rep.extras["residue_fallbacks"] = sum(s.fallbacks for s in solved)
+    return records, solved.root_clearance_min
 
 
 def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
@@ -310,17 +308,18 @@ def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
     xa_m, lam_m = np.ix_(xi_grid, lam_grid)
-    records, solved = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+    records, clearance = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
         (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa_m, lam_m)
         for j in j_list for l in l_list})
     rep.records.extend(records)
 
     # Reduced sweep at |omega'| = 1.
-    reduced, reduced_solved = _norm_records(p, np.ones(1), lam_grid, j_list, l_list, {
-        (j, l): np.vectorize(rhs_419)(p.mu, j, l, lam_grid[None, :])
-        for j in j_list for l in l_list})
+    reduced, reduced_clearance = _norm_records(
+        p, np.ones(1), lam_grid, j_list, l_list,
+        {(j, l): np.vectorize(rhs_419)(p.mu, j, l, lam_grid[None, :])
+         for j in j_list for l in l_list})
     rep.extras["reduced_max_ratio"] = max([0.0] + [r["ratio"] for r in reduced])
-    _report_pointwise(rep, solved, reduced_solved)
+    rep.extras["root_clearance_min"] = min(clearance, reduced_clearance)
 
     # Scaling identity spot checks.
     homo_err = 0.0
@@ -528,10 +527,10 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1, j_list=None, l_list=None,
     shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), *mesh)
     num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
     den = {l: shifted(l) for l in l_list}
-    records, solved = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
+    records, clearance = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
         (j, l): num[j] / den[l] for j in j_list for l in l_list})
     rep.records.extend(records)
-    _report_pointwise(rep, solved)
+    rep.extras["root_clearance_min"] = clearance
     if rep.max_ratio > ratio_limit:
         rep.fail(f"max ratio {rep.max_ratio} exceeds {ratio_limit}")
     rep.runtime = time.perf_counter() - t0

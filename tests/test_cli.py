@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import math
+import platform
 
+import numpy as np
 import pytest
 
-from pencilab import verify, weights
+import pencilab
+from pencilab import halfline, verify, weights
 from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
-from pencilab.pencil import pencil_to_dict
+from pencilab.pencil import Pencil, Term, pencil_to_dict, tau_roots
 
 
 @pytest.fixture
@@ -64,6 +68,48 @@ def test_roots_and_solve_commands(e1_path, capsys):
     assert run(["solve", e1_path, "--xi-prime", "1.0", "--lam", "10"]) == 0
     out = capsys.readouterr().out
     assert "w_1" in out and "w_2" in out and "norms" in out
+
+
+def test_solve_norms_come_from_the_gramian(e1_path, capsys):
+    assert run(["solve", e1_path, "--xi-prime", "1.0", "--lam", "10",
+                "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    upper = tau_roots(e1_pencil(), np.array([1.0]), 10.0).upper
+    table = halfline.gramian_norms([upper], [1, 2], [0, 1, 2])[0]
+    for j in (1, 2):
+        assert [data[f"w{j}_norms"][str(l)] for l in range(3)] == table[j - 1].tolist()
+    # ||w_2||^2 = 1 / (2ab(a + b)) for the upper roots ia, ib
+    a, b = 1.0, math.sqrt(101.0)
+    assert data["w2_norms"]["0"] == pytest.approx((2 * a * b * (a + b)) ** -0.5,
+                                                  rel=1e-14)
+
+
+def test_verify_summary_keys_stay_inside_each_suite(e1_path, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == list(verify.SUITES)
+    for suite in summary.values():
+        assert suite["verdict"] == "pass"
+        assert suite["provenance"] == {"pencilab": pencilab.__version__,
+                                       "numpy": np.__version__,
+                                       "python": platform.python_version()}
+    for name in ("thm41", "halfspace"):
+        assert 0.0 < summary[name]["extras"]["root_clearance_min"] <= 1.0
+        text = (out / f"{name}.csv").read_text()
+        assert "clearance" not in text and "provenance" not in text
+
+
+def test_verify_thm41_sextic_at_large_lambda(tmp_path, capsys):
+    # xi_1^6 + xi_2^6 + lambda^6: at lambda = 1e3 the leading tau-coefficient
+    # is 1e-18 of the constant one, but of the same size once each
+    # coefficient is weighted by its homogeneity scale.
+    path = tmp_path / "sextic.json"
+    path.write_text(json.dumps(pencil_to_dict(Pencil(n=2, m=3, mu=0, terms=(
+        Term((6, 0), 6, 1.0), Term((0, 6), 6, 1.0), Term((0, 0), 0, 1.0))))))
+    assert run(["verify", str(path), "--suite", "thm41",
+                "--out", str(tmp_path / "rep")]) == 0
+    assert "thm41        pass" in capsys.readouterr().out
 
 
 def test_bad_pencil_exit_2(tmp_path, capsys):

@@ -14,7 +14,8 @@ from pencilab.errors import EllipticityError
 from pencilab.halfline import (boundary_defect, contour_eval, eval_deriv,
                                l2_norm_deriv, mj, ode_residual, solve,
                                solve_from_roots, split_by_group, vieta)
-from pencilab.pencil import Pencil, Term, group_roots, tau_polynomial
+from pencilab.pencil import (Pencil, Term, group_roots, tau_polynomial,
+                             tau_roots)
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -183,31 +184,58 @@ def test_random_instances_residue_vs_contour():
 
 
 # ---------------------------------------------------------------------------
-# mesh_norms against a loop over solve + l2_norm_deriv
+# mesh_norms: gramian_norms node by node, and the residue path as an oracle
 
-def _pointwise_norms(p, xi_abs, lam, j_list, l_list):
+def _node_loop(p, xi_abs, lam, j_list, l_list):
+    """gramian_norms one node at a time (N = 1), on tau_roots' upper roots."""
     out = np.empty((len(xi_abs), len(lam), len(j_list), len(l_list)))
+    xi_prime = np.zeros(p.n - 1)
     for a, xa in enumerate(xi_abs):
-        xi_prime = np.zeros(p.n - 1)
         xi_prime[0] = xa
         for b, y in enumerate(lam):
-            sols = solve(p, xi_prime, y)
-            for ji, j in enumerate(j_list):
-                for li, l in enumerate(l_list):
-                    out[a, b, ji, li] = l2_norm_deriv(sols[j - 1], l)
+            upper = tau_roots(p, xi_prime, y).upper
+            out[a, b] = halfline.gramian_norms([upper], j_list, l_list)[0]
     return out
 
 
+def _residue_tolerance(upper) -> float:
+    """Relative distance allowed between the Gramian and the residue norms.
+
+    The residue Gram sum cancels terms of order 1/g^2, g the smallest root
+    gap relative to max |tau|; the Lyapunov solve loses at most the modulus
+    spread max |tau| / min |tau|.
+    """
+    u = np.asarray(upper)
+    mod = np.abs(u)
+    gaps = np.abs(u[:, None] - u[None, :])[~np.eye(len(u), dtype=bool)]
+    g = gaps.min() / mod.max() if len(u) > 1 else 1.0
+    return 32 * np.finfo(float).eps * (mod.max() / mod.min() + g ** -2)
+
+
 def _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list):
-    """Same bits as the loop, or the same error at the same node."""
+    """The node loop's bits, or its error at the same node.  Where solve
+    needs neither clusters nor the boundary fallback, the residue norms
+    agree within _residue_tolerance."""
     try:
-        expected = _pointwise_norms(p, xi_abs, lam, j_list, l_list)
+        expected = _node_loop(p, xi_abs, lam, j_list, l_list)
     except EllipticityError as exc:
         with pytest.raises(EllipticityError, match=f"^{re.escape(str(exc))}$"):
             halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
         return None
     got = halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
     assert got.values.tobytes() == expected.tobytes()
+    xi_prime = np.zeros(p.n - 1)
+    for a, xa in enumerate(xi_abs):
+        xi_prime[0] = xa
+        for b, y in enumerate(lam):
+            sols = solve(p, xi_prime, y)
+            if any(s.fallback or len(s.terms) < len(s.roots) for s in sols):
+                continue
+            tol = _residue_tolerance(sols[0].roots)
+            for ji, j in enumerate(j_list):
+                for li, l in enumerate(l_list):
+                    norm = got.values[a, b, ji, li]
+                    assert abs(l2_norm_deriv(sols[j - 1], l) - norm) <= tol * norm
     return got
 
 
@@ -243,8 +271,8 @@ def test_mesh_norms_match_solve_loop(p, xi_abs, lam, data):
 
 
 def test_mesh_norms_match_solve_loop_order_three():
-    # With m = 3 the Vieta coefficients are sums of products, so this case
-    # also checks that the mesh sums them in np.convolve's order.
+    # m = 3 with complex odd terms: roots off the imaginary axis, which the
+    # random draws above rarely reach.
     p = Pencil(n=3, m=3, mu=0, terms=(
         Term((6, 0, 0), 6, 1.0), Term((0, 6, 0), 6, 1.0), Term((0, 0, 6), 6, 1.0),
         Term((0, 0, 0), 0, 1.0), Term((1, 1, 1), 3, 0.01 + 0.005j),
@@ -261,17 +289,45 @@ def _confluent(c):
         Term((2, 0), 2, 1.0 + c), Term((0, 2), 2, 1.0 + c), Term((0, 0), 0, c)))
 
 
-@pytest.mark.parametrize("c, clustered, fallback", [(1.0, 29, 10),
-                                                    (1.0 + 1e-6, 1, 4)])
-def test_mesh_norms_route_confluent_nodes_to_solve(c, clustered, fallback):
-    # The thm41 mesh at density 1: clustered roots, and a residue
-    # construction that misses the boundary data at separated roots, both
-    # go through solve, and the norms stay those of the loop.
+@pytest.mark.parametrize("c", [1.0, 1.0 + 1e-6])
+def test_mesh_norms_confluent_closed_forms(c):
+    # Upper roots i*alpha, i*beta with alpha^2 = |xi'|^2 + lambda^2 and
+    # beta^2 = |xi'|^2 + c lambda^2, so w_1 = (beta e^{-alpha t} - alpha
+    # e^{-beta t}) / (beta - alpha) and w_2 = i (e^{-alpha t} - e^{-beta t})
+    # / (beta - alpha).  At c = 1, with kappa = alpha = beta:
+    # ||w_1||^2 = 5/(4 kappa), ||D w_1||^2 = kappa/4, ||w_2||^2 =
+    # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The residue Gram sum is
+    # up to 210% off on this mesh, and exactly 0 at some nodes.
     p = _confluent(c)
     xi_abs, lam = np.geomspace(1e-2, 1e2, 7), np.geomspace(1.0, 1e3, 6)
-    got = _assert_mesh_matches_loop(p, xi_abs, lam, [1, 2], [0, 1, 2])
-    assert got.pointwise == clustered + fallback
-    assert got.fallbacks > 0
+    got = halfline.mesh_norms(p, xi_abs, lam, [1, 2], [0, 1]).values
+    x, y = np.meshgrid(xi_abs, lam, indexing="ij")
+    alpha, beta = np.sqrt(x ** 2 + y ** 2), np.sqrt(x ** 2 + c * y ** 2)
+    s, q = alpha + beta, alpha * beta
+    squares = [[(alpha ** 2 + 3 * q + beta ** 2) / (2 * q * s), q / (2 * s)],
+               [1 / (2 * q * s), 1 / (2 * s)]]
+    expected = np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3)))
+    assert np.allclose(got, expected, rtol=1e-6, atol=0.0)
+    if c == 1.0:
+        kappa = alpha
+        squares = [[5 / (4 * kappa), kappa / 4], [1 / (4 * kappa ** 3), 1 / (4 * kappa)]]
+        assert np.allclose(got, np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3))),
+                           rtol=1e-6, atol=0.0)
+
+
+def test_gramian_norms_closed_forms_m1_and_scaling():
+    # m = 1: w = e^{i tau t}, ||D^l w||^2 = |tau|^(2l) / (2 Im tau).
+    tau = np.array([[3.0 + 4.0j], [1e-3j], [-2e4 + 1e3j]])
+    got = halfline.gramian_norms(tau, [1], [0, 1, 2])[:, 0, :]
+    expected = np.sqrt(np.abs(tau) ** (2 * np.arange(3)) / (2 * tau.imag))
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+    # ||D^l w_j|| scales as r^(l - j + 1/2) when every root scales by r.
+    upper = np.array([[0.3 + 1.0j, -0.2 + 2.5j, 4.0j]])
+    one = halfline.gramian_norms(upper, [1, 2, 3], [0, 2, 4])
+    for r in (1e-3, 7.0, 1e4):
+        scaled = halfline.gramian_norms(r * upper, [1, 2, 3], [0, 2, 4])
+        power = (np.array([0, 2, 4])[None, :] - np.array([1, 2, 3])[:, None] + 0.5)
+        assert np.allclose(scaled, one * r ** power, rtol=1e-12, atol=0.0)
 
 
 def test_mesh_norms_real_axis_error_at_first_node():

@@ -188,6 +188,53 @@ def test_tau_roots_real_axis_rejected():
         tau_roots(p, np.array([1.0]), 1.0)
 
 
+def _sextic():
+    """xi_1^6 + xi_2^6 + lambda^6 (n = 2, m = 3, mu = 0)."""
+    return Pencil(n=2, m=3, mu=0, terms=(
+        Term((6, 0), 6, 1.0), Term((0, 6), 6, 1.0), Term((0, 0), 0, 1.0)))
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6])
+def test_tau_roots_sextic_at_large_lambda(lam):
+    # tau^6 = -(1 + lambda^6) at xi' = 1: the leading coefficient is 1 and
+    # the constant one 1 + lambda^6, so only the homogeneity-weighted test
+    # keeps the leading coefficient.
+    upper = np.sort_complex(np.array(tau_roots(_sextic(), np.array([1.0]), lam).upper))
+    expected = np.sort_complex(lam * (1 + lam ** -6) ** (1 / 6)
+                               * np.exp(1j * np.pi * np.array([1, 3, 5]) / 6))
+    assert np.allclose(upper, expected, rtol=1e-12, atol=0.0)
+    _, ok = pencil_mod.mesh_upper_roots(_sextic(), np.array([1.0]), np.array([lam]))
+    assert ok.all()
+
+
+def test_vanishing_leading_coefficient_still_raises():
+    # A_2m(e_n) = 0: xi_n^2m is missing, at every scale.
+    p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((1, 1), 2, 0.5),
+                                      Term((0, 0), 0, 1.0)))
+    for lam in (1e-3, 1.0, 1e6):
+        with pytest.raises(EllipticityError, match="leading tau coefficient"):
+            tau_roots(p, np.array([1.0]), lam)
+        assert not pencil_mod.mesh_upper_roots(p, np.array([1.0]), np.array([lam]))[1].any()
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_leading_coefficient_threshold_same_on_mesh(above):
+    # xi_1^2 + a xi_n^2 + lambda^2 at xi' = 1, lambda = 1: rho = 2 and the
+    # weighted |c_0| rho^-2 is 1/2, so the threshold is exactly 1e-14 / 2.
+    a = 1e-14 * 0.5
+    if above:
+        a = np.nextafter(a, 1.0)
+    p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((0, 2), 2, a),
+                                      Term((0, 0), 0, 1.0)))
+    _, ok = pencil_mod.mesh_upper_roots(p, np.array([1.0]), np.array([1.0]))
+    assert ok[0, 0] == above
+    if above:
+        tau_roots(p, np.array([1.0]), 1.0)
+    else:
+        with pytest.raises(EllipticityError, match="leading tau coefficient"):
+            tau_roots(p, np.array([1.0]), 1.0)
+
+
 def test_conjugate_symmetry_counts():
     rs = tau_roots(e1_pencil(), np.array([0.7]), 3.0)
     assert len(rs.upper) == 2 and len(rs.lower) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from pencilab import verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.pencil import Pencil, Term, group_roots
+from pencilab.pencil import Pencil, Term, group_roots, tau_roots
 from pencilab.polygon import build_polygon
 from pencilab import halfline
 
@@ -77,11 +77,18 @@ def test_thm41_sweep_e1():
     assert rep.extras["homogeneity_max_rel_err"] < 1e-8
     assert np.isfinite(rep.extras["reduced_max_ratio"])
     wit = rep.witness_max
-    # witness reproducibility: recompute lhs at the witness point
-    xi_prime = np.array([wit["xi_prime_abs"]])
-    sols = halfline.solve(e1_pencil(), xi_prime, wit["lambda"])
-    lhs = halfline.l2_norm_deriv(sols[wit["j"] - 1], wit["l"])
-    assert lhs == pytest.approx(wit["lhs"], rel=1e-10)
+    # witness reproducibility: recompute lhs at the witness point, one node
+    # alone, and against the closed form for the upper roots i|xi'| and
+    # i sqrt(|xi'|^2 + lambda^2)
+    xa, lam = wit["xi_prime_abs"], wit["lambda"]
+    upper = tau_roots(e1_pencil(), np.array([xa]), lam).upper
+    lhs = halfline.gramian_norms([upper], [wit["j"]], [wit["l"]])[0, 0, 0]
+    assert lhs == wit["lhs"]
+    a, b = xa, np.hypot(xa, lam)
+    closed = {(1, 0): (a * a + 3 * a * b + b * b) / (2 * a * b * (a + b)),
+              (1, 1): a * b / (2 * (a + b)), (2, 0): 1 / (2 * a * b * (a + b)),
+              (2, 1): 1 / (2 * (a + b))}[wit["j"], wit["l"]]
+    assert lhs == pytest.approx(np.sqrt(closed), rel=1e-12)
 
 
 def test_thm41_known_point_ratio():
@@ -146,9 +153,11 @@ def test_halfspace_table_dominates_derivative_table():
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
 def test_norm_sweeps_match_pointwise_loop(pencil):
-    # Reference: the per-point loop the sweeps replaced.  The thm41 table is
-    # made of scalar calls, so it is exact; the halfspace weights are array
-    # calls, whose powers may round 1-2 ulp away from scalar ones.
+    # Reference: a per-point loop over the residue solutions.  The norms
+    # agree within c eps (s + g^-2), g the smallest root gap relative to
+    # max |tau| and s = max |tau| / min |tau|.  The thm41 table is made of
+    # scalar calls, so it is exact; the halfspace weights are array calls,
+    # whose powers may round 1-2 ulp away from scalar ones.
     from fractions import Fraction
     p = pencil()
     phi = verify.homogeneous_energy_weight(p)
@@ -167,17 +176,23 @@ def test_norm_sweeps_match_pointwise_loop(pencil):
         for xa in verify.geom_grid(*cfg["xi_range"], xi_count):
             for lam in verify.geom_grid(*cfg["lam_range"], 6):
                 sols = halfline.solve(p, np.array([xa] + [0.0] * (p.n - 2)), lam)
+                u = np.array(sols[0].roots)
+                gaps = np.abs(u[:, None] - u[None, :])[~np.eye(len(u), dtype=bool)]
+                g = gaps.min() / np.abs(u).max() if len(u) > 1 else 1.0
+                tol = 32 * np.finfo(float).eps * (
+                    np.abs(u).max() / np.abs(u).min() + g ** -2)
                 for j in cfg["j_list"]:
                     for l in cfg["l_list"]:
                         expected.append((xa, lam, j, l,
                                          halfline.l2_norm_deriv(sols[j - 1], l),
-                                         rhs(j, l, xa, lam)))
+                                         tol, rhs(j, l, xa, lam)))
         assert len(rep.records) == len(expected)
-        for rec, (xa, lam, j, l, lhs, r) in zip(rep.records, expected):
-            assert (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"],
-                    rec["lhs"]) == (xa, lam, j, l, lhs)
+        for rec, (xa, lam, j, l, lhs, tol, r) in zip(rep.records, expected):
+            assert (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"]) \
+                == (xa, lam, j, l)
+            assert abs(rec["lhs"] - lhs) <= tol * rec["lhs"]
             assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
-            assert rec["ratio"] == lhs / rec["rhs"]
+            assert rec["ratio"] == rec["lhs"] / rec["rhs"]
 
 
 def _double_root_pencil():
@@ -187,19 +202,25 @@ def _double_root_pencil():
         Term((2, 0), 2, 2.0), Term((0, 2), 2, 2.0), Term((0, 0), 0, 1.0)))
 
 
-@pytest.mark.parametrize("pencil, pointwise", [(e1_pencil, False),
-                                               (agmon_pencil, False),
-                                               (_double_root_pencil, True)])
-def test_norm_sweeps_report_pointwise_nodes(pencil, pointwise, tmp_path):
-    # Mesh nodes solved one at a time (clustered roots or the boundary
-    # fallback) are counted in summary.json, never in the CSV.
+def _quartic_pencil():
+    """|xi_1|^4 + |xi_2|^4 + lambda^4: upper roots at angles pi/4, 3pi/4."""
+    return Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((0, 4), 4, 1.0), Term((0, 0), 0, 1.0)))
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil,
+                                    _double_root_pencil, _quartic_pencil])
+def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
+    # The smallest Im tau / |tau| over the mesh, which bounds the conditioning
+    # of the Gramian's Lyapunov solve, is in summary.json, never in the CSV.
+    clearance = np.sqrt(0.5) if pencil is _quartic_pencil else 1.0
     for rep in (verify.sweep_theorem41(pencil()),
                 verify.sweep_halfspace_ratio(pencil())):
         extras = rep.summary()["extras"]
-        assert (extras["pointwise_nodes"] > 0) == pointwise
-        assert (extras["residue_fallbacks"] > 0) == pointwise
+        assert extras["root_clearance_min"] == pytest.approx(clearance, rel=1e-12)
+        assert "pointwise_nodes" not in extras
         verify.write_csv(rep, tmp_path / "out.csv")
-        assert "pointwise" not in (tmp_path / "out.csv").read_text()
+        assert "clearance" not in (tmp_path / "out.csv").read_text()
 
 
 def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EllipticityError, PencilFormatError
 
@@ -556,6 +555,20 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
     return upper, ok
 
 
+def _min_cost_matching(cost: np.ndarray) -> list[int]:
+    """Row matched to each column of the square `cost` by a cheapest matching:
+    best[S] is the cheapest match (total, rows) of the first |S| columns onto
+    the rows in the set S, and on a tie the later row takes the column."""
+    m, c = len(cost), cost.tolist()
+    best = [(0.0, [])] + [(math.inf, [])] * ((1 << m) - 1)
+    for s in range(1, 1 << m):
+        for i in reversed(range(m)):
+            total, rows = best[s ^ 1 << i]
+            if s >> i & 1 and total + c[i][len(rows)] < best[s][0]:
+                best[s] = (total + c[i][len(rows)], rows + [i])
+    return best[-1][1]
+
+
 @dataclass(frozen=True)
 class RootGrouping:
     upper_roots: tuple[complex, ...]
@@ -601,8 +614,7 @@ def group_roots(p: Pencil, xi_prime, lam: float,
 
     targets = np.concatenate([bounded_targets, large_targets])
     cost = np.abs(upper[:, None] - targets[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    assign = dict(zip(cols.tolist(), rows.tolist()))
+    assign = _min_cost_matching(cost)
 
     group_bounded = tuple(assign[c] for c in range(p.mu))
     group_large = tuple(assign[c] for c in range(p.mu, p.m))

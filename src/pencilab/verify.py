@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, halfline, weights
 from .errors import PencilabError
-from .pencil import (GridSpec, Pencil, check_lemma21, eval_symbol, group_roots,
+from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, group_roots,
                      homogeneous_table, sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
@@ -366,11 +366,9 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     xi_prime = np.asarray(xi_prime_list[0], dtype=float)
     xa = float(np.linalg.norm(xi_prime))
     eps, corr, bounded_res, groupings = [], [], [], []
-    k1 = 1
     for lam in lambda_list:
         g = group_roots(p, xi_prime, lam)
         groupings.append(g)
-        k1 = g.k1
         bounded = max(g.residual_bounded, default=0.0)
         large = max((abs(g.upper_roots[i] - t) / lam
                      for i, t in zip(g.group_large, g.large_targets)),
@@ -381,11 +379,13 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
         rep.records.append({"xi_prime_abs": xa, "lambda": lam,
                             "lhs": large, "rhs": xa / lam,
                             "ratio": large / (xa / lam) if xa else float("nan")})
+    rep.extras["ambiguous_groupings"] = sum(g.ambiguous for g in groupings)
     rep.extras["bounded_residuals"] = [float(b) for b in bounded_res]
     if bounded_res and max(bounded_res) > 0 and bounded_res[-1] > bounded_res[0] + 1e-9:
         if bounded_res[-1] > 10 * max(bounded_res[0], 1e-12):
             rep.fail("bounded-group residuals grow with lambda")
 
+    k1 = groupings[-1].k1
     mask = np.array(corr) > 1e-13
     if p.m > p.mu and np.count_nonzero(mask) >= 4:
         slope = fit_loglog(np.array(eps)[mask], np.array(corr)[mask])
@@ -405,15 +405,17 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     norms = {part: {(j, l): [] for j in range(1, p.m + 1)
                     for l in range(0, l_max + 1)} for part in rules}
     omega = xi_prime / (xa or 1.0)
-    same = np.array_equal(omega, xi_prime)      # |xi'| = 1: reuse (a)'s groupings
-    for lam, g in zip(lambda_list, groupings):
-        sols = halfline.solve(p, omega, lam)
-        if not same:
-            g = group_roots(p, omega, lam)
-        for j in range(1, p.m + 1):
-            for part, w in zip(rules, halfline.split_by_group(sols[j - 1], g)):
+    if not np.array_equal(omega, xi_prime):     # |xi'| = 1: reuse (a)'s groupings
+        groupings = [group_roots(p, omega, lam) for lam in lambda_list]
+    # A part that is the whole solution (mu = 0) takes the Gramian norms.
+    whole = halfline.gramian_norms([g.upper_roots for g in groupings],
+                                   range(1, p.m + 1), range(0, l_max + 1))
+    for b, g in enumerate(groupings):
+        for j, sol in enumerate(halfline.solve_from_roots(g.upper_roots), 1):
+            for part, w in zip(rules, halfline.split_by_group(sol, g)):
                 for l in range(0, l_max + 1):
-                    norms[part][j, l].append(halfline.l2_norm_deriv(w, l))
+                    norms[part][j, l].append(whole[b, j - 1, l] if w.terms == sol.terms
+                                             else halfline.l2_norm_deriv(w, l))
     split_fits = {}
     tail = slice(len(lambda_list) // 2, None)
     for part, rule in rules.items():
@@ -458,40 +460,41 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     xi_grid = np.concatenate([[0.0], geom_grid(1e-2, xi_max, 10 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 8 * density)
 
-    def ratio_at(xa, lam, wdir):
-        a2 = abs(eval_symbol(p, xa * wdir, lam)) ** 2
-        wgt = energy_weight_value(p, xa, lam)
-        return wgt / (a2 / wgt + lam ** (2 * p.m - 2 * p.mu))
+    def ratios(table, xa, lam):     # blocks of the ratio by (column, direction)
+        wgt = energy_weight_value(p, xa, lam)[:, None]
+        lam_pow = lam[:, None] ** (2 * p.m - 2 * p.mu)
+        for cols, block in symbol_blocks(table, xa, lam):
+            yield cols, wgt[cols] / (np.abs(block) ** 2 / wgt[cols] + lam_pow[cols])
 
-    # One column per (lambda, |xi|) record: the maximum of ratio_at over the
-    # directions, taken on symbol blocks of whole columns.
+    # One column per (lambda, |xi|) record: the maximum over the directions.
     lam_col = np.repeat(lam_grid, len(xi_grid))
     xa_col = np.tile(xi_grid, len(lam_grid))
-    wgt = energy_weight_value(p, xa_col, lam_col)[:, None]
-    lam_pow = lam_col[:, None] ** (2 * p.m - 2 * p.mu)
     best = np.empty(len(xa_col))
     best_dir = np.empty(len(xa_col), dtype=int)
-    for cols, block in symbol_blocks(homogeneous_table(p, dirs), xa_col, lam_col):
-        vals = wgt[cols] / (np.abs(block) ** 2 / wgt[cols] + lam_pow[cols])
+    for cols, vals in ratios(homogeneous_table(p, dirs), xa_col, lam_col):
         best_dir[cols] = np.argmax(vals, axis=1)
         best[cols] = vals.max(axis=1)
 
     _add_records(rep, xa_col, lam_col, best, np.ones_like(best))
 
     # Polish the grid maximum so the reported constant does not depend on
-    # whether a grid node happens to sit on the smooth peak.
+    # whether a grid node happens to sit on the smooth peak: a pattern search in
+    # (log|xi|, log lambda) on its direction, zooming as pencil._sphere_min does.
     i = int(np.argmax(best))
-    c_val, xa0, lam0v, bdir = best[i], xa_col[i], lam_col[i], dirs[best_dir[i]]
-    if xa0 > 0.0:
-        from scipy.optimize import minimize
-        def neg(u):
-            xa = float(np.clip(np.exp(u[0]), 1e-2, xi_max))
-            lam = float(np.clip(np.exp(u[1]), lambda0, lam_max))
-            return -ratio_at(xa, lam, bdir)
-        res = minimize(neg, [np.log(xa0), np.log(lam0v)],
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-12})
-        c_val = max(c_val, -res.fun)
+    c_val, point = best[i], (xa_col[i], lam_col[i])
+    if point[0] > 0.0:
+        table = homogeneous_table(p, dirs[best_dir[i]][None])
+        lo, hi = np.array([1e-2, lambda0]), np.array([xi_max, lam_max])
+        step = np.log(hi / lo) / (np.array([10, 8]) * density - 1) / ZOOM
+        stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
+        while step.max() > 1e-15:
+            xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
+            vals = np.concatenate([v[:, 0] for _, v in ratios(table, xa, lam)])
+            k = int(np.argmax(vals))
+            if vals[k] > c_val:
+                c_val, point = vals[k], (xa[k], lam[k])
+            step /= ZOOM
+    rep.extras["C_point"] = [float(point[0]), float(point[1])]
     rep.extras["C"] = float(c_val)
     ell = check_lemma21(p, GridSpec(angular=grid.angular,
                                     directions=grid.directions))

@@ -3,7 +3,11 @@
 import argparse
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +235,15 @@ def test_option_not_taken_is_usage_error(e1_path, capsys):
     assert run(["verify", e1_path, "--tol", "1e-3"]) == 2
     assert run(["degeneration", e1_path, "--grid-angular", "90"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verify_loads_no_scipy(e1_path, tmp_path):
+    code = ("import sys; from pencilab.cli import run; "
+            f"rc = run(['verify', {e1_path!r}, '--suite', 'all', '--out', {str(tmp_path)!r}]); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'; sys.exit(rc)")
+    src = str(Path(pencilab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

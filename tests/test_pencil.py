@@ -1,5 +1,6 @@
 """Tests for symbol evaluation, ellipticity checks, and root grouping."""
 
+import itertools
 import json
 import math
 
@@ -276,6 +277,24 @@ def test_group_roots_mu_zero():
     g = group_roots(agmon_pencil(), np.array([1.0]), 10.0)
     assert g.group_bounded == ()
     assert len(g.group_large) == 1
+
+
+def _square(entries):
+    return st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_square(st.integers(0, 3)),        # small integers force ties
+                 _square(st.floats(0.0, 1e3))))
+def test_min_cost_matching_is_a_cheapest_permutation(rows):
+    cost = np.array(rows, dtype=float)
+    m = len(cost)
+    match = pencil_mod._min_cost_matching(cost)
+    assert sorted(match) == list(range(m))
+    total = lambda perm: sum(cost[r, c] for c, r in enumerate(perm))
+    brute = min(map(total, itertools.permutations(range(m))))
+    assert total(match) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])

@@ -106,6 +106,32 @@ def test_asymptotics_sweep_e1():
     assert abs(fits["w2_j1_l2"]["slope"] - 0.5) < 0.1
 
 
+def test_asymptotics_counts_ambiguous_groupings(tmp_path):
+    # At lambda = 1 both of e1's targets are i, so that grouping is a tie.
+    for pencil, at_least in ((e1_pencil, 1), (agmon_pencil, 0)):
+        p = pencil()
+        rep = verify.run_suite("asymptotics", p)
+        lams = rep.config["lambda_list"]
+        count = sum(group_roots(p, np.array([1.0]), lam).ambiguous for lam in lams)
+        assert rep.extras["ambiguous_groupings"] == count >= at_least
+        assert rep.summary()["extras"]["ambiguous_groupings"] == count
+        verify.write_csv(rep, tmp_path / "out.csv")
+        assert "ambiguous" not in (tmp_path / "out.csv").read_text()
+
+
+def test_asymptotics_double_root_pencil():
+    # (|xi|^2 + lambda^2)^2, mu = 0: w2 is the whole solution and its upper
+    # roots are double, where the residue Gram sum cancels to 0.
+    p = Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
+        Term((2, 0), 2, 2.0), Term((0, 2), 2, 2.0), Term((0, 0), 0, 1.0)))
+    rep = verify.run_suite("asymptotics", p)
+    assert rep.verdict == "pass", rep.reasons
+    for key, fit in rep.extras["split_fits"].items():
+        assert key.startswith("w2_")
+        assert abs(fit["slope"] - fit["expected"]) < 1e-3
+
+
 def test_asymptotics_needs_four_points():
     with pytest.raises(Exception):
         verify.sweep_group_asymptotics(e1_pencil(), lambda_list=[1.0, 10.0])
@@ -116,6 +142,14 @@ def test_prop52_pass_and_fail():
     assert ok.verdict == "pass" and np.isfinite(ok.extras["C"])
     bad = verify.sweep_multiplier_rn(broken_pencil())
     assert bad.verdict == "fail"
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
+def test_prop52_polish_raises_grid_maximum_inside_box(pencil):
+    rep = verify.sweep_multiplier_rn(pencil(), xi_max=1e2, lam_max=1e2)
+    assert rep.extras["C"] >= rep.max_ratio
+    xa, lam = rep.extras["C_point"]
+    assert 1e-2 <= xa <= 1e2 and 1.0 <= lam <= 1e2
 
 
 def test_prop52_agmon_order_bound():

@@ -167,9 +167,9 @@ def cmd_verify(args) -> int:
             if drift >= 0.05:
                 rep.verdict = "unstable"
         verify.write_csv(rep, out / f"{name}.csv")
-        summary[name] = rep.summary()
-        print(f"{name:12s} {rep.verdict:8s} band [{rep.min_ratio:.6g}, "
-              f"{rep.max_ratio:.6g}]  records={len(rep.records)}")
+        s = summary[name] = rep.summary()
+        print(f"{name:12s} {rep.verdict:8s} band [{s['min_ratio']:.6g}, "
+              f"{s['max_ratio']:.6g}]  records={s['records']}")
         for reason in rep.reasons:
             print(f"    {reason}")
         if rep.verdict in ("fail", "unstable"):

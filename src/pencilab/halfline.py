@@ -7,9 +7,11 @@ solution with k-th boundary derivative delta_jk is a finite sum of
 come from residues of M_j exp(i t tau) / A_+ at those roots.
 
 `solve` gives that form at one point; `l2_norm_deriv` takes norms of it or
-of its `split_by_group` parts.  Norms of full solutions, at any number of
-nodes, come from the Lyapunov Gramian instead (`gramian_norms`), which stays
-accurate at confluent roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
+of its `split_by_group` parts.  They work on a few coefficients at a time,
+in Python complex arithmetic, where numpy's per-call cost would exceed the
+work.  Norms of full solutions, at any number of nodes, come from the
+Lyapunov Gramian instead (`gramian_norms`), which stays accurate at
+confluent roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
 """
 
 from __future__ import annotations
@@ -44,57 +46,58 @@ class ExpPolySolution:
                           for t in self.terms]}
 
 
-def vieta(upper_roots) -> np.ndarray:
+def vieta(upper_roots) -> list[complex]:
     """Descending coefficients a_0..a_m of prod (tau - tau_k), a_0 = 1.
 
     a_k is the coefficient of tau^(m-k) and equals the k-th signed
     elementary symmetric function of the roots.
     """
-    a = np.array([1.0 + 0j])
+    a = [1.0 + 0j]
     for r in upper_roots:
-        a = np.convolve(a, np.array([1.0, -r]))
+        a = [x - r * y for x, y in zip(a + [0j], [0j] + a)]
     return a
 
 
-def mj(a: np.ndarray, j: int) -> np.ndarray:
+def mj(a, j: int):
     """Descending coefficients of M_j(tau) = sum_{k<=m-j} a_k tau^(m-j-k)."""
     m = len(a) - 1
     if not 1 <= j <= m:
         raise ValueError(f"need 1 <= j <= {m}, got {j}")
-    return np.asarray(a[: m - j + 1], dtype=complex)
+    return a[: m - j + 1]
 
 
-def _series_inverse(c: np.ndarray, order: int) -> np.ndarray:
+def _series_inverse(c, order: int) -> list[complex]:
     """Truncated power-series inverse of c (ascending, c[0] != 0)."""
-    inv = np.zeros(order, dtype=complex)
-    inv[0] = 1.0 / c[0]
+    inv = [1.0 / c[0]]
     for q in range(1, order):
         s = 0j
         for t in range(1, min(q, len(c) - 1) + 1):
             s += c[t] * inv[q - t]
-        inv[q] = -s / c[0]
+        inv.append(-s / c[0])
     return inv
 
 
-def _poly_taylor(coeffs_desc: np.ndarray, center: complex, order: int) -> np.ndarray:
-    """First `order` Taylor coefficients of a polynomial about `center`."""
-    asc = np.asarray(coeffs_desc, dtype=complex)[::-1].copy()
-    out = np.zeros(order, dtype=complex)
-    fact = 1.0
-    for q in range(order):
-        if q > 0:
-            asc = asc[1:] * np.arange(1, len(asc))
-            fact *= q
-        out[q] = (np.polyval(asc[::-1], center) / fact) if len(asc) else 0.0
+def _poly_taylor(coeffs_desc, center: complex, order: int) -> list[complex]:
+    """First `order` Taylor coefficients of a polynomial about `center`: the
+    remainders of repeated synthetic division by (tau - center)."""
+    work, out = list(coeffs_desc), []
+    for _ in range(order):
+        acc, quotient = 0j, []
+        for c in work:
+            acc = acc * center + c
+            quotient.append(acc)
+        out.append(quotient.pop() if quotient else 0j)
+        work = quotient
     return out
 
 
-def _residue_terms(mj_desc: np.ndarray, clusters) -> list[ExpPolyTerm]:
+def _residue_terms(mj_desc, clusters) -> list[ExpPolyTerm]:
     """Residues of M_j e^{i t tau} / prod (tau - c)^p at each cluster.
 
     Writing the regular factor g(tau) = M_j(tau) / prod_{other}(tau - c')^p'
     as a series sum g_q (tau - c)^q, the residue at a cluster of size p is
-    e^{i t c} sum_{d<p} g_{p-1-d} (i t)^d / d!.
+    e^{i t c} sum_{d<p} g_{p-1-d} (i t)^d / d!.  Each (tau - c')^p' is
+    ((tau - c) + (c - c'))^p' expanded by the binomial theorem.
     """
     terms = []
     for idx, (center, members) in enumerate(clusters):
@@ -103,14 +106,14 @@ def _residue_terms(mj_desc: np.ndarray, clusters) -> list[ExpPolyTerm]:
         for other, (oc, om) in enumerate(clusters):
             if other == idx:
                 continue
-            # series of (tau - oc)^len(om) about center, then divide
-            base = np.zeros(p, dtype=complex)
-            shifted = _poly_taylor(vieta([oc] * len(om)), center, p)
-            base[: len(shifted)] = shifted
-            series = np.convolve(series, _series_inverse(base, p))[:p]
+            gap, k = center - oc, len(om)
+            inv = _series_inverse([math.comb(k, q) * gap ** (k - q)
+                                   for q in range(min(k, p - 1) + 1)], p)
+            series = [sum(series[i] * inv[q - i] for i in range(q + 1))
+                      for q in range(p)]
         poly = [series[p - 1 - d] * (1j) ** d / math.factorial(d)
                 for d in range(p)]
-        terms.append(ExpPolyTerm(tau=complex(center), poly=tuple(poly)))
+        terms.append(ExpPolyTerm(tau=center, poly=tuple(poly)))
     return terms
 
 
@@ -135,10 +138,10 @@ def solve_from_roots(upper_roots):
     system and the solution is flagged.  A_+ divides the full symbol, so
     the solutions satisfy its ODE either way (see `ode_residual`).
     """
-    upper_roots = list(upper_roots)
+    upper_roots = [complex(r) for r in upper_roots]
     m = len(upper_roots)
     a = vieta(upper_roots)
-    clusters = cluster_roots(np.array(upper_roots))
+    clusters = cluster_roots(upper_roots)
     big = max((len(members) for _, members in clusters), default=0)
     sols = []
     for j in range(1, m + 1):
@@ -183,10 +186,9 @@ def _deriv_once(terms):
     """Apply D_t = -i d/dt to a term list."""
     out = []
     for t in terms:
-        poly = np.asarray(t.poly, dtype=complex)
-        dpoly = poly[1:] * np.arange(1, len(poly)) if len(poly) > 1 else np.zeros(0)
-        new = t.tau * poly
-        new[: len(dpoly)] += -1j * dpoly
+        new = [t.tau * c for c in t.poly]
+        for q in range(1, len(t.poly)):
+            new[q - 1] += -1j * (q * t.poly[q])
         out.append(ExpPolyTerm(t.tau, tuple(new)))
     return out
 
@@ -211,10 +213,17 @@ def eval_deriv(sol: ExpPolySolution, l: int, t: float) -> complex:
 
 
 def boundary_defect(sol: ExpPolySolution) -> float:
-    """max_k |D_t^(k-1) w_j(0) - delta_jk| over k = 1..m."""
-    m = len(sol.roots)
-    return max(abs(eval_deriv(sol, k - 1, 0.0) - (1.0 if k == sol.j else 0.0))
-               for k in range(1, m + 1))
+    """max_k |D_t^(k-1) w_j(0) - delta_jk| over k = 1..m.
+
+    D_t^k (t^q e^{i tau t}) at t = 0 is k!/(k-q)! tau^(k-q) (-i)^q for
+    q <= k and 0 otherwise.
+    """
+    worst = 0.0
+    for k in range(len(sol.roots)):
+        val = sum(c * math.perm(k, q) * term.tau ** (k - q) * (-1j) ** q
+                  for term in sol.terms for q, c in enumerate(term.poly[: k + 1]))
+        worst = max(worst, abs(val - (1.0 if k + 1 == sol.j else 0.0)))
+    return worst
 
 
 def ode_residual(sol: ExpPolySolution, coeffs_asc) -> float:
@@ -249,10 +258,10 @@ def l2_norm_deriv(sol: ExpPolySolution, l: int) -> float:
     total = 0j
     for ta in terms:
         for tb in terms:
-            c = -1j * (ta.tau - np.conj(tb.tau))
+            c = -1j * (ta.tau - tb.tau.conjugate())
             for pa, ca in enumerate(ta.poly):
                 for pb, cb in enumerate(tb.poly):
-                    total += (ca * np.conj(cb)
+                    total += (ca * cb.conjugate()
                               * math.factorial(pa + pb) / c ** (pa + pb + 1))
     return math.sqrt(max(total.real, 0.0))
 
@@ -267,7 +276,7 @@ def contour_eval(sol: ExpPolySolution, l: int, t: float,
     """
     a = vieta(sol.roots)
     mj_desc = mj(a, sol.j)
-    clusters = cluster_roots(np.array(sol.roots))
+    clusters = cluster_roots(sol.roots)
     centers = np.array([c for c, _ in clusters])
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
     out = 0j

@@ -8,6 +8,7 @@ the normal frequency.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -220,24 +221,25 @@ def _near_real_axis(roots: np.ndarray) -> np.ndarray:
 def cluster_roots(roots, tol_factor: float = CLUSTER_TOL):
     """Group roots within tol_factor*(1+|tau|) of each other.
 
-    Returns a list of (center, indices); cluster size is the multiplicity.
+    Returns a list of (center, indices); cluster size is the multiplicity
+    and the center is the members' mean.
     """
     remaining = list(range(len(roots)))
     clusters = []
     while remaining:
         i = remaining.pop(0)
-        members = [i]
+        members, total = [i], roots[i]
         changed = True
         while changed:
             changed = False
             for k in list(remaining):
-                center = np.mean([roots[q] for q in members])
+                center = total / len(members)
                 if abs(roots[k] - center) <= tol_factor * (1.0 + abs(center)):
                     members.append(k)
+                    total += roots[k]
                     remaining.remove(k)
                     changed = True
-        center = np.mean([roots[q] for q in members])
-        clusters.append((center, members))
+        clusters.append((total / len(members), members))
     return clusters
 
 
@@ -459,8 +461,10 @@ class DegenerationResult(NamedTuple):
     k1: int
 
 
+@functools.cache
 def check_regular_degeneration(p: Pencil) -> DegenerationResult:
-    """Count upper-half-plane roots of Q; regular iff the count is m - mu."""
+    """Count upper-half-plane roots of Q; regular iff the count is m - mu.
+    Q depends on the pencil alone, so results are kept per pencil value."""
     q = q_polynomial(p)
     roots = poly_roots(q)
     if _near_real_axis(roots):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,10 @@ from .weights import HomogeneousWeight, ProductWeight
 SLOPE_TOL = 0.1
 
 
+def _ratio(rec: dict | None) -> float:
+    return float("nan") if rec is None else float(rec["ratio"])
+
+
 @dataclass
 class SweepReport:
     suite: str
@@ -37,29 +42,27 @@ class SweepReport:
     reasons: list[str] = field(default_factory=list)
     runtime: float = 0.0
 
-    @property
-    def ratios(self) -> np.ndarray:
-        return np.array([r["ratio"] for r in self.records if np.isfinite(r["ratio"])])
+    def _witnesses(self) -> tuple[dict | None, dict | None]:
+        """First records with the smallest and the largest finite ratio."""
+        recs = [r for r in self.records if math.isfinite(r["ratio"])]
+        key = lambda r: r["ratio"]
+        return min(recs, key=key, default=None), max(recs, key=key, default=None)
 
     @property
     def min_ratio(self) -> float:
-        r = self.ratios
-        return float(r.min()) if r.size else float("nan")
+        return _ratio(self._witnesses()[0])
 
     @property
     def max_ratio(self) -> float:
-        r = self.ratios
-        return float(r.max()) if r.size else float("nan")
+        return _ratio(self._witnesses()[1])
 
     @property
     def witness_min(self) -> dict | None:
-        recs = [r for r in self.records if np.isfinite(r["ratio"])]
-        return min(recs, key=lambda r: r["ratio"], default=None)
+        return self._witnesses()[0]
 
     @property
     def witness_max(self) -> dict | None:
-        recs = [r for r in self.records if np.isfinite(r["ratio"])]
-        return max(recs, key=lambda r: r["ratio"], default=None)
+        return self._witnesses()[1]
 
     @property
     def config_hash(self) -> str:
@@ -71,14 +74,15 @@ class SweepReport:
         self.reasons.append(reason)
 
     def summary(self) -> dict:
+        lo, hi = self._witnesses()
         return {
             "suite": self.suite,
             "verdict": self.verdict,
             "reasons": self.reasons,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "witness_min": self.witness_min,
-            "witness_max": self.witness_max,
+            "min_ratio": _ratio(lo),
+            "max_ratio": _ratio(hi),
+            "witness_min": lo,
+            "witness_max": hi,
             "extras": self.extras,
             "config": self.config,
             "config_hash": self.config_hash,
@@ -386,7 +390,9 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
             rep.fail("bounded-group residuals grow with lambda")
 
     k1 = groupings[-1].k1
-    mask = np.array(corr) > 1e-13
+    # An ambiguous grouping is decided by the matching's tie rule alone, so
+    # its correction says nothing about the Puiseux exponent.
+    mask = (np.array(corr) > 1e-13) & ~np.array([g.ambiguous for g in groupings])
     if p.m > p.mu and np.count_nonzero(mask) >= 4:
         slope = fit_loglog(np.array(eps)[mask], np.array(corr)[mask])
         rep.extras["puiseux_slope"] = slope

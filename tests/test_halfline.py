@@ -171,9 +171,7 @@ def test_random_instances_residue_vs_contour():
         # occasionally force a multiple root
         if m >= 2 and rng.random() < 0.3:
             roots[1] = roots[0]
-        full = np.array([1.0 + 0j])
-        for r in np.concatenate([roots, np.conj(roots)]):
-            full = np.convolve(full, [-r, 1.0])
+        full = _full_polynomial(roots)
         sols = solve_from_roots(roots)
         for sol in sols:
             assert boundary_defect(sol) < 1e-8
@@ -181,6 +179,42 @@ def test_random_instances_residue_vs_contour():
             for t in (0.0, 0.5, 2.0):
                 assert abs(contour_eval(sol, 0, t)
                            - eval_deriv(sol, 0, t)) < 1e-8
+
+
+def _full_polynomial(upper):
+    """Ascending coefficients of prod (tau - r)(tau - conj r) over `upper`."""
+    full = np.array([1.0 + 0j])
+    for r in list(upper) + [np.conj(r) for r in upper]:
+        full = np.convolve(full, [-r, 1.0])
+    return full
+
+
+@pytest.mark.parametrize("roots, fallback", [
+    ([0.3 + 1j], False),
+    ([1j, 0.5 + 2j], False),
+    ([1j, 1j, 2j], False),                          # cluster of 2
+    ([1j, 1j, 1j, 0.5 + 2j], False),                # cluster of 3
+    ([1j] * 4 + [-0.4 + 2j], False),                # cluster of 4
+    ([1j] * 5, True),                               # too large for residues
+    ([0.2 + 1j] * 5 + [2j], True),
+])
+def test_boundary_defect_matches_eval_deriv(roots, fallback):
+    for sol in solve_from_roots(roots):
+        assert sol.fallback is fallback
+        by_definition = max(abs(eval_deriv(sol, k, 0.0) - (k + 1 == sol.j))
+                            for k in range(len(roots)))
+        assert abs(boundary_defect(sol) - by_definition) <= 1e-12
+
+
+@pytest.mark.parametrize("roots", [[1j, 1j], [1j, 1j, 2j], [1j] * 4])
+def test_solve_from_roots_exact_multiple_roots(roots):
+    full = _full_polynomial(roots)
+    sols = solve_from_roots(roots)
+    assert [len(s.terms) for s in sols] == [len(set(roots))] * len(roots)
+    for sol in sols:
+        assert not sol.fallback
+        assert boundary_defect(sol) <= 1e-12
+        assert ode_residual(sol, full) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

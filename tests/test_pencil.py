@@ -306,6 +306,22 @@ def test_group_roots_targets_are_q_upper_roots(pencil):
     assert g.k1 == check_regular_degeneration(p).k1
 
 
+def test_group_roots_solves_q_once_per_pencil(monkeypatch):
+    # Q depends on the pencil alone: repeated groupings of equal pencils,
+    # at several points, find its roots once.
+    check_regular_degeneration.cache_clear()
+    q = q_polynomial(e1_pencil())
+    seen = []
+    def counting(coeffs):
+        seen.append(np.array_equal(coeffs, q))
+        return poly_roots(coeffs)
+    monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    for lam in (1.0, 10.0, 100.0):      # at |xi'| = 1, A_2mu's tau-polynomial is Q
+        group_roots(e1_pencil(), np.array([2.0]), lam)
+    assert sum(seen) == 1
+    assert len(seen) == 1 + 3 * 2    # Q; tau_roots and A_2mu per grouping
+
+
 def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
     p = e1_pencil()
     deg = check_regular_degeneration(p)

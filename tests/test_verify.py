@@ -1,5 +1,7 @@
 """Tests for the certification sweeps and report plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,18 @@ from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.pencil import Pencil, Term, group_roots, tau_roots
 from pencilab.polygon import build_polygon
 from pencilab import halfline
+
+
+def test_summary_band_and_first_witnesses():
+    # Non-finite ratios are skipped; on a tie the first record is the witness.
+    rep = verify.SweepReport("x", {})
+    assert rep.summary()["witness_min"] is None and np.isnan(rep.min_ratio)
+    for i, r in enumerate([2.0, np.nan, 1.0, 3.0, np.inf, 1.0, 3.0]):
+        rep.records.append({"i": i, "ratio": r})
+    s = rep.summary()
+    assert (s["min_ratio"], s["max_ratio"]) == (rep.min_ratio, rep.max_ratio) == (1.0, 3.0)
+    assert s["witness_min"] is rep.witness_min is rep.records[2]
+    assert s["witness_max"] is rep.witness_max is rep.records[3]
 
 
 def test_polygon_sweep_e1_band():
@@ -273,6 +287,23 @@ def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
         assert len(seen) == per_lambda * len(rep.config["lambda_list"])
         fits[xa] = rep.extras["split_fits"]
     assert fits[1.0] == fits[2.0]
+
+
+def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
+    # At lambda = 1 both of e1's targets are i, so the matching's tie rule
+    # alone decides which root is the large one.  Flipping that choice moves
+    # the recorded correction but not the Puiseux slope.
+    def flipped(*args):
+        g = group_roots(*args)
+        if g.ambiguous:
+            g = replace(g, group_bounded=g.group_large, group_large=g.group_bounded)
+        return g
+    base = verify.sweep_group_asymptotics(e1_pencil())
+    monkeypatch.setattr(verify, "group_roots", flipped)
+    rep = verify.sweep_group_asymptotics(e1_pencil())
+    assert rep.extras["ambiguous_groupings"] == 1
+    assert rep.records[0]["lhs"] != base.records[0]["lhs"]
+    assert rep.extras["puiseux_slope"] == base.extras["puiseux_slope"]
 
 
 def test_refinement_drift_small_for_e1():

@@ -141,7 +141,7 @@ def cmd_solve(args) -> int:
         payload[f"w{sol.j}"] = sol.to_json_dict()
         lines.append(f"w_{sol.j}: " + "; ".join(
             f"exp(i t {_c(t.tau)}) * poly{tuple(_c(c) for c in t.poly)}"
-            for t in sol.terms) + (", via boundary solve" if sol.fallback else ""))
+            for t in sol.terms))
         norms = dict(zip(ls, norm_table[sol.j - 1].tolist()))
         payload[f"w{sol.j}_norms"] = norms
         lines.append("    norms ||D^l w||, l=0..m: "

@@ -4,14 +4,19 @@ For fixed tangential frequency and parameter the symbol becomes an
 ordinary differential operator A(xi', D_t, lambda) in t > 0.  The decaying
 solution with k-th boundary derivative delta_jk is a finite sum of
 (polynomial in t) * exp(i tau t) over the upper roots tau; the coefficients
-come from residues of M_j exp(i t tau) / A_+ at those roots.
+come from residues of M_j exp(i t tau) / A_+ at those roots, and a root of
+multiplicity p gives a polynomial of degree p - 1.  A computed double root
+splits by about sqrt(eps); residues at two poles a relative gap g apart
+cost about eps / g^2 of the norm, while merging them at their mean perturbs
+A_+ by (g/2)^2.  The two balance near eps^(1/4), so roots closer than
+MERGE_TOL = 1e-4 (relative) are merged.
 
 `solve` gives that form at one point; `l2_norm_deriv` takes norms of it or
 of its `split_by_group` parts.  They work on a few coefficients at a time,
 in Python complex arithmetic, where numpy's per-call cost would exceed the
 work.  Norms of full solutions, at any number of nodes, come from the
-Lyapunov Gramian instead (`gramian_norms`), which stays accurate at
-confluent roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
+Lyapunov Gramian instead (`gramian_norms`), which needs only the symmetric
+functions of the roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .pencil import Pencil, cluster_roots, mesh_upper_roots, tau_roots
 
-MAX_RESIDUE_MULTIPLICITY = 4
+MERGE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class ExpPolySolution:
     j: int
     terms: tuple[ExpPolyTerm, ...]
     roots: tuple[complex, ...]
-    fallback: bool = False      # residue construction replaced by boundary solve
+    fallback: bool = False      # always False; read by perfbench/tracer.py
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"tau": [t.tau.real, t.tau.imag],
@@ -117,61 +122,21 @@ def _residue_terms(mj_desc, clusters) -> list[ExpPolyTerm]:
     return terms
 
 
-def _boundary_matrix(terms) -> np.ndarray:
-    """Rows k: D_t^(k-1) applied to each basis function t^q e^{i tau t} at 0."""
-    cols = [(t.tau, q) for t in terms for q in range(len(t.poly))]
-    m = len(cols)
-    mat = np.zeros((m, m), dtype=complex)
-    for col, (tau, q) in enumerate(cols):
-        basis = [ExpPolyTerm(tau, tuple(0j if i != q else 1.0 + 0j
-                                        for i in range(q + 1)))]
-        for k in range(m):
-            mat[k, col] = eval_deriv_terms(basis, k, 0.0)
-    return mat
-
-
 def solve_from_roots(upper_roots):
     """Solutions w_1..w_m for the given upper roots (with multiplicity).
 
-    If the residue construction loses boundary accuracy (ill-conditioned
-    clusters) the coefficients are recomputed from the confluent boundary
-    system and the solution is flagged.  A_+ divides the full symbol, so
-    the solutions satisfy its ODE either way (see `ode_residual`).
+    Roots within MERGE_TOL * |c| of a cluster's running mean c are merged
+    at c, and w_j is the residue sum with A_+ and M_j built from the merged
+    roots: it meets its boundary data to rounding and, as A_+ divides the
+    full symbol, its ODE (see `ode_residual`) to the merge's (g/2)^2.
+    `roots` keeps the given roots.
     """
     upper_roots = [complex(r) for r in upper_roots]
-    m = len(upper_roots)
-    a = vieta(upper_roots)
-    clusters = cluster_roots(upper_roots)
-    big = max((len(members) for _, members in clusters), default=0)
-    sols = []
-    for j in range(1, m + 1):
-        if big > MAX_RESIDUE_MULTIPLICITY:
-            sol = _boundary_solve(j, clusters, upper_roots)
-        else:
-            terms = tuple(_residue_terms(mj(a, j), clusters))
-            sol = ExpPolySolution(j=j, terms=terms, roots=tuple(upper_roots))
-            if boundary_defect(sol) > 1e-8:
-                sol = _boundary_solve(j, clusters, upper_roots)
-        sols.append(sol)
-    return sols
-
-
-def _boundary_solve(j, clusters, upper_roots) -> ExpPolySolution:
-    """Fallback: solve the confluent boundary interpolation system directly."""
-    proto = [ExpPolyTerm(c, tuple(0j for _ in members))
-             for c, members in clusters]
-    mat = _boundary_matrix(proto)
-    rhs = np.zeros(len(upper_roots), dtype=complex)
-    rhs[j - 1] = 1.0
-    coef = np.linalg.solve(mat, rhs)
-    terms = []
-    pos = 0
-    for center, members in clusters:
-        p = len(members)
-        terms.append(ExpPolyTerm(complex(center), tuple(coef[pos: pos + p])))
-        pos += p
-    return ExpPolySolution(j=j, terms=tuple(terms), roots=tuple(upper_roots),
-                           fallback=True)
+    clusters = cluster_roots(upper_roots, MERGE_TOL)
+    a = vieta([c for c, members in clusters for _ in members])
+    return [ExpPolySolution(j=j, terms=tuple(_residue_terms(mj(a, j), clusters)),
+                            roots=tuple(upper_roots))
+            for j in range(1, len(upper_roots) + 1)]
 
 
 def solve(p: Pencil, xi_prime, lam: float):
@@ -200,16 +165,12 @@ def deriv_terms(terms, l: int):
     return terms
 
 
-def eval_deriv_terms(terms, l: int, t: float) -> complex:
-    out = 0j
-    for term in deriv_terms(terms, l):
-        out += np.polyval(np.asarray(term.poly)[::-1], t) * np.exp(1j * term.tau * t)
-    return out
-
-
 def eval_deriv(sol: ExpPolySolution, l: int, t: float) -> complex:
     """D_t^l w_j(t), exact on the exponential-polynomial form."""
-    return eval_deriv_terms(sol.terms, l, t)
+    out = 0j
+    for term in deriv_terms(sol.terms, l):
+        out += np.polyval(np.asarray(term.poly)[::-1], t) * np.exp(1j * term.tau * t)
+    return out
 
 
 def boundary_defect(sol: ExpPolySolution) -> float:

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import EllipticityError, PencilFormatError
 
 REAL_AXIS_TOL = 1e-6
-CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-7
+NEWTON_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -197,14 +198,20 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Four damped Newton steps on the roots of the polynomials whose
     ascending coefficients run along the first axis of coeffs: shape (d+1,)
-    for one polynomial with roots (k,), (d+1, N, 1) for N with roots (N, k)."""
+    for one polynomial with roots (k,), (d+1, N, 1) for N with roots (N, k).
+    A root within NEWTON_GAP * |tau| of another takes no step: the eigensolve
+    keeps the mean of a split double root, which Newton would spoil."""
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs)).reshape(
         (-1,) + (1,) * (coeffs.ndim - 1))
+    gaps = np.abs(roots[..., :, None] - roots[..., None, :])
+    nearest = gaps.min(axis=-1, initial=np.inf,
+                       where=~np.eye(roots.shape[-1], dtype=bool))
+    free = nearest > NEWTON_GAP * np.abs(roots)
     for _ in range(4):
         val = np.polyval(coeffs[::-1], roots)
         dval = np.polyval(dcoeffs[::-1], roots)
-        ok = np.abs(dval) > 1e-30
-        step = np.where(ok, val / np.where(ok, dval, 1.0), 0.0)
+        # dval vanishes only where two roots meet, and those are not free.
+        step = np.divide(val, dval, out=np.zeros_like(val), where=free)
         # Clustered roots make Newton steps unreliable; damp large moves.
         step = np.where(np.abs(step) < 1e-2 * (1.0 + np.abs(roots)), step, 0.0)
         roots = roots - step
@@ -219,7 +226,8 @@ def _near_real_axis(roots: np.ndarray) -> np.ndarray:
 
 
 def cluster_roots(roots, tol_factor: float = CLUSTER_TOL):
-    """Group roots within tol_factor*(1+|tau|) of each other.
+    """Group roots within tol_factor * |c| of a cluster's running mean c, a
+    relative rule: 2^k * roots cluster as roots do.
 
     Returns a list of (center, indices); cluster size is the multiplicity
     and the center is the members' mean.
@@ -234,7 +242,7 @@ def cluster_roots(roots, tol_factor: float = CLUSTER_TOL):
             changed = False
             for k in list(remaining):
                 center = total / len(members)
-                if abs(roots[k] - center) <= tol_factor * (1.0 + abs(center)):
+                if abs(roots[k] - center) <= tol_factor * abs(center):
                     members.append(k)
                     total += roots[k]
                     remaining.remove(k)

@@ -413,15 +413,11 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     omega = xi_prime / (xa or 1.0)
     if not np.array_equal(omega, xi_prime):     # |xi'| = 1: reuse (a)'s groupings
         groupings = [group_roots(p, omega, lam) for lam in lambda_list]
-    # A part that is the whole solution (mu = 0) takes the Gramian norms.
-    whole = halfline.gramian_norms([g.upper_roots for g in groupings],
-                                   range(1, p.m + 1), range(0, l_max + 1))
-    for b, g in enumerate(groupings):
+    for g in groupings:
         for j, sol in enumerate(halfline.solve_from_roots(g.upper_roots), 1):
             for part, w in zip(rules, halfline.split_by_group(sol, g)):
                 for l in range(0, l_max + 1):
-                    norms[part][j, l].append(whole[b, j - 1, l] if w.terms == sol.terms
-                                             else halfline.l2_norm_deriv(w, l))
+                    norms[part][j, l].append(halfline.l2_norm_deriv(w, l))
     split_fits = {}
     tail = slice(len(lambda_list) // 2, None)
     for part, rule in rules.items():

@@ -189,18 +189,19 @@ def _full_polynomial(upper):
     return full
 
 
-@pytest.mark.parametrize("roots, fallback", [
+@pytest.mark.parametrize("roots, five_fold", [
     ([0.3 + 1j], False),
     ([1j, 0.5 + 2j], False),
     ([1j, 1j, 2j], False),                          # cluster of 2
     ([1j, 1j, 1j, 0.5 + 2j], False),                # cluster of 3
     ([1j] * 4 + [-0.4 + 2j], False),                # cluster of 4
-    ([1j] * 5, True),                               # too large for residues
-    ([0.2 + 1j] * 5 + [2j], True),
+    ([1j] * 5, True),                               # clusters of 5 take
+    ([0.2 + 1j] * 5 + [2j], True),                  # residues as well
 ])
-def test_boundary_defect_matches_eval_deriv(roots, fallback):
+def test_boundary_defect_matches_eval_deriv(roots, five_fold):
     for sol in solve_from_roots(roots):
-        assert sol.fallback is fallback
+        # A five-fold root is one term with a degree-4 polynomial.
+        assert (max(len(t.poly) for t in sol.terms) == 5) is five_fold
         by_definition = max(abs(eval_deriv(sol, k, 0.0) - (k + 1 == sol.j))
                             for k in range(len(roots)))
         assert abs(boundary_defect(sol) - by_definition) <= 1e-12
@@ -212,9 +213,39 @@ def test_solve_from_roots_exact_multiple_roots(roots):
     sols = solve_from_roots(roots)
     assert [len(s.terms) for s in sols] == [len(set(roots))] * len(roots)
     for sol in sols:
-        assert not sol.fallback
         assert boundary_defect(sol) <= 1e-12
         assert ode_residual(sol, full) <= 1e-12
+
+
+def test_solve_from_roots_merges_split_double_root():
+    # A double root split by 4e-8, as a double-precision eigensolve leaves
+    # it: the merged residues meet the boundary data and the Gramian norms.
+    roots = [0.3 + 2j, 0.3 + 2j + 3e-8 * (1 + 1j), 3j]
+    sols = solve_from_roots(roots)
+    assert [len(s.terms) for s in sols] == [2, 2, 2]
+    ref = halfline.gramian_norms([roots], [1, 2, 3], [0, 1, 2, 3])[0]
+    for sol in sols:
+        assert boundary_defect(sol) <= 1e-12
+        for l in range(4):
+            assert l2_norm_deriv(sol, l) == pytest.approx(ref[sol.j - 1, l],
+                                                          rel=1e-10)
+
+
+@pytest.mark.parametrize("gap", [0.0] + [10.0 ** k for k in range(-9, -1)])
+def test_residue_norms_across_root_gaps(gap):
+    # Two roots a relative gap apart, merged or not, and a third one at a
+    # ratio of their modulus: the residue norms follow the Gramian's, and
+    # D^(k-1) w_j(0), of scale |tau|^(k-j), meets delta_jk.
+    for base in (1j, 0.3 + 2j, 50j):
+        for ratio in (0.05, 3.0, 30.0):
+            roots = [base, base * (1 + gap * (1 + 0.5j)), ratio * base]
+            scale = max(abs(r) for r in roots)
+            ref = halfline.gramian_norms([roots], [1, 2, 3], [0, 1, 2, 3])[0]
+            for sol in solve_from_roots(roots):
+                assert boundary_defect(sol) <= 1e-11 * scale ** (3 - sol.j)
+                for l in range(4):
+                    assert l2_norm_deriv(sol, l) == pytest.approx(
+                        ref[sol.j - 1, l], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +279,7 @@ def _residue_tolerance(upper) -> float:
 
 def _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list):
     """The node loop's bits, or its error at the same node.  Where solve
-    needs neither clusters nor the boundary fallback, the residue norms
-    agree within _residue_tolerance."""
+    merges no roots, the residue norms agree within _residue_tolerance."""
     try:
         expected = _node_loop(p, xi_abs, lam, j_list, l_list)
     except EllipticityError as exc:
@@ -263,7 +293,7 @@ def _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list):
         xi_prime[0] = xa
         for b, y in enumerate(lam):
             sols = solve(p, xi_prime, y)
-            if any(s.fallback or len(s.terms) < len(s.roots) for s in sols):
+            if any(len(s.terms) < len(s.roots) for s in sols):
                 continue
             tol = _residue_tolerance(sols[0].roots)
             for ji, j in enumerate(j_list):
@@ -330,8 +360,9 @@ def test_mesh_norms_confluent_closed_forms(c):
     # e^{-beta t}) / (beta - alpha) and w_2 = i (e^{-alpha t} - e^{-beta t})
     # / (beta - alpha).  At c = 1, with kappa = alpha = beta:
     # ||w_1||^2 = 5/(4 kappa), ||D w_1||^2 = kappa/4, ||w_2||^2 =
-    # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The residue Gram sum is
-    # up to 210% off on this mesh, and exactly 0 at some nodes.
+    # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The roots of a pair closer
+    # than NEWTON_GAP keep the mean the eigensolve gives them, so the norms
+    # hold to rounding.
     p = _confluent(c)
     xi_abs, lam = np.geomspace(1e-2, 1e2, 7), np.geomspace(1.0, 1e3, 6)
     got = halfline.mesh_norms(p, xi_abs, lam, [1, 2], [0, 1]).values
@@ -341,12 +372,12 @@ def test_mesh_norms_confluent_closed_forms(c):
     squares = [[(alpha ** 2 + 3 * q + beta ** 2) / (2 * q * s), q / (2 * s)],
                [1 / (2 * q * s), 1 / (2 * s)]]
     expected = np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3)))
-    assert np.allclose(got, expected, rtol=1e-6, atol=0.0)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
     if c == 1.0:
         kappa = alpha
         squares = [[5 / (4 * kappa), kappa / 4], [1 / (4 * kappa ** 3), 1 / (4 * kappa)]]
         assert np.allclose(got, np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3))),
-                           rtol=1e-6, atol=0.0)
+                           rtol=1e-13, atol=0.0)
 
 
 def test_gramian_norms_closed_forms_m1_and_scaling():

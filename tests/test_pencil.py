@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import EllipticityError, PencilFormatError
-from pencilab.pencil import (GridSpec, Pencil, Term, check_lemma21,
-                             check_regular_degeneration, eval_symbol,
-                             group_roots, pencil_from_dict, pencil_to_dict,
-                             poly_roots, q_polynomial, remark22_checks,
-                             sphere_directions, tau_polynomial, tau_roots)
+from pencilab.halfline import MERGE_TOL
+from pencilab.pencil import (CLUSTER_TOL, GridSpec, Pencil, Term,
+                             check_lemma21, check_regular_degeneration,
+                             cluster_roots, eval_symbol, group_roots,
+                             pencil_from_dict, pencil_to_dict, poly_roots,
+                             q_polynomial, remark22_checks, sphere_directions,
+                             tau_polynomial, tau_roots)
 from pencilab.verify import energy_weight_value, sweep_multiplier_rn
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
@@ -113,6 +115,16 @@ def test_regular_degeneration_e1():
     assert res.upper_roots[0] == pytest.approx(1j, abs=1e-10)
 
 
+@pytest.mark.parametrize("c, k1", [(1.0, 2), (1.0 + 1e-6, 1)])
+def test_regular_degeneration_k1_of_close_roots(c, k1):
+    # Q = (tau^2 + 1)(tau^2 + c): the eigensolve splits the double root i
+    # by about 3e-8, which stays one cluster; the pair 5e-7 apart does not.
+    p = Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
+        Term((2, 0), 2, 1.0 + c), Term((0, 2), 2, 1.0 + c), Term((0, 0), 0, c)))
+    assert check_regular_degeneration(p).k1 == k1
+
+
 def test_regular_degeneration_failure_constructed():
     # A(0,tau,1)/tau^2 = (tau - i)(tau - 2i) * conjugate-free: build a pencil
     # whose Q has two upper roots while m - mu = 1.
@@ -165,6 +177,43 @@ def test_poly_roots_accuracy():
         asc = np.convolve(asc, [-r, 1.0])
     got = np.sort_complex(poly_roots(asc))
     assert np.allclose(np.sort_complex(roots), got, atol=1e-10)
+
+
+def test_poly_roots_keeps_the_mean_of_a_split_double_root():
+    # (tau^2 + kappa^2)^2: the eigensolve splits the double root i kappa by
+    # about sqrt(eps) but keeps the pair's mean, which Newton steps taken
+    # on each half would spoil.
+    for kappa in np.geomspace(1e-2, 1e3, 40):
+        roots = poly_roots(np.array([kappa ** 4, 0, 2 * kappa ** 2, 0, 1.0],
+                                    dtype=complex))
+        upper = roots[roots.imag > 0]
+        assert abs(upper.sum() - 2j * kappa) <= 1e-14 * kappa
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _near_pairs(draw):
+    """Roots of moduli 1e-2..1e2, some with a copy moved by up to 3 tol |tau|."""
+    tol = draw(st.sampled_from([CLUSTER_TOL, MERGE_TOL]))
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = 10.0 ** draw(st.floats(-2, 2)) * complex(draw(_unit), draw(_unit) + 1.5)
+        roots.append(tau)
+        for _ in range(draw(st.integers(0, 2))):
+            shift = complex(draw(_unit), draw(_unit))
+            roots.append(tau * (1 + 3 * tol * draw(st.floats(0, 1)) * shift))
+    return draw(st.permutations(roots)), tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(_near_pairs(), st.integers(-20, 20))
+def test_cluster_roots_scale_covariant(case, k):
+    roots, tol = case
+    members = [m for _, m in cluster_roots(roots, tol)]
+    scaled = [m for _, m in cluster_roots([2.0 ** k * r for r in roots], tol)]
+    assert scaled == members
 
 
 def test_tau_roots_e1():

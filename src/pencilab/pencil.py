@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EllipticityError, PencilFormatError
+from .errors import EllipticityError, OutOfRangeError, PencilFormatError
 
 REAL_AXIS_TOL = 1e-6
 CLUSTER_TOL = 1e-7
@@ -109,29 +109,46 @@ def eval_symbol(p: Pencil, xi, lam: float) -> complex:
 
 
 def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
-    """Coefficients (ascending) of tau -> A(xi', tau, lambda), degree 2m."""
+    """Coefficients (ascending) of tau -> A(xi', tau, lambda), degree 2m.
+
+    In Python float and complex arithmetic, which rounds as numpy's scalars
+    do and, unlike them, raises on overflow rather than warning.  Raises
+    OutOfRangeError unless xi' and lambda are finite, lambda >= 0 and every
+    coefficient is finite.
+    """
     xi_prime = np.asarray(xi_prime, dtype=float)
     if xi_prime.shape != (p.n - 1,):
         raise ValueError(f"xi' has shape {xi_prime.shape}, expected ({p.n - 1},)")
-    coeffs = np.zeros(2 * p.m + 1, dtype=complex)
-    for t in p.terms:
-        mono = 1.0
-        for x, a in zip(xi_prime, t.alpha[:-1]):
-            mono *= x ** a
-        coeffs[t.alpha[-1]] += t.coeff * mono * lam ** (2 * p.m - t.j)
+    xs, lam = xi_prime.tolist(), float(lam)
+    if not (all(map(math.isfinite, xs)) and math.isfinite(lam) and lam >= 0):
+        raise OutOfRangeError(f"need finite xi' and finite lambda >= 0, "
+                              f"got xi'={xi_prime}, lambda={lam}")
+    coeffs = [0j] * (2 * p.m + 1)
+    try:
+        for t in p.terms:
+            mono = 1.0
+            for x, a in zip(xs, t.alpha[:-1]):
+                mono *= x ** a
+            coeffs[t.alpha[-1]] += t.coeff * mono * lam ** (2 * p.m - t.j)
+        mags = [abs(c) for c in coeffs]
+    except OverflowError:
+        mags = [math.inf]
+    if not all(map(math.isfinite, mags)):
+        raise OutOfRangeError(f"A(xi', tau, lambda) overflows at xi'={xi_prime}, "
+                              f"lambda={lam}")
     # A is jointly homogeneous of degree 2m, so with rho = |xi'| + lambda the
     # |c_k| rho^(k-2m) are the coefficients of A(xi'/rho, ., lambda/rho): the
     # test compares numbers of one scale.  mesh_upper_roots repeats it.
-    inv = 1.0 / float(np.linalg.norm(xi_prime) + abs(lam) or 1.0)
-    *lower, lead = coeffs.tolist()
+    inv = 1.0 / float(np.linalg.norm(xi_prime) + lam or 1.0)
+    *lower, lead = mags
     weight, scale = 1.0, 0.0
     for c in reversed(lower):
         weight *= inv
-        scale = max(scale, abs(c) * weight)
-    if abs(lead) <= 1e-14 * scale:
+        scale = max(scale, c * weight)
+    if lead <= 1e-14 * scale:
         raise EllipticityError(
             "leading tau coefficient vanishes: A_2m is not elliptic in xi_n")
-    return coeffs
+    return np.array(coeffs, dtype=complex)
 
 
 def tau_coefficient_table(p: Pencil, xi_abs, lam) -> np.ndarray:
@@ -183,39 +200,120 @@ def a2mu_tau_polynomial(p: Pencil, xi_prime) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # root finding helpers
 
-def poly_roots(coeffs: np.ndarray) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """Roots of a polynomial given by ascending coefficients, polished.
 
-    Uses the balanced companion-matrix eigensolve behind numpy.roots and a
-    few Newton steps per root to push residuals to roundoff.
+    The eigenvalues of the companion matrix that numpy.roots builds, with
+    the roots at 0 split off first as numpy.roots does, then _newton_polish
+    in Python complex arithmetic.  numpy.roots itself is skipped, and so is
+    a numpy polish: at one polynomial of degree 2m their per-call overhead
+    costs more than the eigensolve.  mesh_upper_roots takes the same steps
+    on a stack of polynomials, with the same bits.
     """
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
-    if coeffs.size <= 1:
+    c = np.asarray(coeffs, dtype=complex).tolist()
+    while c and c[-1] == 0:
+        c.pop()
+    if len(c) <= 1:
         return np.zeros(0, dtype=complex)
-    return _newton_polish(coeffs, np.roots(coeffs[::-1]))
+    zeros = next(k for k, x in enumerate(c) if x != 0)
+    roots = []
+    if len(c) - zeros > 1:
+        desc = np.array([c[zeros:][::-1]])
+        roots = np.linalg.eigvals(_companion(desc))[0].tolist()
+    return np.array(_newton_polish(c, roots + [0j] * zeros), dtype=complex)
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Four damped Newton steps on the roots of the polynomials whose
-    ascending coefficients run along the first axis of coeffs: shape (d+1,)
-    for one polynomial with roots (k,), (d+1, N, 1) for N with roots (N, k).
-    A root within NEWTON_GAP * |tau| of another takes no step: the eigensolve
-    keeps the mean of a split double root, which Newton would spoil."""
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs)).reshape(
-        (-1,) + (1,) * (coeffs.ndim - 1))
-    gaps = np.abs(roots[..., :, None] - roots[..., None, :])
+def _companion(desc: np.ndarray) -> np.ndarray:
+    """Companion matrices, as numpy.roots builds them, of the polynomials
+    whose descending coefficients run along the last axis of desc."""
+    d = desc.shape[-1] - 1
+    out = np.zeros(desc.shape[:-1] + (d, d), dtype=complex)
+    out[..., 1:, :-1] = np.eye(d - 1)
+    out[..., 0, :] = -desc[..., 1:] / desc[..., :1]
+    return out
+
+
+def _newton_polish(coeffs: list[complex], roots: list[complex]) -> list[complex]:
+    """Four damped Newton steps on each root of the polynomial with
+    ascending coefficients `coeffs`, in Python complex arithmetic.
+
+    A root within NEWTON_GAP * |tau| of another takes no step: the
+    eigensolve keeps the mean of a split double root, which Newton would
+    spoil.  A step is dropped where the derivative vanishes or the step is
+    not below 1e-2 (1 + |tau|), since clustered roots make Newton steps
+    unreliable.  _stacked_newton_polish rounds every operation as this
+    loop does, on many polynomials at once.
+    """
+    desc = coeffs[::-1]
+    # k * c_k as two real products, whatever CPython's rule for complex * int.
+    ddesc = [complex(c.real * k, c.imag * k)
+             for c, k in zip(desc, range(len(desc) - 1, 0, -1))]
+    out = []
+    for i, tau in enumerate(roots):
+        nearest = min((abs(tau - s) for k, s in enumerate(roots) if k != i),
+                      default=math.inf)
+        if nearest > NEWTON_GAP * abs(tau):
+            for _ in range(4):
+                val, dval = desc[0], ddesc[0]
+                for c in desc[1:]:
+                    val = val * tau + c
+                for c in ddesc[1:]:
+                    dval = dval * tau + c
+                if dval:
+                    step = val / dval
+                    if abs(step) < 1e-2 * (1.0 + abs(tau)):
+                        tau = tau - step
+        out.append(tau)
+    return out
+
+
+def _stacked_newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """_newton_polish on N polynomials at once, bit for bit: ascending
+    coefficients of shape (N, d+1), roots of shape (N, d).
+
+    The complex arithmetic is written out on real and imaginary float64
+    arrays as CPython rounds it: products and sums componentwise, quotients
+    by Smith's formula (_quotient).  numpy's complex multiply may fuse into
+    FMA instructions, and then its last bit differs from CPython's.
+    """
+    k = np.arange(coeffs.shape[1] - 1, 0, -1, dtype=float)[:, None, None]
+    cr, ci = coeffs.real.T[::-1, :, None], coeffs.imag.T[::-1, :, None]
+    dr, di = cr[:-1] * k, ci[:-1] * k
+    rr, ri = roots.real, roots.imag
+    gaps = np.hypot(rr[:, :, None] - rr[:, None, :], ri[:, :, None] - ri[:, None, :])
     nearest = gaps.min(axis=-1, initial=np.inf,
                        where=~np.eye(roots.shape[-1], dtype=bool))
-    free = nearest > NEWTON_GAP * np.abs(roots)
-    for _ in range(4):
-        val = np.polyval(coeffs[::-1], roots)
-        dval = np.polyval(dcoeffs[::-1], roots)
-        # dval vanishes only where two roots meet, and those are not free.
-        step = np.divide(val, dval, out=np.zeros_like(val), where=free)
-        # Clustered roots make Newton steps unreliable; damp large moves.
-        step = np.where(np.abs(step) < 1e-2 * (1.0 + np.abs(roots)), step, 0.0)
-        roots = roots - step
-    return roots
+    free = nearest > NEWTON_GAP * np.hypot(rr, ri)
+    # A vanishing derivative gives a NaN step, which the damping test drops.
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            sr, si = _quotient(*_horner(cr, ci, rr, ri), *_horner(dr, di, rr, ri))
+            move = free & (np.hypot(sr, si) < 1e-2 * (1.0 + np.hypot(rr, ri)))
+            rr = rr - np.where(move, sr, 0.0)
+            ri = ri - np.where(move, si, 0.0)
+    out = np.empty(roots.shape, dtype=complex)
+    out.real, out.imag = rr, ri
+    return out
+
+
+def _horner(cr, ci, xr, xi):
+    """Real and imaginary parts of the polynomial with descending
+    coefficients cr + i ci (along the first axis) at xr + i xi, by Horner's
+    rule as CPython computes val * x + c."""
+    vr, vi = cr[0], ci[0]
+    for br, bi in zip(cr[1:], ci[1:]):
+        vr, vi = vr * xr - vi * xi + br, vr * xi + vi * xr + bi
+    return vr, vi
+
+
+def _quotient(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) as CPython divides complex numbers:
+    Smith's (1962) formula, scaled by the larger of |br| and |bi|."""
+    by_re = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
 def _near_real_axis(roots: np.ndarray) -> np.ndarray:
@@ -513,12 +611,13 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     """All 2m roots of A(xi', tau, lambda), with the upper half marked.
 
     Raises EllipticityError if a root sits on the real axis (within
-    tolerance) or if the upper count differs from m.
+    tolerance) or if the upper count differs from m, and tau_polynomial's
+    OutOfRangeError for a point outside its range.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
+    coeffs = tau_polynomial(p, xi_prime, lam)
     if np.linalg.norm(xi_prime) == 0.0 and lam == 0.0:
         raise ValueError("need xi' != 0 or lambda > 0")
-    coeffs = tau_polynomial(p, xi_prime, lam)
     roots = poly_roots(coeffs)
     if _near_real_axis(roots):
         raise EllipticityError(
@@ -537,28 +636,28 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
     Returns (upper, ok) of shapes (len(xi_abs), len(lam), m) and
     (len(xi_abs), len(lam)).  Where ok is False, tau_roots raises at that
     node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
-    the companion matrices of np.roots go to one stacked eigensolve and
-    the same Newton polish.
+    poly_roots' companion matrices go to one stacked eigensolve, and
+    _stacked_newton_polish rounds as poly_roots' Python complex polish.
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
-    coeffs = tau_coefficient_table(p, xi_abs, lam)
-    # tau_polynomial's leading-coefficient test, with the same products.
-    # |(|xi'|, 0, ..., 0)| is |xi'| exactly: sqrt(x * x) == |x| in binary
-    # floating point.
-    rho = np.abs(xi_abs)[:, None] + np.abs(lam)[None, :]
-    inv = 1.0 / np.where(rho == 0.0, 1.0, rho)
-    weights = np.cumprod(np.repeat(inv[..., None], 2 * p.m, axis=-1), axis=-1)
-    mags = np.hypot(coeffs.real, coeffs.imag)         # abs as CPython takes it
-    scale = (mags[..., -2::-1] * weights).max(axis=-1)
-    # A zero constant term is a root at 0, which tau_roots rejects as real.
-    ok = (np.all(np.isfinite(coeffs), axis=-1) & (mags[..., -1] > 1e-14 * scale)
-          & (coeffs[..., 0] != 0) & (rho != 0.0))
+    # Where A overflows, the coefficients and this test are not finite;
+    # tau_polynomial raises there, and no warning is wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = tau_coefficient_table(p, xi_abs, lam)
+        # tau_polynomial's leading-coefficient test, with the same products.
+        # |(|xi'|, 0, ..., 0)| is |xi'| exactly: sqrt(x * x) == |x| in binary
+        # floating point.
+        rho = np.abs(xi_abs)[:, None] + np.abs(lam)[None, :]
+        inv = 1.0 / np.where(rho == 0.0, 1.0, rho)
+        weights = np.cumprod(np.repeat(inv[..., None], 2 * p.m, axis=-1), axis=-1)
+        mags = np.hypot(coeffs.real, coeffs.imag)     # abs as CPython takes it
+        scale = (mags[..., -2::-1] * weights).max(axis=-1)
+        # A zero constant term is a root at 0, which tau_roots rejects as real,
+        # and tau_polynomial rejects lambda < 0.
+        ok = (np.all(np.isfinite(coeffs), axis=-1) & (mags[..., -1] > 1e-14 * scale)
+              & (coeffs[..., 0] != 0) & (rho != 0.0) & (lam >= 0)[None, :])
     c = coeffs[ok]
-    desc = c[:, ::-1]
-    companion = np.zeros((len(c), 2 * p.m, 2 * p.m), dtype=complex)
-    companion[:, 1:, :-1] = np.eye(2 * p.m - 1)
-    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-    roots = _newton_polish(c.T[:, :, None], np.linalg.eigvals(companion))
+    roots = _stacked_newton_polish(c, np.linalg.eigvals(_companion(c[:, ::-1])))
     good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
     roots = roots[good]
     upper = np.full(ok.shape + (p.m,), np.nan, dtype=complex)

@@ -124,6 +124,22 @@ def test_bad_pencil_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["roots", "solve"])
+@pytest.mark.parametrize("point, message", [
+    (["--xi-prime", "nan"], "need finite xi' and finite lambda >= 0"),
+    (["--xi-prime", "inf"], "need finite xi' and finite lambda >= 0"),
+    (["--xi-prime", "1", "--lam", "-5"], "need finite xi' and finite lambda >= 0"),
+    (["--xi-prime", "1e200"], "overflows"),
+    (["--lam", "1e200"], "overflows"),
+])
+def test_point_out_of_range_exit_2(cmd, point, message, e1_path, capsys):
+    # A RuntimeWarning would be an error here (pyproject filterwarnings).
+    assert run([cmd, e1_path] + point) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

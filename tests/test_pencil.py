@@ -1,5 +1,6 @@
 """Tests for symbol evaluation, ellipticity checks, and root grouping."""
 
+import cmath
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.errors import EllipticityError, PencilFormatError
+from pencilab.errors import EllipticityError, OutOfRangeError, PencilFormatError
 from pencilab.halfline import MERGE_TOL
 from pencilab.pencil import (CLUSTER_TOL, GridSpec, Pencil, Term,
                              check_lemma21, check_regular_degeneration,
@@ -194,6 +195,45 @@ _unit = st.floats(-1.0, 1.0)
 
 
 @st.composite
+def _polynomial_stacks(draw):
+    """Ascending coefficients, shape (N, d+1), of N polynomials of one degree
+    d in 2..8: roots of moduli 1e-2..1e2 at any angle, some of them double
+    (the eigensolve splits those by about sqrt(eps), so NEWTON_GAP freezes
+    them), times a random leading coefficient."""
+    degree = draw(st.integers(2, 8))
+    _polar = st.builds(lambda e, a: cmath.rect(10.0 ** e, a),
+                       st.floats(-2, 2), st.floats(0, 2 * math.pi))
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        roots = []
+        while len(roots) < degree:
+            roots += [draw(_polar)] * min(draw(st.integers(1, 2)), degree - len(roots))
+        stack.append(draw(_polar) * np.poly(roots)[::-1])
+    return np.array(stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polynomial_stacks())
+def test_point_polish_matches_stacked_polish_bit_for_bit(coeffs):
+    # poly_roots polishes in Python complex arithmetic, mesh_upper_roots on
+    # real arrays rounded the same way; the tau_roots/mesh contract rests on it.
+    stacked = pencil_mod._stacked_newton_polish(
+        coeffs, np.linalg.eigvals(pencil_mod._companion(coeffs[:, ::-1])))
+    point = np.array([poly_roots(c) for c in coeffs])
+    assert point.tobytes() == stacked.tobytes()
+
+
+def test_newton_polish_skips_a_vanishing_derivative():
+    # tau^2 - 1 at the trial roots 0 and 5i: 0 is free but p'(0) = 0, so
+    # it takes no step, on both paths and without a division warning.
+    coeffs, trial = [-1 + 0j, 0j, 1 + 0j], [0j, 5j]
+    point = pencil_mod._newton_polish(coeffs, trial)
+    assert point == trial
+    stacked = pencil_mod._stacked_newton_polish(np.array([coeffs]), np.array([trial]))
+    assert stacked.tobytes() == np.array([point]).tobytes()
+
+
+@st.composite
 def _near_pairs(draw):
     """Roots of moduli 1e-2..1e2, some with a copy moved by up to 3 tol |tau|."""
     tol = draw(st.sampled_from([CLUSTER_TOL, MERGE_TOL]))
@@ -265,6 +305,17 @@ def test_vanishing_leading_coefficient_still_raises():
         with pytest.raises(EllipticityError, match="leading tau coefficient"):
             tau_roots(p, np.array([1.0]), lam)
         assert not pencil_mod.mesh_upper_roots(p, np.array([1.0]), np.array([lam]))[1].any()
+
+
+def test_out_of_range_lambda_rejected_at_a_point_and_on_the_mesh():
+    # e1 is even in lambda, so only the range check tells -5 from 5; at
+    # 1e300 A overflows, and a RuntimeWarning would fail this test.
+    for lam, message in ((-5.0, "lambda >= 0"), (1e300, "overflows")):
+        with pytest.raises(OutOfRangeError, match=message):
+            tau_roots(e1_pencil(), np.array([1.0]), lam)
+    _, ok = pencil_mod.mesh_upper_roots(e1_pencil(), np.array([1.0]),
+                                        np.array([-5.0, 1e300, 5.0]))
+    assert ok.tolist() == [[False, False, True]]
 
 
 @pytest.mark.parametrize("above", [False, True])

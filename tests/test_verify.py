@@ -146,6 +146,28 @@ def test_asymptotics_double_root_pencil():
         assert abs(fit["slope"] - fit["expected"]) < 1e-3
 
 
+@pytest.mark.parametrize("b, c", [(2.0, 1.0), (2.000001, 1.000001)])
+def test_asymptotics_correction_at_confluent_large_roots(b, c):
+    # |xi|^4 + b lambda^2 |xi|^2 + c lambda^4, the double-root (c = 1) and
+    # near-confluent benchmark pencils: Q's upper zeros are i sqrt(t_k),
+    # t_k = b/2 -+ sqrt(b^2/4 - c), and the upper roots at |xi'| = 1 are
+    # i sqrt(1 + lambda^2 t_k).  Each root misses its target by
+    # 1 / (sqrt(1 + lambda^2 t_k) + lambda sqrt(t_k)), and the correction
+    # is the mean of the two over lambda.
+    p = Pencil(n=2, m=2, mu=0, terms=(
+        Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
+        Term((2, 0), 2, b), Term((0, 2), 2, b), Term((0, 0), 0, c)))
+    rep = verify.sweep_group_asymptotics(p)
+    lam = np.array([r["lambda"] for r in rep.records])
+    t = b / 2 + np.array([[-1.0], [1.0]]) * np.sqrt(max(b * b / 4 - c, 0.0))
+    exact = np.mean(1 / (np.sqrt(1 + lam ** 2 * t) + lam * np.sqrt(t)), axis=0) / lam
+    lhs = np.array([r["lhs"] for r in rep.records])
+    assert np.all(np.abs(lhs - exact) <= 1e-6 * exact)
+    # The fit of the exact correction over lambda in [1, 1e3] has slope
+    # 1.984, not 2: it is far from lambda^-2 / 2 at lambda = 1.
+    assert abs(rep.extras["puiseux_slope"] - verify.fit_loglog(1 / lam, exact)) < 1e-6
+
+
 def test_asymptotics_needs_four_points():
     with pytest.raises(Exception):
         verify.sweep_group_asymptotics(e1_pencil(), lambda_list=[1.0, 10.0])

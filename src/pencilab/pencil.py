@@ -112,9 +112,9 @@ def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     """Coefficients (ascending) of tau -> A(xi', tau, lambda), degree 2m.
 
     In Python float and complex arithmetic, which rounds as numpy's scalars
-    do and, unlike them, raises on overflow rather than warning.  Raises
-    OutOfRangeError unless xi' and lambda are finite, lambda >= 0 and every
-    coefficient is finite.
+    do but shows overflow by an OverflowError or an infinite value, never
+    by a warning.  Raises OutOfRangeError unless xi' and lambda are finite,
+    lambda >= 0 and every coefficient is finite.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
     if xi_prime.shape != (p.n - 1,):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -180,15 +181,37 @@ def cmd_verify(args) -> int:
     return worst
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
 # Every option, and the options each subcommand takes: only those its
 # handler reads.
 OPTIONS = {
-    "--lambda0": dict(type=float, default=1.0, help="lower end of the "
-                      "spectral parameter ray (default 1.0)"),
-    "--tol": dict(type=float, default=1e-6,
+    "--lambda0": dict(type=_positive_float, default=1.0, help="lower end of "
+                      "the spectral parameter ray (default 1.0)"),
+    "--tol": dict(type=_positive_float, default=1e-6,
                   help="zero-detection tolerance (default 1e-6)"),
-    "--grid-angular": dict(type=int, default=720, help="angular grid points "
-                           "for compact-set checks (default 720)"),
+    "--grid-angular": dict(type=_positive_int, default=720, help="angular "
+                           "grid points for compact-set checks (default 720)"),
     "--format": dict(choices=("csv", "json"), default="csv",
                      help="machine output format; csv keeps the plain text "
                           "summary (default csv)"),
@@ -197,9 +220,9 @@ OPTIONS = {
     "--lam": dict(type=float, default=10.0,
                   help="spectral parameter (default 10.0)"),
     "--suite": dict(default="all", choices=verify.SUITES + ("all",)),
-    "--grid-decades": dict(type=int, default=3, help="lambda range decades "
-                           "above lambda0 (default 3)"),
-    "--density": dict(type=int, default=1,
+    "--grid-decades": dict(type=_positive_int, default=3, help="lambda range "
+                           "decades above lambda0 (default 3)"),
+    "--density": dict(type=_positive_int, default=1,
                       help="grid density multiplier (default 1)"),
     "--out": dict(default="report", help="output directory for CSV/JSON "
                   "reports (default report/)"),

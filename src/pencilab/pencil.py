@@ -20,7 +20,6 @@ from .errors import EllipticityError, OutOfRangeError, PencilFormatError
 
 REAL_AXIS_TOL = 1e-6
 CLUSTER_TOL = 1e-7
-NEWTON_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -201,14 +200,15 @@ def a2mu_tau_polynomial(p: Pencil, xi_prime) -> np.ndarray:
 # root finding helpers
 
 def poly_roots(coeffs) -> np.ndarray:
-    """Roots of a polynomial given by ascending coefficients, polished.
+    """Roots of a polynomial given by ascending coefficients.
 
     The eigenvalues of the companion matrix that numpy.roots builds, with
-    the roots at 0 split off first as numpy.roots does, then _newton_polish
-    in Python complex arithmetic.  numpy.roots itself is skipped, and so is
-    a numpy polish: at one polynomial of degree 2m their per-call overhead
-    costs more than the eigensolve.  mesh_upper_roots takes the same steps
-    on a stack of polynomials, with the same bits.
+    the roots at 0 split off first as numpy.roots does.  The eigensolve is
+    backward stable (Edelman & Murakami 1995) and keeps the mean of a
+    split multiple root.  numpy.roots itself is skipped: at one polynomial
+    of degree 2m its per-call overhead costs more than the eigensolve.
+    mesh_upper_roots solves a stack of these matrices in one eigvals call,
+    which gives each matrix the same bits.
     """
     c = np.asarray(coeffs, dtype=complex).tolist()
     while c and c[-1] == 0:
@@ -216,11 +216,11 @@ def poly_roots(coeffs) -> np.ndarray:
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
     zeros = next(k for k, x in enumerate(c) if x != 0)
-    roots = []
+    roots = np.zeros(len(c) - 1, dtype=complex)
     if len(c) - zeros > 1:
         desc = np.array([c[zeros:][::-1]])
-        roots = np.linalg.eigvals(_companion(desc))[0].tolist()
-    return np.array(_newton_polish(c, roots + [0j] * zeros), dtype=complex)
+        roots[:len(c) - 1 - zeros] = np.linalg.eigvals(_companion(desc))[0]
+    return roots
 
 
 def _companion(desc: np.ndarray) -> np.ndarray:
@@ -231,89 +231,6 @@ def _companion(desc: np.ndarray) -> np.ndarray:
     out[..., 1:, :-1] = np.eye(d - 1)
     out[..., 0, :] = -desc[..., 1:] / desc[..., :1]
     return out
-
-
-def _newton_polish(coeffs: list[complex], roots: list[complex]) -> list[complex]:
-    """Four damped Newton steps on each root of the polynomial with
-    ascending coefficients `coeffs`, in Python complex arithmetic.
-
-    A root within NEWTON_GAP * |tau| of another takes no step: the
-    eigensolve keeps the mean of a split double root, which Newton would
-    spoil.  A step is dropped where the derivative vanishes or the step is
-    not below 1e-2 (1 + |tau|), since clustered roots make Newton steps
-    unreliable.  _stacked_newton_polish rounds every operation as this
-    loop does, on many polynomials at once.
-    """
-    desc = coeffs[::-1]
-    # k * c_k as two real products, whatever CPython's rule for complex * int.
-    ddesc = [complex(c.real * k, c.imag * k)
-             for c, k in zip(desc, range(len(desc) - 1, 0, -1))]
-    out = []
-    for i, tau in enumerate(roots):
-        nearest = min((abs(tau - s) for k, s in enumerate(roots) if k != i),
-                      default=math.inf)
-        if nearest > NEWTON_GAP * abs(tau):
-            for _ in range(4):
-                val, dval = desc[0], ddesc[0]
-                for c in desc[1:]:
-                    val = val * tau + c
-                for c in ddesc[1:]:
-                    dval = dval * tau + c
-                if dval:
-                    step = val / dval
-                    if abs(step) < 1e-2 * (1.0 + abs(tau)):
-                        tau = tau - step
-        out.append(tau)
-    return out
-
-
-def _stacked_newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """_newton_polish on N polynomials at once, bit for bit: ascending
-    coefficients of shape (N, d+1), roots of shape (N, d).
-
-    The complex arithmetic is written out on real and imaginary float64
-    arrays as CPython rounds it: products and sums componentwise, quotients
-    by Smith's formula (_quotient).  numpy's complex multiply may fuse into
-    FMA instructions, and then its last bit differs from CPython's.
-    """
-    k = np.arange(coeffs.shape[1] - 1, 0, -1, dtype=float)[:, None, None]
-    cr, ci = coeffs.real.T[::-1, :, None], coeffs.imag.T[::-1, :, None]
-    dr, di = cr[:-1] * k, ci[:-1] * k
-    rr, ri = roots.real, roots.imag
-    gaps = np.hypot(rr[:, :, None] - rr[:, None, :], ri[:, :, None] - ri[:, None, :])
-    nearest = gaps.min(axis=-1, initial=np.inf,
-                       where=~np.eye(roots.shape[-1], dtype=bool))
-    free = nearest > NEWTON_GAP * np.hypot(rr, ri)
-    # A vanishing derivative gives a NaN step, which the damping test drops.
-    with np.errstate(all="ignore"):
-        for _ in range(4):
-            sr, si = _quotient(*_horner(cr, ci, rr, ri), *_horner(dr, di, rr, ri))
-            move = free & (np.hypot(sr, si) < 1e-2 * (1.0 + np.hypot(rr, ri)))
-            rr = rr - np.where(move, sr, 0.0)
-            ri = ri - np.where(move, si, 0.0)
-    out = np.empty(roots.shape, dtype=complex)
-    out.real, out.imag = rr, ri
-    return out
-
-
-def _horner(cr, ci, xr, xi):
-    """Real and imaginary parts of the polynomial with descending
-    coefficients cr + i ci (along the first axis) at xr + i xi, by Horner's
-    rule as CPython computes val * x + c."""
-    vr, vi = cr[0], ci[0]
-    for br, bi in zip(cr[1:], ci[1:]):
-        vr, vi = vr * xr - vi * xi + br, vr * xi + vi * xr + bi
-    return vr, vi
-
-
-def _quotient(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as CPython divides complex numbers:
-    Smith's (1962) formula, scaled by the larger of |br| and |bi|."""
-    by_re = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_re, bi / br, br / bi)
-    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
 def _near_real_axis(roots: np.ndarray) -> np.ndarray:
@@ -452,7 +369,7 @@ def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
     if p.n == 1:                    # the two directions are the whole sphere
         return best, value
     gaps = np.sum((dirs - best) ** 2, axis=1)
-    gaps[k] = np.inf
+    gaps[k] = 4.0           # no direction is farther than the antipode
     step = math.sqrt(gaps.min()) / ZOOM
     # Columns 2..n of the Householder reflection that maps e_1 to -+best
     # span the tangent plane at best.
@@ -636,8 +553,8 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
     Returns (upper, ok) of shapes (len(xi_abs), len(lam), m) and
     (len(xi_abs), len(lam)).  Where ok is False, tau_roots raises at that
     node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
-    poly_roots' companion matrices go to one stacked eigensolve, and
-    _stacked_newton_polish rounds as poly_roots' Python complex polish.
+    the coefficients are tau_polynomial's, and poly_roots' companion
+    matrices go to one stacked eigensolve.
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
     # Where A overflows, the coefficients and this test are not finite;
@@ -657,7 +574,7 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
         ok = (np.all(np.isfinite(coeffs), axis=-1) & (mags[..., -1] > 1e-14 * scale)
               & (coeffs[..., 0] != 0) & (rho != 0.0) & (lam >= 0)[None, :])
     c = coeffs[ok]
-    roots = _stacked_newton_polish(c, np.linalg.eigvals(_companion(c[:, ::-1])))
+    roots = np.linalg.eigvals(_companion(c[:, ::-1]))
     good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
     roots = roots[good]
     upper = np.full(ok.shape + (p.m,), np.nan, dtype=complex)

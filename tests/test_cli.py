@@ -140,6 +140,43 @@ def test_point_out_of_range_exit_2(cmd, point, message, e1_path, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--suite", "thm41", "--lambda0", "-1"], "--lambda0"),
+    (["verify", "--suite", "thm41", "--lambda0", "0"], "--lambda0"),
+    (["verify", "--suite", "thm41", "--lambda0", "inf"], "--lambda0"),
+    (["polygon", "--lambda0", "nan"], "--lambda0"),
+    (["verify", "--suite", "prop52", "--density", "0"], "--density"),
+    (["verify", "--suite", "prop52", "--density", "-1"], "--density"),
+    (["verify", "--suite", "thm41", "--grid-decades", "0"], "--grid-decades"),
+    (["verify", "--suite", "thm41", "--grid-decades", "-2"], "--grid-decades"),
+    (["ellipticity", "--grid-angular", "0"], "--grid-angular"),
+    (["ellipticity", "--grid-angular", "1.5"], "--grid-angular"),
+])
+def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
+    argv = argv[:1] + [e1_path] + argv[1:] + (
+        ["--out", str(tmp_path / "report")] if argv[0] == "verify" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: need " in captured.err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_ellipticity_tol_must_be_positive(tol, broken_path, capsys):
+    # At tol 0 or below, broken's sampled min |A_2mu| of 3.7e-33 passed.
+    assert run(["ellipticity", broken_path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --tol: need a finite number > 0" in captured.err
+
+
+def test_ellipticity_single_direction_grid(e1_path, capsys):
+    # One direction has no nearest neighbour to size the zoom patch by.
+    assert run(["ellipticity", e1_path, "--grid-angular", "1"]) == 0
+    assert "N-elliptic with parameter: True" in capsys.readouterr().out
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

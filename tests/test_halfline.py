@@ -347,22 +347,22 @@ def test_mesh_norms_match_solve_loop_order_three():
 
 def _confluent(c):
     """(|xi|^2 + lambda^2)(|xi|^2 + c lambda^2) in n = 2: a double root
-    at c = 1, a close pair near it."""
+    at c = 1, a close pair near it, e1 at c = 0."""
     return Pencil(n=2, m=2, mu=0, terms=(
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, 1.0 + c), Term((0, 2), 2, 1.0 + c), Term((0, 0), 0, c)))
 
 
-@pytest.mark.parametrize("c", [1.0, 1.0 + 1e-6])
+@pytest.mark.parametrize("c", [0.0, 1.0, 1.0 + 1e-6])
 def test_mesh_norms_confluent_closed_forms(c):
     # Upper roots i*alpha, i*beta with alpha^2 = |xi'|^2 + lambda^2 and
     # beta^2 = |xi'|^2 + c lambda^2, so w_1 = (beta e^{-alpha t} - alpha
     # e^{-beta t}) / (beta - alpha) and w_2 = i (e^{-alpha t} - e^{-beta t})
     # / (beta - alpha).  At c = 1, with kappa = alpha = beta:
     # ||w_1||^2 = 5/(4 kappa), ||D w_1||^2 = kappa/4, ||w_2||^2 =
-    # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The roots of a pair closer
-    # than NEWTON_GAP keep the mean the eigensolve gives them, so the norms
-    # hold to rounding.
+    # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The eigensolve keeps the
+    # mean of a close or double pair, so the norms hold to rounding; c = 0
+    # is e1, whose roots are far apart.
     p = _confluent(c)
     xi_abs, lam = np.geomspace(1e-2, 1e2, 7), np.geomspace(1.0, 1e3, 6)
     got = halfline.mesh_norms(p, xi_abs, lam, [1, 2], [0, 1]).values

@@ -20,6 +20,7 @@ from .errors import EllipticityError, OutOfRangeError, PencilFormatError
 
 REAL_AXIS_TOL = 1e-6
 CLUSTER_TOL = 1e-7
+AMBIGUITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -298,6 +299,10 @@ class GridSpec:
     tol: float = 1e-6
 
     def direction_count(self, n: int) -> int:
+        # From 4 directions in the plane on, _sphere_min's first patch reaches
+        # 54.7 degrees, past the midpoint to each neighbour.
+        if n == 2:
+            return max(self.directions, 4)
         if n == 3:
             return max(self.directions, 2000)
         return self.directions
@@ -610,8 +615,7 @@ class RootGrouping:
     ambiguous: bool
 
 
-def group_roots(p: Pencil, xi_prime, lam: float,
-                ambiguity_tol: float = 1e-9) -> RootGrouping:
+def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
     """Match upper roots to the bounded group and the O(lambda) group.
 
     Bounded targets are the mu upper zeros of A_2mu(xi', .); large targets
@@ -654,7 +658,7 @@ def group_roots(p: Pencil, xi_prime, lam: float,
         for i in range(p.m):
             d_b = cost[i, :p.mu].min()
             d_l = cost[i, p.mu:].min()
-            if abs(d_b - d_l) <= ambiguity_tol * (1.0 + abs(upper[i])):
+            if abs(d_b - d_l) <= AMBIGUITY_TOL * (1.0 + abs(upper[i])):
                 ambiguous = True
     return RootGrouping(
         upper_roots=tuple(upper), group_bounded=group_bounded,

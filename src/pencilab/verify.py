@@ -3,7 +3,8 @@
 Every sweep evaluates a left-hand and right-hand side on a deterministic
 grid, records the ratio, and reports the observed band together with the
 extremal witness points.  Constants are always reported, never assumed;
-verdicts compare the observed band against configurable limits.
+verdicts compare the observed band against fixed limits.  Callers set the
+lambda grid and the density; the |xi| ranges and limits are constants below.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
 SLOPE_TOL = 0.1
+# Each sweep records its |xi| range and limit in its config.
+POLYGON_BAND_LIMITS = (1e-3, 1e3)   # Xi_sum / Xi_product and binomial bands
+TRACE_XI_MAX = 1e2
+TRACE_BAND_WIDTH_LIMIT = 1e2        # hi / lo of each l's band
+NORM_XI_RANGE = (1e-2, 1e2)         # thm41 and halfspace
+NORM_RATIO_LIMIT = 1e3
+PROP52_XI_MAX = 1e3
 
 
 def _ratio(rec: dict | None) -> float:
@@ -137,8 +145,8 @@ def _add_records(rep: SweepReport, xi, lam, lhs, rhs, **fixed) -> None:
 # polygon / weight equivalences
 
 def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
-                              lambda0: float = 1.0, lam_max: float = 1e3,
-                              band_limits=(1e-3, 1e3)) -> SweepReport:
+                              lambda0: float = 1.0,
+                              lam_max: float = 1e3) -> SweepReport:
     """Sum-vs-product equivalence, binomial identity, and side scaling.
 
     Records carry the ratio Xi_sum / Xi_product on a log grid; the binomial
@@ -146,7 +154,8 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     """
     t0 = time.perf_counter()
     rep = SweepReport("polygon", {
-        "density": density, "lambda0": lambda0, "band_limits": list(band_limits),
+        "density": density, "lambda0": lambda0,
+        "band_limits": list(POLYGON_BAND_LIMITS),
         "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
 
     w = weights.from_polygon(np_, lambda0=lambda0)
@@ -205,25 +214,25 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
 
     lo, hi = rep.min_ratio, rep.max_ratio
     rep.extras["sum_product_band"] = [lo, hi]
-    if not (band_limits[0] <= lo and hi <= band_limits[1]):
-        rep.fail(f"sum/product band [{lo}, {hi}] outside limits {band_limits}")
-    if not (band_limits[0] <= bin_ratios.min() and bin_ratios.max() <= band_limits[1]):
+    lo_lim, hi_lim = POLYGON_BAND_LIMITS
+    if not (lo_lim <= lo and hi <= hi_lim):
+        rep.fail(f"sum/product band [{lo}, {hi}] outside limits {POLYGON_BAND_LIMITS}")
+    if not (lo_lim <= bin_ratios.min() and bin_ratios.max() <= hi_lim):
         rep.fail("binomial band outside limits")
     rep.runtime = time.perf_counter() - t0
     return rep
 
 
 def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
-                            xi_max: float = 1e2, lam_max: float = 1e3,
-                            band_width_limit: float = 1e2) -> SweepReport:
+                            lam_max: float = 1e3) -> SweepReport:
     """Band of sigma'_l over the shifted-weight prediction, per l."""
     t0 = time.perf_counter()
     rep = SweepReport("trace", {
-        "density": density, "l_list": list(l_list), "xi_max": xi_max,
+        "density": density, "l_list": list(l_list), "xi_max": TRACE_XI_MAX,
         "lam_max": lam_max, "lambda0": w.lambda0,
-        "band_width_limit": band_width_limit,
+        "band_width_limit": TRACE_BAND_WIDTH_LIMIT,
         "weight": w.to_json_dict()})
-    xi_grid = np.concatenate([[0.0], geom_grid(1e-1, xi_max, 7 * density)])
+    xi_grid = np.concatenate([[0.0], geom_grid(1e-1, TRACE_XI_MAX, 7 * density)])
     lam_grid = geom_grid(w.lambda0, lam_max, 7 * density)
     # Rows follow lambda, columns |xi'|, as in the records.
     lam_col = np.repeat(lam_grid, len(xi_grid))
@@ -239,8 +248,8 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
         _add_records(rep, xi_col, lam_col, lhs, rhs, l=l)
         lo, hi = float(ratios.min()), float(ratios.max())
         rep.extras[f"band_l{l}"] = [lo, hi]
-        if hi / lo > band_width_limit:
-            rep.fail(f"l={l}: band width {hi / lo} exceeds {band_width_limit}")
+        if hi / lo > TRACE_BAND_WIDTH_LIMIT:
+            rep.fail(f"l={l}: band width {hi / lo} exceeds {TRACE_BAND_WIDTH_LIMIT}")
     rep.extras["quad_err_max"] = quad_err
     rep.runtime = time.perf_counter() - t0
     return rep
@@ -294,21 +303,20 @@ def rhs_419(mu: int, j: int, l: int, lam: float) -> float:
     return lam ** (l - j + 0.5)
 
 
-def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
-                    xi_range=(1e-2, 1e2), lam_range=(1.0, 1e3),
-                    ratio_limit: float = 1e3) -> SweepReport:
+def sweep_theorem41(p: Pencil, density: int = 1,
+                    lam_range=(1.0, 1e3)) -> SweepReport:
     """Ratios of exact derivative norms to the four-case estimate table.
 
     Also sweeps the reduced estimate on the unit sphere and spot-checks the
     scaling identity for the solutions (extras)."""
     t0 = time.perf_counter()
-    j_list = list(j_list) if j_list else list(range(1, p.m + 1))
-    l_list = list(l_list) if l_list else list(range(0, p.m + 1))
+    j_list = list(range(1, p.m + 1))
+    l_list = list(range(0, p.m + 1))
     rep = SweepReport("thm41", {
         "density": density, "j_list": j_list, "l_list": l_list,
-        "xi_range": list(xi_range), "lam_range": list(lam_range),
-        "ratio_limit": ratio_limit})
-    xi_grid = geom_grid(*xi_range, 7 * density)
+        "xi_range": list(NORM_XI_RANGE), "lam_range": list(lam_range),
+        "ratio_limit": NORM_RATIO_LIMIT})
+    xi_grid = geom_grid(*NORM_XI_RANGE, 7 * density)
     lam_grid = geom_grid(*lam_range, 6 * density)
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
@@ -338,16 +346,15 @@ def sweep_theorem41(p: Pencil, density: int = 1, j_list=None, l_list=None,
     if homo_err > 1e-8:
         rep.fail(f"scaling identity violated: rel err {homo_err}")
 
-    if rep.max_ratio > ratio_limit:
-        rep.fail(f"max ratio {rep.max_ratio} exceeds {ratio_limit}")
+    if rep.max_ratio > NORM_RATIO_LIMIT:
+        rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
     rep.runtime = time.perf_counter() - t0
     return rep
 
 
-def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
-                            l_max: int | None = None,
-                            slope_tol: float = SLOPE_TOL) -> SweepReport:
-    """Root-grouping quality and split-solution growth exponents.
+def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
+    """Root-grouping quality and split-solution growth exponents at
+    xi' = e_1 on the unit sphere.
 
     (a) bounded-group residuals stay bounded as lambda grows, (b) the
     large-group correction decays with the expected Puiseux exponent, and
@@ -358,23 +365,17 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     close pair are accurate only in their mean.
     """
     t0 = time.perf_counter()
-    lambda_list = (np.array(lambda_list, dtype=float) if lambda_list is not None
-                   else geom_grid(1.0, 1e3, 10))
+    lambda_list = np.array(lambda_list, dtype=float)
     if len(lambda_list) < 4:
         raise PencilabError("need at least 4 lambda points for slope fits")
-    if xi_prime_list is None:
-        xi0 = np.zeros(p.n - 1)
-        xi0[0] = 1.0
-        xi_prime_list = [xi0]
-    l_max = p.m if l_max is None else l_max
+    xi_prime = np.zeros(p.n - 1)
+    xi_prime[0] = 1.0
     rep = SweepReport("asymptotics", {
         "lambda_list": [float(x) for x in lambda_list],
-        "xi_prime_list": [list(map(float, x)) for x in xi_prime_list],
-        "l_max": l_max, "slope_tol": slope_tol})
+        "xi_prime_list": [xi_prime.tolist()],
+        "l_max": p.m, "slope_tol": SLOPE_TOL})
 
-    xi_prime = np.asarray(xi_prime_list[0], dtype=float)
-    xa = float(np.linalg.norm(xi_prime))
-    eps, corr, bounded_res, groupings = [], [], [], []
+    corr, bounded_res, groupings = [], [], []
     for lam in lambda_list:
         g = group_roots(p, xi_prime, lam)
         groupings.append(g)
@@ -383,12 +384,11 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
         for center, members in cluster_roots(g.large_targets, halfline.MERGE_TOL):
             mean = sum(g.upper_roots[g.group_large[k]] for k in members) / len(members)
             large = max(large, abs(mean - center) / lam)
-        eps.append(xa / lam)
         corr.append(large)
         bounded_res.append(bounded)
-        rep.records.append({"xi_prime_abs": xa, "lambda": lam,
-                            "lhs": large, "rhs": xa / lam,
-                            "ratio": large / (xa / lam) if xa else float("nan")})
+        rep.records.append({"xi_prime_abs": 1.0, "lambda": lam,
+                            "lhs": large, "rhs": 1.0 / lam,
+                            "ratio": large / (1.0 / lam)})
     rep.extras["ambiguous_groupings"] = sum(g.ambiguous for g in groupings)
     rep.extras["bounded_residuals"] = [float(b) for b in bounded_res]
     if bounded_res and max(bounded_res) > 0 and bounded_res[-1] > bounded_res[0] + 1e-9:
@@ -400,29 +400,26 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
     # its correction says nothing about the Puiseux exponent.
     mask = (np.array(corr) > 1e-13) & ~np.array([g.ambiguous for g in groupings])
     if p.m > p.mu and np.count_nonzero(mask) >= 4:
-        slope = fit_loglog(np.array(eps)[mask], np.array(corr)[mask])
+        slope = fit_loglog(1.0 / lambda_list[mask], np.array(corr)[mask])
         rep.extras["puiseux_slope"] = slope
-        rep.extras["puiseux_floor"] = 1.0 / k1 - slope_tol
-        if slope < 1.0 / k1 - slope_tol:
+        rep.extras["puiseux_floor"] = 1.0 / k1 - SLOPE_TOL
+        if slope < 1.0 / k1 - SLOPE_TOL:
             rep.fail(f"Puiseux slope {slope} below 1/k1 - tol")
     else:
         rep.extras["puiseux_slope"] = None
 
-    # (c) split-solution growth on the unit sphere.  The tabulated exponents
-    # are asymptotic in lambda, so fit on the upper half of the range where
-    # the small-lambda transient has died out.  Each split part has its own
-    # expected slope, by (j, l).
+    # (c) split-solution growth on the unit sphere, from (a)'s groupings.
+    # The tabulated exponents are asymptotic in lambda, so fit on the upper
+    # half of the range where the small-lambda transient has died out.  Each
+    # split part has its own expected slope, by (j, l).
     rules = {"w1": lambda j, l: 0.0 if j <= p.mu else float(p.mu - j),
              "w2": lambda j, l: (l - p.mu - 0.5) if j <= p.mu else (l - j + 0.5)}
     norms = {part: {(j, l): [] for j in range(1, p.m + 1)
-                    for l in range(0, l_max + 1)} for part in rules}
-    omega = xi_prime / (xa or 1.0)
-    if not np.array_equal(omega, xi_prime):     # |xi'| = 1: reuse (a)'s groupings
-        groupings = [group_roots(p, omega, lam) for lam in lambda_list]
+                    for l in range(0, p.m + 1)} for part in rules}
     for g in groupings:
         for j, sol in enumerate(halfline.solve_from_roots(g.upper_roots), 1):
             for part, w in zip(rules, halfline.split_by_group(sol, g)):
-                for l in range(0, l_max + 1):
+                for l in range(0, p.m + 1):
                     norms[part][j, l].append(halfline.l2_norm_deriv(w, l))
     split_fits = {}
     tail = slice(len(lambda_list) // 2, None)
@@ -433,7 +430,7 @@ def sweep_group_asymptotics(p: Pencil, lambda_list=None, xi_prime_list=None,
             expected = rule(j, l)
             slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
             split_fits[f"{part}_j{j}_l{l}"] = {"slope": slope, "expected": expected}
-            if abs(slope - expected) > slope_tol:
+            if abs(slope - expected) > SLOPE_TOL:
                 rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
     rep.extras["split_fits"] = split_fits
     rep.runtime = time.perf_counter() - t0
@@ -450,8 +447,7 @@ def energy_weight_value(p: Pencil, xi_abs: float, lam: float) -> float:
 
 
 def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
-                        xi_max: float = 1e3, lam_max: float = 1e3,
-                        grid: GridSpec | None = None) -> SweepReport:
+                        lam_max: float = 1e3) -> SweepReport:
     """Empirical constant of the whole-space a priori estimate.
 
     C = max of W / (|A|^2 / W + lambda^(2m-2mu)) with the squared energy
@@ -459,13 +455,13 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     The verdict fails when the ellipticity preconditions fail.
     """
     t0 = time.perf_counter()
-    grid = grid or GridSpec(angular=90 * density, directions=48 * density)
+    grid = GridSpec(angular=90 * density, directions=48 * density)
     rep = SweepReport("prop52", {
-        "density": density, "lambda0": lambda0, "xi_max": xi_max,
+        "density": density, "lambda0": lambda0, "xi_max": PROP52_XI_MAX,
         "lam_max": lam_max, "angular": grid.angular,
         "directions": grid.directions})
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
-    xi_grid = np.concatenate([[0.0], geom_grid(1e-2, xi_max, 10 * density)])
+    xi_grid = np.concatenate([[0.0], geom_grid(1e-2, PROP52_XI_MAX, 10 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 8 * density)
 
     def ratios(table, xa, lam):     # blocks of the ratio by (column, direction)
@@ -492,7 +488,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     c_val, point = best[i], (xa_col[i], lam_col[i])
     if point[0] > 0.0:
         table = homogeneous_table(p, dirs[best_dir[i]][None])
-        lo, hi = np.array([1e-2, lambda0]), np.array([xi_max, lam_max])
+        lo, hi = np.array([1e-2, lambda0]), np.array([PROP52_XI_MAX, lam_max])
         step = np.log(hi / lo) / (np.array([10, 8]) * density - 1) / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
         while step.max() > 1e-15:
@@ -504,8 +500,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
             step /= ZOOM
     rep.extras["C_point"] = [float(point[0]), float(point[1])]
     rep.extras["C"] = float(c_val)
-    ell = check_lemma21(p, GridSpec(angular=grid.angular,
-                                    directions=grid.directions))
+    ell = check_lemma21(p, grid)
     rep.extras["elliptic"] = ell.n_elliptic
     if not ell.n_elliptic:
         rep.fail("pencil is not parameter elliptic; the constant is unbounded")
@@ -520,19 +515,18 @@ def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     return HomogeneousWeight(w.factors, lambda0=w.lambda0)
 
 
-def sweep_halfspace_ratio(p: Pencil, density: int = 1, j_list=None, l_list=None,
-                          xi_range=(1e-2, 1e2), lam_range=(1.0, 1e3),
-                          ratio_limit: float = 1e3) -> SweepReport:
+def sweep_halfspace_ratio(p: Pencil, density: int = 1,
+                          lam_range=(1.0, 1e3)) -> SweepReport:
     """Derivative norms against ratios of shifted homogeneous weights."""
     t0 = time.perf_counter()
-    j_list = list(j_list) if j_list else list(range(1, p.m + 1))
-    l_list = list(l_list) if l_list else list(range(0, p.m + 1))
+    j_list = list(range(1, p.m + 1))
+    l_list = list(range(0, p.m + 1))
     rep = SweepReport("halfspace", {
         "density": density, "j_list": j_list, "l_list": l_list,
-        "xi_range": list(xi_range), "lam_range": list(lam_range),
-        "ratio_limit": ratio_limit})
+        "xi_range": list(NORM_XI_RANGE), "lam_range": list(lam_range),
+        "ratio_limit": NORM_RATIO_LIMIT})
     phi = homogeneous_energy_weight(p)
-    xi_grid = geom_grid(*xi_range, 6 * density)
+    xi_grid = geom_grid(*NORM_XI_RANGE, 6 * density)
     lam_grid = geom_grid(*lam_range, 6 * density)
     mesh = np.ix_(xi_grid, lam_grid)
     shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), *mesh)
@@ -542,8 +536,8 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1, j_list=None, l_list=None,
         (j, l): num[j] / den[l] for j in j_list for l in l_list})
     rep.records.extend(records)
     rep.extras["root_clearance_min"] = clearance
-    if rep.max_ratio > ratio_limit:
-        rep.fail(f"max ratio {rep.max_ratio} exceeds {ratio_limit}")
+    if rep.max_ratio > NORM_RATIO_LIMIT:
+        rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
     rep.runtime = time.perf_counter() - t0
     return rep
 
@@ -557,13 +551,13 @@ SUITES = ("polygon", "trace", "thm41", "asymptotics", "prop52", "halfspace")
 def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
               decades: int = 3) -> SweepReport:
     """Dispatch one named suite for a pencil with default desk-scale grids."""
-    np_ = build_polygon(p.exponent_points())
     lam_max = lambda0 * 10.0 ** decades
     if name == "polygon":
+        np_ = build_polygon(p.exponent_points())
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,
                                          lam_max=lam_max)
     if name == "trace":
-        w = weights.from_polygon(np_, lambda0=lambda0)
+        w = weights.from_polygon(build_polygon(p.exponent_points()), lambda0=lambda0)
         l_list = [l for l in range(4) if 2 * l + 1 < 4 * w.total_exponent]
         return sweep_trace_equivalence(w, l_list, density=density,
                                        lam_max=lam_max)
@@ -584,8 +578,8 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
 
 def drift_between(r1: SweepReport, r2: SweepReport) -> float:
     """Relative change of the reported constant (prop52) or max ratio."""
-    c1 = r1.extras.get("C", r1.max_ratio)
-    c2 = r2.extras.get("C", r2.max_ratio)
+    c1 = r1.extras["C"] if "C" in r1.extras else r1.max_ratio
+    c2 = r2.extras["C"] if "C" in r2.extras else r2.max_ratio
     return abs(c2 - c1) / abs(c1) if c1 else 0.0
 
 

@@ -53,9 +53,13 @@ def test_ellipticity_command(e1_path, capsys):
 
 
 def test_ellipticity_broken(broken_path, capsys):
-    assert run(["ellipticity", broken_path, "--grid-angular", "90"]) == 1
-    out = capsys.readouterr().out
-    assert "condition (ii)" in out and "False" in out
+    # From 1 or 2 directions in the plane the first zoom patch would reach
+    # only 63 degrees from its node, short of the zero (0, 1) of xi_1^2 at
+    # 90 degrees, so GridSpec scans at least 4.
+    for angular in ("1", "2", "90"):
+        assert run(["ellipticity", broken_path, "--grid-angular", angular]) == 1
+        out = capsys.readouterr().out
+        assert "condition (ii)" in out and "N-elliptic with parameter: False" in out
 
 
 def test_degeneration_command(e1_path, capsys):
@@ -172,7 +176,8 @@ def test_ellipticity_tol_must_be_positive(tol, broken_path, capsys):
 
 
 def test_ellipticity_single_direction_grid(e1_path, capsys):
-    # One direction has no nearest neighbour to size the zoom patch by.
+    # In the plane a grid of 1 direction is scanned with 4, so the zoom
+    # patch is sized by the nearest of those.
     assert run(["ellipticity", e1_path, "--grid-angular", "1"]) == 0
     assert "N-elliptic with parameter: True" in capsys.readouterr().out
 

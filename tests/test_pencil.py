@@ -499,11 +499,14 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
     c_min = remark22_checks(p, grid)["c_min"]
     assert c_min == pytest.approx((vals.real / denom).min(), **close)
 
-    sweep = sweep_multiplier_rn(p, grid=grid)
+    # prop52 scans its own directions.
+    sweep = sweep_multiplier_rn(p)
+    dirs52 = sphere_directions(
+        p.n, GridSpec(angular=90, directions=48).direction_count(p.n))
     for k in records:
         rec = sweep.records[k]
         xa, lam = rec["xi_prime_abs"], rec["lambda"]
         wgt = energy_weight_value(p, xa, lam)
         best = max(wgt / (abs(eval_symbol(p, xa * w, lam)) ** 2 / wgt
-                          + lam ** (2 * p.m - 2 * p.mu)) for w in dirs)
+                          + lam ** (2 * p.m - 2 * p.mu)) for w in dirs52)
         assert rec["lhs"] == pytest.approx(best, **close)

@@ -106,14 +106,16 @@ def test_thm41_sweep_e1():
 
 
 def test_thm41_known_point_ratio():
-    rep = verify.sweep_theorem41(e1_pencil(), j_list=[2], l_list=[2],
-                                 xi_range=(1.0, 1.0), lam_range=(10.0, 10.0))
-    rec = rep.records[0]
+    rep = verify.sweep_theorem41(e1_pencil(), lam_range=(10.0, 10.0))
+    # geomspace(1e-2, 1e2, 7)[3] is exactly 1.0; all six lambdas are 10.
+    rec = next(r for r in rep.records
+               if r["xi_prime_abs"] == 1.0 and r["j"] == 2 and r["l"] == 2)
+    assert rec["lambda"] == 10.0
     assert rec["ratio"] == pytest.approx(2.4453 / np.sqrt(11.0), abs=1e-3)
 
 
 def test_asymptotics_sweep_e1():
-    rep = verify.sweep_group_asymptotics(e1_pencil())
+    rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.verdict == "pass"
     assert rep.extras["puiseux_slope"] >= rep.extras["puiseux_floor"]
     fits = rep.extras["split_fits"]
@@ -157,7 +159,7 @@ def test_asymptotics_correction_at_confluent_large_roots(b, c):
     p = Pencil(n=2, m=2, mu=0, terms=(
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, b), Term((0, 2), 2, b), Term((0, 0), 0, c)))
-    rep = verify.sweep_group_asymptotics(p)
+    rep = verify.run_suite("asymptotics", p)
     lam = np.array([r["lambda"] for r in rep.records])
     t = b / 2 + np.array([[-1.0], [1.0]]) * np.sqrt(max(b * b / 4 - c, 0.0))
     exact = np.mean(1 / (np.sqrt(1 + lam ** 2 * t) + lam * np.sqrt(t)), axis=0) / lam
@@ -182,10 +184,10 @@ def test_prop52_pass_and_fail():
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
 def test_prop52_polish_raises_grid_maximum_inside_box(pencil):
-    rep = verify.sweep_multiplier_rn(pencil(), xi_max=1e2, lam_max=1e2)
+    rep = verify.sweep_multiplier_rn(pencil(), lam_max=1e2)
     assert rep.extras["C"] >= rep.max_ratio
     xa, lam = rep.extras["C_point"]
-    assert 1e-2 <= xa <= 1e2 and 1.0 <= lam <= 1e2
+    assert 1e-2 <= xa <= 1e3 and 1.0 <= lam <= 1e2
 
 
 def test_prop52_agmon_order_bound():
@@ -294,21 +296,14 @@ def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
 
 
 def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
-    # At |xi'| = 1 the split loop reuses the residual loop's groupings.  At
-    # |xi'| = 2 it groups again at omega = xi'/|xi'|, the same unit vector,
-    # so both runs must give the same split fits.
+    # The split loop reuses the residual loop's groupings.
     seen = []
     def counting(*args):
         seen.append(args)
         return group_roots(*args)
     monkeypatch.setattr(verify, "group_roots", counting)
-    fits = {}
-    for xa, per_lambda in ((1.0, 1), (2.0, 2)):
-        seen.clear()
-        rep = verify.sweep_group_asymptotics(e1_pencil(), xi_prime_list=[np.array([xa])])
-        assert len(seen) == per_lambda * len(rep.config["lambda_list"])
-        fits[xa] = rep.extras["split_fits"]
-    assert fits[1.0] == fits[2.0]
+    rep = verify.run_suite("asymptotics", e1_pencil())
+    assert len(seen) == len(rep.config["lambda_list"])
 
 
 def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
@@ -320,9 +315,9 @@ def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
         if g.ambiguous:
             g = replace(g, group_bounded=g.group_large, group_large=g.group_bounded)
         return g
-    base = verify.sweep_group_asymptotics(e1_pencil())
+    base = verify.run_suite("asymptotics", e1_pencil())
     monkeypatch.setattr(verify, "group_roots", flipped)
-    rep = verify.sweep_group_asymptotics(e1_pencil())
+    rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.extras["ambiguous_groupings"] == 1
     assert rep.records[0]["lhs"] != base.records[0]["lhs"]
     assert rep.extras["puiseux_slope"] == base.extras["puiseux_slope"]

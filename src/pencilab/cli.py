@@ -4,9 +4,9 @@ Subcommands analyze a pencil given as a JSON file (see the pencil module
 for the schema) and the `verify` subcommand runs the certification sweeps,
 writing one CSV per suite plus a JSON summary.  Each subcommand takes only
 the options its handler reads (see SUBCOMMANDS).  Exit codes: 0 on success,
-1 when a verification verdict is "fail" or, under --check-refinement,
-"unstable", 2 on usage errors (an option the subcommand does not take among
-them) and on input, configuration or numerical errors.
+1 when a verification verdict is "fail", "indeterminate" or, under
+--check-refinement, "unstable", 2 on usage errors (an option the subcommand
+does not take among them) and on input, configuration or numerical errors.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
               f"{s['max_ratio']:.6g}]  records={s['records']}")
         for reason in rep.reasons:
             print(f"    {reason}")
-        if rep.verdict in ("fail", "unstable"):
+        if rep.verdict != "pass":
             worst = 1
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=str)

@@ -308,22 +308,37 @@ class GridSpec:
         return self.directions
 
 
-# Complex values per block of a slice scan (720 directions x 11 columns):
-# the temporaries stay near half a megabyte whatever the grid size.
+# Values per block of a slice scan (720 directions x 11 columns), float64 or
+# complex128 as the pencil's table: the temporaries stay near half a
+# megabyte whatever the grid size.
 SLICE_BLOCK_ENTRIES = 8192
 # Points per half side of the patches that refine a sphere minimum.
 ZOOM = 5
 
 
-def homogeneous_table(p: Pencil, dirs: np.ndarray) -> np.ndarray:
-    """(directions x (2m+1)) table of the homogeneous parts A_j(omega)."""
-    table = np.zeros((len(dirs), 2 * p.m + 1), dtype=complex)
+def homogeneous_part(p: Pencil, j: int, dirs: np.ndarray) -> np.ndarray:
+    """A_j(omega) at each row omega of dirs.
+
+    float64 when every coefficient of p is real, complex128 otherwise.  The
+    values are the same either way: numpy's product of c + 0i and x has
+    real part c x exactly and imaginary part 0, and |x + 0i| = |x|.
+    """
+    real = all(t.coeff.imag == 0 for t in p.terms)
+    out = np.zeros(len(dirs), dtype=float if real else complex)
     for t in p.terms:
-        mono = np.ones(len(dirs))
-        for i, a in enumerate(t.alpha):
-            mono = mono * dirs[:, i] ** a
-        table[:, t.j] += t.coeff * mono
-    return table
+        if t.j == j:
+            mono = np.ones(len(dirs))
+            for i, a in enumerate(t.alpha):
+                mono = mono * dirs[:, i] ** a
+            out += (t.coeff.real if real else t.coeff) * mono
+    return out
+
+
+def homogeneous_table(p: Pencil, dirs: np.ndarray) -> np.ndarray:
+    """(directions x (2m+1)) table of the homogeneous parts A_j(omega), in
+    homogeneous_part's dtype."""
+    return np.stack([homogeneous_part(p, j, dirs) for j in range(2 * p.m + 1)],
+                    axis=1)
 
 
 def symbol_blocks(table: np.ndarray, rho, lam):
@@ -331,9 +346,14 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     c = cols.start + k, over consecutive slices `cols` of the columns.
 
     Homogeneity gives A(rho omega, lambda) = sum_j rho^j lambda^(2m-j)
-    A_j(omega), with A_j(omega) read from `table` (see homogeneous_table).
-    The sum over j is elementwise in a fixed order and uses no matrix
-    product, so the values do not depend on the BLAS build or its threads.
+    A_j(omega), with A_j(omega) read from `table` (see homogeneous_table);
+    blocks take the table's dtype.  The sum over j is elementwise in a fixed
+    order and uses no matrix product, so the values do not depend on the
+    BLAS build or its threads.  A scan that needs one extreme per column can
+    take it from the block before it normalises: dividing by a positive
+    number and rounding is monotone, so min_d fl(a_d / c) = fl(min_d a_d / c)
+    bit for bit, and each column takes one division instead of one per
+    direction.
     """
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     top = table.shape[1] - 1
@@ -343,7 +363,7 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     for start in range(0, len(rho), step):
         cols = slice(start, start + step)
         r, l = rho[cols, None], lam[cols, None]
-        block = np.zeros((len(r), len(table)), dtype=complex)
+        block = np.zeros((len(r), len(table)), dtype=table.dtype)
         for j, a_j in parts:
             block += (r ** j * l ** (top - j)) * a_j
         yield cols, block
@@ -387,7 +407,7 @@ def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
     while step > 1e-15:
         pts = best + step * offsets
         pts /= np.sqrt(np.sum(pts * pts, axis=1))[:, None]
-        patch_vals = np.abs(homogeneous_table(p, pts)[:, j])
+        patch_vals = np.abs(homogeneous_part(p, j, pts))
         i = int(np.argmin(patch_vals))
         if patch_vals[i] < value:
             best, value = pts[i], float(patch_vals[i])
@@ -433,6 +453,13 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     empirical lower-bound constant C_est (the symbol is homogeneous of
     degree 2m, so this slice determines the constant).  witness_iii is the
     first minimising node in (angle, direction) order.
+
+    Each angle divides only its least |A| by the normaliser (see
+    symbol_blocks), which gives the same min_ratio bit for bit.  The least
+    ratio's first angle is the first minimising node's angle, and its
+    direction is found by dividing that angle's row again: two values of
+    |A| can round to the same ratio, so the first minimising direction need
+    not be the first least |A|.
     """
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     tol = grid.tol * p.coeff_scale
@@ -442,16 +469,18 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
     min_abs = min_ratio = np.inf
-    node = (0, 0)
+    k, d, row = 0, 0, None
     for cols, block in symbol_blocks(table, rho, lam):
         a = np.abs(block)
-        min_abs = min(min_abs, float(a.min()))
-        ratio = _normalised(a, denom[cols, None])
-        k, d = np.unravel_index(np.argmin(ratio), ratio.shape)
-        if ratio[k, d] < min_ratio:
-            min_ratio, node = float(ratio[k, d]), (cols.start + k, d)
+        lowest = a.min(axis=1)
+        min_abs = min(min_abs, float(lowest.min()))
+        ratio = _normalised(lowest, denom[cols])
+        i = int(np.argmin(ratio))
+        if ratio[i] < min_ratio:
+            min_ratio, k, row = float(ratio[i]), cols.start + i, a[i]
+    if row is not None:
+        d = int(np.argmin(row / denom[k]))
 
-    k, d = node
     cond_i = bool(min_a2m > tol)
     cond_ii = bool(min_a2mu > tol)
     cond_iii = bool(min_ratio > tol)
@@ -516,7 +545,8 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     rho, lam, denom = _slice_nodes(p, grid.angular)
     c_min = np.inf
     for cols, block in symbol_blocks(table, rho, lam):
-        c_min = min(c_min, float(_normalised(block.real, denom[cols, None]).min()))
+        lowest = block.real.min(axis=1)
+        c_min = min(c_min, float(_normalised(lowest, denom[cols]).min()))
     return {"even_order": even_order,
             "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale),
             "c_min": c_min}

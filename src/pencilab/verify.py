@@ -82,6 +82,12 @@ class SweepReport:
         self.verdict = "fail"
         self.reasons.append(reason)
 
+    def indeterminate(self, reason: str):
+        """A check the grid cannot decide; a failure elsewhere still fails."""
+        if self.verdict == "pass":
+            self.verdict = "indeterminate"
+        self.reasons.append(reason)
+
     def summary(self) -> dict:
         lo, hi = self._witnesses()
         return {
@@ -359,6 +365,9 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
     (a) bounded-group residuals stay bounded as lambda grows, (b) the
     large-group correction decays with the expected Puiseux exponent, and
     (c) the split-solution norms grow with the tabulated powers of lambda.
+    (b) and (c) fit slopes that hold only asymptotically: over fewer than
+    two decades of lambda they are reported but not judged, and the
+    verdict is "indeterminate" unless (a) fails.
     The correction compares cluster means: large targets closer than
     halfline.MERGE_TOL form a cluster, and the mean of the roots matched to
     it is set against its mean.  The roots of a split double root or a
@@ -395,6 +404,14 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
         if bounded_res[-1] > 10 * max(bounded_res[0], 1e-12):
             rep.fail("bounded-group residuals grow with lambda")
 
+    # One decade of lambda is not yet asymptotic: on e1 the split-norm
+    # slopes read -0.17 and -1.15 where 0 and -1 are expected.
+    lo, hi = lambda_list.min(), lambda_list.max()
+    judge_slopes = hi >= 100.0 * lo
+    if not judge_slopes:
+        rep.indeterminate(f"lambda spans {math.log10(hi / lo):.3g} decades; the "
+                          "slope checks need at least 2")
+
     k1 = groupings[-1].k1
     # An ambiguous grouping is decided by the matching's tie rule alone, so
     # its correction says nothing about the Puiseux exponent.
@@ -403,7 +420,7 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
         slope = fit_loglog(1.0 / lambda_list[mask], np.array(corr)[mask])
         rep.extras["puiseux_slope"] = slope
         rep.extras["puiseux_floor"] = 1.0 / k1 - SLOPE_TOL
-        if slope < 1.0 / k1 - SLOPE_TOL:
+        if judge_slopes and slope < 1.0 / k1 - SLOPE_TOL:
             rep.fail(f"Puiseux slope {slope} below 1/k1 - tol")
     else:
         rep.extras["puiseux_slope"] = None
@@ -430,7 +447,7 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
             expected = rule(j, l)
             slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
             split_fits[f"{part}_j{j}_l{l}"] = {"slope": slope, "expected": expected}
-            if abs(slope - expected) > SLOPE_TOL:
+            if judge_slopes and abs(slope - expected) > SLOPE_TOL:
                 rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
     rep.extras["split_fits"] = split_fits
     rep.runtime = time.perf_counter() - t0
@@ -464,36 +481,43 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     xi_grid = np.concatenate([[0.0], geom_grid(1e-2, PROP52_XI_MAX, 10 * density)])
     lam_grid = geom_grid(lambda0, lam_max, 8 * density)
 
-    def ratios(table, xa, lam):     # blocks of the ratio by (column, direction)
-        wgt = energy_weight_value(p, xa, lam)[:, None]
-        lam_pow = lam[:, None] ** (2 * p.m - 2 * p.mu)
+    def ratio(a, xa, lam):          # W / (|A|^2 / W + lambda^(2m-2mu))
+        wgt = energy_weight_value(p, xa, lam)
+        return wgt / (a ** 2 / wgt + lam ** (2 * p.m - 2 * p.mu))
+
+    def column_max(table, xa, lam):
+        """Largest ratio over the table's directions, per (|xi|, lambda)
+        column.  Each rounded step of the ratio is monotone in |A|, so it is
+        the ratio at the column's least |A|, bit for bit."""
+        least = np.empty(len(xa))
         for cols, block in symbol_blocks(table, xa, lam):
-            yield cols, wgt[cols] / (np.abs(block) ** 2 / wgt[cols] + lam_pow[cols])
+            least[cols] = np.abs(block).min(axis=1)
+        return ratio(least, xa, lam)
 
     # One column per (lambda, |xi|) record: the maximum over the directions.
     lam_col = np.repeat(lam_grid, len(xi_grid))
     xa_col = np.tile(xi_grid, len(lam_grid))
-    best = np.empty(len(xa_col))
-    best_dir = np.empty(len(xa_col), dtype=int)
-    for cols, vals in ratios(homogeneous_table(p, dirs), xa_col, lam_col):
-        best_dir[cols] = np.argmax(vals, axis=1)
-        best[cols] = vals.max(axis=1)
+    table = homogeneous_table(p, dirs)
+    best = column_max(table, xa_col, lam_col)
 
     _add_records(rep, xa_col, lam_col, best, np.ones_like(best))
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak: a pattern search in
     # (log|xi|, log lambda) on its direction, zooming as pencil._sphere_min does.
+    # The direction is the first that attains the maximum in its column.
     i = int(np.argmax(best))
     c_val, point = best[i], (xa_col[i], lam_col[i])
     if point[0] > 0.0:
-        table = homogeneous_table(p, dirs[best_dir[i]][None])
+        xa, lam = xa_col[i:i + 1], lam_col[i:i + 1]
+        _, block = next(symbol_blocks(table, xa, lam))
+        table = table[int(np.argmax(ratio(np.abs(block[0]), xa, lam)))][None]
         lo, hi = np.array([1e-2, lambda0]), np.array([PROP52_XI_MAX, lam_max])
         step = np.log(hi / lo) / (np.array([10, 8]) * density - 1) / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
         while step.max() > 1e-15:
             xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
-            vals = np.concatenate([v[:, 0] for _, v in ratios(table, xa, lam)])
+            vals = column_max(table, xa, lam)
             k = int(np.argmax(vals))
             if vals[k] > c_val:
                 c_val, point = vals[k], (xa[k], lam[k])

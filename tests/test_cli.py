@@ -252,6 +252,16 @@ def test_unstable_verdict_exit_1(e1_path, tmp_path, monkeypatch, capsys):
     assert run(["verify", e1_path, "--suite", "polygon", "--out", str(out)]) == 0
 
 
+def test_short_asymptotics_grid_exits_1_indeterminate(e1_path, tmp_path, capsys):
+    out = tmp_path / "rep"
+    argv = ["verify", e1_path, "--suite", "asymptotics", "--out", str(out)]
+    assert run(argv + ["--grid-decades", "1"]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["asymptotics"]["verdict"] == "indeterminate"
+    assert "lambda spans 1 decades" in capsys.readouterr().out
+    assert run(argv + ["--grid-decades", "2"]) == 0
+
+
 def test_help_documents_defaults(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out

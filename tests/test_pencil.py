@@ -14,7 +14,7 @@ from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import EllipticityError, OutOfRangeError, PencilFormatError
 from pencilab.halfline import MERGE_TOL
-from pencilab.pencil import (CLUSTER_TOL, GridSpec, Pencil, Term,
+from pencilab.pencil import (CLUSTER_TOL, ZOOM, GridSpec, Pencil, Term,
                              check_lemma21, check_regular_degeneration,
                              cluster_roots, eval_symbol, group_roots,
                              pencil_from_dict, pencil_to_dict, poly_roots,
@@ -444,10 +444,10 @@ def test_c_est_bound_holds_on_fresh_samples():
 # vectorised slice scans against a scalar eval_symbol loop
 
 @st.composite
-def _odd_order_pencils(draw):
+def _odd_order_pencils(draw, real=False):
     """sum_i c_i xi_i^2m + lambda^(2m-2mu) sum_i d_i xi_i^2mu, which keeps
-    |A| and Re A away from zero on the slice, plus small complex terms of
-    odd orders between 2mu and 2m."""
+    |A| and Re A away from zero on the slice, plus small complex terms (real
+    ones if `real`) of odd orders between 2mu and 2m."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     mu = draw(st.integers(0, m - 1))
@@ -459,7 +459,8 @@ def _odd_order_pencils(draw):
         cuts = sorted(draw(st.lists(st.integers(0, j), min_size=n - 1,
                                     max_size=n - 1)))
         alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [j]))
-        coeff = complex(draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01)))
+        coeff = complex(draw(st.floats(-0.01, 0.01)),
+                        0.0 if real else draw(st.floats(-0.01, 0.01)))
         terms.append(Term(alpha, j, coeff))
     return Pencil(n=n, m=m, mu=mu, terms=tuple(terms))
 
@@ -510,3 +511,126 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
         best = max(wgt / (abs(eval_symbol(p, xa * w, lam)) ** 2 / wgt
                           + lam ** (2 * p.m - 2 * p.mu)) for w in dirs52)
         assert rec["lhs"] == pytest.approx(best, **close)
+
+
+# ---------------------------------------------------------------------------
+# slice scans in the pencil's dtype, reduced per row, against full matrices
+
+def _complex_part(p, j, dirs):
+    """A_j(omega) in complex128 whatever the coefficients."""
+    out = np.zeros(len(dirs), dtype=complex)
+    for t in p.terms:
+        if t.j == j:
+            mono = np.ones(len(dirs))
+            for i, a in enumerate(t.alpha):
+                mono = mono * dirs[:, i] ** a
+            out += t.coeff * mono
+    return out
+
+
+def _full_symbol(p, dirs, rho, lam):
+    """A(rho[c] omega_d, lam[c]) as one complex (column, direction) matrix."""
+    top = 2 * p.m
+    out = np.zeros((len(rho), len(dirs)), dtype=complex)
+    for j in range(top + 1):
+        a_j = _complex_part(p, j, dirs)
+        if np.any(a_j):
+            out += (rho[:, None] ** j * lam[:, None] ** (top - j)) * a_j
+    return out
+
+
+def _reference_prop52(p):
+    """sweep_multiplier_rn's records, C and C_point at density 1, from the
+    full ratio matrix and its argmax."""
+    dirs = sphere_directions(p.n, GridSpec(angular=90, directions=48).direction_count(p.n))
+    xi = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 10)])
+    lam_grid = np.geomspace(1.0, 1e3, 8)
+    lam_col, xa_col = np.repeat(lam_grid, len(xi)), np.tile(xi, len(lam_grid))
+
+    def ratios(dirs, xa, lam):
+        wgt = energy_weight_value(p, xa, lam)[:, None]
+        a = np.abs(_full_symbol(p, dirs, xa, lam))
+        return wgt / (a ** 2 / wgt + lam[:, None] ** (2 * p.m - 2 * p.mu))
+
+    full = ratios(dirs, xa_col, lam_col)
+    best = full.max(axis=1)
+    i = int(np.argmax(best))
+    c_val, point = best[i], (xa_col[i], lam_col[i])
+    if point[0] > 0.0:
+        peak = dirs[np.argmax(full[i])][None]
+        lo, hi = np.array([1e-2, 1.0]), np.array([1e3, 1e3])
+        step = np.log(hi / lo) / (np.array([10, 8]) - 1) / ZOOM
+        stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
+        while step.max() > 1e-15:
+            xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
+            vals = ratios(peak, xa, lam)[:, 0]
+            k = int(np.argmax(vals))
+            if vals[k] > c_val:
+                c_val, point = vals[k], (xa[k], lam[k])
+            step /= ZOOM
+    return best, float(c_val), [float(point[0]), float(point[1])]
+
+
+def _same(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _assert_slice_scans_bit_identical(p, grid, prop52=True):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil_mod, "homogeneous_part", _complex_part)
+        ref = check_lemma21(p, grid)     # complex tables throughout
+    rep = check_lemma21(p, grid)
+    # (i), (ii): the sphere minima and their zooms.
+    assert _same(rep.witness_i, ref.witness_i) and _same(rep.witness_ii, ref.witness_ii)
+    assert (rep.min_a2m, rep.min_a2mu) == (ref.min_a2m, ref.min_a2mu)
+
+    # (iii): the first minimising node of the full ratio matrix.
+    dirs = sphere_directions(p.n, grid.direction_count(p.n))
+    theta = (np.arange(grid.angular) + 0.5) / grid.angular * (np.pi / 2.0)
+    rho, lam = np.cos(theta), np.sin(theta)
+    denom = _normaliser(p, rho, lam)[:, None]
+    vals = _full_symbol(p, dirs, rho, lam)
+    ratio = np.full(vals.shape, np.inf)
+    np.divide(np.abs(vals), denom, out=ratio, where=denom > 1e-300)
+    k, d = np.unravel_index(np.argmin(ratio), ratio.shape)
+    assert rep.min_abs == np.abs(vals).min()
+    assert rep.min_ratio == ratio[k, d]
+    assert rep.C_est == (ratio[k, d] if ref.n_elliptic else 0.0)
+    assert _same(rep.witness_iii[0], rho[k] * dirs[d])
+    assert rep.witness_iii[1] == lam[k]
+
+    real = np.full(vals.shape, np.inf)
+    np.divide(vals.real, denom, out=real, where=denom > 1e-300)
+    assert _same(remark22_checks(p, grid)["c_min"], real.min())
+
+    if prop52:
+        sweep = sweep_multiplier_rn(p)
+        best, c_val, c_point = _reference_prop52(p)
+        assert _same([r["lhs"] for r in sweep.records], best)
+        assert _same([r["ratio"] for r in sweep.records], best)
+        assert _same(sweep.extras["C"], c_val)
+        assert _same(sweep.extras["C_point"], c_point)
+
+
+E1_N3 = Pencil(n=3, m=2, mu=1, terms=tuple(
+    Term(alpha, sum(alpha), complex(c)) for alpha, c in (
+        ((4, 0, 0), 1.0), ((0, 4, 0), 1.0), ((0, 0, 4), 1.0), ((2, 2, 0), 2.0),
+        ((2, 0, 2), 2.0), ((0, 2, 2), 2.0), ((2, 0, 0), 1.0), ((0, 2, 0), 1.0),
+        ((0, 0, 2), 1.0))))
+
+
+@pytest.mark.parametrize("p, grid", [
+    # e1 is rotation invariant, so ratios tie up to rounding across directions.
+    (e1_pencil(), GridSpec(angular=720, directions=720)),
+    (broken_pencil(), GridSpec(angular=7, directions=30)),
+    (agmon_pencil(), GridSpec(angular=7, directions=30)),
+    (E1_N3, GridSpec(angular=3, directions=30))])
+def test_slice_scans_bit_identical_to_full_ratio(p, grid):
+    _assert_slice_scans_bit_identical(p, grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(_odd_order_pencils(), _odd_order_pencils(real=True)),
+       st.integers(1, 9), st.integers(3, 40))
+def test_slice_scans_bit_identical_on_odd_order_pencils(p, angular, directions):
+    _assert_slice_scans_bit_identical(p, GridSpec(angular=angular, directions=directions))

@@ -170,6 +170,25 @@ def test_asymptotics_correction_at_confluent_large_roots(b, c):
     assert abs(rep.extras["puiseux_slope"] - verify.fit_loglog(1 / lam, exact)) < 1e-6
 
 
+def test_asymptotics_short_lambda_range_is_indeterminate():
+    # Over one decade e1's split-norm slopes are not yet asymptotic (-0.17
+    # against 0, -1.15 against -1), so the slope checks cannot decide.
+    short = verify.run_suite("asymptotics", e1_pencil(), decades=1)
+    assert short.verdict == "indeterminate"
+    assert short.reasons == ["lambda spans 1 decades; the slope checks need at least 2"]
+    assert short.extras["split_fits"]      # reported, not judged
+    assert verify.run_suite("asymptotics", e1_pencil(), decades=2).verdict == "pass"
+
+
+def test_asymptotics_short_lambda_range_still_fails_growing_residuals(monkeypatch):
+    def growing(p, xi_prime, lam):
+        return replace(group_roots(p, xi_prime, lam), residual_bounded=(lam ** 2,))
+    monkeypatch.setattr(verify, "group_roots", growing)
+    rep = verify.run_suite("asymptotics", e1_pencil(), decades=1)
+    assert rep.verdict == "fail"
+    assert rep.reasons[0] == "bounded-group residuals grow with lambda"
+
+
 def test_asymptotics_needs_four_points():
     with pytest.raises(Exception):
         verify.sweep_group_asymptotics(e1_pencil(), lambda_list=[1.0, 10.0])

@@ -39,7 +39,7 @@ print("\ntrace weight vs shifted-weight prediction (l = 1):")
 from fractions import Fraction
 sw = shift(w, Fraction(3, 2))
 for lam in (1.0, 10.0, 100.0):
-    got = trace_weight_quadrature(w, 1, 5.0, lam)
+    got, _ = trace_weight_quadrature(w, 1, 5.0, lam)
     pred = xi_product_eval(sw, 5.0, lam)
     print(f"  lambda = {lam:6.1f}: sigma' = {got:10.4f}, "
           f"prediction = {pred:10.4f}, ratio = {got / pred:.3f}")

@@ -30,6 +30,7 @@ import numpy as np
 from .pencil import Pencil, cluster_roots, mesh_upper_roots, tau_roots
 
 MERGE_TOL = 1e-4
+CONTOUR_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -227,19 +228,19 @@ def l2_norm_deriv(sol: ExpPolySolution, l: int) -> float:
     return math.sqrt(max(total.real, 0.0))
 
 
-def contour_eval(sol: ExpPolySolution, l: int, t: float,
-                 nodes: int = 256) -> complex:
+def contour_eval(sol: ExpPolySolution, l: int, t: float) -> complex:
     """Independent contour-quadrature evaluation of D_t^l w_j(t).
 
-    Trapezoid rule on a union of circles, one per root cluster; small
-    circles keep |e^{izt}| moderate on the contour, which preserves
-    relative accuracy.  Serves as an oracle for the residue construction.
+    Trapezoid rule with CONTOUR_NODES points on each of a union of circles,
+    one per root cluster; small circles keep |e^{izt}| moderate on the
+    contour, which preserves relative accuracy.  Serves as an oracle for
+    the residue construction.
     """
     a = vieta(sol.roots)
     mj_desc = mj(a, sol.j)
     clusters = cluster_roots(sol.roots)
     centers = np.array([c for c, _ in clusters])
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
     out = 0j
     for i, center in enumerate(centers):
         others = np.delete(centers, i)
@@ -250,7 +251,7 @@ def contour_eval(sol: ExpPolySolution, l: int, t: float,
         dz = 1j * radius * np.exp(1j * theta)
         vals = (z ** l * np.polyval(mj_desc, z) * np.exp(1j * t * z)
                 / np.polyval(a, z))
-        out += np.sum(vals * dz) / (1j * nodes)
+        out += np.sum(vals * dz) / (1j * CONTOUR_NODES)
     return complex(out)
 
 
@@ -323,9 +324,11 @@ def gramian_norms(upper, j_list, l_list) -> np.ndarray:
 def mesh_norms(p: Pencil, xi_abs, lam, j_list, l_list) -> MeshNorms:
     """||D^l w_j|| at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam.
 
-    The upper roots are those of tau_roots bit for bit.  At nodes that
-    mesh_upper_roots rejects, tau_roots runs in (|xi'|, lambda) order, so
-    an error names the same node as a loop over the mesh would.
+    The upper roots are those of tau_roots bit for bit: mesh_upper_roots
+    builds each node's coefficients with tau_polynomial and solves the
+    stack in one eigvals call.  At nodes that it rejects, tau_roots runs in
+    (|xi'|, lambda) order, so an error names the same node as a loop over
+    the mesh would.
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
     upper, ok = mesh_upper_roots(p, xi_abs, lam)

@@ -8,6 +8,7 @@ the normal frequency.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -108,6 +109,19 @@ def eval_symbol(p: Pencil, xi, lam: float) -> complex:
     return out
 
 
+def _tau_terms(terms, degree: int, xs: list[float], lam: float) -> list[complex]:
+    """Ascending tau-coefficients of sum coeff xi'^alpha' tau^alpha_n
+    lambda^(degree - j) over `terms`, with xi' the Python floats xs: the one
+    loop that builds tau-polynomials.  A power that overflows raises."""
+    coeffs = [0j] * (degree + 1)
+    for t in terms:
+        mono = 1.0
+        for x, a in zip(xs, t.alpha[:-1]):
+            mono *= x ** a
+        coeffs[t.alpha[-1]] += t.coeff * mono * lam ** (degree - t.j)
+    return coeffs
+
+
 def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     """Coefficients (ascending) of tau -> A(xi', tau, lambda), degree 2m.
 
@@ -119,27 +133,26 @@ def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     xi_prime = np.asarray(xi_prime, dtype=float)
     if xi_prime.shape != (p.n - 1,):
         raise ValueError(f"xi' has shape {xi_prime.shape}, expected ({p.n - 1},)")
-    xs, lam = xi_prime.tolist(), float(lam)
+    return np.array(_tau_coefficients(p, xi_prime.tolist(), float(lam)), dtype=complex)
+
+
+def _tau_coefficients(p: Pencil, xs: list[float], lam: float) -> list[complex]:
+    """tau_polynomial at xi' = xs, as a list: the form a mesh node takes."""
     if not (all(map(math.isfinite, xs)) and math.isfinite(lam) and lam >= 0):
         raise OutOfRangeError(f"need finite xi' and finite lambda >= 0, "
-                              f"got xi'={xi_prime}, lambda={lam}")
-    coeffs = [0j] * (2 * p.m + 1)
+                              f"got xi'={np.array(xs)}, lambda={lam}")
     try:
-        for t in p.terms:
-            mono = 1.0
-            for x, a in zip(xs, t.alpha[:-1]):
-                mono *= x ** a
-            coeffs[t.alpha[-1]] += t.coeff * mono * lam ** (2 * p.m - t.j)
+        coeffs = _tau_terms(p.terms, 2 * p.m, xs, lam)
         mags = [abs(c) for c in coeffs]
     except OverflowError:
         mags = [math.inf]
     if not all(map(math.isfinite, mags)):
-        raise OutOfRangeError(f"A(xi', tau, lambda) overflows at xi'={xi_prime}, "
+        raise OutOfRangeError(f"A(xi', tau, lambda) overflows at xi'={np.array(xs)}, "
                               f"lambda={lam}")
     # A is jointly homogeneous of degree 2m, so with rho = |xi'| + lambda the
     # |c_k| rho^(k-2m) are the coefficients of A(xi'/rho, ., lambda/rho): the
-    # test compares numbers of one scale.  mesh_upper_roots repeats it.
-    inv = 1.0 / float(np.linalg.norm(xi_prime) + lam or 1.0)
+    # test compares numbers of one scale.
+    inv = 1.0 / (math.hypot(*xs) + lam or 1.0)
     *lower, lead = mags
     weight, scale = 1.0, 0.0
     for c in reversed(lower):
@@ -148,52 +161,6 @@ def tau_polynomial(p: Pencil, xi_prime, lam: float) -> np.ndarray:
     if lead <= 1e-14 * scale:
         raise EllipticityError(
             "leading tau coefficient vanishes: A_2m is not elliptic in xi_n")
-    return np.array(coeffs, dtype=complex)
-
-
-def tau_coefficient_table(p: Pencil, xi_abs, lam) -> np.ndarray:
-    """tau_polynomial at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam.
-
-    Returns shape (len(xi_abs), len(lam), 2m+1), equal to tau_polynomial
-    at each node bit for bit: every power is one scalar `**` on a grid
-    value (numpy's array powers can round differently), and each term is
-    multiplied and summed in tau_polynomial's order, with its complex-by-
-    real products written out as CPython rounds them.  The leading-
-    coefficient check is left to the caller.
-    """
-    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
-    re = np.zeros((len(xi_abs), len(lam), 2 * p.m + 1))
-    im = np.zeros_like(re)
-    xi_prime = np.zeros(p.n - 1)
-    for t in p.terms:
-        mono = np.empty(len(xi_abs))
-        for a, xa in enumerate(xi_abs):
-            xi_prime[0] = xa
-            mono[a] = 1.0
-            for x, e in zip(xi_prime, t.alpha[:-1]):
-                mono[a] *= x ** e
-        lam_pow = np.array([y ** (2 * p.m - t.j) for y in lam])
-        # (coeff * mono) * lam_pow, each factor a complex with imaginary part 0.0
-        cr = t.coeff.real * mono - t.coeff.imag * 0.0
-        ci = t.coeff.real * 0.0 + t.coeff.imag * mono
-        re[:, :, t.alpha[-1]] += cr[:, None] * lam_pow - ci[:, None] * 0.0
-        im[:, :, t.alpha[-1]] += cr[:, None] * 0.0 + ci[:, None] * lam_pow
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def a2mu_tau_polynomial(p: Pencil, xi_prime) -> np.ndarray:
-    """Coefficients (ascending) of tau -> A_2mu(xi', tau), degree 2mu."""
-    xi_prime = np.asarray(xi_prime, dtype=float)
-    coeffs = np.zeros(2 * p.mu + 1, dtype=complex)
-    for t in p.terms:
-        if t.j != 2 * p.mu:
-            continue
-        mono = 1.0
-        for x, a in zip(xi_prime, t.alpha[:-1]):
-            mono *= x ** a
-        coeffs[t.alpha[-1]] += t.coeff * mono
     return coeffs
 
 
@@ -446,10 +413,13 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
 
     (i), (ii): the extreme homogeneous parts do not vanish on the unit
     sphere, with the grid minima refined by a local search; (iii): on the
-    compact set |xi|^2 + lambda^2 = 1, lambda >= 0, xi != 0, the ratio
+    closed slice |xi|^2 + lambda^2 = 1, lambda >= 0, the ratio
     |A| / (|xi|^2mu (lambda+|xi|)^(2m-2mu)) stays away from zero.  The raw
     min |A| (reported as `min_abs`) tends to 0 as the grid approaches xi = 0
-    whenever mu > 0, so (iii) tests the ratio, whose minimum is also the
+    whenever mu > 0, so (iii) tests the ratio.  It extends continuously to
+    the slice's ends: at lambda = 0 it is |A_2m(omega)|, and as xi -> 0 it
+    tends to |A_2mu(omega)|.  The grid nodes lie inside, so (iii) tests
+    min(min_ratio, min_a2m, min_a2mu).  min_ratio, the grid minimum, is the
     empirical lower-bound constant C_est (the symbol is homogeneous of
     degree 2m, so this slice determines the constant).  witness_iii is the
     first minimising node in (angle, direction) order.
@@ -483,7 +453,7 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
 
     cond_i = bool(min_a2m > tol)
     cond_ii = bool(min_a2mu > tol)
-    cond_iii = bool(min_ratio > tol)
+    cond_iii = bool(min(min_ratio, min_a2m, min_a2mu) > tol)
     return EllipticityReport(
         cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii,
         min_a2m=min_a2m, min_a2mu=min_a2mu,
@@ -568,18 +538,19 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
     coeffs = tau_polynomial(p, xi_prime, lam)
-    if np.linalg.norm(xi_prime) == 0.0 and lam == 0.0:
+    if lam == 0.0 and math.hypot(*xi_prime.tolist()) == 0.0:
         raise ValueError("need xi' != 0 or lambda > 0")
     roots = poly_roots(coeffs)
     if _near_real_axis(roots):
         raise EllipticityError(
             f"root on the real axis at xi'={xi_prime}, lambda={lam}")
-    upper = tuple(roots[roots.imag > 0])
-    lower = tuple(roots[roots.imag < 0])
+    all_roots, upper, lower = roots.tolist(), [], []
+    for r in all_roots:
+        (upper if r.imag > 0 else lower).append(r)
     if len(upper) != p.m:
         raise EllipticityError(
             f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
-    return RootSet(tuple(roots), upper, lower)
+    return RootSet(tuple(all_roots), tuple(upper), tuple(lower))
 
 
 def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -588,26 +559,21 @@ def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
     Returns (upper, ok) of shapes (len(xi_abs), len(lam), m) and
     (len(xi_abs), len(lam)).  Where ok is False, tau_roots raises at that
     node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
-    the coefficients are tau_polynomial's, and poly_roots' companion
-    matrices go to one stacked eigensolve.
+    tau_polynomial builds (or rejects) each node's coefficients, and
+    poly_roots' companion matrices go to one stacked eigensolve.
     """
     xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
-    # Where A overflows, the coefficients and this test are not finite;
-    # tau_polynomial raises there, and no warning is wanted.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = tau_coefficient_table(p, xi_abs, lam)
-        # tau_polynomial's leading-coefficient test, with the same products.
-        # |(|xi'|, 0, ..., 0)| is |xi'| exactly: sqrt(x * x) == |x| in binary
-        # floating point.
-        rho = np.abs(xi_abs)[:, None] + np.abs(lam)[None, :]
-        inv = 1.0 / np.where(rho == 0.0, 1.0, rho)
-        weights = np.cumprod(np.repeat(inv[..., None], 2 * p.m, axis=-1), axis=-1)
-        mags = np.hypot(coeffs.real, coeffs.imag)     # abs as CPython takes it
-        scale = (mags[..., -2::-1] * weights).max(axis=-1)
-        # A zero constant term is a root at 0, which tau_roots rejects as real,
-        # and tau_polynomial rejects lambda < 0.
-        ok = (np.all(np.isfinite(coeffs), axis=-1) & (mags[..., -1] > 1e-14 * scale)
-              & (coeffs[..., 0] != 0) & (rho != 0.0) & (lam >= 0)[None, :])
+    coeffs = np.zeros((len(xi_abs), len(lam), 2 * p.m + 1), dtype=complex)
+    xs = [0.0] * (p.n - 1)
+    for a, xa in enumerate(xi_abs.tolist()):
+        xs[0] = xa
+        for b, y in enumerate(lam.tolist()):
+            with contextlib.suppress(OutOfRangeError, EllipticityError):
+                coeffs[a, b] = _tau_coefficients(p, xs, y)
+    # A node that tau_polynomial rejects keeps zero coefficients.  A zero
+    # constant term is a root at 0, which tau_roots rejects as real, and
+    # tau_roots rejects xi' = lambda = 0.
+    ok = (coeffs[..., 0] != 0) & ((xi_abs != 0)[:, None] | (lam != 0)[None, :])
     c = coeffs[ok]
     roots = np.linalg.eigvals(_companion(c[:, ::-1]))
     good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
@@ -656,7 +622,10 @@ def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
     upper = np.array(rs.upper)
 
     if p.mu > 0:
-        bounded_targets = poly_roots(a2mu_tau_polynomial(p, xi_prime))
+        # A_2mu(xi', .) from its terms, whose lambda power is 1.0 ** 0 == 1.0.
+        a2mu = [t for t in p.terms if t.j == 2 * p.mu]
+        xs = np.asarray(xi_prime, dtype=float).tolist()
+        bounded_targets = poly_roots(_tau_terms(a2mu, 2 * p.mu, xs, 1.0))
         bounded_targets = bounded_targets[bounded_targets.imag > 0]
         if len(bounded_targets) != p.mu:
             raise EllipticityError(

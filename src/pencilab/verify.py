@@ -245,8 +245,7 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
     xi_col = np.tile(xi_grid, len(lam_grid))
     quad_err = 0.0
     for l in l_list:
-        lhs, err = weights.trace_weight_quadrature(w, l, xi_col, lam_col,
-                                                   full_output=True)
+        lhs, err = weights.trace_weight_quadrature(w, l, xi_col, lam_col)
         rhs = weights.xi_product_eval(
             weights.shift(w, Fraction(l) + Fraction(1, 2)), xi_col, lam_col)
         ratios = lhs / rhs

@@ -175,16 +175,16 @@ def _trapezoid(log_a, exps, l: int):
     return fine, (np.abs(fine - coarse) / fine) ** 2
 
 
-def lemma32_integral(a, m, l: int, full_output: bool = False):
+def lemma32_integral(a, m, l: int):
     """Two-sided bound check for int t^(2l) / prod (t^2+a_s^2)^(2m_s) dt.
 
-    Returns (value, lower, upper): the trapezoid-rule value of the integral
-    over the real line and the two-sided band B / C <= value <= B * C with
-    B = a_kappa^(2l+1-4(m_1+..+m_kappa)) * prod_{s>kappa} a_s^(-4 m_s)
-    (scales in increasing order) and the module constant C.  Each scale
-    a_s may be an array; they broadcast together, every point is checked
-    against its band, and the results have the broadcast shape.  With
-    `full_output` the error estimate (|I_h - I_2h| / I_h)^2 is appended.
+    Returns (value, lower, upper, err): the trapezoid-rule value of the
+    integral over the real line, the two-sided band B / C <= value <= B * C
+    with B = a_kappa^(2l+1-4(m_1+..+m_kappa)) * prod_{s>kappa} a_s^(-4 m_s)
+    (scales in increasing order) and the module constant C, and the error
+    estimate (|I_h - I_2h| / I_h)^2 of the value.  Each scale a_s may be an
+    array; they broadcast together, every point is checked against its
+    band, and the results have the broadcast shape.
     """
     m = [_as_fraction(x) for x in m]
     if len(a) != len(m):
@@ -225,24 +225,20 @@ def lemma32_integral(a, m, l: int, full_output: bool = False):
         raise BandError(
             f"integral {value[i]} escapes band [{lower[i]}, {upper[i]}] "
             f"(a={scales[i].tolist()}, m={[str(x) for x in m]}, l={l})")
-    out = tuple(x.reshape(shape)[()] for x in (value, lower, upper, err))
-    return out if full_output else out[:3]
+    return tuple(x.reshape(shape)[()] for x in (value, lower, upper, err))
 
 
-def trace_weight_quadrature(w: ProductWeight, l: int, xi_prime_abs,
-                            lambda_abs, full_output: bool = False):
+def trace_weight_quadrature(w: ProductWeight, l: int, xi_prime_abs, lambda_abs):
     """Trace weight sigma'_l = (int xi_n^(2l) / Xi^2 d xi_n)^(-1/2).
 
     The squared weight contributes exponent 2 m_s per factor, which is the
     integrand of lemma32_integral with scales a_s^2 = |xi'|^2 + lambda^(2/r_s).
-    |xi'| and lambda may be arrays of points.  With `full_output` the
-    quadrature error estimate of lemma32_integral is returned as well.
+    |xi'| and lambda may be arrays of points.  Returns (sigma, err), err the
+    quadrature error estimate of lemma32_integral.
     """
     if not w.factors:
         raise OutOfRangeError("constant weight has no trace weight")
     a = [np.sqrt(_factor_base(w, r, xi_prime_abs, lambda_abs))
          for r, _ in w.factors]
-    value, _, _, err = lemma32_integral(a, [m for _, m in w.factors], l,
-                                        full_output=True)
-    sigma = value ** -0.5
-    return (sigma, err) if full_output else sigma
+    value, _, _, err = lemma32_integral(a, [m for _, m in w.factors], l)
+    return value ** -0.5, err

@@ -49,8 +49,8 @@ def test_criterion_1_polygon_geometry():
 def test_criterion_2_integral_oracle():
     t0 = time.perf_counter()
     for a in np.geomspace(1e-2, 1e3, 11):
-        v0, _, _ = weights.lemma32_integral([a], [F(1)], 0)
-        v1, _, _ = weights.lemma32_integral([a], [F(1)], 1)
+        v0, _, _, _ = weights.lemma32_integral([a], [F(1)], 0)
+        v1, _, _, _ = weights.lemma32_integral([a], [F(1)], 1)
         assert abs(v0 - math.pi / (2 * a ** 3)) <= 1e-8 * v0
         assert abs(v1 - math.pi / (2 * a)) <= 1e-8 * v1
     rng = np.random.default_rng(3)
@@ -61,7 +61,7 @@ def test_criterion_2_integral_oracle():
         m = [F(int(rng.integers(1, 5)), 2) for _ in range(2)]
         lmax = int((4 * sum(m) - 1) // 2)
         l = int(rng.integers(0, lmax + 1)) if lmax >= 0 else 0
-        value, lower, upper = weights.lemma32_integral([a1, a2], m, l)
+        value, lower, upper, _ = weights.lemma32_integral([a1, a2], m, l)
         bound = math.sqrt(lower * upper)      # the band center is the bound
         ratios.append(value / bound)
     # one constant C works across all samples

@@ -14,8 +14,8 @@ from pencilab.errors import EllipticityError
 from pencilab.halfline import (boundary_defect, contour_eval, eval_deriv,
                                l2_norm_deriv, mj, ode_residual, solve,
                                solve_from_roots, split_by_group, vieta)
-from pencilab.pencil import (Pencil, Term, group_roots, tau_polynomial,
-                             tau_roots)
+from pencilab.pencil import (Pencil, Term, eval_symbol, group_roots,
+                             tau_polynomial, tau_roots)
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -324,6 +324,26 @@ def _half_line_pencils(draw):
 
 
 _grid = st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_half_line_pencils().filter(lambda p: p.mu > 0), st.floats(1e-2, 1e2),
+       st.floats(0.0, 2 * math.pi), st.floats(1e-2, 1e3))
+def test_bounded_targets_are_zeros_of_a2mu(p, radius, angle, lam):
+    # group_roots builds A_2mu(xi', .) with tau_polynomial's term loop.  Here
+    # eval_symbol gives A_2mu at 2mu + 1 real tau, and Lagrange interpolation,
+    # exact for degree 2mu, carries it to each complex target.
+    xi_prime = radius * np.array([math.cos(angle), math.sin(angle)])[:p.n - 1]
+    a2mu = Pencil(p.n, p.m, p.mu, tuple(t for t in p.terms if t.j == 2 * p.mu))
+    targets = group_roots(p, xi_prime, lam).bounded_targets
+    assert len(targets) == p.mu
+    nodes = max(abs(tau) for tau in targets) * np.linspace(-1.0, 1.0, 2 * p.mu + 1)
+    values = [eval_symbol(a2mu, np.append(xi_prime, t), 1.0) for t in nodes]
+    for tau in targets:
+        value = sum(v * math.prod((tau - s) / (t - s) for s in nodes if s != t)
+                    for t, v in zip(nodes, values))
+        scale = p.coeff_scale * (radius ** 2 + abs(tau) ** 2) ** p.mu
+        assert abs(value) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)

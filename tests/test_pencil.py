@@ -103,6 +103,15 @@ def test_check_lemma21_verdicts_stable_under_refinement(angular):
     assert not bad.cond_ii and not bad.n_elliptic
 
 
+@pytest.mark.parametrize("angular", [1, 2, 90, 720])
+def test_check_lemma21_broken_fails_condition_iii_on_every_grid(angular):
+    # broken's A_2mu = xi_1^2 vanishes at (0, 1), where the ratio of (iii)
+    # tends to |A_2mu| as xi -> 0.  The midpoint nodes never reach that end
+    # of the slice, so (iii) also takes the sphere minima of (i) and (ii).
+    rep = check_lemma21(broken_pencil(), GridSpec(angular=angular, directions=angular))
+    assert not rep.cond_iii
+
+
 def test_q_polynomial():
     assert np.allclose(q_polynomial(e1_pencil()), [1.0, 0.0, 1.0])
     assert np.allclose(q_polynomial(agmon_pencil()), [1.0, 0.0, 1.0])

@@ -66,8 +66,8 @@ def test_trace_sweep_matches_scalar_quadrature():
     rep = verify.sweep_trace_equivalence(w, [0, 1, 3], lam_max=1e6)
     assert len(rep.records) == 3 * 8 * 7
     for rec in rep.records:
-        lhs = weights.trace_weight_quadrature(w, rec["l"], rec["xi_prime_abs"],
-                                              rec["lambda"])
+        lhs, _ = weights.trace_weight_quadrature(w, rec["l"], rec["xi_prime_abs"],
+                                                 rec["lambda"])
         assert rec["lhs"] == pytest.approx(lhs, rel=1e-14)
 
 

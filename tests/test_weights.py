@@ -104,9 +104,9 @@ def test_shift_semigroup(ms, s, t):
 
 def test_lemma32_single_scale_closed_forms():
     for a in np.geomspace(1e-6, 1e6, 25):
-        v0, _, _ = lemma32_integral([a], [F(1)], 0)
+        v0, _, _, _ = lemma32_integral([a], [F(1)], 0)
         assert v0 == pytest.approx(math.pi / (2 * a ** 3), rel=1e-13)
-        v1, _, _ = lemma32_integral([a], [F(1)], 1)
+        v1, _, _, _ = lemma32_integral([a], [F(1)], 1)
         assert v1 == pytest.approx(math.pi / (2 * a), rel=1e-13)
 
 
@@ -116,10 +116,10 @@ def test_lemma32_two_scale_closed_forms(ratio):
     # int t^2 dt / (...)                  = pi / (2 a b (a+b)^3)
     # Adaptive quadrature was 18% off at a = 1e-3, b = 1e3.
     for a, b in ((ratio, 1.0), (math.sqrt(ratio), 1.0 / math.sqrt(ratio))):
-        v0, _, _ = lemma32_integral([a, b], [F(1), F(1)], 0)
+        v0, _, _, _ = lemma32_integral([a, b], [F(1), F(1)], 0)
         ref0 = math.pi * (a * a + 3 * a * b + b * b) / (2 * (a * b) ** 3 * (a + b) ** 3)
         assert v0 == pytest.approx(ref0, rel=1e-13)
-        v1, _, _ = lemma32_integral([a, b], [F(1), F(1)], 1)
+        v1, _, _, _ = lemma32_integral([a, b], [F(1), F(1)], 1)
         assert v1 == pytest.approx(math.pi / (2 * a * b * (a + b) ** 3), rel=1e-13)
 
 
@@ -131,25 +131,25 @@ def test_lemma32_fractional_exponents(m):
         if 2 * l + 1 >= 4 * m:
             break
         for a in (1e-3, 1.0, 1e3):
-            v, _, _ = lemma32_integral([a], [m], l)
+            v, _, _, _ = lemma32_integral([a], [m], l)
             ref = (a ** (2 * l + 1 - 2 * p) * math.gamma(l + 0.5)
                    * math.gamma(p - l - 0.5) / math.gamma(p))
             assert v == pytest.approx(ref, rel=1e-13)
     # Merged scales: three factors of exponent m at one scale are one
     # factor of exponent 3m.
     for a in (1e-3, 1.0, 1e3):
-        v, _, _ = lemma32_integral([a] * 3, [m] * 3, 0)
-        ref, _, _ = lemma32_integral([a], [3 * m], 0)
+        v, _, _, _ = lemma32_integral([a] * 3, [m] * 3, 0)
+        ref, _, _, _ = lemma32_integral([a], [3 * m], 0)
         assert v == pytest.approx(ref, rel=1e-13)
 
 
 def test_lemma32_arrays_match_scalar_calls():
     a = np.geomspace(1e-2, 1e2, 7)
     b = np.geomspace(1e3, 1.0, 7)
-    values, lowers, uppers = lemma32_integral([a, b], [F(1, 2), F(1)], 1)
+    values, lowers, uppers, _ = lemma32_integral([a, b], [F(1, 2), F(1)], 1)
     assert values.shape == lowers.shape == uppers.shape == (7,)
     for i in range(7):
-        v, lo, hi = lemma32_integral([a[i], b[i]], [F(1, 2), F(1)], 1)
+        v, lo, hi, _ = lemma32_integral([a[i], b[i]], [F(1, 2), F(1)], 1)
         assert values[i] == pytest.approx(v, rel=1e-14)
         assert lowers[i] == pytest.approx(lo, rel=1e-14)
         assert uppers[i] == pytest.approx(hi, rel=1e-14)
@@ -161,7 +161,7 @@ def test_lemma32_error_estimate():
                     # read 1.6e-6 here, while the step-h value matched
                     # 30-digit mpmath to 2.4e-15.
                     ([0.0059, 272.0, 0.0042], [F(5, 3), F(1, 3), F(5, 3)], 2)):
-        _, _, _, err = lemma32_integral(a, m, l, full_output=True)
+        _, _, _, err = lemma32_integral(a, m, l)
         assert 0.0 <= err < 1e-10
 
 
@@ -174,15 +174,15 @@ def test_lemma32_error_estimate_bounds_halved_step(monkeypatch):
         a = (10.0 ** rng.uniform(-3, 3, k)).tolist()
         m = [F(int(x), 3) for x in rng.integers(1, 7, k)]
         l = int(rng.choice([l for l in range(4) if 2 * l + 1 < 4 * sum(m)]))
-        value, _, _, err = lemma32_integral(a, m, l, full_output=True)
+        value, _, _, err = lemma32_integral(a, m, l)
         with monkeypatch.context() as mp:
             mp.setattr(weights, "_STEP", weights._STEP / 2)
-            finer, _, _ = lemma32_integral(a, m, l)
+            finer, _, _, _ = lemma32_integral(a, m, l)
         assert abs(value - finer) / finer <= max(err, 1e-14), (a, m, l)
 
 
 def test_lemma32_two_scale_band():
-    value, lower, upper = lemma32_integral([1.0, 10.0], [F(1), F(1)], 0)
+    value, lower, upper, _ = lemma32_integral([1.0, 10.0], [F(1), F(1)], 0)
     assert lower <= value <= upper
     # exact: int dt / ((t^2+1)^2 (t^2+100)^2) dominated by a_1 scale
     assert value == pytest.approx(math.pi / 2 * 1e-4, rel=0.05)
@@ -195,7 +195,7 @@ def test_lemma32_band_center():
              ([10.0, 1.0], [F(1), F(1)], 1, 1e-4),     # scales sorted first
              ([2.0, 2.0], [F(1, 2), F(1, 2)], 1, 0.5)]  # tie: as one factor
     for a, m, l, bound in cases:
-        _, lower, upper = lemma32_integral(a, m, l)
+        _, lower, upper, _ = lemma32_integral(a, m, l)
         assert math.sqrt(lower * upper) == pytest.approx(bound, rel=1e-14)
 
 
@@ -216,8 +216,8 @@ def test_lemma32_band_escape_raises(monkeypatch):
 
 
 def test_lemma32_coincident_scales_merged():
-    v, _, _ = lemma32_integral([2.0, 2.0], [F(1, 2), F(1, 2)], 0)
-    ref, _, _ = lemma32_integral([2.0], [F(1)], 0)
+    v, _, _, _ = lemma32_integral([2.0, 2.0], [F(1, 2), F(1, 2)], 0)
+    ref, _, _, _ = lemma32_integral([2.0], [F(1)], 0)
     assert v == pytest.approx(ref, rel=1e-10)
 
 
@@ -226,7 +226,7 @@ def test_trace_weight_agmon_closed_form():
     # int t^2/(t^2+a^2)^2 = pi/(2a), so sigma'_1 = (2a/pi)^(1/2)
     w = ProductWeight(((F(1), F(1)),))
     a = math.hypot(3.0, 4.0)
-    got = trace_weight_quadrature(w, 1, 3.0, 4.0)
+    got, _ = trace_weight_quadrature(w, 1, 3.0, 4.0)
     assert got == pytest.approx(math.sqrt(2 * a / math.pi), rel=1e-8)
 
 
@@ -237,7 +237,7 @@ def test_trace_weight_large_lambda_closed_form():
     w = ProductWeight(((INF, F(1)), (F(1), F(1))))
     for lam in (1e3, 1e6):
         a, b = math.sqrt(2.0), math.hypot(1.0, lam)
-        got = trace_weight_quadrature(w, 1, 1.0, lam)
+        got, _ = trace_weight_quadrature(w, 1, 1.0, lam)
         ref = (math.pi / (2 * a * b * (a + b) ** 3)) ** -0.5
         assert got == pytest.approx(ref, rel=1e-13)
 
@@ -246,7 +246,7 @@ def test_trace_weight_energy_shape():
     # E1 energy weight, l=1, xi'=0, lambda=100:
     # int t^2/((t^2+1)(t^2+lambda^2)) = pi/(1+lambda)
     w = ProductWeight(((INF, F(1, 2)), (F(1), F(1, 2))))
-    got = trace_weight_quadrature(w, 1, 0.0, 100.0)
+    got, _ = trace_weight_quadrature(w, 1, 0.0, 100.0)
     assert got == pytest.approx(math.sqrt(101.0 / math.pi), rel=1e-8)
 
 
@@ -254,7 +254,7 @@ def test_trace_weight_growth_exponent():
     # sigma'_0 ~ |xi'|^(2 sum m - 1/2) for large |xi'| at fixed lambda
     w = ProductWeight(((INF, F(1)), (F(1), F(1))))
     xs = np.geomspace(1e2, 1e4, 6)
-    vals = [trace_weight_quadrature(w, 0, x, 1.0) for x in xs]
+    vals = [trace_weight_quadrature(w, 0, x, 1.0)[0] for x in xs]
     slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
     assert slope == pytest.approx(2 * float(w.total_exponent) - 0.5, abs=0.05)
 
@@ -264,7 +264,7 @@ def test_trace_matches_shift_prediction_band():
     ratios = []
     for lam in (1.0, 10.0, 100.0):
         for xp in (0.0, 0.5, 5.0, 50.0):
-            lhs = trace_weight_quadrature(w, 1, xp, lam)
+            lhs, _ = trace_weight_quadrature(w, 1, xp, lam)
             rhs = xi_product_eval(shift(w, F(3, 2)), xp, lam)
             ratios.append(lhs / rhs)
     assert max(ratios) / min(ratios) < 10.0

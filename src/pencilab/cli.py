@@ -40,7 +40,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _parse_point(args, n: int):
-    xi_prime = np.array([float(x) for x in args.xi_prime.split(",")])
+    # "" is the empty xi' of an n = 1 pencil.
+    xi_prime = np.array([float(x) for x in args.xi_prime.split(",")]
+                        if args.xi_prime else [])
     if xi_prime.shape != (n - 1,):
         raise PencilabError(
             f"--xi-prime needs {n - 1} comma-separated values for n={n}")

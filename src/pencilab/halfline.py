@@ -16,7 +16,8 @@ of its `split_by_group` parts.  They work on a few coefficients at a time,
 in Python complex arithmetic, where numpy's per-call cost would exceed the
 work.  Norms of full solutions, at any number of nodes, come from the
 Lyapunov Gramian instead (`gramian_norms`), which needs only the symmetric
-functions of the roots; `mesh_norms` applies it to a (|xi'|, lambda) mesh.
+functions of the roots; `mesh_norms` applies it to a list of (xi', lambda)
+nodes.
 """
 
 from __future__ import annotations
@@ -280,8 +281,8 @@ def split_by_group(sol: ExpPolySolution, grouping):
 # only as a root nears the real axis, where tau_roots refuses.
 
 class MeshNorms(NamedTuple):
-    values: np.ndarray          # ||D^l w_j|| by (|xi'|, lambda, j, l)
-    root_clearance_min: float   # smallest Im tau / |tau| over the mesh
+    values: np.ndarray          # ||D^l w_j|| by (node, j, l)
+    root_clearance_min: float   # smallest Im tau / |tau| over the nodes
 
 
 def gramian_norms(upper, j_list, l_list) -> np.ndarray:
@@ -321,23 +322,21 @@ def gramian_norms(upper, j_list, l_list) -> np.ndarray:
     return np.sqrt(np.ldexp(sq, e[:, :, None] * power))
 
 
-def mesh_norms(p: Pencil, xi_abs, lam, j_list, l_list) -> MeshNorms:
-    """||D^l w_j|| at xi' = (|xi'|, 0, ..., 0) on the mesh xi_abs x lam.
+def mesh_norms(p: Pencil, xi_prime, lam, j_list, l_list) -> MeshNorms:
+    """||D^l w_j|| at the nodes (xi_prime[k], lam[k]); xi_prime has shape
+    (N, n-1) and lam shape (N,).
 
     The upper roots are those of tau_roots bit for bit: mesh_upper_roots
     builds each node's coefficients with tau_polynomial and solves the
     stack in one eigvals call.  At nodes that it rejects, tau_roots runs in
-    (|xi'|, lambda) order, so an error names the same node as a loop over
-    the mesh would.
+    node order, so an error names the same node as a loop over the nodes
+    would.
     """
-    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
-    upper, ok = mesh_upper_roots(p, xi_abs, lam)
-    xi_prime = np.zeros(p.n - 1)
-    for a, b in zip(*np.nonzero(~ok)):
-        xi_prime[0] = xi_abs[a]
-        upper[a, b] = tau_roots(p, xi_prime, lam[b]).upper
-    values = gramian_norms(upper.reshape(-1, p.m), j_list, l_list)
-    return MeshNorms(values.reshape(upper.shape[:2] + values.shape[1:]),
+    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
+    upper, ok = mesh_upper_roots(p, xi_prime, lam)
+    for k in np.flatnonzero(~ok):
+        upper[k] = tau_roots(p, xi_prime[k], lam[k]).upper
+    return MeshNorms(gramian_norms(upper, j_list, l_list),
                      float(np.min(upper.imag / np.abs(upper))))
 
 

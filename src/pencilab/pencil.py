@@ -553,32 +553,31 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     return RootSet(tuple(all_roots), tuple(upper), tuple(lower))
 
 
-def mesh_upper_roots(p: Pencil, xi_abs, lam) -> tuple[np.ndarray, np.ndarray]:
-    """tau_roots(p, (|xi'|, 0, ..., 0), lambda).upper on the mesh xi_abs x lam.
+def mesh_upper_roots(p: Pencil, xi_prime, lam) -> tuple[np.ndarray, np.ndarray]:
+    """tau_roots(p, xi_prime[k], lam[k]).upper at each node k of a node list.
 
-    Returns (upper, ok) of shapes (len(xi_abs), len(lam), m) and
-    (len(xi_abs), len(lam)).  Where ok is False, tau_roots raises at that
+    xi_prime has shape (N, n-1) and lam shape (N,).  Returns (upper, ok) of
+    shapes (N, m) and (N,).  Where ok is False, tau_roots raises at that
     node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
     tau_polynomial builds (or rejects) each node's coefficients, and
     poly_roots' companion matrices go to one stacked eigensolve.
     """
-    xi_abs, lam = np.asarray(xi_abs, dtype=float), np.asarray(lam, dtype=float)
-    coeffs = np.zeros((len(xi_abs), len(lam), 2 * p.m + 1), dtype=complex)
-    xs = [0.0] * (p.n - 1)
-    for a, xa in enumerate(xi_abs.tolist()):
-        xs[0] = xa
-        for b, y in enumerate(lam.tolist()):
-            with contextlib.suppress(OutOfRangeError, EllipticityError):
-                coeffs[a, b] = _tau_coefficients(p, xs, y)
+    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
+    if xi_prime.shape != (len(lam), p.n - 1):
+        raise ValueError(f"xi' has shape {xi_prime.shape}, expected "
+                         f"({len(lam)}, {p.n - 1})")
+    coeffs = np.zeros((len(lam), 2 * p.m + 1), dtype=complex)
+    for k, (xs, y) in enumerate(zip(xi_prime.tolist(), lam.tolist())):
+        with contextlib.suppress(OutOfRangeError, EllipticityError):
+            coeffs[k] = _tau_coefficients(p, xs, y)
     # A node that tau_polynomial rejects keeps zero coefficients.  A zero
     # constant term is a root at 0, which tau_roots rejects as real, and
     # tau_roots rejects xi' = lambda = 0.
-    ok = (coeffs[..., 0] != 0) & ((xi_abs != 0)[:, None] | (lam != 0)[None, :])
-    c = coeffs[ok]
-    roots = np.linalg.eigvals(_companion(c[:, ::-1]))
+    ok = (coeffs[:, 0] != 0) & ((lam != 0) | (xi_prime != 0).any(axis=1))
+    roots = np.linalg.eigvals(_companion(coeffs[ok][:, ::-1]))
     good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
     roots = roots[good]
-    upper = np.full(ok.shape + (p.m,), np.nan, dtype=complex)
+    upper = np.full((len(lam), p.m), np.nan, dtype=complex)
     ok[ok] = good
     upper[ok] = roots[roots.imag > 0].reshape(-1, p.m)
     return upper, ok

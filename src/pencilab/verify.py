@@ -5,6 +5,8 @@ grid, records the ratio, and reports the observed band together with the
 extremal witness points.  Constants are always reported, never assumed;
 verdicts compare the observed band against fixed limits.  Callers set the
 lambda grid and the density; the |xi| ranges and limits are constants below.
+The thm41 and halfspace sweeps scan the unit slice |xi'|^2 + lambda^2 = 1
+instead, and take only the density.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ SLOPE_TOL = 0.1
 POLYGON_BAND_LIMITS = (1e-3, 1e3)   # Xi_sum / Xi_product and binomial bands
 TRACE_XI_MAX = 1e2
 TRACE_BAND_WIDTH_LIMIT = 1e2        # hi / lo of each l's band
-NORM_XI_RANGE = (1e-2, 1e2)         # thm41 and halfspace
+NORM_S_RANGE = (1e-5, 1e5)          # lambda / |xi'| > 0 in thm41 and halfspace
+NORM_DIRECTIONS = 8                 # their directions xi' / |xi'| for n >= 3
 NORM_RATIO_LIMIT = 1e3
 PROP52_XI_MAX = 1e3
 
@@ -263,27 +266,55 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
 # ---------------------------------------------------------------------------
 # half-line estimates
 
-def _norm_records(p: Pencil, xi_grid, lam_grid, j_list, l_list,
-                  rhs: dict) -> tuple[list[dict], float]:
-    """Records of ||D^l w_j|| against rhs[j, l] on the (|xi'|, lambda) mesh,
-    and the mesh's root clearance (`halfline.MeshNorms`).
+def scan_directions(n: int) -> np.ndarray:
+    """Directions xi' / |xi'| of the norm scan, shape (count, n-1): +-e_1
+    for n = 2, sphere_directions(n-1, NORM_DIRECTIONS) for n >= 3, and the
+    empty xi' alone for n = 1."""
+    if n == 1:
+        return np.zeros((1, 0))
+    return sphere_directions(n - 1, NORM_DIRECTIONS)
 
-    `rhs[j, l]` has shape (len(xi_grid), len(lam_grid)).  The norms come
-    from one `halfline.mesh_norms` call; records come in (|xi'|, lambda, j,
-    l) order.
+
+def _norm_scan(suite: str, p: Pencil, density: int, rhs) -> SweepReport:
+    """||D^l w_j|| against rhs(|xi'|, lambda)[j, l] on the unit slice.
+
+    Both sides are jointly homogeneous of degree l - j + 1/2 in (xi',
+    lambda), so a ratio depends only on s = lambda / |xi'| and on the
+    direction of xi'.  Along each scan direction the nodes are (|xi'|,
+    lambda) = (1, s) / sqrt(1 + s^2) for s = 0 and 20*density + 1 values
+    geometric over NORM_S_RANGE; for n = 1 the only node is xi' = (),
+    lambda = 1.  The norms come from one `halfline.mesh_norms` call, and
+    records, which carry xi', come in (direction, s, j, l) order.
     """
-    solved = halfline.mesh_norms(p, xi_grid, lam_grid, j_list, l_list)
-    records = []
-    for a, xa in enumerate(xi_grid):
-        for b, lam in enumerate(lam_grid):
-            for ji, j in enumerate(j_list):
-                for li, l in enumerate(l_list):
-                    lhs = float(solved.values[a, b, ji, li])
-                    rhs_v = rhs[j, l][a, b]
-                    records.append({"xi_prime_abs": xa, "lambda": lam,
-                                    "j": j, "l": l, "lhs": lhs, "rhs": rhs_v,
-                                    "ratio": lhs / rhs_v})
-    return records, solved.root_clearance_min
+    j_list = list(range(1, p.m + 1))
+    l_list = list(range(0, p.m + 1))
+    dirs = scan_directions(p.n)
+    rep = SweepReport(suite, {
+        "density": density, "j_list": j_list, "l_list": l_list,
+        "s_range": list(NORM_S_RANGE), "directions": len(dirs),
+        "ratio_limit": NORM_RATIO_LIMIT})
+    if p.n == 1:
+        xa, lam = np.zeros(1), np.ones(1)
+    else:
+        s = np.concatenate([[0.0], geom_grid(*NORM_S_RANGE, 20 * density + 1)])
+        xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
+    xi_prime = np.concatenate([np.outer(xa, omega) for omega in dirs])
+    xa, lam = np.tile(xa, len(dirs)), np.tile(lam, len(dirs))
+    solved = halfline.mesh_norms(p, xi_prime, lam, j_list, l_list)
+    norms = solved.values.tolist()
+    table = {key: v.tolist() for key, v in rhs(xa, lam).items()}
+    for k, (xi, x, y) in enumerate(zip(xi_prime.tolist(), xa.tolist(),
+                                       lam.tolist())):
+        for ji, j in enumerate(j_list):
+            for li, l in enumerate(l_list):
+                a, b = norms[k][ji][li], table[j, l][k]
+                rep.records.append({"xi_prime": xi, "xi_prime_abs": x,
+                                    "lambda": y, "j": j, "l": l, "lhs": a,
+                                    "rhs": b, "ratio": a / b})
+    rep.extras["root_clearance_min"] = solved.root_clearance_min
+    if rep.max_ratio > NORM_RATIO_LIMIT:
+        rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
+    return rep
 
 
 def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
@@ -297,69 +328,33 @@ def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
     return (lam + xi_abs) ** (l - j + 0.5)
 
 
-def rhs_419(mu: int, j: int, l: int, lam: float) -> float:
-    """Reduced table on the unit sphere (Lambda >= 1)."""
-    if j <= mu and l <= mu:
-        return 1.0
-    if j <= mu and l > mu:
-        return lam ** (l - mu - 0.5)
-    if j > mu and l <= mu:
-        return lam ** (mu - j + 0.5)
-    return lam ** (l - j + 0.5)
-
-
-def sweep_theorem41(p: Pencil, density: int = 1,
-                    lam_range=(1.0, 1e3)) -> SweepReport:
-    """Ratios of exact derivative norms to the four-case estimate table.
-
-    Also sweeps the reduced estimate on the unit sphere and spot-checks the
-    scaling identity for the solutions (extras)."""
+def sweep_theorem41(p: Pencil, density: int = 1) -> SweepReport:
+    """Ratios of exact derivative norms to the four-case estimate table on
+    the unit slice (see _norm_scan), and a spot check of the scaling
+    identity for the solutions (extras)."""
     t0 = time.perf_counter()
-    j_list = list(range(1, p.m + 1))
-    l_list = list(range(0, p.m + 1))
-    rep = SweepReport("thm41", {
-        "density": density, "j_list": j_list, "l_list": l_list,
-        "xi_range": list(NORM_XI_RANGE), "lam_range": list(lam_range),
-        "ratio_limit": NORM_RATIO_LIMIT})
-    xi_grid = geom_grid(*NORM_XI_RANGE, 7 * density)
-    lam_grid = geom_grid(*lam_range, 6 * density)
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
-    xa_m, lam_m = np.ix_(xi_grid, lam_grid)
-    records, clearance = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
-        (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa_m, lam_m)
-        for j in j_list for l in l_list})
-    rep.records.extend(records)
-
-    # Reduced sweep at |omega'| = 1.
-    reduced, reduced_clearance = _norm_records(
-        p, np.ones(1), lam_grid, j_list, l_list,
-        {(j, l): np.vectorize(rhs_419)(p.mu, j, l, lam_grid[None, :])
-         for j in j_list for l in l_list})
-    rep.extras["reduced_max_ratio"] = max([0.0] + [r["ratio"] for r in reduced])
-    rep.extras["root_clearance_min"] = min(clearance, reduced_clearance)
+    rep = _norm_scan("thm41", p, density, lambda xa, lam: {
+        (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa, lam)
+        for j in range(1, p.m + 1) for l in range(p.m + 1)})
 
     # Scaling identity spot checks.
     homo_err = 0.0
-    xi_prime = np.zeros(p.n - 1)
-    xi_prime[0] = 2.0
-    for (j, l, r) in [(j_list[0], l_list[0], 2.0),
-                      (j_list[-1], l_list[-1], 5.0)]:
+    xi_prime = 2.0 * scan_directions(p.n)[0]
+    for (j, l, r) in [(1, 0, 2.0), (p.m, p.m, 5.0)]:
         lhs, rhs = halfline.homogeneity_check(p, xi_prime, 10.0, r, j, l)
         homo_err = max(homo_err, abs(lhs - rhs) / abs(lhs))
     rep.extras["homogeneity_max_rel_err"] = homo_err
     if homo_err > 1e-8:
         rep.fail(f"scaling identity violated: rel err {homo_err}")
-
-    if rep.max_ratio > NORM_RATIO_LIMIT:
-        rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
     rep.runtime = time.perf_counter() - t0
     return rep
 
 
 def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
-    """Root-grouping quality and split-solution growth exponents at
-    xi' = e_1 on the unit sphere.
+    """Root-grouping quality and split-solution growth exponents at the
+    first scan direction xi' (e_1 for n = 2, 3; the empty xi' for n = 1).
 
     (a) bounded-group residuals stay bounded as lambda grows, (b) the
     large-group correction decays with the expected Puiseux exponent, and
@@ -376,8 +371,8 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
     lambda_list = np.array(lambda_list, dtype=float)
     if len(lambda_list) < 4:
         raise PencilabError("need at least 4 lambda points for slope fits")
-    xi_prime = np.zeros(p.n - 1)
-    xi_prime[0] = 1.0
+    xi_prime = scan_directions(p.n)[0]
+    xi_abs = float(np.linalg.norm(xi_prime))
     rep = SweepReport("asymptotics", {
         "lambda_list": [float(x) for x in lambda_list],
         "xi_prime_list": [xi_prime.tolist()],
@@ -394,7 +389,7 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
             large = max(large, abs(mean - center) / lam)
         corr.append(large)
         bounded_res.append(bounded)
-        rep.records.append({"xi_prime_abs": 1.0, "lambda": lam,
+        rep.records.append({"xi_prime_abs": xi_abs, "lambda": lam,
                             "lhs": large, "rhs": 1.0 / lam,
                             "ratio": large / (1.0 / lam)})
     rep.extras["ambiguous_groupings"] = sum(g.ambiguous for g in groupings)
@@ -538,29 +533,19 @@ def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     return HomogeneousWeight(w.factors, lambda0=w.lambda0)
 
 
-def sweep_halfspace_ratio(p: Pencil, density: int = 1,
-                          lam_range=(1.0, 1e3)) -> SweepReport:
-    """Derivative norms against ratios of shifted homogeneous weights."""
+def sweep_halfspace_ratio(p: Pencil, density: int = 1) -> SweepReport:
+    """Derivative norms against ratios of shifted homogeneous weights on the
+    unit slice (see _norm_scan)."""
     t0 = time.perf_counter()
-    j_list = list(range(1, p.m + 1))
-    l_list = list(range(0, p.m + 1))
-    rep = SweepReport("halfspace", {
-        "density": density, "j_list": j_list, "l_list": l_list,
-        "xi_range": list(NORM_XI_RANGE), "lam_range": list(lam_range),
-        "ratio_limit": NORM_RATIO_LIMIT})
     phi = homogeneous_energy_weight(p)
-    xi_grid = geom_grid(*NORM_XI_RANGE, 6 * density)
-    lam_grid = geom_grid(*lam_range, 6 * density)
-    mesh = np.ix_(xi_grid, lam_grid)
-    shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), *mesh)
-    num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
-    den = {l: shifted(l) for l in l_list}
-    records, clearance = _norm_records(p, xi_grid, lam_grid, j_list, l_list, {
-        (j, l): num[j] / den[l] for j in j_list for l in l_list})
-    rep.records.extend(records)
-    rep.extras["root_clearance_min"] = clearance
-    if rep.max_ratio > NORM_RATIO_LIMIT:
-        rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
+
+    def table(xa, lam):
+        shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), xa, lam)
+        num = {j: shifted(Fraction(2 * j - 1, 2)) for j in range(1, p.m + 1)}
+        den = {l: shifted(l) for l in range(p.m + 1)}
+        return {(j, l): num[j] / den[l] for j in num for l in den}
+
+    rep = _norm_scan("halfspace", p, density, table)
     rep.runtime = time.perf_counter() - t0
     return rep
 
@@ -585,8 +570,7 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
         return sweep_trace_equivalence(w, l_list, density=density,
                                        lam_max=lam_max)
     if name == "thm41":
-        return sweep_theorem41(p, density=density,
-                               lam_range=(lambda0, lam_max))
+        return sweep_theorem41(p, density=density)
     if name == "asymptotics":
         return sweep_group_asymptotics(
             p, lambda_list=geom_grid(lambda0, lam_max, 4 * decades))
@@ -594,8 +578,7 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
         return sweep_multiplier_rn(p, lambda0=lambda0, density=density,
                                    lam_max=lam_max)
     if name == "halfspace":
-        return sweep_halfspace_ratio(p, density=density,
-                                     lam_range=(lambda0, lam_max))
+        return sweep_halfspace_ratio(p, density=density)
     raise PencilabError(f"unknown suite {name!r}")
 
 

@@ -111,7 +111,10 @@ def test_verify_summary_keys_stay_inside_each_suite(e1_path, tmp_path, capsys):
 def test_verify_thm41_sextic_at_large_lambda(tmp_path, capsys):
     # xi_1^6 + xi_2^6 + lambda^6: at lambda = 1e3 the leading tau-coefficient
     # is 1e-18 of the constant one, but of the same size once each
-    # coefficient is weighted by its homogeneity scale.
+    # coefficient is weighted by its homogeneity scale.  thm41 scans the unit
+    # slice, where lambda <= 1, so that weighting is checked at large lambda
+    # by test_pencil.py::test_tau_roots_sextic_at_large_lambda; here the
+    # sextic must pass thm41.
     path = tmp_path / "sextic.json"
     path.write_text(json.dumps(pencil_to_dict(Pencil(n=2, m=3, mu=0, terms=(
         Term((6, 0), 6, 1.0), Term((0, 6), 6, 1.0), Term((0, 0), 0, 1.0))))))
@@ -221,6 +224,62 @@ def test_verify_byte_identical(e1_path, tmp_path, capsys):
     assert run(["verify", e1_path, "--suite", "all", "--out", str(out2)]) == 0
     for f in out1.glob("*.csv"):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("options", [["--lambda0", "10"], ["--grid-decades", "4"]])
+def test_norm_suites_ignore_the_lambda_grid(options, e1_path, tmp_path, capsys):
+    # thm41 and halfspace scan the unit slice whatever the lambda grid, so
+    # their CSVs do not change; on the old (|xi'|, lambda) box these options
+    # reached |xi'| / lambda = 1e-6, where e1 exited 2.
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run(["verify", e1_path, "--out", str(out1)]) == 0
+    assert run(["verify", e1_path, "--out", str(out2)] + options) == 0
+    for name in ("thm41.csv", "halfspace.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _one_variable(tmp_path, m, mu):
+    """tau^2m + tau^2mu lambda^(2m-2mu) in n = 1, as a pencil file."""
+    path = tmp_path / f"n1_m{m}_mu{mu}.json"
+    path.write_text(json.dumps(pencil_to_dict(Pencil(n=1, m=m, mu=mu, terms=(
+        Term((2 * m,), 2 * m, 1.0), Term((2 * mu,), 2 * mu, 1.0))))))
+    return str(path)
+
+
+def test_one_variable_pencil_verifies(tmp_path, capsys):
+    # tau^2 + lambda^2: the norm scan's one node is xi' = (), lambda = 1,
+    # where w_1 = e^{-t}, ||w_1|| = ||D w_1|| = 1/sqrt(2) and the right-hand
+    # sides are 1.
+    out = tmp_path / "rep"
+    assert run(["verify", _one_variable(tmp_path, 1, 0), "--suite", "all",
+                "--check-refinement", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(s["verdict"] == "pass" for s in summary.values())
+    for name in ("thm41", "halfspace"):
+        assert summary[name]["records"] == 2
+        assert summary[name]["witness_max"]["xi_prime"] == []
+        assert summary[name]["max_ratio"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert summary["asymptotics"]["config"]["xi_prime_list"] == [[]]
+
+
+def test_one_variable_pencil_with_mu_exits_2(tmp_path, capsys):
+    # tau^4 + tau^2 lambda^2: xi' = () puts mu's bounded roots at tau = 0.
+    assert run(["verify", _one_variable(tmp_path, 2, 1), "--suite", "thm41",
+                "--out", str(tmp_path / "rep")]) == 2
+    assert "error: root on the real axis at xi'=[]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["roots", "solve"])
+def test_one_variable_point_queries_take_an_empty_xi_prime(cmd, tmp_path, capsys):
+    path = _one_variable(tmp_path, 1, 0)
+    assert run([cmd, path, "--xi-prime", "", "--lam", "3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    if cmd == "roots":
+        assert data["upper"] == [pytest.approx([0.0, 3.0], abs=1e-15)]
+    else:       # w_1 = e^{-3t}: ||w_1||^2 = 1/6
+        assert data["w1_norms"]["0"] == pytest.approx(6 ** -0.5, rel=1e-15)
+    assert run([cmd, path, "--xi-prime", "1", "--lam", "3"]) == 2
+    assert "--xi-prime needs 0 comma-separated values" in capsys.readouterr().err
 
 
 def test_check_refinement_runs_each_density_once(e1_path, tmp_path,

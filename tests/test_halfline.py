@@ -251,16 +251,11 @@ def test_residue_norms_across_root_gaps(gap):
 # ---------------------------------------------------------------------------
 # mesh_norms: gramian_norms node by node, and the residue path as an oracle
 
-def _node_loop(p, xi_abs, lam, j_list, l_list):
+def _node_loop(p, xi_prime, lam, j_list, l_list):
     """gramian_norms one node at a time (N = 1), on tau_roots' upper roots."""
-    out = np.empty((len(xi_abs), len(lam), len(j_list), len(l_list)))
-    xi_prime = np.zeros(p.n - 1)
-    for a, xa in enumerate(xi_abs):
-        xi_prime[0] = xa
-        for b, y in enumerate(lam):
-            upper = tau_roots(p, xi_prime, y).upper
-            out[a, b] = halfline.gramian_norms([upper], j_list, l_list)[0]
-    return out
+    return np.array([halfline.gramian_norms([tau_roots(p, x, y).upper],
+                                            j_list, l_list)[0]
+                     for x, y in zip(xi_prime, lam)])
 
 
 def _residue_tolerance(upper) -> float:
@@ -277,29 +272,26 @@ def _residue_tolerance(upper) -> float:
     return 32 * np.finfo(float).eps * (mod.max() / mod.min() + g ** -2)
 
 
-def _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list):
+def _assert_mesh_matches_loop(p, xi_prime, lam, j_list, l_list):
     """The node loop's bits, or its error at the same node.  Where solve
     merges no roots, the residue norms agree within _residue_tolerance."""
     try:
-        expected = _node_loop(p, xi_abs, lam, j_list, l_list)
+        expected = _node_loop(p, xi_prime, lam, j_list, l_list)
     except EllipticityError as exc:
         with pytest.raises(EllipticityError, match=f"^{re.escape(str(exc))}$"):
-            halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
+            halfline.mesh_norms(p, xi_prime, lam, j_list, l_list)
         return None
-    got = halfline.mesh_norms(p, xi_abs, lam, j_list, l_list)
+    got = halfline.mesh_norms(p, xi_prime, lam, j_list, l_list)
     assert got.values.tobytes() == expected.tobytes()
-    xi_prime = np.zeros(p.n - 1)
-    for a, xa in enumerate(xi_abs):
-        xi_prime[0] = xa
-        for b, y in enumerate(lam):
-            sols = solve(p, xi_prime, y)
-            if any(len(s.terms) < len(s.roots) for s in sols):
-                continue
-            tol = _residue_tolerance(sols[0].roots)
-            for ji, j in enumerate(j_list):
-                for li, l in enumerate(l_list):
-                    norm = got.values[a, b, ji, li]
-                    assert abs(l2_norm_deriv(sols[j - 1], l) - norm) <= tol * norm
+    for k, (x, y) in enumerate(zip(xi_prime, lam)):
+        sols = solve(p, x, y)
+        if any(len(s.terms) < len(s.roots) for s in sols):
+            continue
+        tol = _residue_tolerance(sols[0].roots)
+        for ji, j in enumerate(j_list):
+            for li, l in enumerate(l_list):
+                norm = got.values[k, ji, li]
+                assert abs(l2_norm_deriv(sols[j - 1], l) - norm) <= tol * norm
     return got
 
 
@@ -323,7 +315,16 @@ def _half_line_pencils(draw):
     return Pencil(n=n, m=m, mu=mu, terms=tuple(terms))
 
 
-_grid = st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=4).map(np.array)
+# Nodes (|xi'|, angle of xi', lambda); xi' is |xi'| (cos, sin)[:n-1].
+_nodes = st.lists(st.tuples(st.floats(1e-2, 1e3), st.floats(0.0, 2 * math.pi),
+                            st.floats(1e-2, 1e3)), min_size=1, max_size=12)
+
+
+def _node_arrays(p, nodes):
+    """xi' of shape (N, n-1) and lambda of shape (N,) for _nodes' draws."""
+    xi_prime = [r * np.array([math.cos(a), math.sin(a)])[:p.n - 1]
+                for r, a, _ in nodes]
+    return np.array(xi_prime), np.array([y for _, _, y in nodes])
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,11 +348,11 @@ def test_bounded_targets_are_zeros_of_a2mu(p, radius, angle, lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_half_line_pencils(), _grid, _grid, st.data())
-def test_mesh_norms_match_solve_loop(p, xi_abs, lam, data):
+@given(_half_line_pencils(), _nodes, st.data())
+def test_mesh_norms_match_solve_loop(p, nodes, data):
     j_list = data.draw(st.lists(st.integers(1, p.m), min_size=1, unique=True))
     l_list = data.draw(st.lists(st.integers(0, p.m + 1), min_size=1, unique=True))
-    _assert_mesh_matches_loop(p, xi_abs, lam, j_list, l_list)
+    _assert_mesh_matches_loop(p, *_node_arrays(p, nodes), j_list, l_list)
 
 
 def test_mesh_norms_match_solve_loop_order_three():
@@ -361,8 +362,13 @@ def test_mesh_norms_match_solve_loop_order_three():
         Term((6, 0, 0), 6, 1.0), Term((0, 6, 0), 6, 1.0), Term((0, 0, 6), 6, 1.0),
         Term((0, 0, 0), 0, 1.0), Term((1, 1, 1), 3, 0.01 + 0.005j),
         Term((2, 3, 0), 5, -0.004 + 0.008j)))
-    _assert_mesh_matches_loop(p, np.geomspace(0.1, 10.0, 7),
-                              np.geomspace(1.0, 100.0, 6), [1, 2, 3], [0, 1, 2, 3])
+    # 7 x 6 (|xi'|, lambda) pairs, each with its own direction of xi'.
+    xa, lam = (g.ravel() for g in np.meshgrid(np.geomspace(0.1, 10.0, 7),
+                                              np.geomspace(1.0, 100.0, 6),
+                                              indexing="ij"))
+    angle = 0.7 * np.arange(len(xa))
+    xi_prime = xa[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    _assert_mesh_matches_loop(p, xi_prime, lam, [1, 2, 3], [0, 1, 2, 3])
 
 
 def _confluent(c):
@@ -383,20 +389,22 @@ def test_mesh_norms_confluent_closed_forms(c):
     # 1/(4 kappa^3), ||D w_2||^2 = 1/(4 kappa).  The eigensolve keeps the
     # mean of a close or double pair, so the norms hold to rounding; c = 0
     # is e1, whose roots are far apart.
+    # The 7 x 6 (|xi'|, lambda) pairs, on xi' = +|xi'| and -|xi'| in turn.
     p = _confluent(c)
-    xi_abs, lam = np.geomspace(1e-2, 1e2, 7), np.geomspace(1.0, 1e3, 6)
-    got = halfline.mesh_norms(p, xi_abs, lam, [1, 2], [0, 1]).values
-    x, y = np.meshgrid(xi_abs, lam, indexing="ij")
+    x, y = (g.ravel() for g in np.meshgrid(np.geomspace(1e-2, 1e2, 7),
+                                           np.geomspace(1.0, 1e3, 6), indexing="ij"))
+    sign = (-1.0) ** np.arange(len(x))
+    got = halfline.mesh_norms(p, (sign * x)[:, None], y, [1, 2], [0, 1]).values
     alpha, beta = np.sqrt(x ** 2 + y ** 2), np.sqrt(x ** 2 + c * y ** 2)
     s, q = alpha + beta, alpha * beta
     squares = [[(alpha ** 2 + 3 * q + beta ** 2) / (2 * q * s), q / (2 * s)],
                [1 / (2 * q * s), 1 / (2 * s)]]
-    expected = np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3)))
+    expected = np.sqrt(np.moveaxis(np.array(squares), (0, 1), (1, 2)))
     assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
     if c == 1.0:
         kappa = alpha
         squares = [[5 / (4 * kappa), kappa / 4], [1 / (4 * kappa ** 3), 1 / (4 * kappa)]]
-        assert np.allclose(got, np.sqrt(np.moveaxis(np.array(squares), (0, 1), (2, 3))),
+        assert np.allclose(got, np.sqrt(np.moveaxis(np.array(squares), (0, 1), (1, 2))),
                            rtol=1e-13, atol=0.0)
 
 
@@ -417,10 +425,10 @@ def test_gramian_norms_closed_forms_m1_and_scaling():
 
 def test_mesh_norms_real_axis_error_at_first_node():
     # xi'^2 + tau^2 - lambda^2 has real roots where lambda > |xi'|: the
-    # second and third nodes in (|xi'|, lambda) order.
+    # second, third and fourth nodes.
     p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0),
                                       Term((0, 0), 0, -1.0)))
-    xi_abs, lam = np.array([2.0, 0.5]), np.array([1.0, 3.0])
-    _assert_mesh_matches_loop(p, xi_abs, lam, [1], [0, 1])
+    xi_prime, lam = np.array([[2.0], [2.0], [0.5], [0.5]]), np.array([1.0, 3.0, 1.0, 3.0])
+    _assert_mesh_matches_loop(p, xi_prime, lam, [1], [0, 1])
     with pytest.raises(EllipticityError, match=r"xi'=\[2\.\], lambda=3\.0$"):
-        halfline.mesh_norms(p, xi_abs, lam, [1], [0, 1])
+        halfline.mesh_norms(p, xi_prime, lam, [1], [0, 1])

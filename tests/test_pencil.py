@@ -290,7 +290,7 @@ def test_tau_roots_sextic_at_large_lambda(lam):
     expected = np.sort_complex(lam * (1 + lam ** -6) ** (1 / 6)
                                * np.exp(1j * np.pi * np.array([1, 3, 5]) / 6))
     assert np.allclose(upper, expected, rtol=1e-12, atol=0.0)
-    _, ok = pencil_mod.mesh_upper_roots(_sextic(), np.array([1.0]), np.array([lam]))
+    _, ok = pencil_mod.mesh_upper_roots(_sextic(), np.array([[1.0]]), np.array([lam]))
     assert ok.all()
 
 
@@ -301,7 +301,7 @@ def test_vanishing_leading_coefficient_still_raises():
     for lam in (1e-3, 1.0, 1e6):
         with pytest.raises(EllipticityError, match="leading tau coefficient"):
             tau_roots(p, np.array([1.0]), lam)
-        assert not pencil_mod.mesh_upper_roots(p, np.array([1.0]), np.array([lam]))[1].any()
+        assert not pencil_mod.mesh_upper_roots(p, np.array([[1.0]]), np.array([lam]))[1].any()
 
 
 def test_out_of_range_lambda_rejected_at_a_point_and_on_the_mesh():
@@ -310,9 +310,9 @@ def test_out_of_range_lambda_rejected_at_a_point_and_on_the_mesh():
     for lam, message in ((-5.0, "lambda >= 0"), (1e300, "overflows")):
         with pytest.raises(OutOfRangeError, match=message):
             tau_roots(e1_pencil(), np.array([1.0]), lam)
-    _, ok = pencil_mod.mesh_upper_roots(e1_pencil(), np.array([1.0]),
+    _, ok = pencil_mod.mesh_upper_roots(e1_pencil(), np.ones((3, 1)),
                                         np.array([-5.0, 1e300, 5.0]))
-    assert ok.tolist() == [[False, False, True]]
+    assert ok.tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -324,8 +324,8 @@ def test_leading_coefficient_threshold_same_on_mesh(above):
         a = np.nextafter(a, 1.0)
     p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((0, 2), 2, a),
                                       Term((0, 0), 0, 1.0)))
-    _, ok = pencil_mod.mesh_upper_roots(p, np.array([1.0]), np.array([1.0]))
-    assert ok[0, 0] == above
+    _, ok = pencil_mod.mesh_upper_roots(p, np.array([[1.0]]), np.array([1.0]))
+    assert ok[0] == above
     if above:
         tau_roots(p, np.array([1.0]), 1.0)
     else:

@@ -1,13 +1,16 @@
 """Tests for the certification sweeps and report plumbing."""
 
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pencilab import verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.pencil import Pencil, Term, group_roots, tau_roots
+from pencilab.pencil import (Pencil, Term, group_roots, load_pencil, poly_roots,
+                             sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
 
@@ -89,29 +92,33 @@ def test_thm41_sweep_e1():
     rep = verify.sweep_theorem41(e1_pencil(), density=1)
     assert rep.verdict == "pass"
     assert rep.extras["homogeneity_max_rel_err"] < 1e-8
-    assert np.isfinite(rep.extras["reduced_max_ratio"])
     wit = rep.witness_max
     # witness reproducibility: recompute lhs at the witness point, one node
     # alone, and against the closed form for the upper roots i|xi'| and
     # i sqrt(|xi'|^2 + lambda^2)
     xa, lam = wit["xi_prime_abs"], wit["lambda"]
-    upper = tau_roots(e1_pencil(), np.array([xa]), lam).upper
+    assert wit["xi_prime"] == [xa]
+    upper = tau_roots(e1_pencil(), np.array(wit["xi_prime"]), lam).upper
     lhs = halfline.gramian_norms([upper], [wit["j"]], [wit["l"]])[0, 0, 0]
     assert lhs == wit["lhs"]
     a, b = xa, np.hypot(xa, lam)
     closed = {(1, 0): (a * a + 3 * a * b + b * b) / (2 * a * b * (a + b)),
               (1, 1): a * b / (2 * (a + b)), (2, 0): 1 / (2 * a * b * (a + b)),
-              (2, 1): 1 / (2 * (a + b))}[wit["j"], wit["l"]]
+              (2, 1): 1 / (2 * (a + b)),
+              (2, 2): (a * a + 3 * a * b + b * b) / (2 * (a + b))}[wit["j"], wit["l"]]
     assert lhs == pytest.approx(np.sqrt(closed), rel=1e-12)
 
 
 def test_thm41_known_point_ratio():
-    rep = verify.sweep_theorem41(e1_pencil(), lam_range=(10.0, 10.0))
-    # geomspace(1e-2, 1e2, 7)[3] is exactly 1.0; all six lambdas are 10.
-    rec = next(r for r in rep.records
-               if r["xi_prime_abs"] == 1.0 and r["j"] == 2 and r["l"] == 2)
-    assert rec["lambda"] == 10.0
-    assert rec["ratio"] == pytest.approx(2.4453 / np.sqrt(11.0), abs=1e-3)
+    # The ratio at (|xi'|, lambda) = (1, 10) is ||D^2 w_2|| / sqrt(11) with
+    # ||D^2 w_2|| = 2.4453; it is homogeneous of degree 0, so the scan's
+    # node s = lambda / |xi'| = 10 on each ray has it too.
+    rep = verify.sweep_theorem41(e1_pencil())
+    recs = [r for r in rep.records if r["j"] == 2 and r["l"] == 2
+            and r["lambda"] / r["xi_prime_abs"] == pytest.approx(10.0)]
+    assert sorted(r["xi_prime"][0] / r["xi_prime_abs"] for r in recs) == [-1.0, 1.0]
+    for rec in recs:
+        assert rec["ratio"] == pytest.approx(2.4453 / np.sqrt(11.0), abs=1e-3)
 
 
 def test_asymptotics_sweep_e1():
@@ -226,7 +233,6 @@ def test_halfspace_table_dominates_derivative_table():
     # agree up to bounded factors.
     p = e1_pencil()
     phi = verify.homogeneous_energy_weight(p)
-    from fractions import Fraction
     for xa in (0.1, 1.0, 10.0):
         for lam in (1.0, 100.0):
             for j in (1, 2):
@@ -244,29 +250,32 @@ def test_halfspace_table_dominates_derivative_table():
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
 def test_norm_sweeps_match_pointwise_loop(pencil):
-    # Reference: a per-point loop over the residue solutions.  The norms
-    # agree within c eps (s + g^-2), g the smallest root gap relative to
-    # max |tau| and s = max |tau| / min |tau|.  The thm41 table is made of
-    # scalar calls, so it is exact; the halfspace weights are array calls,
-    # whose powers may round 1-2 ulp away from scalar ones.
-    from fractions import Fraction
+    # Reference: a per-point loop over the residue solutions at the unit
+    # slice's nodes (|xi'|, lambda) = (1, s) / sqrt(1 + s^2), s = 0 and 21
+    # values over s_range, on each direction.  The norms agree within
+    # c eps (s + g^-2), g the smallest root gap relative to max |tau| and
+    # s = max |tau| / min |tau|.  The thm41 table is made of scalar calls,
+    # so it is exact; the halfspace weights are array calls, whose powers
+    # may round 1-2 ulp away from scalar ones.
     p = pencil()
     phi = verify.homogeneous_energy_weight(p)
     thm = verify.sweep_theorem41(p)
     half = verify.sweep_halfspace_ratio(p)
-    for rep, xi_count, rhs, rel in (
-            (thm, 7, lambda j, l, xa, lam: verify.rhs_44(p.mu, j, l, xa, lam),
+    for rep, rhs, rel in (
+            (thm, lambda j, l, xa, lam: verify.rhs_44(p.mu, j, l, xa, lam),
              0.0),
-            (half, 6, lambda j, l, xa, lam: (
+            (half, lambda j, l, xa, lam: (
                 weights.xi_product_eval(
                     weights.shift(phi, Fraction(2 * j - 1, 2)), xa, lam)
                 / weights.xi_product_eval(weights.shift(phi, l), xa, lam)),
              1e-15)):
         cfg = rep.config
+        assert cfg["directions"] == 2
         expected = []
-        for xa in verify.geom_grid(*cfg["xi_range"], xi_count):
-            for lam in verify.geom_grid(*cfg["lam_range"], 6):
-                sols = halfline.solve(p, np.array([xa] + [0.0] * (p.n - 2)), lam)
+        for omega in sphere_directions(1, 2):
+            for s in [0.0] + list(np.geomspace(*cfg["s_range"], 21)):
+                xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
+                sols = halfline.solve(p, omega * xa, lam)
                 u = np.array(sols[0].roots)
                 gaps = np.abs(u[:, None] - u[None, :])[~np.eye(len(u), dtype=bool)]
                 g = gaps.min() / np.abs(u).max() if len(u) > 1 else 1.0
@@ -274,13 +283,13 @@ def test_norm_sweeps_match_pointwise_loop(pencil):
                     np.abs(u).max() / np.abs(u).min() + g ** -2)
                 for j in cfg["j_list"]:
                     for l in cfg["l_list"]:
-                        expected.append((xa, lam, j, l,
+                        expected.append(((omega * xa).tolist(), xa, lam, j, l,
                                          halfline.l2_norm_deriv(sols[j - 1], l),
                                          tol, rhs(j, l, xa, lam)))
         assert len(rep.records) == len(expected)
-        for rec, (xa, lam, j, l, lhs, tol, r) in zip(rep.records, expected):
-            assert (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"]) \
-                == (xa, lam, j, l)
+        for rec, (xi, xa, lam, j, l, lhs, tol, r) in zip(rep.records, expected):
+            assert (rec["xi_prime"], rec["xi_prime_abs"], rec["lambda"],
+                    rec["j"], rec["l"]) == (xi, xa, lam, j, l)
             assert abs(rec["lhs"] - lhs) <= tol * rec["lhs"]
             assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
             assert rec["ratio"] == rec["lhs"] / rec["rhs"]
@@ -312,6 +321,64 @@ def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
         assert "pointwise_nodes" not in extras
         verify.write_csv(rep, tmp_path / "out.csv")
         assert "clearance" not in (tmp_path / "out.csv").read_text()
+
+
+def test_norm_scan_covers_both_rays_of_the_plane():
+    # (|xi|^2 + lambda^2)^2 + 0.5 xi_1 tau^2 lambda is elliptic, and its odd
+    # term tells xi' = +|xi'| from xi' = -|xi'|: at (|xi'|, lambda) =
+    # (0.6, 0.8) the norms of the two rays differ by about 0.02.
+    p = Pencil(n=2, m=2, mu=0,
+               terms=_double_root_pencil().terms + (Term((1, 2), 3, 0.5),))
+    both = halfline.mesh_norms(p, [[0.6], [-0.6]], [0.8, 0.8], [1, 2], [0, 1, 2])
+    assert np.abs(both.values[0] - both.values[1]).min() > 0.01
+    rep = verify.sweep_theorem41(p)
+    assert rep.verdict == "pass"
+    rays = {}
+    for rec in rep.records:
+        key = (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"])
+        rays.setdefault(key, {})[np.sign(rec["xi_prime"][0])] = rec["lhs"]
+    assert all(sorted(r) == [-1.0, 1.0] for r in rays.values())
+    assert max(abs(r[1.0] - r[-1.0]) for r in rays.values()) > 0.01
+    wit = rep.summary()["witness_max"]
+    assert wit["xi_prime"] == [np.sign(wit["xi_prime"][0]) * wit["xi_prime_abs"]]
+
+
+BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+
+
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
+def test_norm_scan_ratios_are_scale_invariant(name):
+    # The scan covers the unit slice alone because both sides of every thm41
+    # and halfspace ratio are jointly homogeneous of degree l - j + 1/2 in
+    # (xi', lambda).  Each ratio is recomputed at (c xi', c lambda): the
+    # norms within 32 eps times the spread max |tau| / min |tau| of the
+    # node's upper roots (the Lyapunov solve's loss), the halfspace
+    # right-hand sides within 8 eps.  The roots come from poly_roots: at
+    # c = 1e-3 e1's node s = 1e5 has its bounded root at 1e-8 i, which the
+    # real-axis test of tau_roots, absolute at that scale, rejects.
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    phi = verify.homogeneous_energy_weight(p)
+    thm, half = verify.sweep_theorem41(p), verify.sweep_halfspace_ratio(p)
+    j_list, l_list = thm.config["j_list"], thm.config["l_list"]
+    eps = np.finfo(float).eps
+    for c in (1e-3, 7.3, 1e3):
+        xa = c * np.array([r["xi_prime_abs"] for r in thm.records])
+        lam = c * np.array([r["lambda"] for r in thm.records])
+        shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), xa, lam)
+        num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
+        den = {l: shifted(l) for l in l_list}
+        for k, (rec, hrec) in enumerate(zip(thm.records, half.records)):
+            if k % (len(j_list) * len(l_list)) == 0:       # a new node
+                roots = poly_roots(tau_polynomial(p, c * np.array(rec["xi_prime"]),
+                                                  lam[k]))
+                upper = roots[roots.imag > 0]
+                spread = np.abs(upper).max() / np.abs(upper).min()
+                norms = halfline.gramian_norms([upper], j_list, l_list)[0]
+            j, l = rec["j"], rec["l"]
+            ratio = norms[j - 1, l] / verify.rhs_44(p.mu, j, l, xa[k], lam[k])
+            assert ratio == pytest.approx(rec["ratio"], rel=32 * eps * spread, abs=0.0)
+            rhs = num[j][k] / den[l][k] * c ** (j - l - 0.5)
+            assert rhs == pytest.approx(hrec["rhs"], rel=8 * eps, abs=0.0)
 
 
 def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):

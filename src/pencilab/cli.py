@@ -156,19 +156,23 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     p = load_pencil(args.pencil)
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    worst = 0
+    # Every suite runs before any verdict is written, so an error (exit 2)
+    # leaves no partial report.
+    reports = {}
     for name in suites:
         suite = functools.partial(verify.run_suite, name, p,
                                   lambda0=args.lambda0, decades=args.grid_decades)
-        rep = suite(density=args.density)
+        rep = reports[name] = suite(density=args.density)
         if args.check_refinement and rep.verdict == "pass":
             drift = verify.drift_between(rep, suite(density=2 * args.density))
             rep.extras["refinement_drift"] = drift
             if drift >= 0.05:
                 rep.verdict = "unstable"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    summary = {}
+    worst = 0
+    for name, rep in reports.items():
         verify.write_csv(rep, out / f"{name}.csv")
         s = summary[name] = rep.summary()
         print(f"{name:12s} {rep.verdict:8s} band [{s['min_ratio']:.6g}, "

@@ -22,10 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, halfline, weights
-from .errors import PencilabError
+from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
-                     group_roots, homogeneous_table, sphere_directions,
-                     symbol_blocks)
+                     column_least, group_roots, homogeneous_table,
+                     sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
@@ -483,10 +483,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         """Largest ratio over the table's directions, per (|xi|, lambda)
         column.  Each rounded step of the ratio is monotone in |A|, so it is
         the ratio at the column's least |A|, bit for bit."""
-        least = np.empty(len(xa))
-        for cols, block in symbol_blocks(table, xa, lam):
-            least[cols] = np.abs(block).min(axis=1)
-        return ratio(least, xa, lam)
+        return ratio(column_least(table, xa, lam), xa, lam)
 
     # One column per (lambda, |xi|) record: the maximum over the directions.
     lam_col = np.repeat(lam_grid, len(xi_grid))
@@ -558,8 +555,30 @@ SUITES = ("polygon", "trace", "thm41", "asymptotics", "prop52", "halfspace")
 
 def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
               decades: int = 3) -> SweepReport:
-    """Dispatch one named suite for a pencil with default desk-scale grids."""
-    lam_max = lambda0 * 10.0 ** decades
+    """Dispatch one named suite for a pencil with default desk-scale grids.
+
+    Raises OutOfRangeError, naming the suite and where it ran, when the
+    lambda range overflows or the suite's float64 arithmetic overflows,
+    divides by zero or makes a NaN: its verdict would rest on infinities.
+    """
+    unit_slice = name in ("thm41", "halfspace")
+    try:
+        lam_max = lambda0 * 10.0 ** decades
+    except OverflowError:
+        lam_max = math.inf
+    where = "the unit slice" if unit_slice else f"lambda in [{lambda0:g}, {lam_max:g}]"
+    if math.isinf(lam_max) and not unit_slice:
+        raise OutOfRangeError(f"suite {name}: {where} overflows float64")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _dispatch(name, p, density, lambda0, decades, lam_max)
+    except FloatingPointError as exc:
+        raise OutOfRangeError(f"suite {name}: float64 fails on {where} "
+                              f"({exc})") from exc
+
+
+def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
+              decades: int, lam_max: float) -> SweepReport:
     if name == "polygon":
         np_ = build_polygon(p.exponent_points())
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,

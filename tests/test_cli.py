@@ -131,6 +131,68 @@ def test_bad_pencil_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_QUADRATIC = Pencil(n=2, m=1, mu=0, terms=(
+    Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0), Term((0, 0), 0, 1.0)))
+
+
+@pytest.mark.parametrize("p, coeffs, message", [
+    # A = inf xi_1^2 + xi_2^2 + lambda^2 read "condition (i) False (min inf)".
+    (_QUADRATIC, {0: math.inf},
+     "coefficient (inf+0j) of the term alpha=(2, 0) is not finite"),
+    (e1_pencil(), {1: math.nan},
+     "coefficient (nan+0j) of the term alpha=(2, 2) is not finite"),
+    # e1's terms at 1e308: coeff_scale and so the tolerance were inf.
+    (e1_pencil(), dict.fromkeys(range(5), 1e308),
+     "of the term alpha=(2, 2) overflows the sum of |coeff|"),
+])
+@pytest.mark.parametrize("argv", [["ellipticity"], ["verify", "--suite", "polygon"]])
+def test_non_finite_coefficients_exit_2(p, coeffs, message, argv, tmp_path, capsys):
+    data = pencil_to_dict(p)
+    for k, coeff in coeffs.items():
+        data["terms"][k]["re"] = coeff
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(data))       # Infinity and NaN, which json reads
+    out = tmp_path / "rep"
+    assert run(argv[:1] + [str(path)] + argv[1:] + (
+        ["--out", str(out)] if argv[0] == "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # |A|^2 overflowed in prop52's ratio and gave records with ratio 0.
+    (["--suite", "prop52", "--grid-decades", "80"],
+     "suite prop52: float64 fails on lambda in [1, 1e+80] (overflow"),
+    (["--suite", "polygon", "--lambda0", "1e100"],
+     "suite polygon: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
+    # The trace integrand underflows to 0, which then divides.
+    (["--suite", "trace", "--lambda0", "1e100"],
+     "suite trace: float64 fails on lambda in [1e+100, 1e+103] (invalid"),
+    (["--suite", "prop52", "--lambda0", "1e100"],
+     "suite prop52: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
+    # 10.0 ** 400 raised OverflowError, a traceback.
+    (["--suite", "all", "--grid-decades", "400"],
+     "suite polygon: lambda in [1, inf] overflows float64"),
+    (["--suite", "asymptotics", "--lambda0", "1e300", "--grid-decades", "9"],
+     "suite asymptotics: lambda in [1e+300, inf] overflows float64"),
+])
+def test_overflowing_lambda_range_exit_2(argv, message, e1_path, tmp_path, capsys):
+    # A RuntimeWarning would be an error here (pyproject filterwarnings).
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--out", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_unit_slice_suites_take_any_lambda_range(e1_path, tmp_path, capsys):
+    # thm41 and halfspace do not run lambda over the range.
+    assert run(["verify", e1_path, "--suite", "thm41", "--grid-decades", "400",
+                "--out", str(tmp_path / "rep")]) == 0
+
+
 @pytest.mark.parametrize("cmd", ["roots", "solve"])
 @pytest.mark.parametrize("point, message", [
     (["--xi-prime", "nan"], "need finite xi' and finite lambda >= 0"),

@@ -34,6 +34,26 @@ def test_term_validation():
         Pencil(n=2, m=1, mu=1, terms=())                        # m <= mu
 
 
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan,
+                                   complex(1.0, math.inf), complex(math.nan, 0.0)])
+def test_non_finite_coefficient_rejected(coeff):
+    data = pencil_to_dict(e1_pencil())
+    data["terms"][1]["re"], data["terms"][1]["im"] = coeff.real, coeff.imag
+    # Python's json reads Infinity and NaN.
+    with pytest.raises(PencilFormatError, match=r"alpha=\(2, 2\) is not finite"):
+        pencil_from_dict(json.loads(json.dumps(data)))
+
+
+def test_overflowing_coefficient_sum_rejected():
+    # Each coefficient is finite, but coeff_scale, which scales every
+    # tolerance, would be inf: (i)-(iii) then read "not elliptic".
+    terms = tuple(Term(t.alpha, t.j, 1e308) for t in e1_pencil().terms)
+    with pytest.raises(PencilFormatError,
+                       match=r"alpha=\(2, 2\) overflows the sum of \|coeff\|"):
+        Pencil(n=2, m=2, mu=1, terms=terms)
+    assert Pencil(n=2, m=2, mu=1, terms=terms[:1]).coeff_scale == 1e308
+
+
 def test_json_round_trip():
     p = e1_pencil()
     q = pencil_from_dict(json.loads(json.dumps(pencil_to_dict(p))))
@@ -643,3 +663,28 @@ def test_slice_scans_bit_identical_to_full_ratio(p, grid):
        st.integers(1, 9), st.integers(3, 40))
 def test_slice_scans_bit_identical_on_odd_order_pencils(p, angular, directions):
     _assert_slice_scans_bit_identical(p, GridSpec(angular=angular, directions=directions))
+
+
+@pytest.mark.parametrize("p, grid", [
+    # e1 is rotation invariant, so ratios tie up to rounding across directions.
+    (e1_pencil(), GridSpec(angular=720, directions=720)),
+    (broken_pencil(), GridSpec(angular=7, directions=30)),
+    # 2000 directions (the n = 3 least): the default block of
+    # SLICE_BLOCK_ENTRIES // 2000 columns leaves a partial last block.
+    (E1_N3, GridSpec(angular=97, directions=97))])
+def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
+    def scans():
+        rep = check_lemma21(p, grid)
+        sweep = sweep_multiplier_rn(p)
+        return [rep.min_a2m, rep.min_a2mu, rep.min_abs, rep.min_ratio, rep.C_est,
+                rep.witness_i, rep.witness_ii, *rep.witness_iii,
+                remark22_checks(p, grid)["c_min"],
+                [[r[key] for key in ("xi_prime_abs", "lambda", "lhs", "rhs", "ratio")]
+                 for r in sweep.records],
+                sweep.extras["C"], sweep.extras["C_point"]]
+
+    default = [np.asarray(x).tobytes() for x in scans()]
+    # One column per block, and one block for the whole scan.
+    for entries in (1, 10 ** 9):
+        monkeypatch.setattr(pencil_mod, "SLICE_BLOCK_ENTRIES", entries)
+        assert [np.asarray(x).tobytes() for x in scans()] == default

@@ -4,13 +4,12 @@ Run as:  python3 demos/certify_estimates.py
 """
 
 from pencilab import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.verify import SUITES, run_suite, sweep_multiplier_rn
+from pencilab.verify import SUITES, run_suites, sweep_multiplier_rn
 
 for label, pencil in (("model pencil |xi|^2(|xi|^2+lambda^2)", e1_pencil()),
                       ("classical second-order pencil", agmon_pencil())):
     print(f"\n=== {label} ===")
-    for name in SUITES:
-        rep = run_suite(name, pencil)
+    for name, rep in run_suites(SUITES, pencil).items():
         extra = ""
         if "C" in rep.extras:
             extra = f"  C = {rep.extras['C']:.4g}"

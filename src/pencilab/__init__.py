@@ -8,8 +8,9 @@ the associated two-sided estimates.
 
 __version__ = "0.1.0"   # before the submodules: verify reports it
 
-from .errors import (BandError, EllipticityError, OutOfRangeError,
-                     PencilabError, PencilFormatError, UnsupportedShapeError)
+from .errors import (BandError, EllipticityError, Float64RangeError,
+                     OutOfRangeError, PencilabError, PencilFormatError,
+                     UnsupportedShapeError)
 from .polygon import NewtonPolygon, Side, build_polygon, principal_part, r_degree
 from .weights import (HomogeneousWeight, ProductWeight, from_polygon,
                       kappa_index, lemma32_integral, shift,
@@ -22,5 +23,5 @@ from .halfline import (ExpPolySolution, ExpPolyTerm, boundary_defect,
                        contour_eval, eval_deriv, l2_norm_deriv, ode_residual,
                        solve, solve_from_roots, split_by_group)
 from .catalog import BUILTIN, agmon_pencil, broken_pencil, e1_pencil
-from .verify import SweepReport, run_suite, write_csv
+from .verify import SweepReport, run_suite, run_suites, write_csv
 

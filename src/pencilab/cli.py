@@ -158,14 +158,14 @@ def cmd_verify(args) -> int:
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     # Every suite runs before any verdict is written, so an error (exit 2)
     # leaves no partial report.
-    reports = {}
-    for name in suites:
-        suite = functools.partial(verify.run_suite, name, p,
-                                  lambda0=args.lambda0, decades=args.grid_decades)
-        rep = reports[name] = suite(density=args.density)
-        if args.check_refinement and rep.verdict == "pass":
-            drift = verify.drift_between(rep, suite(density=2 * args.density))
-            rep.extras["refinement_drift"] = drift
+    run_suites = functools.partial(verify.run_suites, p=p, lambda0=args.lambda0,
+                                   decades=args.grid_decades)
+    reports = run_suites(suites, density=args.density)
+    if args.check_refinement:
+        passed = [name for name, rep in reports.items() if rep.verdict == "pass"]
+        for name, fine in run_suites(passed, density=2 * args.density).items():
+            rep = reports[name]
+            drift = rep.extras["refinement_drift"] = verify.drift_between(rep, fine)
             if drift >= 0.05:
                 rep.verdict = "unstable"
     out = Path(args.out)

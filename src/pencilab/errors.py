@@ -23,3 +23,9 @@ class EllipticityError(PencilabError):
 
 class BandError(PencilabError):
     """A computed value escapes the two-sided band a lemma guarantees."""
+
+
+class Float64RangeError(OutOfRangeError, FloatingPointError):
+    """A computed value leaves the normal float64 range.  As a
+    FloatingPointError, a verify suite reports it as its float64 arithmetic
+    failing on the suite's range."""

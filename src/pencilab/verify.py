@@ -6,11 +6,13 @@ extremal witness points.  Constants are always reported, never assumed;
 verdicts compare the observed band against fixed limits.  Callers set the
 lambda grid and the density; the |xi| ranges and limits are constants below.
 The thm41 and halfspace sweeps scan the unit slice |xi'|^2 + lambda^2 = 1
-instead, and take only the density.
+instead, and take only the density.  `run_suites` runs any of the suites at
+one density, and thm41 and halfspace then read one scan of the slice.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -246,19 +248,18 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
     # Rows follow lambda, columns |xi'|, as in the records.
     lam_col = np.repeat(lam_grid, len(xi_grid))
     xi_col = np.tile(xi_grid, len(lam_grid))
-    quad_err = 0.0
-    for l in l_list:
-        lhs, err = weights.trace_weight_quadrature(w, l, xi_col, lam_col)
+    # One call for every l: they share the quadrature lattice.
+    sigma, err = weights.trace_weight_quadrature(w, l_list, xi_col, lam_col)
+    for l, lhs in zip(l_list, sigma):
         rhs = weights.xi_product_eval(
             weights.shift(w, Fraction(l) + Fraction(1, 2)), xi_col, lam_col)
         ratios = lhs / rhs
-        quad_err = max(quad_err, float(err.max()))
         _add_records(rep, xi_col, lam_col, lhs, rhs, l=l)
         lo, hi = float(ratios.min()), float(ratios.max())
         rep.extras[f"band_l{l}"] = [lo, hi]
         if hi / lo > TRACE_BAND_WIDTH_LIMIT:
             rep.fail(f"l={l}: band width {hi / lo} exceeds {TRACE_BAND_WIDTH_LIMIT}")
-    rep.extras["quad_err_max"] = quad_err
+    rep.extras["quad_err_max"] = float(err.max(initial=0.0))
     rep.runtime = time.perf_counter() - t0
     return rep
 
@@ -275,24 +276,29 @@ def scan_directions(n: int) -> np.ndarray:
     return sphere_directions(n - 1, NORM_DIRECTIONS)
 
 
-def _norm_scan(suite: str, p: Pencil, density: int, rhs) -> SweepReport:
-    """||D^l w_j|| against rhs(|xi'|, lambda)[j, l] on the unit slice.
+@dataclass(frozen=True)
+class NormScan:
+    """Nodes of the unit-slice scan and the norms ||D^l w_j|| there, for
+    j = 1..m and l = 0..m (see norm_scan)."""
+    xi_prime: np.ndarray            # (N, n-1)
+    xi_abs: np.ndarray              # (N,)
+    lam: np.ndarray                 # (N,)
+    directions: int
+    norms: halfline.MeshNorms
 
-    Both sides are jointly homogeneous of degree l - j + 1/2 in (xi',
-    lambda), so a ratio depends only on s = lambda / |xi'| and on the
-    direction of xi'.  Along each scan direction the nodes are (|xi'|,
-    lambda) = (1, s) / sqrt(1 + s^2) for s = 0 and 20*density + 1 values
-    geometric over NORM_S_RANGE; for n = 1 the only node is xi' = (),
-    lambda = 1.  The norms come from one `halfline.mesh_norms` call, and
-    records, which carry xi', come in (direction, s, j, l) order.
+
+def norm_scan(p: Pencil, density: int) -> NormScan:
+    """The derivative norms on the unit slice |xi'|^2 + lambda^2 = 1.
+
+    The norms and the right-hand sides of thm41 and halfspace are jointly
+    homogeneous of degree l - j + 1/2 in (xi', lambda), so a ratio depends
+    only on s = lambda / |xi'| and on the direction of xi'.  Along each scan
+    direction the nodes are (|xi'|, lambda) = (1, s) / sqrt(1 + s^2) for
+    s = 0 and 20*density + 1 values geometric over NORM_S_RANGE; for n = 1
+    the only node is xi' = (), lambda = 1.  The norms come from one
+    `halfline.mesh_norms` call.
     """
-    j_list = list(range(1, p.m + 1))
-    l_list = list(range(0, p.m + 1))
     dirs = scan_directions(p.n)
-    rep = SweepReport(suite, {
-        "density": density, "j_list": j_list, "l_list": l_list,
-        "s_range": list(NORM_S_RANGE), "directions": len(dirs),
-        "ratio_limit": NORM_RATIO_LIMIT})
     if p.n == 1:
         xa, lam = np.zeros(1), np.ones(1)
     else:
@@ -300,18 +306,32 @@ def _norm_scan(suite: str, p: Pencil, density: int, rhs) -> SweepReport:
         xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
     xi_prime = np.concatenate([np.outer(xa, omega) for omega in dirs])
     xa, lam = np.tile(xa, len(dirs)), np.tile(lam, len(dirs))
-    solved = halfline.mesh_norms(p, xi_prime, lam, j_list, l_list)
-    norms = solved.values.tolist()
-    table = {key: v.tolist() for key, v in rhs(xa, lam).items()}
-    for k, (xi, x, y) in enumerate(zip(xi_prime.tolist(), xa.tolist(),
-                                       lam.tolist())):
+    norms = halfline.mesh_norms(p, xi_prime, lam, list(range(1, p.m + 1)),
+                                list(range(p.m + 1)))
+    return NormScan(xi_prime, xa, lam, len(dirs), norms)
+
+
+def _norm_report(suite: str, p: Pencil, density: int, scan: NormScan,
+                 rhs) -> SweepReport:
+    """||D^l w_j|| from the scan against rhs(|xi'|, lambda)[j, l]; records,
+    which carry xi', come in (direction, s, j, l) order."""
+    j_list = list(range(1, p.m + 1))
+    l_list = list(range(0, p.m + 1))
+    rep = SweepReport(suite, {
+        "density": density, "j_list": j_list, "l_list": l_list,
+        "s_range": list(NORM_S_RANGE), "directions": scan.directions,
+        "ratio_limit": NORM_RATIO_LIMIT})
+    norms = scan.norms.values.tolist()
+    table = {key: v.tolist() for key, v in rhs(scan.xi_abs, scan.lam).items()}
+    for k, (xi, x, y) in enumerate(zip(scan.xi_prime.tolist(),
+                                       scan.xi_abs.tolist(), scan.lam.tolist())):
         for ji, j in enumerate(j_list):
             for li, l in enumerate(l_list):
                 a, b = norms[k][ji][li], table[j, l][k]
                 rep.records.append({"xi_prime": xi, "xi_prime_abs": x,
                                     "lambda": y, "j": j, "l": l, "lhs": a,
                                     "rhs": b, "ratio": a / b})
-    rep.extras["root_clearance_min"] = solved.root_clearance_min
+    rep.extras["root_clearance_min"] = scan.norms.root_clearance_min
     if rep.max_ratio > NORM_RATIO_LIMIT:
         rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
     return rep
@@ -328,14 +348,17 @@ def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
     return (lam + xi_abs) ** (l - j + 0.5)
 
 
-def sweep_theorem41(p: Pencil, density: int = 1) -> SweepReport:
+def sweep_theorem41(p: Pencil, density: int = 1, scan=None) -> SweepReport:
     """Ratios of exact derivative norms to the four-case estimate table on
-    the unit slice (see _norm_scan), and a spot check of the scaling
-    identity for the solutions (extras)."""
+    the unit slice (see norm_scan), and a spot check of the scaling
+    identity for the solutions (extras).  `scan` returns the unit slice's
+    NormScan at this density (run_suites shares one with halfspace); by
+    default the sweep makes its own."""
     t0 = time.perf_counter()
+    scan = scan() if scan else norm_scan(p, density)
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
-    rep = _norm_scan("thm41", p, density, lambda xa, lam: {
+    rep = _norm_report("thm41", p, density, scan, lambda xa, lam: {
         (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa, lam)
         for j in range(1, p.m + 1) for l in range(p.m + 1)})
 
@@ -530,10 +553,11 @@ def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     return HomogeneousWeight(w.factors, lambda0=w.lambda0)
 
 
-def sweep_halfspace_ratio(p: Pencil, density: int = 1) -> SweepReport:
+def sweep_halfspace_ratio(p: Pencil, density: int = 1, scan=None) -> SweepReport:
     """Derivative norms against ratios of shifted homogeneous weights on the
-    unit slice (see _norm_scan)."""
+    unit slice (see norm_scan); `scan` as in sweep_theorem41."""
     t0 = time.perf_counter()
+    scan = scan() if scan else norm_scan(p, density)
     phi = homogeneous_energy_weight(p)
 
     def table(xa, lam):
@@ -542,7 +566,7 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1) -> SweepReport:
         den = {l: shifted(l) for l in range(p.m + 1)}
         return {(j, l): num[j] / den[l] for j in num for l in den}
 
-    rep = _norm_scan("halfspace", p, density, table)
+    rep = _norm_report("halfspace", p, density, scan, table)
     rep.runtime = time.perf_counter() - t0
     return rep
 
@@ -553,32 +577,48 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1) -> SweepReport:
 SUITES = ("polygon", "trace", "thm41", "asymptotics", "prop52", "halfspace")
 
 
-def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
-              decades: int = 3) -> SweepReport:
-    """Dispatch one named suite for a pencil with default desk-scale grids.
+def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
+               decades: int = 3) -> dict:
+    """Run the named suites in order, with default desk-scale grids, and
+    return {name: report}.
 
-    Raises OutOfRangeError, naming the suite and where it ran, when the
-    lambda range overflows or the suite's float64 arithmetic overflows,
-    divides by zero or makes a NaN: its verdict would rest on infinities.
+    thm41 and halfspace read one unit-slice scan (norm_scan), made by the
+    first of them to run, so that report's runtime carries it; nothing is
+    kept after the call.  Raises OutOfRangeError, naming the suite and
+    where it ran, when the lambda range overflows or the suite's float64
+    arithmetic overflows, divides by zero or makes a NaN: its verdict would
+    rest on infinities.  The first suite in `names` to fail raises.
     """
-    unit_slice = name in ("thm41", "halfspace")
     try:
         lam_max = lambda0 * 10.0 ** decades
     except OverflowError:
         lam_max = math.inf
-    where = "the unit slice" if unit_slice else f"lambda in [{lambda0:g}, {lam_max:g}]"
-    if math.isinf(lam_max) and not unit_slice:
-        raise OutOfRangeError(f"suite {name}: {where} overflows float64")
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _dispatch(name, p, density, lambda0, decades, lam_max)
-    except FloatingPointError as exc:
-        raise OutOfRangeError(f"suite {name}: float64 fails on {where} "
-                              f"({exc})") from exc
+    scan = functools.cache(functools.partial(norm_scan, p, density))
+    reports = {}
+    for name in names:
+        unit_slice = name in ("thm41", "halfspace")
+        where = ("the unit slice" if unit_slice
+                 else f"lambda in [{lambda0:g}, {lam_max:g}]")
+        if math.isinf(lam_max) and not unit_slice:
+            raise OutOfRangeError(f"suite {name}: {where} overflows float64")
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                reports[name] = _dispatch(name, p, density, lambda0, decades,
+                                          lam_max, scan)
+        except FloatingPointError as exc:
+            raise OutOfRangeError(f"suite {name}: float64 fails on {where} "
+                                  f"({exc})") from exc
+    return reports
+
+
+def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
+              decades: int = 3) -> SweepReport:
+    """One named suite; see run_suites."""
+    return run_suites([name], p, density, lambda0, decades)[name]
 
 
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
-              decades: int, lam_max: float) -> SweepReport:
+              decades: int, lam_max: float, scan) -> SweepReport:
     if name == "polygon":
         np_ = build_polygon(p.exponent_points())
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,
@@ -589,7 +629,7 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
         return sweep_trace_equivalence(w, l_list, density=density,
                                        lam_max=lam_max)
     if name == "thm41":
-        return sweep_theorem41(p, density=density)
+        return sweep_theorem41(p, density=density, scan=scan)
     if name == "asymptotics":
         return sweep_group_asymptotics(
             p, lambda_list=geom_grid(lambda0, lam_max, 4 * decades))
@@ -597,7 +637,7 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
         return sweep_multiplier_rn(p, lambda0=lambda0, density=density,
                                    lam_max=lam_max)
     if name == "halfspace":
-        return sweep_halfspace_ratio(p, density=density)
+        return sweep_halfspace_ratio(p, density=density, scan=scan)
     raise PencilabError(f"unknown suite {name!r}")
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BandError, OutOfRangeError
+from .errors import BandError, Float64RangeError, OutOfRangeError
 from .polygon import INF, NewtonPolygon
 
 # Single equivalence constant used when asserting the two-sided integral
@@ -139,40 +139,152 @@ def shift(w: ProductWeight, s) -> ProductWeight:
 
 # Trapezoid rule in u = log t.  The integrand is analytic in the strip
 # |Im u| < pi/2 (singularities at u = log a_s +- i pi/2), so the error of
-# step h falls like exp(-pi^2 / h), about 4e-22 at h = 0.2.  Past the
-# outermost scales it decays like exp(-rate |u|), with rate 2l+1 on the left
-# and 4 sum(m) - 2l - 1 on the right; the tails stop at exp(-_TAIL).
+# step h falls like exp(-pi^2 / h), about 4e-22 at h = 0.2.  The lattice
+# runs from _MARGIN below the smallest log-scale to _MARGIN above the
+# largest, the same for every l.  Past its ends the integrand is a power of
+# t times a binomial series in (t / a_s)^2 or (a_s / t)^2, both at most
+# exp(-2 _MARGIN), so each infinite tail of the rule is a sum of geometric
+# series.  The first term left out is below C(E + 12, 13) e^(-52) of its
+# tail, E = sum 2m_s: 2e-19 at E = 6.
 _STEP = 0.2
-_TAIL = 40.0
+_MARGIN = 2.0
+_TERMS = 12
 _BLOCK = 128    # points per block, so node memory does not grow with the grid
 
 
-def _trapezoid(log_a, exps, l: int):
-    """Step-h value and its error estimate per row of log_a (points, factors).
+def _series(y, exps):
+    """Coefficients c_n, n = 0.._TERMS, of x^n in prod_s (1 - y_s x)^(-e_s),
+    shape (_TERMS + 1, rows), for y of shape (rows, factors) with |y_s| < 1:
+    with the power sums q_k = sum_s e_s y_s^k, n c_n = sum_(k=1..n) q_k c_(n-k)."""
+    powers = np.cumprod(np.repeat(y[:, :, None], _TERMS, axis=2), axis=2)
+    q = np.einsum("s,rsk->kr", exps, powers)
+    c = np.ones((_TERMS + 1, len(y)))
+    for n in range(1, _TERMS + 1):
+        c[n] = np.einsum("kr,kr->r", q[:n], c[n - 1::-1]) / n
+    return c
 
-    `exps` holds the exponents 2 m_s; the step-2h sum reuses every other node.
-    r = |I_h - I_2h| / I_h is the error of the step-2h value; the error falls
-    like exp(-pi^2 / h), so the step-h value's relative error is about r^2.
-    That is an asymptotic estimate, not a bound: it holds at the default
-    step h = 0.2, where the error is at rounding level, but at h = 0.3-0.6
-    the change from halving the step exceeded r^2 in 19-98 of 500 random
-    sets of one to three scales.
+
+def _trapezoid(log_a, exps, rates):
+    """Step-h trapezoid sums per row of log_a (rows, factors) for each row
+    (2l+1, 2E-2l-1) of `rates`, where `exps` holds the e_s = 2 m_s and
+    E = sum e_s: the rates at which the log-integrand falls off to the left
+    and to the right of the scales.
+
+    Returns (top, sums, err), each (len(rates), rows): the integral is
+    exp(top) * sums, top being the row's largest log-integrand on the
+    lattice, so the sums stay in range even where the integral does not.
+    The step-2h sums take every other node (the node count is odd, so both
+    ends) and their own tails.  r = |I_h - I_2h| / I_h is the error of the
+    step-2h value; the error falls like exp(-pi^2 / h), so the step-h
+    value's relative error is about r^2.  That is an asymptotic estimate,
+    not a bound: it holds at the default step h = 0.2, where the error is
+    at rounding level, but at h = 0.3-0.6 the change from halving the step
+    exceeded r^2 in 19-98 of 500 random sets of one to three scales.
     """
-    lo_rate = 2 * l + 1
-    hi_rate = 2.0 * exps.sum() - lo_rate
-    start = log_a.min(axis=1) - _TAIL / lo_rate
-    stop = log_a.max(axis=1) + _TAIL / hi_rate
-    count = int(np.ceil((stop - start).max() / _STEP)) + 1
-    u = start[:, None] + _STEP * np.arange(count)
+    h = _STEP
+    lo, hi = log_a.min(axis=1), log_a.max(axis=1)
+    count = int(np.ceil(((hi - lo).max() + 2 * _MARGIN) / h)) + 1
+    count += 1 - count % 2
+    u = (lo - _MARGIN)[:, None] + h * np.arange(count)
     # log of t^(2l) dt/du / prod (t^2+a_s^2)^(2m_s) with t = e^u, dt/du = t;
-    # logaddexp keeps huge and tiny scales from overflowing.
-    f = lo_rate * u
-    for s, e in enumerate(exps):
-        f -= e * np.logaddexp(2.0 * u, 2.0 * log_a[:, s, None])
-    g = np.exp(f)
-    fine = 2.0 * _STEP * g.sum(axis=1)
-    coarse = 4.0 * _STEP * g[:, ::2].sum(axis=1)
-    return fine, (np.abs(fine - coarse) / fine) ** 2
+    # logaddexp keeps huge and tiny scales from overflowing.  Only the power
+    # of t depends on l.
+    left, right = rates[:, :1], rates[:, 1:]
+    f = left[:, :, None] * u - sum(e * np.logaddexp(2.0 * u, 2.0 * log_a[:, s, None])
+                                   for s, e in enumerate(exps))
+    top = f.max(axis=2)
+    g = np.exp(f - top[:, :, None])
+
+    # Left of the lattice the integrand is t^(2l+1) prod_s a_s^(-2 e_s)
+    # (1 + y_s)^(-e_s) with y_s = (t/a_s)^2; right of it, t^(2l+1-2E)
+    # prod_s (1 + y_s)^(-e_s) with y_s = (a_s/t)^2.  Node j past an end node
+    # scales the power of t by e^(-rate jh) and y_s by e^(-2jh), so with c_n
+    # the coefficients of prod_s (1 + y_s x)^(-e_s) at the end node, its tail is
+    # lead * sum_n c_n / (e^((rate + 2n) h) - 1), lead being the integrand
+    # there without that product.  The right lead is t^(-rate) with the
+    # exact rate, which can be far below 2l+1 and 2E: that tail then holds
+    # most of the integral, and 2l+1-2E in float64 would cost it digits.
+    rows = len(log_a)
+    y = np.exp(2.0 * np.concatenate([u[:, :1] - log_a, log_a - u[:, -1:]]))
+    c = _series(-y, exps)
+    lead_left = g[:, :, 0] * np.prod((1.0 + y[:rows]) ** exps, axis=1)
+    lead_right = np.exp(-right * u[:, -1] - top)
+    twice_n = 2.0 * np.arange(_TERMS + 1)
+
+    def tails(step):
+        # sum_n c_n / (e^((rate + 2n) step) - 1) at both ends.  einsum adds in
+        # the same order for any number of rates, so an l's value does not
+        # depend on the other l of the call.
+        left_sum, right_sum = (
+            np.einsum("ln,nr->lr", 1.0 / np.expm1((rate + twice_n) * step), coef)
+            for rate, coef in ((left, c[:, :rows]), (right, c[:, rows:])))
+        return lead_left * left_sum + lead_right * right_sum
+
+    fine = 2.0 * h * (g.sum(axis=2) + tails(h))
+    coarse = 4.0 * h * (g[:, :, ::2].sum(axis=2) + tails(2.0 * h))
+    return top, fine, (np.abs(fine - coarse) / fine) ** 2
+
+
+def _lemma32(a, m, ls):
+    """lemma32_integral for every l in ls at once: each result has a leading
+    axis over ls.  The lattice, its logaddexp terms and the tail series are
+    computed once for all of them."""
+    m = [_as_fraction(x) for x in m]
+    if len(a) != len(m):
+        raise ValueError(f"{len(a)} scales for {len(m)} exponents")
+    scales = np.stack(np.broadcast_arrays(*a), axis=-1).astype(float)
+    shape = scales.shape[:-1]
+    scales = scales.reshape(-1, len(m))
+    if not np.all((scales > 0) & (scales < math.inf)):
+        raise OutOfRangeError("scales a_s must be positive and finite")
+    total = sum(m, Fraction(0))
+    for l in ls:
+        if 2 * l + 1 >= 4 * total:
+            raise OutOfRangeError(f"integral diverges: need 2l+1 < 4*sum(m), "
+                                  f"got l={l}, sum(m)={total}")
+    log_a = np.log(scales)
+    exps = np.array([float(x) for x in m])
+    m_text = [str(x) for x in m]
+
+    rates = np.array([[2 * l + 1, float(4 * total - 2 * l - 1)]
+                      for l in ls]).reshape(-1, 2)
+    top, sums, err = map(np.hstack, zip(*(
+        _trapezoid(log_a[i:i + _BLOCK], 2.0 * exps, rates)
+        for i in range(0, len(log_a), _BLOCK))))
+    with np.errstate(over="ignore", under="ignore"):
+        value = sums * np.exp(top)
+    # Below the smallest normal float64 a value loses digits, then reads 0.
+    out = np.argwhere(~((value >= np.finfo(float).tiny) & (value < math.inf)))
+    if out.size:
+        k, i = out[0]
+        exponent = (top[k, i] + math.log(sums[k, i])) / math.log(10.0)
+        flows = "underflows" if exponent < 0 else "overflows"
+        raise Float64RangeError(
+            f"integral of about 1e{exponent:.0f} {flows} float64 "
+            f"(a={scales[i].tolist()}, m={m_text}, l={ls[k]})")
+
+    # kappa per the index rule with s = l: a_kappa is the smallest scale
+    # such that twice the exponents of the scales up to it (ties included)
+    # sum to more than l.  Counted exactly, in units of 1/den.
+    den = math.lcm(*(x.denominator for x in m))
+    num = np.array([int(x * den) for x in m])
+    below = log_a[:, None, :] <= log_a[:, :, None]
+    reached = 2 * (below * num).sum(axis=2)
+    lower, upper = np.empty_like(value), np.empty_like(value)
+    for k, l in enumerate(ls):
+        log_k = np.where(reached > l * den, log_a, np.inf).min(axis=1)
+        # Scales up to a_kappa enter B through a_kappa, later ones through a_s.
+        bound = np.exp((2 * l + 1) * log_k
+                       - 4.0 * (exps * np.maximum(log_a, log_k[:, None])).sum(axis=1))
+        lower[k] = bound / LEMMA32_BAND_CONSTANT
+        upper[k] = bound * LEMMA32_BAND_CONSTANT
+        bad = np.flatnonzero(~((lower[k] <= value[k]) & (value[k] <= upper[k])))
+        if bad.size:
+            i = bad[0]
+            raise BandError(
+                f"integral {value[k, i]} escapes band [{lower[k, i]}, {upper[k, i]}] "
+                f"(a={scales[i].tolist()}, m={m_text}, l={l})")
+    return tuple(x.reshape((len(ls),) + shape) for x in (value, lower, upper, err))
 
 
 def lemma32_integral(a, m, l: int):
@@ -184,61 +296,27 @@ def lemma32_integral(a, m, l: int):
     (scales in increasing order) and the module constant C, and the error
     estimate (|I_h - I_2h| / I_h)^2 of the value.  Each scale a_s may be an
     array; they broadcast together, every point is checked against its
-    band, and the results have the broadcast shape.
+    band, and the results have the broadcast shape.  A value outside the
+    normal float64 range raises Float64RangeError, an OutOfRangeError.
     """
-    m = [_as_fraction(x) for x in m]
-    if len(a) != len(m):
-        raise ValueError(f"{len(a)} scales for {len(m)} exponents")
-    scales = np.stack(np.broadcast_arrays(*a), axis=-1).astype(float)
-    shape = scales.shape[:-1]
-    scales = scales.reshape(-1, len(m))
-    if not np.all(scales > 0):
-        raise OutOfRangeError("scales a_s must be positive")
-    total = sum(m, Fraction(0))
-    if 2 * l + 1 >= 4 * total:
-        raise OutOfRangeError(
-            f"integral diverges: need 2l+1 < 4*sum(m), got l={l}, sum(m)={total}")
-    log_a = np.log(scales)
-    exps = np.array([float(x) for x in m])
-
-    # kappa per the index rule with s = l: a_kappa is the smallest scale
-    # such that twice the exponents of the scales up to it (ties included)
-    # sum to more than l.  Counted exactly, in units of 1/den.
-    den = math.lcm(*(x.denominator for x in m))
-    num = np.array([int(x * den) for x in m])
-    below = log_a[:, None, :] <= log_a[:, :, None]
-    crossed = 2 * (below * num).sum(axis=2) > l * den
-    log_k = np.where(crossed, log_a, np.inf).min(axis=1)
-    # Scales up to a_kappa enter B through a_kappa, later ones through a_s.
-    log_bound = ((2 * l + 1) * log_k
-                 - 4.0 * (exps * np.maximum(log_a, log_k[:, None])).sum(axis=1))
-
-    value, err = map(np.concatenate, zip(*(
-        _trapezoid(log_a[i:i + _BLOCK], 2.0 * exps, l)
-        for i in range(0, len(log_a), _BLOCK))))
-
-    lower = np.exp(log_bound) / LEMMA32_BAND_CONSTANT
-    upper = np.exp(log_bound) * LEMMA32_BAND_CONSTANT
-    bad = np.flatnonzero(~((lower <= value) & (value <= upper)))
-    if bad.size:
-        i = bad[0]
-        raise BandError(
-            f"integral {value[i]} escapes band [{lower[i]}, {upper[i]}] "
-            f"(a={scales[i].tolist()}, m={[str(x) for x in m]}, l={l})")
-    return tuple(x.reshape(shape)[()] for x in (value, lower, upper, err))
+    return tuple(x[0] for x in _lemma32(a, m, [l]))
 
 
-def trace_weight_quadrature(w: ProductWeight, l: int, xi_prime_abs, lambda_abs):
+def trace_weight_quadrature(w: ProductWeight, l, xi_prime_abs, lambda_abs):
     """Trace weight sigma'_l = (int xi_n^(2l) / Xi^2 d xi_n)^(-1/2).
 
     The squared weight contributes exponent 2 m_s per factor, which is the
     integrand of lemma32_integral with scales a_s^2 = |xi'|^2 + lambda^(2/r_s).
     |xi'| and lambda may be arrays of points.  Returns (sigma, err), err the
-    quadrature error estimate of lemma32_integral.
+    quadrature error estimate of lemma32_integral.  l may also be a
+    sequence: then sigma and err gain a leading axis over it, and one
+    lattice serves every l.
     """
     if not w.factors:
         raise OutOfRangeError("constant weight has no trace weight")
     a = [np.sqrt(_factor_base(w, r, xi_prime_abs, lambda_abs))
          for r, _ in w.factors]
-    value, _, _, err = lemma32_integral(a, [m for _, m in w.factors], l)
+    value, _, _, err = _lemma32(a, [m for _, m in w.factors], np.ravel(l).tolist())
+    if np.ndim(l) == 0:
+        value, err = value[0], err[0]
     return value ** -0.5, err

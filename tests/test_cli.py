@@ -166,9 +166,10 @@ def test_non_finite_coefficients_exit_2(p, coeffs, message, argv, tmp_path, caps
      "suite prop52: float64 fails on lambda in [1, 1e+80] (overflow"),
     (["--suite", "polygon", "--lambda0", "1e100"],
      "suite polygon: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
-    # The trace integrand underflows to 0, which then divides.
+    # The trace integral underflowed to 0, which then divided.
     (["--suite", "trace", "--lambda0", "1e100"],
-     "suite trace: float64 fails on lambda in [1e+100, 1e+103] (invalid"),
+     "suite trace: float64 fails on lambda in [1e+100, 1e+103] (integral of "
+     "about 1e-400 underflows float64 (a=[1.0, 1e+100], m=['1', '1'], l=0))"),
     (["--suite", "prop52", "--lambda0", "1e100"],
      "suite prop52: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
     # 10.0 ** 400 raised OverflowError, a traceback.
@@ -347,17 +348,17 @@ def test_one_variable_point_queries_take_an_empty_xi_prime(cmd, tmp_path, capsys
 def test_check_refinement_runs_each_density_once(e1_path, tmp_path,
                                                 monkeypatch, capsys):
     densities = []
-    run_suite = verify.run_suite
+    run_suites = verify.run_suites
 
-    def counting(name, p, density=1, **kw):
-        densities.append((name, density))
-        return run_suite(name, p, density=density, **kw)
+    def counting(names, p, density=1, **kw):
+        densities.append((list(names), density))
+        return run_suites(names, p, density=density, **kw)
 
-    monkeypatch.setattr(verify, "run_suite", counting)
+    monkeypatch.setattr(verify, "run_suites", counting)
     out = tmp_path / "rep"
     assert run(["verify", e1_path, "--suite", "polygon", "--density", "2",
                 "--check-refinement", "--out", str(out)]) == 0
-    assert densities == [("polygon", 2), ("polygon", 4)]
+    assert densities == [(["polygon"], 2), (["polygon"], 4)]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["polygon"]["extras"]["refinement_drift"] < 0.05
 

@@ -323,6 +323,26 @@ def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
         assert "clearance" not in (tmp_path / "out.csv").read_text()
 
 
+@pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil, _double_root_pencil])
+def test_norm_suites_share_one_scan(pencil, monkeypatch):
+    # run_suites makes one unit-slice scan for thm41 and halfspace, and each
+    # report equals that of its suite run alone.
+    p = pencil()
+    alone = {name: verify.run_suite(name, p, density=2)
+             for name in ("halfspace", "thm41")}
+    calls = []
+    mesh_norms = halfline.mesh_norms
+    monkeypatch.setattr(halfline, "mesh_norms",
+                        lambda *args: calls.append(args) or mesh_norms(*args))
+    both = verify.run_suites(["halfspace", "thm41"], p, density=2)
+    assert len(calls) == 1 and list(both) == ["halfspace", "thm41"]
+    for name, rep in alone.items():
+        assert both[name].records == rep.records
+        assert both[name].extras == rep.extras
+        assert both[name].config == rep.config
+        assert (both[name].verdict, both[name].reasons) == (rep.verdict, rep.reasons)
+
+
 def test_norm_scan_covers_both_rays_of_the_plane():
     # (|xi|^2 + lambda^2)^2 + 0.5 xi_1 tau^2 lambda is elliptic, and its odd
     # term tells xi' = +|xi'| from xi' = -|xi'|: at (|xi'|, lambda) =

@@ -169,6 +169,7 @@ def test_lemma32_error_estimate_bounds_halved_step(monkeypatch):
     # The estimate covers the change from halving the step, up to a floor
     # for the rounding of the sums.
     rng = np.random.default_rng(11)
+    changed = 0
     for _ in range(200):
         k = int(rng.integers(1, 4))
         a = (10.0 ** rng.uniform(-3, 3, k)).tolist()
@@ -179,6 +180,81 @@ def test_lemma32_error_estimate_bounds_halved_step(monkeypatch):
             mp.setattr(weights, "_STEP", weights._STEP / 2)
             finer, _, _, _ = lemma32_integral(a, m, l)
         assert abs(value - finer) / finer <= max(err, 1e-14), (a, m, l)
+        changed += finer != value
+    # The halved step reached the kernel.
+    assert changed > 0
+
+
+def _long_tail_trapezoid(log_a, exps, l, step=0.2, tail=40.0):
+    """The trapezoid rule in u = log t with no closed-form tails: one
+    lattice per l, reaching exp(-tail) of the integrand past the outermost
+    scales, where it decays like exp(-rate |u|)."""
+    lo_rate = 2 * l + 1
+    hi_rate = 2.0 * exps.sum() - lo_rate
+    start = log_a.min(axis=1) - tail / lo_rate
+    stop = log_a.max(axis=1) + tail / hi_rate
+    count = int(np.ceil((stop - start).max() / step)) + 1
+    u = start[:, None] + step * np.arange(count)
+    f = lo_rate * u
+    for s, e in enumerate(exps):
+        f -= e * np.logaddexp(2.0 * u, 2.0 * log_a[:, s, None])
+    return 2.0 * step * np.exp(f).sum(axis=1)
+
+
+def test_short_lattice_matches_long_tail_trapezoid():
+    # 500 sets of one to three scales over twelve decades, every admissible
+    # l.  Both kernels round a log-integrand whose size grows with sum(m)
+    # and |log a_s|; at m <= 1 they agree to 1e-14.  (At m up to 2 they
+    # differed by up to 1.6e-14, and 40-digit mpmath put either one closer,
+    # case by case.)
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for _ in range(500):
+        k = int(rng.integers(1, 4))
+        log_a = np.log(10.0 ** rng.uniform(-6, 6, (1, k)))
+        m = [F(int(x), 6) for x in rng.integers(1, 7, k)]
+        exps = np.array([float(2 * x) for x in m])
+        ls = [l for l in range(4) if 2 * l + 1 < 4 * sum(m)]
+        if not ls:
+            continue
+        rates = np.array([[2 * l + 1, float(4 * sum(m) - 2 * l - 1)] for l in ls])
+        top, sums, _ = weights._trapezoid(log_a, exps, rates)
+        for l, value in zip(ls, sums[:, 0] * np.exp(top[:, 0])):
+            ref = _long_tail_trapezoid(log_a, exps, l)[0]
+            worst = max(worst, abs(value - ref) / ref)
+    assert worst <= 1e-14
+
+
+def test_every_l_at_once_matches_one_l_calls():
+    w = ProductWeight(((INF, F(1, 2)), (F(2), F(2, 3)), (F(1), F(5, 6))))
+    xi = np.geomspace(1e-3, 1e3, 300)       # two blocks of points
+    lam = np.geomspace(1e3, 1.0, 300)
+    ls = [0, 1, 2, 3]
+    sigma, err = trace_weight_quadrature(w, ls, xi, lam)
+    assert sigma.shape == err.shape == (4, 300)
+    a = [np.hypot(xi, 1.0), np.hypot(xi, lam ** 0.5), np.hypot(xi, lam)]
+    m = [F(1, 2), F(2, 3), F(5, 6)]
+    together = weights._lemma32(a, m, ls)
+    for k, l in enumerate(ls):
+        one, one_err = trace_weight_quadrature(w, l, xi, lam)
+        assert one.tobytes() == sigma[k].tobytes()
+        assert one_err.tobytes() == err[k].tobytes()
+        for x, y in zip(together, lemma32_integral(a, m, l)):
+            assert x[k].tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e100, "integral of about 1e-400 underflows float64 (a=[1.0, 1e+100], "
+            "m=['1', '1'], l=0)"),
+    (1e-150, "integral of about 1e450 overflows float64 (a=[1.0, 1e-150], "
+             "m=['1', '1'], l=0)"),
+])
+def test_lemma32_value_out_of_float64_range(scale, message):
+    # Relative to each point's largest log-integrand the sums stay finite,
+    # so the error names the value that leaves float64 instead of 0 / 0.
+    with pytest.raises(OutOfRangeError) as info:
+        lemma32_integral([1.0, scale], [F(1), F(1)], 0)
+    assert str(info.value) == message
 
 
 def test_lemma32_two_scale_band():

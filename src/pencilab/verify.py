@@ -48,19 +48,28 @@ def _ratio(rec: dict | None) -> float:
 
 @dataclass
 class SweepReport:
+    """One suite's result.  `records` holds one row per grid point as
+    equal-length numpy columns keyed xi_prime_abs, lambda, lhs, rhs, ratio;
+    trace adds l after lambda, and thm41 and halfspace put xi_prime (shape
+    (rows, n-1)) first and add j, l after lambda.  A witness is one row as
+    a dict of Python values."""
     suite: str
     config: dict
-    records: list[dict] = field(default_factory=list)
+    records: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     verdict: str = "pass"
     reasons: list[str] = field(default_factory=list)
     runtime: float = 0.0
 
     def _witnesses(self) -> tuple[dict | None, dict | None]:
-        """First records with the smallest and the largest finite ratio."""
-        recs = [r for r in self.records if math.isfinite(r["ratio"])]
-        key = lambda r: r["ratio"]
-        return min(recs, key=key, default=None), max(recs, key=key, default=None)
+        """First rows with the smallest and the largest finite ratio."""
+        ratio = self.records.get("ratio", np.empty(0))
+        finite = np.isfinite(ratio)
+        if not finite.any():
+            return None, None
+        row = lambda i: {k: col[i].tolist() for k, col in self.records.items()}
+        return (row(np.where(finite, ratio, np.inf).argmin()),
+                row(np.where(finite, ratio, -np.inf).argmax()))
 
     @property
     def min_ratio(self) -> float:
@@ -69,14 +78,6 @@ class SweepReport:
     @property
     def max_ratio(self) -> float:
         return _ratio(self._witnesses()[1])
-
-    @property
-    def witness_min(self) -> dict | None:
-        return self._witnesses()[0]
-
-    @property
-    def witness_max(self) -> dict | None:
-        return self._witnesses()[1]
 
     @property
     def config_hash(self) -> str:
@@ -109,28 +110,28 @@ class SweepReport:
             "provenance": {"pencilab": __version__, "numpy": np.__version__,
                            "python": platform.python_version()},
             "runtime_s": self.runtime,
-            "records": len(self.records),
+            "records": len(self.records.get("ratio", ())),
         }
 
 
-def _fmt(x) -> str:
-    if x is None or x == "":
-        return ""
-    return "%.17g" % float(x)
-
-
 def write_csv(report: SweepReport, path) -> None:
-    """Fixed-format CSV: identical invocations give byte-identical files."""
-    cols = ("suite", "xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
+    """Fixed-format CSV: identical invocations give byte-identical files.
+    A column the suite lacks is left empty."""
+    cols = ("xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
+    rows = len(report.records.get("ratio", ()))
+    fields = []
+    for name in cols:
+        col = report.records.get(name)
+        if col is None:
+            fields.append([""] * rows)
+        elif name in ("j", "l"):
+            fields.append([str(v) for v in col.tolist()])
+        else:
+            fields.append(["%.17g" % v for v in col.tolist()])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in report.records:
-            row = [report.suite,
-                   _fmt(rec.get("xi_prime_abs")), _fmt(rec.get("lambda")),
-                   str(rec.get("j", "")), str(rec.get("l", "")),
-                   _fmt(rec.get("lhs")), _fmt(rec.get("rhs")),
-                   _fmt(rec.get("ratio"))]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(("suite",) + cols) + "\n")
+        for row in zip(*fields):
+            fh.write(",".join((report.suite,) + row) + "\n")
 
 
 def fit_loglog(x, y) -> float:
@@ -140,16 +141,10 @@ def fit_loglog(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def geom_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
-
-
-def _add_records(rep: SweepReport, xi, lam, lhs, rhs, **fixed) -> None:
-    """One record per grid point, in array order, with ratio lhs / rhs."""
-    for x, y, a, b, r in zip(xi.tolist(), lam.tolist(), lhs.tolist(),
-                             rhs.tolist(), (lhs / rhs).tolist()):
-        rep.records.append({"xi_prime_abs": x, "lambda": y, **fixed,
-                            "lhs": a, "rhs": b, "ratio": r})
+def _columns(xi, lam, lhs, rhs, **fixed) -> dict:
+    """Record columns in their order, with ratio lhs / rhs."""
+    return {"xi_prime_abs": xi, "lambda": lam, **fixed,
+            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +165,14 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
         "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
 
     w = weights.from_polygon(np_, lambda0=lambda0)
-    xi_grid = np.concatenate([[0.0], geom_grid(1e-2, 1e3, 11 * density)])
-    lam_grid = geom_grid(lambda0, lam_max, 7 * density)
+    xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11 * density)])
+    lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
 
     # Rows follow lambda, columns |xi|, as in the records.
     lam_col = np.repeat(lam_grid, len(xi_grid))
     xi_col = np.tile(xi_grid, len(lam_grid))
-    _add_records(rep, xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
-                 weights.xi_product_eval(w, xi_col, lam_col))
+    rep.records = _columns(xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
+                           weights.xi_product_eval(w, xi_col, lam_col))
     if np_.degenerate:
         rep.extras["degenerate"] = True
         rep.runtime = time.perf_counter() - t0
@@ -243,18 +238,20 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
         "lam_max": lam_max, "lambda0": w.lambda0,
         "band_width_limit": TRACE_BAND_WIDTH_LIMIT,
         "weight": w.to_json_dict()})
-    xi_grid = np.concatenate([[0.0], geom_grid(1e-1, TRACE_XI_MAX, 7 * density)])
-    lam_grid = geom_grid(w.lambda0, lam_max, 7 * density)
+    xi_grid = np.concatenate([[0.0], np.geomspace(1e-1, TRACE_XI_MAX, 7 * density)])
+    lam_grid = np.geomspace(w.lambda0, lam_max, 7 * density)
     # Rows follow lambda, columns |xi'|, as in the records.
     lam_col = np.repeat(lam_grid, len(xi_grid))
     xi_col = np.tile(xi_grid, len(lam_grid))
     # One call for every l: they share the quadrature lattice.
     sigma, err = weights.trace_weight_quadrature(w, l_list, xi_col, lam_col)
-    for l, lhs in zip(l_list, sigma):
-        rhs = weights.xi_product_eval(
-            weights.shift(w, Fraction(l) + Fraction(1, 2)), xi_col, lam_col)
-        ratios = lhs / rhs
-        _add_records(rep, xi_col, lam_col, lhs, rhs, l=l)
+    rhs = np.array([weights.xi_product_eval(
+        weights.shift(w, Fraction(l) + Fraction(1, 2)), xi_col, lam_col)
+        for l in l_list])
+    rep.records = _columns(np.tile(xi_col, len(l_list)),
+                           np.tile(lam_col, len(l_list)), sigma.ravel(),
+                           rhs.ravel(), l=np.repeat(l_list, len(xi_col)))
+    for l, ratios in zip(l_list, rep.records["ratio"].reshape(rhs.shape)):
         lo, hi = float(ratios.min()), float(ratios.max())
         rep.extras[f"band_l{l}"] = [lo, hi]
         if hi / lo > TRACE_BAND_WIDTH_LIMIT:
@@ -302,7 +299,7 @@ def norm_scan(p: Pencil, density: int) -> NormScan:
     if p.n == 1:
         xa, lam = np.zeros(1), np.ones(1)
     else:
-        s = np.concatenate([[0.0], geom_grid(*NORM_S_RANGE, 20 * density + 1)])
+        s = np.concatenate([[0.0], np.geomspace(*NORM_S_RANGE, 20 * density + 1)])
         xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
     xi_prime = np.concatenate([np.outer(xa, omega) for omega in dirs])
     xa, lam = np.tile(xa, len(dirs)), np.tile(lam, len(dirs))
@@ -321,16 +318,15 @@ def _norm_report(suite: str, p: Pencil, density: int, scan: NormScan,
         "density": density, "j_list": j_list, "l_list": l_list,
         "s_range": list(NORM_S_RANGE), "directions": scan.directions,
         "ratio_limit": NORM_RATIO_LIMIT})
-    norms = scan.norms.values.tolist()
-    table = {key: v.tolist() for key, v in rhs(scan.xi_abs, scan.lam).items()}
-    for k, (xi, x, y) in enumerate(zip(scan.xi_prime.tolist(),
-                                       scan.xi_abs.tolist(), scan.lam.tolist())):
-        for ji, j in enumerate(j_list):
-            for li, l in enumerate(l_list):
-                a, b = norms[k][ji][li], table[j, l][k]
-                rep.records.append({"xi_prime": xi, "xi_prime_abs": x,
-                                    "lambda": y, "j": j, "l": l, "lhs": a,
-                                    "rhs": b, "ratio": a / b})
+    table = rhs(scan.xi_abs, scan.lam)
+    nodes, pairs = len(scan.lam), len(j_list) * len(l_list)
+    node = lambda col: np.repeat(col, pairs, axis=0)
+    lhs = scan.norms.values.ravel()             # values is (node, j, l)
+    bound = np.stack([table[j, l] for j in j_list for l in l_list], axis=1).ravel()
+    rep.records = {"xi_prime": node(scan.xi_prime), **_columns(
+        node(scan.xi_abs), node(scan.lam), lhs, bound,
+        j=np.tile(np.repeat(j_list, len(l_list)), nodes),
+        l=np.tile(l_list, nodes * len(j_list)))}
     rep.extras["root_clearance_min"] = scan.norms.root_clearance_min
     if rep.max_ratio > NORM_RATIO_LIMIT:
         rep.fail(f"max ratio {rep.max_ratio} exceeds {NORM_RATIO_LIMIT}")
@@ -412,9 +408,9 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
             large = max(large, abs(mean - center) / lam)
         corr.append(large)
         bounded_res.append(bounded)
-        rep.records.append({"xi_prime_abs": xi_abs, "lambda": lam,
-                            "lhs": large, "rhs": 1.0 / lam,
-                            "ratio": large / (1.0 / lam)})
+    corr = np.array(corr)
+    rep.records = _columns(np.full(len(lambda_list), xi_abs), lambda_list,
+                           corr, 1.0 / lambda_list)
     rep.extras["ambiguous_groupings"] = sum(g.ambiguous for g in groupings)
     rep.extras["bounded_residuals"] = [float(b) for b in bounded_res]
     if bounded_res and max(bounded_res) > 0 and bounded_res[-1] > bounded_res[0] + 1e-9:
@@ -432,9 +428,9 @@ def sweep_group_asymptotics(p: Pencil, lambda_list) -> SweepReport:
     k1 = groupings[-1].k1
     # An ambiguous grouping is decided by the matching's tie rule alone, so
     # its correction says nothing about the Puiseux exponent.
-    mask = (np.array(corr) > 1e-13) & ~np.array([g.ambiguous for g in groupings])
+    mask = (corr > 1e-13) & ~np.array([g.ambiguous for g in groupings])
     if p.m > p.mu and np.count_nonzero(mask) >= 4:
-        slope = fit_loglog(1.0 / lambda_list[mask], np.array(corr)[mask])
+        slope = fit_loglog(1.0 / lambda_list[mask], corr[mask])
         rep.extras["puiseux_slope"] = slope
         rep.extras["puiseux_floor"] = 1.0 / k1 - SLOPE_TOL
         if judge_slopes and slope < 1.0 / k1 - SLOPE_TOL:
@@ -495,8 +491,8 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         "lam_max": lam_max, "angular": grid.angular,
         "directions": grid.directions})
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
-    xi_grid = np.concatenate([[0.0], geom_grid(1e-2, PROP52_XI_MAX, 10 * density)])
-    lam_grid = geom_grid(lambda0, lam_max, 8 * density)
+    xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, PROP52_XI_MAX, 10 * density)])
+    lam_grid = np.geomspace(lambda0, lam_max, 8 * density)
 
     def ratio(a, xa, lam):          # W / (|A|^2 / W + lambda^(2m-2mu))
         wgt = energy_weight_value(p, xa, lam)
@@ -514,7 +510,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     table = homogeneous_table(p, dirs)
     best = column_max(table, xa_col, lam_col)
 
-    _add_records(rep, xa_col, lam_col, best, np.ones_like(best))
+    rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak: a pattern search in
@@ -632,7 +628,7 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
         return sweep_theorem41(p, density=density, scan=scan)
     if name == "asymptotics":
         return sweep_group_asymptotics(
-            p, lambda_list=geom_grid(lambda0, lam_max, 4 * decades))
+            p, lambda_list=np.geomspace(lambda0, lam_max, 4 * decades))
     if name == "prop52":
         return sweep_multiplier_rn(p, lambda0=lambda0, density=density,
                                    lam_max=lam_max)

@@ -142,8 +142,8 @@ def test_criterion_7_derivative_estimates():
     r1, r2, drift = verify.refinement_drift("thm41", e1_pencil())
     assert r1.verdict == "pass" and drift < 0.05
     assert r1.extras["homogeneity_max_rel_err"] < 1e-8
-    js = {rec["j"] for rec in r1.records}
-    ls = {rec["l"] for rec in r1.records}
+    js = set(r1.records["j"].tolist())
+    ls = set(r1.records["l"].tolist())
     assert js == {1, 2} and ls == {0, 1, 2}
     assert np.isfinite(r1.max_ratio)
     _report(7, "derivative-estimate-sweep", t0, 120.0)

@@ -534,12 +534,11 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
     dirs52 = sphere_directions(
         p.n, GridSpec(angular=90, directions=48).direction_count(p.n))
     for k in records:
-        rec = sweep.records[k]
-        xa, lam = rec["xi_prime_abs"], rec["lambda"]
+        xa, lam = sweep.records["xi_prime_abs"][k], sweep.records["lambda"][k]
         wgt = energy_weight_value(p, xa, lam)
         best = max(wgt / (abs(eval_symbol(p, xa * w, lam)) ** 2 / wgt
                           + lam ** (2 * p.m - 2 * p.mu)) for w in dirs52)
-        assert rec["lhs"] == pytest.approx(best, **close)
+        assert sweep.records["lhs"][k] == pytest.approx(best, **close)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +634,8 @@ def _assert_slice_scans_bit_identical(p, grid, prop52=True):
     if prop52:
         sweep = sweep_multiplier_rn(p)
         best, c_val, c_point = _reference_prop52(p)
-        assert _same([r["lhs"] for r in sweep.records], best)
-        assert _same([r["ratio"] for r in sweep.records], best)
+        assert _same(sweep.records["lhs"], best)
+        assert _same(sweep.records["ratio"], best)
         assert _same(sweep.extras["C"], c_val)
         assert _same(sweep.extras["C_point"], c_point)
 
@@ -679,8 +678,8 @@ def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
         return [rep.min_a2m, rep.min_a2mu, rep.min_abs, rep.min_ratio, rep.C_est,
                 rep.witness_i, rep.witness_ii, *rep.witness_iii,
                 remark22_checks(p, grid)["c_min"],
-                [[r[key] for key in ("xi_prime_abs", "lambda", "lhs", "rhs", "ratio")]
-                 for r in sweep.records],
+                [sweep.records[key] for key in ("xi_prime_abs", "lambda", "lhs",
+                                                "rhs", "ratio")],
                 sweep.extras["C"], sweep.extras["C_point"]]
 
     default = [np.asarray(x).tobytes() for x in scans()]

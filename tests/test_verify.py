@@ -1,5 +1,6 @@
 """Tests for the certification sweeps and report plumbing."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,15 +17,23 @@ from pencilab import halfline
 
 
 def test_summary_band_and_first_witnesses():
-    # Non-finite ratios are skipped; on a tie the first record is the witness.
+    # Non-finite ratios are skipped; on a tie the first row is the witness,
+    # a dict of the row's Python values in column order.
     rep = verify.SweepReport("x", {})
     assert rep.summary()["witness_min"] is None and np.isnan(rep.min_ratio)
-    for i, r in enumerate([2.0, np.nan, 1.0, 3.0, np.inf, 1.0, 3.0]):
-        rep.records.append({"i": i, "ratio": r})
+    rep.records = {"i": np.arange(7),
+                   "ratio": np.array([2.0, np.nan, 1.0, 3.0, np.inf, 1.0, 3.0])}
     s = rep.summary()
     assert (s["min_ratio"], s["max_ratio"]) == (rep.min_ratio, rep.max_ratio) == (1.0, 3.0)
-    assert s["witness_min"] is rep.witness_min is rep.records[2]
-    assert s["witness_max"] is rep.witness_max is rep.records[3]
+    assert s["witness_min"] == {"i": 2, "ratio": 1.0}
+    assert s["witness_max"] == {"i": 3, "ratio": 3.0}
+    assert [type(v) for v in s["witness_max"].values()] == [int, float]
+    assert s["records"] == 7
+    # No finite ratio: no witness and a NaN band.
+    rep.records = {"i": np.arange(3), "ratio": np.array([np.nan, np.inf, -np.inf])}
+    s = rep.summary()
+    assert s["witness_min"] is None and s["witness_max"] is None
+    assert np.isnan(s["min_ratio"]) and np.isnan(s["max_ratio"])
 
 
 def test_polygon_sweep_e1_band():
@@ -67,11 +76,12 @@ def test_trace_sweep_matches_scalar_quadrature():
     # the one-point call to a few ulps of the summed nodes.
     w = weights.from_polygon(build_polygon({(4, 0), (2, 2)}))
     rep = verify.sweep_trace_equivalence(w, [0, 1, 3], lam_max=1e6)
-    assert len(rep.records) == 3 * 8 * 7
-    for rec in rep.records:
-        lhs, _ = weights.trace_weight_quadrature(w, rec["l"], rec["xi_prime_abs"],
-                                                 rec["lambda"])
-        assert rec["lhs"] == pytest.approx(lhs, rel=1e-14)
+    rec = rep.records
+    assert len(rec["lhs"]) == 3 * 8 * 7
+    for l, xa, lam, lhs in zip(rec["l"].tolist(), rec["xi_prime_abs"],
+                               rec["lambda"], rec["lhs"]):
+        expected, _ = weights.trace_weight_quadrature(w, l, xa, lam)
+        assert lhs == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
@@ -92,7 +102,7 @@ def test_thm41_sweep_e1():
     rep = verify.sweep_theorem41(e1_pencil(), density=1)
     assert rep.verdict == "pass"
     assert rep.extras["homogeneity_max_rel_err"] < 1e-8
-    wit = rep.witness_max
+    wit = rep.summary()["witness_max"]
     # witness reproducibility: recompute lhs at the witness point, one node
     # alone, and against the closed form for the upper roots i|xi'| and
     # i sqrt(|xi'|^2 + lambda^2)
@@ -113,12 +123,11 @@ def test_thm41_known_point_ratio():
     # The ratio at (|xi'|, lambda) = (1, 10) is ||D^2 w_2|| / sqrt(11) with
     # ||D^2 w_2|| = 2.4453; it is homogeneous of degree 0, so the scan's
     # node s = lambda / |xi'| = 10 on each ray has it too.
-    rep = verify.sweep_theorem41(e1_pencil())
-    recs = [r for r in rep.records if r["j"] == 2 and r["l"] == 2
-            and r["lambda"] / r["xi_prime_abs"] == pytest.approx(10.0)]
-    assert sorted(r["xi_prime"][0] / r["xi_prime_abs"] for r in recs) == [-1.0, 1.0]
-    for rec in recs:
-        assert rec["ratio"] == pytest.approx(2.4453 / np.sqrt(11.0), abs=1e-3)
+    rec = verify.sweep_theorem41(e1_pencil()).records
+    at = ((rec["j"] == 2) & (rec["l"] == 2)
+          & np.isclose(rec["lambda"] / rec["xi_prime_abs"], 10.0, rtol=1e-6, atol=0.0))
+    assert sorted(rec["xi_prime"][at, 0] / rec["xi_prime_abs"][at]) == [-1.0, 1.0]
+    assert rec["ratio"][at] == pytest.approx(2.4453 / np.sqrt(11.0), abs=1e-3)
 
 
 def test_asymptotics_sweep_e1():
@@ -167,10 +176,10 @@ def test_asymptotics_correction_at_confluent_large_roots(b, c):
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, b), Term((0, 2), 2, b), Term((0, 0), 0, c)))
     rep = verify.run_suite("asymptotics", p)
-    lam = np.array([r["lambda"] for r in rep.records])
+    lam = rep.records["lambda"]
     t = b / 2 + np.array([[-1.0], [1.0]]) * np.sqrt(max(b * b / 4 - c, 0.0))
     exact = np.mean(1 / (np.sqrt(1 + lam ** 2 * t) + lam * np.sqrt(t)), axis=0) / lam
-    lhs = np.array([r["lhs"] for r in rep.records])
+    lhs = rep.records["lhs"]
     assert np.all(np.abs(lhs - exact) <= 1e-6 * exact)
     # The fit of the exact correction over lambda in [1, 1e3] has slope
     # 1.984, not 2: it is far from lambda^-2 / 2 at lambda = 1.
@@ -286,13 +295,15 @@ def test_norm_sweeps_match_pointwise_loop(pencil):
                         expected.append(((omega * xa).tolist(), xa, lam, j, l,
                                          halfline.l2_norm_deriv(sols[j - 1], l),
                                          tol, rhs(j, l, xa, lam)))
-        assert len(rep.records) == len(expected)
-        for rec, (xi, xa, lam, j, l, lhs, tol, r) in zip(rep.records, expected):
-            assert (rec["xi_prime"], rec["xi_prime_abs"], rec["lambda"],
-                    rec["j"], rec["l"]) == (xi, xa, lam, j, l)
-            assert abs(rec["lhs"] - lhs) <= tol * rec["lhs"]
-            assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
-            assert rec["ratio"] == rec["lhs"] / rec["rhs"]
+        rec = rep.records
+        assert len(rec["ratio"]) == len(expected)
+        xi, xa, lam, j, l, lhs, tol, r = map(np.array, zip(*expected))
+        for name, col in (("xi_prime", xi), ("xi_prime_abs", xa), ("lambda", lam),
+                          ("j", j), ("l", l)):
+            assert np.array_equal(rec[name], col), name
+        assert np.all(np.abs(rec["lhs"] - lhs) <= tol * rec["lhs"])
+        assert rec["rhs"] == pytest.approx(r, rel=rel, abs=0.0)
+        assert np.array_equal(rec["ratio"], rec["lhs"] / rec["rhs"])
 
 
 def _double_root_pencil():
@@ -337,7 +348,9 @@ def test_norm_suites_share_one_scan(pencil, monkeypatch):
     both = verify.run_suites(["halfspace", "thm41"], p, density=2)
     assert len(calls) == 1 and list(both) == ["halfspace", "thm41"]
     for name, rep in alone.items():
-        assert both[name].records == rep.records
+        assert list(both[name].records) == list(rep.records)
+        for key, col in rep.records.items():
+            assert np.array_equal(both[name].records[key], col), key
         assert both[name].extras == rep.extras
         assert both[name].config == rep.config
         assert (both[name].verdict, both[name].reasons) == (rep.verdict, rep.reasons)
@@ -353,12 +366,14 @@ def test_norm_scan_covers_both_rays_of_the_plane():
     assert np.abs(both.values[0] - both.values[1]).min() > 0.01
     rep = verify.sweep_theorem41(p)
     assert rep.verdict == "pass"
-    rays = {}
-    for rec in rep.records:
-        key = (rec["xi_prime_abs"], rec["lambda"], rec["j"], rec["l"])
-        rays.setdefault(key, {})[np.sign(rec["xi_prime"][0])] = rec["lhs"]
-    assert all(sorted(r) == [-1.0, 1.0] for r in rays.values())
-    assert max(abs(r[1.0] - r[-1.0]) for r in rays.values()) > 0.01
+    # Records come ray by ray, each with the same nodes, j and l.
+    rec = rep.records
+    half = len(rec["lhs"]) // 2
+    for key in ("xi_prime_abs", "lambda", "j", "l"):
+        assert np.array_equal(rec[key][:half], rec[key][half:]), key
+    sign = np.sign(rec["xi_prime"][:, 0])
+    assert np.all(sign[:half] == sign[0]) and np.all(sign[half:] == -sign[0])
+    assert np.abs(rec["lhs"][:half] - rec["lhs"][half:]).max() > 0.01
     wit = rep.summary()["witness_max"]
     assert wit["xi_prime"] == [np.sign(wit["xi_prime"][0]) * wit["xi_prime_abs"]]
 
@@ -381,24 +396,49 @@ def test_norm_scan_ratios_are_scale_invariant(name):
     thm, half = verify.sweep_theorem41(p), verify.sweep_halfspace_ratio(p)
     j_list, l_list = thm.config["j_list"], thm.config["l_list"]
     eps = np.finfo(float).eps
+    rec = thm.records
     for c in (1e-3, 7.3, 1e3):
-        xa = c * np.array([r["xi_prime_abs"] for r in thm.records])
-        lam = c * np.array([r["lambda"] for r in thm.records])
+        xa, lam = c * rec["xi_prime_abs"], c * rec["lambda"]
         shifted = lambda s: weights.xi_product_eval(weights.shift(phi, s), xa, lam)
         num = {j: shifted(Fraction(2 * j - 1, 2)) for j in j_list}
         den = {l: shifted(l) for l in l_list}
-        for k, (rec, hrec) in enumerate(zip(thm.records, half.records)):
+        for k, (j, l) in enumerate(zip(rec["j"].tolist(), rec["l"].tolist())):
             if k % (len(j_list) * len(l_list)) == 0:       # a new node
-                roots = poly_roots(tau_polynomial(p, c * np.array(rec["xi_prime"]),
-                                                  lam[k]))
+                roots = poly_roots(tau_polynomial(p, c * rec["xi_prime"][k], lam[k]))
                 upper = roots[roots.imag > 0]
                 spread = np.abs(upper).max() / np.abs(upper).min()
                 norms = halfline.gramian_norms([upper], j_list, l_list)[0]
-            j, l = rec["j"], rec["l"]
             ratio = norms[j - 1, l] / verify.rhs_44(p.mu, j, l, xa[k], lam[k])
-            assert ratio == pytest.approx(rec["ratio"], rel=32 * eps * spread, abs=0.0)
+            assert ratio == pytest.approx(rec["ratio"][k], rel=32 * eps * spread, abs=0.0)
             rhs = num[j][k] / den[l][k] * c ** (j - l - 0.5)
-            assert rhs == pytest.approx(hrec["rhs"], rel=8 * eps, abs=0.0)
+            assert rhs == pytest.approx(half.records["rhs"][k], rel=8 * eps, abs=0.0)
+
+
+BASE_COLUMNS = ["xi_prime_abs", "lambda", "lhs", "rhs", "ratio"]
+COLUMN_ORDER = {
+    "polygon": BASE_COLUMNS, "asymptotics": BASE_COLUMNS, "prop52": BASE_COLUMNS,
+    "trace": ["xi_prime_abs", "lambda", "l", "lhs", "rhs", "ratio"],
+    "thm41": ["xi_prime", "xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio"],
+    "halfspace": ["xi_prime", "xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio"]}
+
+
+@pytest.mark.parametrize("name", ["e1", "e1_n3", "n1"])
+def test_summary_witnesses_are_json_rows_in_column_order(name):
+    # A witness is one row of Python values (no numpy scalars), so the
+    # summary is JSON as it stands; its keys follow the suite's columns.
+    p = (Pencil(n=1, m=1, mu=0, terms=(Term((2,), 2, 1.0), Term((0,), 0, 1.0)))
+         if name == "n1" else load_pencil(BENCHMARK_PENCILS / f"{name}.json"))
+    for suite, rep in verify.run_suites(verify.SUITES, p).items():
+        s = rep.summary()
+        json.dumps(s)
+        assert list(rep.records) == COLUMN_ORDER[suite]
+        assert len({len(col) for col in rep.records.values()}) == 1
+        for wit in (s["witness_min"], s["witness_max"]):
+            assert list(wit) == COLUMN_ORDER[suite]
+            for key, value in wit.items():
+                want = {"xi_prime": list, "j": int, "l": int}.get(key, float)
+                assert type(value) is want, (suite, key)
+            assert all(type(x) is float for x in wit.get("xi_prime", []))
 
 
 def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
@@ -425,7 +465,7 @@ def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
     monkeypatch.setattr(verify, "group_roots", flipped)
     rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.extras["ambiguous_groupings"] == 1
-    assert rep.records[0]["lhs"] != base.records[0]["lhs"]
+    assert rep.records["lhs"][0] != base.records["lhs"][0]
     assert rep.extras["puiseux_slope"] == base.extras["puiseux_slope"]
 
 
@@ -438,8 +478,8 @@ def test_drift_between_uses_constant_when_reported():
     r1 = verify.SweepReport("prop52", {}, extras={"C": 2.0})
     r2 = verify.SweepReport("prop52", {}, extras={"C": 2.2})
     assert verify.drift_between(r1, r2) == pytest.approx(0.1)
-    r1 = verify.SweepReport("thm41", {}, records=[{"ratio": 4.0}])
-    r2 = verify.SweepReport("thm41", {}, records=[{"ratio": 3.0}])
+    r1 = verify.SweepReport("thm41", {}, records={"ratio": np.array([4.0])})
+    r2 = verify.SweepReport("thm41", {}, records={"ratio": np.array([3.0])})
     assert verify.drift_between(r1, r2) == pytest.approx(0.25)
 
 

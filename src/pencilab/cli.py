@@ -23,8 +23,7 @@ import numpy as np
 from . import halfline, verify, weights
 from .errors import PencilabError
 from .pencil import (GridSpec, check_lemma21, check_regular_degeneration,
-                     group_roots, load_pencil, poly_roots, q_polynomial,
-                     tau_roots)
+                     group_roots, load_pencil, q_polynomial, tau_roots)
 from .polygon import INF, build_polygon
 
 
@@ -74,6 +73,7 @@ def cmd_ellipticity(args) -> int:
     grid = GridSpec(angular=args.grid_angular, directions=args.grid_angular,
                     tol=args.tol)
     rep = check_lemma21(p, grid)
+    xi_iii, lam_iii = rep.witness_iii
     lines = [
         f"condition (i)  [A_2m nonzero on sphere]:  {rep.cond_i} (min {rep.min_a2m:.3e})",
         f"condition (ii) [A_2mu nonzero on sphere]: {rep.cond_ii} (min {rep.min_a2mu:.3e})",
@@ -81,14 +81,20 @@ def cmd_ellipticity(args) -> int:
         f"(min {rep.min_ratio:.3e}; raw min |A| {rep.min_abs:.3e})",
         f"N-elliptic with parameter: {rep.n_elliptic}",
         f"C_est = {rep.C_est:.6g}",
+        f"witness (i): xi = {np.array2string(rep.witness_i, precision=6)}",
         f"witness (ii): xi = {np.array2string(rep.witness_ii, precision=6)}",
+        f"witness (iii): xi = {np.array2string(xi_iii, precision=6)}, "
+        f"lambda = {lam_iii:.6g}",
     ]
     _emit(args, {"cond_i": rep.cond_i, "cond_ii": rep.cond_ii,
                  "cond_iii": rep.cond_iii, "n_elliptic": rep.n_elliptic,
                  "C_est": rep.C_est, "min_a2m": rep.min_a2m,
                  "min_a2mu": rep.min_a2mu, "min_abs": rep.min_abs,
                  "min_ratio": rep.min_ratio,
-                 "witness_ii": rep.witness_ii.tolist()}, lines)
+                 "witness_i": rep.witness_i.tolist(),
+                 "witness_ii": rep.witness_ii.tolist(),
+                 "witness_iii": {"xi": xi_iii.tolist(), "lambda": lam_iii}},
+          lines)
     return 0 if rep.n_elliptic else 1
 
 

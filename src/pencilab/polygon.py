@@ -10,7 +10,7 @@ arithmetic so that side slopes can be ordered reliably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedShapeError
@@ -50,7 +50,6 @@ class NewtonPolygon:
     vertices: tuple[Point, ...]
     sides: tuple[Side, ...]
     degenerate: bool = False
-    generators: tuple[tuple[int, int], ...] = field(default=())
 
     @property
     def i_max(self) -> Fraction:
@@ -89,6 +88,11 @@ class NewtonPolygon:
 def build_polygon(points) -> NewtonPolygon:
     """Convex hull of the points, their axis projections and the origin.
 
+    Only the chain from (0, k_max) to (i_max, 0) is computed, since the
+    rest of the boundary lies on the axes: one monotone pass (Andrew 1979)
+    over the points and the corners keeps their upper hull.  The vertices
+    are the origin followed by the chain.
+
     Raises UnsupportedShapeError if the hull has a (non-degenerate) vertical
     last side; such polygons are outside the supported calculus.
     """
@@ -98,50 +102,24 @@ def build_polygon(points) -> NewtonPolygon:
         if i < 0 or k < 0:
             raise ValueError(f"exponent point ({i},{k}) has a negative entry")
         pts.add((Fraction(i), Fraction(k)))
-        pts.add((Fraction(i), Fraction(0)))
-        pts.add((Fraction(0), Fraction(k)))
-    pts.add((Fraction(0), Fraction(0)))
-    gens = tuple(sorted((int(i), int(k)) for (i, k) in points))
+    zero = Fraction(0)
+    i_max = max((p[0] for p in pts), default=zero)
+    k_max = max((p[1] for p in pts), default=zero)
+    origin = (zero, zero)
+    corners = {origin, (zero, k_max), (i_max, zero)}
 
-    i_max = max(p[0] for p in pts)
-    k_max = max(p[1] for p in pts)
+    # Degenerate shapes: the origin, or a segment on one axis.
+    if i_max == 0 or k_max == 0:
+        return NewtonPolygon(tuple(sorted(corners)), (), degenerate=True)
 
-    # Degenerate shapes: single point or all generators on one axis.
-    if i_max == 0 and k_max == 0:
-        origin = (Fraction(0), Fraction(0))
-        return NewtonPolygon((origin,), (), degenerate=True, generators=gens)
-    if i_max == 0:
-        verts = ((Fraction(0), Fraction(0)), (Fraction(0), k_max))
-        return NewtonPolygon(verts, (), degenerate=True, generators=gens)
-    if k_max == 0:
-        verts = ((Fraction(0), Fraction(0)), (i_max, Fraction(0)))
-        return NewtonPolygon(verts, (), degenerate=True, generators=gens)
+    # Left to right, top down at one abscissa; keep only clockwise turns.
+    chain: list[Point] = []
+    for p in sorted(pts | corners, key=lambda p: (p[0], -p[1])):
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) >= 0:
+            chain.pop()
+        chain.append(p)
 
-    # Monotone chain, counterclockwise, collinear points dropped.
-    sorted_pts = sorted(pts)
-    lower: list[Point] = []
-    for p in sorted_pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(sorted_pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull_ccw = lower[:-1] + upper[:-1]
-
-    # Re-order clockwise starting at the origin.
-    start = hull_ccw.index((Fraction(0), Fraction(0)))
-    hull_cw = [hull_ccw[start]] + [hull_ccw[(start - t) % len(hull_ccw)]
-                                   for t in range(1, len(hull_ccw))]
-
-    # Walk clockwise from the top vertex (0, k_max) down to (i_max, 0);
-    # those edges are the non-axis sides.
-    top = hull_cw.index((Fraction(0), k_max))
-    bottom = hull_cw.index((i_max, Fraction(0)))
-    chain = hull_cw[top:bottom + 1]
-
+    # Strict clockwise turns give strictly decreasing slopes r.
     sides = []
     for u, v in zip(chain[:-1], chain[1:]):
         da, db = v[0] - u[0], u[1] - v[1]
@@ -155,13 +133,7 @@ def build_polygon(points) -> NewtonPolygon:
             r = da / db
             d = u[0] + r * u[1]
         sides.append(Side(r=r, d=d, start=u, end=v))
-
-    rs = [s.r for s in sides]
-    if any(r2 >= r1 for r1, r2 in zip(rs[:-1], rs[1:])):
-        raise UnsupportedShapeError(f"side slopes not strictly decreasing: {rs}")
-
-    return NewtonPolygon(tuple(hull_cw), tuple(sides), degenerate=False,
-                         generators=gens)
+    return NewtonPolygon((origin, *chain), tuple(sides))
 
 
 def r_degree(np_: NewtonPolygon, r):

@@ -583,7 +583,9 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     kept after the call.  Raises OutOfRangeError, naming the suite and
     where it ran, when the lambda range overflows or the suite's float64
     arithmetic overflows, divides by zero or makes a NaN: its verdict would
-    rest on infinities.  The first suite in `names` to fail raises.
+    rest on infinities.  Any other PencilabError a suite raises is raised
+    again as the same type with the suite's name in front of its message.
+    The first suite in `names` to fail raises.
     """
     try:
         lam_max = lambda0 * 10.0 ** decades
@@ -604,6 +606,8 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
         except FloatingPointError as exc:
             raise OutOfRangeError(f"suite {name}: float64 fails on {where} "
                                   f"({exc})") from exc
+        except PencilabError as exc:
+            raise type(exc)(f"suite {name}: {exc}") from exc
     return reports
 
 

@@ -16,7 +16,9 @@ import pencilab
 from pencilab import halfline, verify, weights
 from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
-from pencilab.pencil import Pencil, Term, pencil_to_dict, tau_roots
+from pencilab.errors import EllipticityError
+from pencilab.pencil import (GridSpec, Pencil, Term, check_lemma21, pencil_to_dict,
+                             tau_roots)
 
 
 @pytest.fixture
@@ -60,6 +62,26 @@ def test_ellipticity_broken(broken_path, capsys):
         assert run(["ellipticity", broken_path, "--grid-angular", angular]) == 1
         out = capsys.readouterr().out
         assert "condition (ii)" in out and "N-elliptic with parameter: False" in out
+
+
+@pytest.mark.parametrize("pencil", [e1_pencil(), broken_pencil()], ids=["e1", "broken"])
+def test_ellipticity_emits_every_witness(pencil, tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(pencil_to_dict(pencil)))
+    rep = check_lemma21(pencil, GridSpec(angular=24, directions=24, tol=1e-6))
+    argv = ["ellipticity", str(path), "--grid-angular", "24"]
+    run(argv + ["--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    xi, lam = rep.witness_iii
+    assert data["witness_i"] == rep.witness_i.tolist()
+    assert data["witness_ii"] == rep.witness_ii.tolist()
+    assert data["witness_iii"] == {"xi": xi.tolist(), "lambda": lam}
+    run(argv)
+    lines = capsys.readouterr().out.splitlines()
+    for name, point in (("i", rep.witness_i), ("ii", rep.witness_ii)):
+        assert f"witness ({name}): xi = {np.array2string(point, precision=6)}" in lines
+    assert (f"witness (iii): xi = {np.array2string(xi, precision=6)}, "
+            f"lambda = {lam:.6g}") in lines
 
 
 def test_degeneration_command(e1_path, capsys):
@@ -262,7 +284,7 @@ def test_band_escape_exit_2(e1_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(weights, "LEMMA32_BAND_CONSTANT", 1.0)
     out = tmp_path / "rep"
     assert run(["verify", e1_path, "--suite", "trace", "--out", str(out)]) == 2
-    assert "error: integral" in capsys.readouterr().err
+    assert "error: suite trace: integral" in capsys.readouterr().err
 
 
 def test_verify_all_writes_reports(e1_path, tmp_path, capsys):
@@ -329,7 +351,22 @@ def test_one_variable_pencil_with_mu_exits_2(tmp_path, capsys):
     # tau^4 + tau^2 lambda^2: xi' = () puts mu's bounded roots at tau = 0.
     assert run(["verify", _one_variable(tmp_path, 2, 1), "--suite", "thm41",
                 "--out", str(tmp_path / "rep")]) == 2
-    assert "error: root on the real axis at xi'=[]" in capsys.readouterr().err
+    assert "error: suite thm41: root on the real axis at xi'=[]" in capsys.readouterr().err
+
+
+def test_suite_error_names_the_suite(broken_path, tmp_path, capsys):
+    # broken's A_2mu = xi_1^2 has no upper zero at xi' = 1: the asymptotics
+    # suite raises, and the message says which suite did.
+    out = tmp_path / "rep"
+    assert run(["verify", broken_path, "--suite", "all", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: suite asymptotics: A_2mu has 0 upper zeros, expected mu=1")
+    assert not out.exists()
+    with pytest.raises(EllipticityError,
+                       match=r"^suite asymptotics: A_2mu has 0 upper zeros"):
+        verify.run_suites(["asymptotics"], broken_pencil())
 
 
 @pytest.mark.parametrize("cmd", ["roots", "solve"])

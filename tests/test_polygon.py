@@ -1,15 +1,113 @@
 """Tests for convex hull geometry, slopes, degrees, and principal parts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencilab.errors import UnsupportedShapeError
-from pencilab.polygon import INF, build_polygon, principal_part, r_degree
+from pencilab.polygon import (INF, NewtonPolygon, Side, _cross, build_polygon,
+                              principal_part, r_degree)
 
 F = Fraction
+
+
+def _reference_polygon(points) -> NewtonPolygon:
+    """The full convex hull (lower and upper monotone chains), rotated
+    clockwise from the origin, with the non-axis chain sliced out of it and
+    its slopes checked: the construction build_polygon replaced."""
+    pts = set()
+    for (i, k) in points:
+        i, k = int(i), int(k)
+        pts.add((F(i), F(k)))
+        pts.add((F(i), F(0)))
+        pts.add((F(0), F(k)))
+    pts.add((F(0), F(0)))
+    i_max = max(p[0] for p in pts)
+    k_max = max(p[1] for p in pts)
+    if i_max == 0 and k_max == 0:
+        return NewtonPolygon(((F(0), F(0)),), (), degenerate=True)
+    if i_max == 0:
+        return NewtonPolygon(((F(0), F(0)), (F(0), k_max)), (), degenerate=True)
+    if k_max == 0:
+        return NewtonPolygon(((F(0), F(0)), (i_max, F(0))), (), degenerate=True)
+
+    sorted_pts = sorted(pts)
+    lower = []
+    for p in sorted_pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(sorted_pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull_ccw = lower[:-1] + upper[:-1]
+    start = hull_ccw.index((F(0), F(0)))
+    hull_cw = [hull_ccw[start]] + [hull_ccw[(start - t) % len(hull_ccw)]
+                                   for t in range(1, len(hull_ccw))]
+    top = hull_cw.index((F(0), k_max))
+    bottom = hull_cw.index((i_max, F(0)))
+    chain = hull_cw[top:bottom + 1]
+
+    sides = []
+    for u, v in zip(chain[:-1], chain[1:]):
+        da, db = v[0] - u[0], u[1] - v[1]
+        if db == 0:
+            r, d = INF, None
+        elif da == 0:
+            raise UnsupportedShapeError(
+                f"vertical side from {u} to {v}: last side must not be vertical")
+        else:
+            r = da / db
+            d = u[0] + r * u[1]
+        sides.append(Side(r=r, d=d, start=u, end=v))
+    rs = [s.r for s in sides]
+    if any(r2 >= r1 for r1, r2 in zip(rs[:-1], rs[1:])):
+        raise UnsupportedShapeError(f"side slopes not strictly decreasing: {rs}")
+    return NewtonPolygon(tuple(hull_cw), tuple(sides))
+
+
+def _outcome(build, points):
+    """(vertices, sides, degenerate), or the exception's type and message."""
+    try:
+        np_ = build(points)
+    except UnsupportedShapeError as exc:
+        return type(exc), str(exc)
+    return np_.vertices, np_.sides, np_.degenerate
+
+
+def _assert_matches_reference(points):
+    got, want = _outcome(build_polygon, points), _outcome(_reference_polygon, points)
+    assert got == want
+    # Fractions throughout, as the reference builds them: == alone would
+    # also accept ints.
+    if not isinstance(got[0], type):
+        assert all(type(x) is F for v in got[0] for x in v)
+
+
+_COORD = st.integers(0, 60)
+_POINT_SETS = st.one_of(
+    st.sets(st.tuples(_COORD, _COORD), max_size=9),
+    st.sets(st.tuples(_COORD, st.just(0)), max_size=9),
+    st.sets(st.tuples(st.just(0), _COORD), max_size=9),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_POINT_SETS)
+def test_polygon_matches_full_hull_reference(points):
+    _assert_matches_reference(points)
+
+
+def test_polygon_matches_full_hull_reference_on_small_grid():
+    grid = list(itertools.product(range(5), repeat=2))
+    for size in range(4):
+        for points in itertools.combinations(grid, size):
+            _assert_matches_reference(points)
 
 
 def test_basic_hull_vertices_and_sides():
@@ -89,9 +187,16 @@ def test_support_function_consistency():
             assert r_degree(np_, s.r) == s.d
 
 
-def test_slopes_strictly_decreasing():
-    np_ = build_polygon({(8, 0), (6, 1), (2, 4)})
+@settings(max_examples=200, deadline=None)
+@given(_POINT_SETS)
+@example({(8, 0), (6, 1), (2, 4)})
+def test_slopes_strictly_decreasing(points):
+    try:
+        np_ = build_polygon(points)
+    except UnsupportedShapeError:
+        return
     rs = np_.slopes()
+    assert np_.degenerate or rs
     assert all(a > b for a, b in zip(rs, rs[1:]))
 
 

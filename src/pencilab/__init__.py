@@ -22,6 +22,6 @@ from .pencil import (GridSpec, Pencil, Term, check_lemma21,
 from .halfline import (ExpPolySolution, ExpPolyTerm, boundary_defect,
                        contour_eval, eval_deriv, l2_norm_deriv, ode_residual,
                        solve, solve_from_roots, split_by_group)
-from .catalog import BUILTIN, agmon_pencil, broken_pencil, e1_pencil
+from .catalog import agmon_pencil, broken_pencil, e1_pencil
 from .verify import SweepReport, run_suite, run_suites, write_csv
 

@@ -26,6 +26,3 @@ def broken_pencil() -> Pencil:
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, 1.0),
     ))
-
-
-BUILTIN = {"e1": e1_pencil, "agmon": agmon_pencil, "broken": broken_pencil}

@@ -4,9 +4,9 @@ Subcommands analyze a pencil given as a JSON file (see the pencil module
 for the schema) and the `verify` subcommand runs the certification sweeps,
 writing one CSV per suite plus a JSON summary.  Each subcommand takes only
 the options its handler reads (see SUBCOMMANDS).  Exit codes: 0 on success,
-1 when a verification verdict is "fail", "indeterminate" or, under
---check-refinement, "unstable", 2 on usage errors (an option the subcommand
-does not take among them) and on input, configuration or numerical errors.
+1 when a verification verdict is "fail" or, under --check-refinement,
+"unstable", 2 on usage errors (an option the subcommand does not take
+among them) and on input, configuration or numerical errors.
 """
 
 from __future__ import annotations
@@ -232,15 +232,17 @@ OPTIONS = {
     "--lam": dict(type=float, default=10.0,
                   help="spectral parameter (default 10.0)"),
     "--suite": dict(default="all", choices=verify.SUITES + ("all",)),
-    "--grid-decades": dict(type=_positive_int, default=3, help="lambda range "
-                           "decades above lambda0 (default 3)"),
+    "--grid-decades": dict(type=_positive_int, default=3, help="lambda "
+                           "decades above lambda0 in polygon, trace, prop52 "
+                           "(default 3)"),
     "--density": dict(type=_positive_int, default=1,
                       help="grid density multiplier (default 1)"),
     "--out": dict(default="report", help="output directory for CSV/JSON "
                   "reports (default report/)"),
     "--check-refinement": dict(action="store_true", help="also rerun each "
-                               "suite at 2x density and flag suites whose "
-                               "max ratio drifts by 5%% or more"),
+                               "suite at 2x density and flag suites that "
+                               "drift by 5%% or more (asymptotics: by 0.05 "
+                               "in a slope)"),
 }
 SUBCOMMANDS = (
     ("polygon", cmd_polygon, ("--lambda0", "--format")),

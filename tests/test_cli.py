@@ -197,8 +197,6 @@ def test_non_finite_coefficients_exit_2(p, coeffs, message, argv, tmp_path, caps
     # 10.0 ** 400 raised OverflowError, a traceback.
     (["--suite", "all", "--grid-decades", "400"],
      "suite polygon: lambda in [1, inf] overflows float64"),
-    (["--suite", "asymptotics", "--lambda0", "1e300", "--grid-decades", "9"],
-     "suite asymptotics: lambda in [1e+300, inf] overflows float64"),
 ])
 def test_overflowing_lambda_range_exit_2(argv, message, e1_path, tmp_path, capsys):
     # A RuntimeWarning would be an error here (pyproject filterwarnings).
@@ -211,9 +209,10 @@ def test_overflowing_lambda_range_exit_2(argv, message, e1_path, tmp_path, capsy
 
 
 def test_unit_slice_suites_take_any_lambda_range(e1_path, tmp_path, capsys):
-    # thm41 and halfspace do not run lambda over the range.
-    assert run(["verify", e1_path, "--suite", "thm41", "--grid-decades", "400",
-                "--out", str(tmp_path / "rep")]) == 0
+    # thm41, halfspace and asymptotics do not run lambda over the range.
+    for argv in (["--suite", "thm41", "--grid-decades", "400"],
+                 ["--suite", "asymptotics", "--lambda0", "1e300", "--grid-decades", "9"]):
+        assert run(["verify", e1_path, "--out", str(tmp_path / "rep")] + argv) == 0
 
 
 @pytest.mark.parametrize("cmd", ["roots", "solve"])
@@ -411,14 +410,40 @@ def test_unstable_verdict_exit_1(e1_path, tmp_path, monkeypatch, capsys):
     assert run(["verify", e1_path, "--suite", "polygon", "--out", str(out)]) == 0
 
 
-def test_short_asymptotics_grid_exits_1_indeterminate(e1_path, tmp_path, capsys):
+def test_asymptotics_ignores_the_lambda_grid(e1_path, tmp_path, capsys):
+    # asymptotics runs over the unit-slice scan's s-values, whatever the
+    # lambda range, and judges its slopes on every grid.
+    csvs = []
+    for k, options in enumerate([[], ["--grid-decades", "1"], ["--lambda0", "10"]]):
+        out = tmp_path / f"r{k}"
+        assert run(["verify", e1_path, "--suite", "asymptotics",
+                    "--out", str(out)] + options) == 0
+        csvs.append((out / "asymptotics.csv").read_bytes())
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_perturbed_split_norm_in_refined_run_is_unstable(e1_path, tmp_path,
+                                                        monkeypatch, capsys):
+    # Doubling the norm of w_1's large-group part at the refined grid's last
+    # node, lambda = 1e3 (large root about 1000i), moves its slope by 0.13.
+    run_suites, norm = verify.run_suites, halfline.l2_norm_deriv
+
+    def doubled(w, l):
+        last = w.j == 1 and l == 0 and max(abs(t.tau) for t in w.terms) > 999.0
+        return (2.0 if last else 1.0) * norm(w, l)
+
+    def refined_doubled(names, p, density=1, **kw):
+        if density == 2:
+            monkeypatch.setattr(halfline, "l2_norm_deriv", doubled)
+        return run_suites(names, p, density=density, **kw)
+
+    monkeypatch.setattr(verify, "run_suites", refined_doubled)
     out = tmp_path / "rep"
     argv = ["verify", e1_path, "--suite", "asymptotics", "--out", str(out)]
-    assert run(argv + ["--grid-decades", "1"]) == 1
+    assert run(argv + ["--check-refinement"]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["asymptotics"]["verdict"] == "indeterminate"
-    assert "lambda spans 1 decades" in capsys.readouterr().out
-    assert run(argv + ["--grid-decades", "2"]) == 0
+    assert summary["asymptotics"]["verdict"] == "unstable"
+    assert 0.1 < summary["asymptotics"]["extras"]["refinement_drift"] < 0.2
 
 
 def test_help_documents_defaults(capsys):

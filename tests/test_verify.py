@@ -101,7 +101,6 @@ def test_trace_sweep_agmon_shape():
 def test_thm41_sweep_e1():
     rep = verify.sweep_theorem41(e1_pencil(), density=1)
     assert rep.verdict == "pass"
-    assert rep.extras["homogeneity_max_rel_err"] < 1e-8
     wit = rep.summary()["witness_max"]
     # witness reproducibility: recompute lhs at the witness point, one node
     # alone, and against the closed form for the upper roots i|xi'| and
@@ -143,7 +142,7 @@ def test_asymptotics_counts_ambiguous_groupings(tmp_path):
     for pencil, at_least in ((e1_pencil, 1), (agmon_pencil, 0)):
         p = pencil()
         rep = verify.run_suite("asymptotics", p)
-        lams = rep.config["lambda_list"]
+        lams = rep.records["lambda"]
         count = sum(group_roots(p, np.array([1.0]), lam).ambiguous for lam in lams)
         assert rep.extras["ambiguous_groupings"] == count >= at_least
         assert rep.summary()["extras"]["ambiguous_groupings"] == count
@@ -182,32 +181,31 @@ def test_asymptotics_correction_at_confluent_large_roots(b, c):
     lhs = rep.records["lhs"]
     assert np.all(np.abs(lhs - exact) <= 1e-6 * exact)
     # The fit of the exact correction over lambda in [1, 1e3] has slope
-    # 1.984, not 2: it is far from lambda^-2 / 2 at lambda = 1.
+    # 1.981, not 2: it is far from lambda^-2 / 2 at lambda = 1.
     assert abs(rep.extras["puiseux_slope"] - verify.fit_loglog(1 / lam, exact)) < 1e-6
 
 
-def test_asymptotics_short_lambda_range_is_indeterminate():
-    # Over one decade e1's split-norm slopes are not yet asymptotic (-0.17
-    # against 0, -1.15 against -1), so the slope checks cannot decide.
-    short = verify.run_suite("asymptotics", e1_pencil(), decades=1)
-    assert short.verdict == "indeterminate"
-    assert short.reasons == ["lambda spans 1 decades; the slope checks need at least 2"]
-    assert short.extras["split_fits"]      # reported, not judged
-    assert verify.run_suite("asymptotics", e1_pencil(), decades=2).verdict == "pass"
+@pytest.mark.parametrize("density, nodes", [(1, 7), (2, 13), (4, 25)])
+def test_asymptotics_grid_is_the_scan_s_values_in_1_to_1e3(density, nodes):
+    # lambda runs over the unit-slice scan's s-values in [1, 1e3] at
+    # xi' = e_1, whatever the lambda range the other suites take.
+    s = verify.scan_s(density)
+    rep = verify.run_suite("asymptotics", e1_pencil(), density=density,
+                           lambda0=10.0, decades=1)
+    assert rep.verdict == "pass"
+    assert rep.records["lambda"].tolist() == s[(s >= 1.0) & (s <= 1e3)].tolist()
+    assert len(rep.records["lambda"]) == nodes
+    assert rep.records["lambda"][[0, -1]].tolist() == [1.0, 1e3]
+    assert set(rep.records["xi_prime_abs"].tolist()) == {1.0}
 
 
-def test_asymptotics_short_lambda_range_still_fails_growing_residuals(monkeypatch):
+def test_asymptotics_fails_growing_bounded_residuals(monkeypatch):
     def growing(p, xi_prime, lam):
         return replace(group_roots(p, xi_prime, lam), residual_bounded=(lam ** 2,))
     monkeypatch.setattr(verify, "group_roots", growing)
-    rep = verify.run_suite("asymptotics", e1_pencil(), decades=1)
+    rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.verdict == "fail"
     assert rep.reasons[0] == "bounded-group residuals grow with lambda"
-
-
-def test_asymptotics_needs_four_points():
-    with pytest.raises(Exception):
-        verify.sweep_group_asymptotics(e1_pencil(), lambda_list=[1.0, 10.0])
 
 
 def test_prop52_pass_and_fail():
@@ -449,7 +447,7 @@ def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
         return group_roots(*args)
     monkeypatch.setattr(verify, "group_roots", counting)
     rep = verify.run_suite("asymptotics", e1_pencil())
-    assert len(seen) == len(rep.config["lambda_list"])
+    assert len(seen) == len(rep.records["lambda"])
 
 
 def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
@@ -472,6 +470,34 @@ def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
 def test_refinement_drift_small_for_e1():
     _, _, drift = verify.refinement_drift("thm41", e1_pencil())
     assert drift < 0.05
+
+
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
+def test_asymptotics_refinement_drift_is_a_small_slope_change(name):
+    # The refined grid has 13 nodes against 7, so the fitted slopes move a
+    # little: by 3.3e-3 on e1 and e1_n3, 3.7e-3 on agmon, double and near.
+    r1, r2, drift = verify.refinement_drift(
+        "asymptotics", load_pencil(BENCHMARK_PENCILS / f"{name}.json"))
+    assert (len(r1.records["ratio"]), len(r2.records["ratio"])) == (7, 13)
+    assert r1.verdict == r2.verdict == "pass"
+    assert 0.0 < drift < 0.05
+
+
+def test_drift_between_asymptotics_takes_the_largest_slope_change():
+    def report(puiseux, **slopes):
+        return verify.SweepReport("asymptotics", {}, extras={
+            "puiseux_slope": puiseux,
+            "split_fits": {k: {"slope": v, "expected": 0.0} for k, v in slopes.items()}})
+    r1 = report(2.0, w1_j1_l0=0.0, w2_j1_l0=-0.5)
+    assert verify.drift_between(r1, report(1.99, w1_j1_l0=0.02, w2_j1_l0=-0.5)) \
+        == pytest.approx(0.02)
+    assert verify.drift_between(r1, report(1.9, w1_j1_l0=0.0, w2_j1_l0=-0.5)) \
+        == pytest.approx(0.1)
+    assert verify.drift_between(report(None, w2_j1_l0=-0.5),
+                                report(None, w2_j1_l0=-0.5)) == 0.0
+    # A slope fitted on one grid and not the other is no small change.
+    assert verify.drift_between(r1, report(None, w1_j1_l0=0.0, w2_j1_l0=-0.5)) == np.inf
+    assert verify.drift_between(r1, report(2.0, w1_j1_l0=0.0)) == np.inf
 
 
 def test_drift_between_uses_constant_when_reported():

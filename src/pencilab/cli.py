@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
     xi_prime, lam = _parse_point(args, p.n)
     upper = tau_roots(p, xi_prime, lam).upper
     ls = list(range(p.m + 1))
-    norm_table = halfline.gramian_norms([upper], range(1, p.m + 1), ls)[0]
+    norm_table = halfline.gramian_norms([upper], np.eye(p.m), ls)[0]
     payload = {}
     lines = []
     for sol in halfline.solve_from_roots(upper):
@@ -187,8 +187,8 @@ def cmd_verify(args) -> int:
             print(f"    {reason}")
         if rep.verdict != "pass":
             worst = 1
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=str)
+    # One string and one write: json.dump would write it chunk by chunk.
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, default=str))
     print(f"reports written to {out}/")
     return worst
 

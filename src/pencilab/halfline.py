@@ -14,10 +14,11 @@ MERGE_TOL = 1e-4 (relative) are merged.
 `solve` gives that form at one point; `l2_norm_deriv` takes norms of it or
 of its `split_by_group` parts.  They work on a few coefficients at a time,
 in Python complex arithmetic, where numpy's per-call cost would exceed the
-work.  Norms of full solutions, at any number of nodes, come from the
+work.  The sweeps take their norms, at any number of nodes, from the
 Lyapunov Gramian instead (`gramian_norms`), which needs only the symmetric
-functions of the roots; `mesh_norms` applies it to a list of (xi', lambda)
-nodes.
+functions of the roots: `mesh_norms` applies it to the full solutions at a
+list of (xi', lambda) nodes, and `split_norms` to the part of each solution
+on one root group.
 """
 
 from __future__ import annotations
@@ -285,41 +286,106 @@ class MeshNorms(NamedTuple):
     root_clearance_min: float   # smallest Im tau / |tau| over the nodes
 
 
-def gramian_norms(upper, j_list, l_list) -> np.ndarray:
-    """||D^l w_j|| by (node, j, l) for upper roots of shape (N, m).
+def _monic(roots: np.ndarray) -> np.ndarray:
+    """Descending coefficients of prod_i (tau - roots[k, i]), by row k."""
+    n, m = roots.shape
+    a = np.zeros((n, m + 1), dtype=complex)
+    a[:, 0] = 1.0
+    for k in range(m):
+        a[:, 1:k + 2] = a[:, 1:k + 2] - roots[:, k:k + 1] * a[:, :k + 1]
+    return a
 
-    Each node's roots are first divided by a power of two 2^e near their
-    largest modulus, which is exact; ||D^l w_j|| scales as (2^e)^(l-j+1/2).
-    Every step is elementwise or one LAPACK solve per node, so a node gives
-    the same bits alone (N = 1) as in a stack.
+
+def _companion(roots: np.ndarray) -> np.ndarray:
+    """Companion matrices C, by row of roots, of prod (tau - roots[k, i]):
+    C maps (w, Dw, ..., D^(q-1) w) to (Dw, ..., D^q w) for its solutions."""
+    n, m = roots.shape
+    comp = np.zeros((n, m, m), dtype=complex)
+    comp[:, :-1, 1:] = np.eye(m - 1)
+    comp[:, -1, :] = -_monic(roots)[:, :0:-1]
+    return comp
+
+
+def gramian_norms(upper, y, l_list) -> np.ndarray:
+    """||D^l w|| by (node, k, l) for upper roots of shape (N, q), where w
+    solves prod (D - tau) w = 0 with (w, Dw, ..., D^(q-1) w)(0) = y[node, k].
+
+    y has shape (N, K, q), or (K, q) for the same vectors at every node;
+    the rows of np.eye(q) give w_1..w_q.  Each node's roots are first
+    divided by a power of two 2^e near their largest modulus, which is
+    exact and multiplies D^k w(0) by 2^(-ek); ||D^l w|| scales as
+    (2^e)^(l-1/2).  Each scaled y is divided by a power of two near its
+    largest entry.  Every step is elementwise or one LAPACK solve per node,
+    so a node gives the same bits alone (N = 1) as in a stack.
     """
     upper = np.asarray(upper, dtype=complex)
     n, m = upper.shape
     e = np.frexp(np.abs(upper).max(axis=1))[1][:, None]
-    tau = upper * np.ldexp(1.0, -e)
-    a = np.zeros((n, m + 1), dtype=complex)             # A_+, descending
-    a[:, 0] = 1.0
-    for k in range(m):
-        a[:, 1:k + 2] = a[:, 1:k + 2] - tau[:, k:k + 1] * a[:, :k + 1]
-    comp = np.zeros((n, m, m), dtype=complex)
-    comp[:, :-1, 1:] = np.eye(m - 1)
-    comp[:, -1, :] = -a[:, :0:-1]
+    comp = _companion(upper * np.ldexp(1.0, -e))
+    y = np.asarray(y) * np.ldexp(1.0, -e[:, :, None] * np.arange(m))
+    f = np.frexp(np.abs(y).max(axis=2))[1]
+    y = y * np.ldexp(1.0, -f)[:, :, None]
     # row-major vec(X G + G X^H) = (X kron I + I kron conj(X)) vec(G), X = iC
     x, eye = 1j * comp, np.eye(m)
     kron = (x[:, :, None, :, None] * eye[:, None, :]
             + eye[:, None, :, None] * x.conj()[:, None, :, None, :])
-    rhs = np.zeros((m * m, len(j_list)))
-    rhs[[(j - 1) * (m + 1) for j in j_list], range(len(j_list))] = -1.0
-    gram = np.linalg.solve(kron.reshape(n, m * m, m * m), rhs).reshape(n, m, m, -1)
-    sq = np.empty((n, len(j_list), len(l_list)))
+    rhs = (y[:, :, :, None] * y.conj()[:, :, None, :]).reshape(n, -1, m * m)
+    gram = -np.linalg.solve(kron.reshape(n, m * m, m * m),
+                            rhs.transpose(0, 2, 1)).reshape(n, m, m, -1)
+    sq = np.empty((n, y.shape[1], len(l_list)))
     r = np.broadcast_to(eye[0], (n, m))                 # r_l = e_1^T C^l
     for l in range(max(l_list) + 1):
         if l in l_list:
             sq[:, :, l_list.index(l)] = ((r[:, :, None, None] * gram).sum(axis=1)
                                          * r.conj()[:, :, None]).sum(axis=1).real
         r = (r[:, :, None] * comp).sum(axis=1)
-    power = 2 * (np.asarray(l_list) - np.asarray(j_list)[:, None]) + 1
-    return np.sqrt(np.ldexp(sq, e[:, :, None] * power))
+    # ||D^l w||^2 = sq 2^power; the root is taken before the scaling by
+    # 2^(power // 2), so that a representable norm never passes through an
+    # overflowing or underflowing square.
+    power = e[:, :, None] * (2 * np.asarray(l_list) - 1) + 2 * f[:, :, None]
+    return np.ldexp(np.sqrt(np.ldexp(sq, power % 2)), power // 2)
+
+
+def split_norms(upper, group, l_list) -> np.ndarray:
+    """||D^l w_j^G|| by (node, j, l), j = 1..m, where w_j^G is the part of
+    w_j on the roots G = upper[k, group[k]] at node k: the residue sum of
+    `split_by_group` over G.
+
+    upper has shape (N, m) and group (N, q).  w_j^G solves A_G(D) w = 0,
+    A_G = prod over G of (tau - tau_g), and D^k w_j^G(0) is the divided
+    difference of tau^k M_j / A_H over G, where A_H is the product over
+    the other roots.  With C_G the companion matrix of A_G that
+    gramian_norms uses, e_1^T C_G^k = e_(k+1)^T for k < q, so these initial
+    values are the vector A_H(C_G)^-1 M_j(C_G) e_q, and gramian_norms takes
+    the norms on G's own companion system.  Roots of G and H never meet in
+    a denominator other than A_H(C_G).  If G holds every root, w_j^G = w_j;
+    if it holds none, the norms are 0.
+    """
+    upper = np.asarray(upper, dtype=complex)
+    n, m = upper.shape
+    group = np.asarray(group, dtype=int)
+    q = group.shape[1]
+    if q == 0:
+        return np.zeros((n, m, len(l_list)))
+    if q == m:
+        return gramian_norms(upper, np.eye(m), l_list)
+    inside = np.take_along_axis(upper, group, axis=1)
+    others = np.ones((n, m), dtype=bool)
+    np.put_along_axis(others, group, False, axis=1)
+    comp, eye = _companion(inside), np.eye(q)
+    # Horner's rule on M_j(tau) = sum_{k <= m-j} a_k tau^(m-j-k), whose
+    # coefficients are a prefix of A_+'s: step k gives M_(m-k)(C_G) e_q.
+    a, v = _monic(upper), np.zeros((n, q), dtype=complex)
+    mj_cols = np.empty((n, q, m), dtype=complex)
+    for k in range(m):
+        v = (comp @ v[:, :, None])[:, :, 0]
+        v[:, -1] += a[:, k]
+        mj_cols[:, :, m - 1 - k] = v
+    a_h = np.broadcast_to(eye, comp.shape)
+    for root in upper[others].reshape(n, m - q).T:
+        a_h = a_h @ (comp - root[:, None, None] * eye)
+    y = np.linalg.solve(a_h, mj_cols)
+    return gramian_norms(inside, y.transpose(0, 2, 1), l_list)
 
 
 def mesh_norms(p: Pencil, xi_prime, lam, j_list, l_list) -> MeshNorms:
@@ -336,7 +402,8 @@ def mesh_norms(p: Pencil, xi_prime, lam, j_list, l_list) -> MeshNorms:
     upper, ok = mesh_upper_roots(p, xi_prime, lam)
     for k in np.flatnonzero(~ok):
         upper[k] = tau_roots(p, xi_prime[k], lam[k]).upper
-    return MeshNorms(gramian_norms(upper, j_list, l_list),
+    unit = np.eye(p.m)[[j - 1 for j in j_list]]
+    return MeshNorms(gramian_norms(upper, unit, l_list),
                      float(np.min(upper.imag / np.abs(upper))))
 
 
@@ -351,5 +418,5 @@ def homogeneity_check(p: Pencil, xi_prime, lam: float, r: float,
     xi_prime = np.asarray(xi_prime, dtype=float)
     upper = [tau_roots(p, xi_prime, lam).upper,
              tau_roots(p, xi_prime / r, lam / r).upper]
-    lhs, scaled = gramian_norms(upper, [j], [l])[:, 0, 0]
+    lhs, scaled = gramian_norms(upper, np.eye(p.m)[[j - 1]], [l])[:, 0, 0]
     return float(lhs), r ** (0.5 - j + l) * float(scaled)

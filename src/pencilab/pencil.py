@@ -334,8 +334,9 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     """
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     top = table.shape[1] - 1
+    nonzero = table.any(axis=0)
     parts = [(rho ** j * lam ** (top - j), np.ascontiguousarray(table[:, j]))
-             for j in range(top + 1) if np.any(table[:, j])]
+             for j in range(top + 1) if nonzero[j]]
     step = max(1, SLICE_BLOCK_ENTRIES // len(table))
     for start in range(0, len(rho), step):
         cols = slice(start, start + step)
@@ -633,9 +634,35 @@ def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
     are lambda times the upper zeros of Q.  Matching is a minimum-cost
     bipartite assignment; residual quality is reported, not asserted.
     """
-    rs = tau_roots(p, xi_prime, lam)
-    upper = np.array(rs.upper)
+    upper = np.array(tau_roots(p, xi_prime, lam).upper)
+    return _match_groups(p, upper, lam, *_grouping_targets(p, xi_prime))
 
+
+def mesh_group_roots(p: Pencil, xi_prime, lam) -> list[RootGrouping]:
+    """group_roots(p, xi_prime, lam[k]) at each lambda of the array lam,
+    field for field.
+
+    The upper roots come from one mesh_upper_roots call, and at a node
+    that it rejects from tau_roots; the bounded targets and Q's roots are
+    found once, since xi' is fixed.  An error names what a loop of
+    group_roots calls would name first: node 0's roots, then the targets,
+    then the later nodes.
+    """
+    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
+    upper, ok = mesh_upper_roots(p, np.tile(xi_prime, (len(lam), 1)), lam)
+    groupings = []
+    for k, y in enumerate(lam.tolist()):
+        if not ok[k]:
+            upper[k] = tau_roots(p, xi_prime, y).upper
+        if k == 0:
+            targets = _grouping_targets(p, xi_prime)
+        groupings.append(_match_groups(p, upper[k], y, *targets))
+    return groupings
+
+
+def _grouping_targets(p: Pencil, xi_prime) -> tuple[np.ndarray, DegenerationResult]:
+    """The upper zeros of A_2mu(xi', .) and the regular degeneration of Q,
+    which give group_roots' targets; raises when either count is wrong."""
     if p.mu > 0:
         # A_2mu(xi', .) from its terms, whose lambda power is 1.0 ** 0 == 1.0.
         a2mu = [t for t in p.terms if t.j == 2 * p.mu]
@@ -655,9 +682,14 @@ def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
     if not deg.regular:
         raise EllipticityError(f"Q has {len(deg.upper_roots)} upper roots, "
                                f"expected m - mu = {p.m - p.mu}")
-    k1 = deg.k1
-    large_targets = lam * np.array(deg.upper_roots)
+    return bounded_targets, deg
 
+
+def _match_groups(p: Pencil, upper: np.ndarray, lam: float,
+                  bounded_targets: np.ndarray,
+                  deg: DegenerationResult) -> RootGrouping:
+    """group_roots' matching of the upper roots to its targets."""
+    large_targets = lam * np.array(deg.upper_roots)
     targets = np.concatenate([bounded_targets, large_targets])
     cost = np.abs(upper[:, None] - targets[None, :])
     assign = _min_cost_matching(cost)
@@ -680,4 +712,4 @@ def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
         bounded_targets=tuple(bounded_targets),
         large_targets=tuple(large_targets),
         residual_bounded=residual_bounded, residual_large=residual_large,
-        k1=k1, ambiguous=ambiguous)
+        k1=deg.k1, ambiguous=ambiguous)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, halfline, weights
 from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
-                     column_least, group_roots, homogeneous_table,
+                     column_least, homogeneous_table, mesh_group_roots,
                      sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
@@ -115,27 +115,22 @@ def write_csv(report: SweepReport, path) -> None:
     """Fixed-format CSV: identical invocations give byte-identical files.
     A column the suite lacks is left empty."""
     cols = ("xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
-    rows = len(report.records.get("ratio", ()))
-    fields = []
-    for name in cols:
-        col = report.records.get(name)
-        if col is None:
-            fields.append([""] * rows)
-        elif name in ("j", "l"):
-            fields.append([str(v) for v in col.tolist()])
-        else:
-            fields.append(["%.17g" % v for v in col.tolist()])
+    present = [name for name in cols if name in report.records]
+    row = ",".join([report.suite.replace("%", "%%")] + [
+        "" if name not in present else "%d" if name in ("j", "l") else "%.17g"
+        for name in cols]) + "\n"
+    values = zip(*(report.records[name].tolist() for name in present))
+    text = ",".join(("suite",) + cols) + "\n" + "".join([row % v for v in values])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(("suite",) + cols) + "\n")
-        for row in zip(*fields):
-            fh.write(",".join((report.suite,) + row) + "\n")
+        fh.write(text)
 
 
-def fit_loglog(x, y) -> float:
-    """Least-squares slope of log y against log x."""
+def fit_loglog(x, y):
+    """Least-squares slope of log y against log x; for y of shape
+    (len(x), K), the K slopes of its columns from one fit."""
     x = np.asarray(x, dtype=float)
     y = np.clip(np.asarray(y, dtype=float), 1e-300, None)
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return np.polyfit(np.log(x), np.log(y), 1)[0]
 
 
 def _columns(xi, lam, lhs, rhs, **fixed) -> dict:
@@ -388,10 +383,9 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
         "xi_prime_list": [xi_prime.tolist()],
         "l_max": p.m, "slope_tol": SLOPE_TOL})
 
-    corr, bounded_res, groupings = [], [], []
-    for lam in lambda_list:
-        g = group_roots(p, xi_prime, lam)
-        groupings.append(g)
+    groupings = mesh_group_roots(p, xi_prime, lambda_list)
+    corr, bounded_res = [], []
+    for lam, g in zip(lambda_list, groupings):
         bounded = max(g.residual_bounded, default=0.0)
         large = 0.0
         for center, members in cluster_roots(g.large_targets, halfline.MERGE_TOL):
@@ -413,7 +407,7 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
     # its correction says nothing about the Puiseux exponent.
     mask = (corr > 1e-13) & ~np.array([g.ambiguous for g in groupings])
     if p.m > p.mu and np.count_nonzero(mask) >= 4:
-        slope = fit_loglog(1.0 / lambda_list[mask], corr[mask])
+        slope = float(fit_loglog(1.0 / lambda_list[mask], corr[mask]))
         rep.extras["puiseux_slope"] = slope
         rep.extras["puiseux_floor"] = 1.0 / k1 - SLOPE_TOL
         if slope < 1.0 / k1 - SLOPE_TOL:
@@ -427,24 +421,25 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
     # split part has its own expected slope, by (j, l).
     rules = {"w1": lambda j, l: 0.0 if j <= p.mu else float(p.mu - j),
              "w2": lambda j, l: (l - p.mu - 0.5) if j <= p.mu else (l - j + 0.5)}
-    norms = {part: {(j, l): [] for j in range(1, p.m + 1)
-                    for l in range(0, p.m + 1)} for part in rules}
-    for g in groupings:
-        for j, sol in enumerate(halfline.solve_from_roots(g.upper_roots), 1):
-            for part, w in zip(rules, halfline.split_by_group(sol, g)):
-                for l in range(0, p.m + 1):
-                    norms[part][j, l].append(halfline.l2_norm_deriv(w, l))
-    split_fits = {}
+    upper = np.array([g.upper_roots for g in groupings])
+    l_list = list(range(p.m + 1))
+    names, series = [], []
+    for part, key in zip(rules, ("group_bounded", "group_large")):
+        group = np.array([getattr(g, key) for g in groupings], dtype=int)
+        norms = halfline.split_norms(upper, group, l_list)
+        for j in range(1, p.m + 1):
+            for l in l_list:
+                if norms[:, j - 1, l].max() > 1e-13:
+                    names.append((part, j, l))
+                    series.append(norms[:, j - 1, l])
     tail = slice(len(lambda_list) // 2, None)
-    for part, rule in rules.items():
-        for (j, l), vals in norms[part].items():
-            if max(vals) <= 1e-13:
-                continue
-            expected = rule(j, l)
-            slope = fit_loglog(lambda_list[tail], np.asarray(vals)[tail])
-            split_fits[f"{part}_j{j}_l{l}"] = {"slope": slope, "expected": expected}
-            if abs(slope - expected) > SLOPE_TOL:
-                rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
+    slopes = fit_loglog(lambda_list[tail], np.array(series).T[tail]).tolist()
+    split_fits = {}
+    for (part, j, l), slope in zip(names, slopes):
+        expected = rules[part](j, l)
+        split_fits[f"{part}_j{j}_l{l}"] = {"slope": slope, "expected": expected}
+        if abs(slope - expected) > SLOPE_TOL:
+            rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
     rep.extras["split_fits"] = split_fits
     rep.runtime = time.perf_counter() - t0
     return rep

@@ -105,7 +105,7 @@ def test_solve_norms_come_from_the_gramian(e1_path, capsys):
                 "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     upper = tau_roots(e1_pencil(), np.array([1.0]), 10.0).upper
-    table = halfline.gramian_norms([upper], [1, 2], [0, 1, 2])[0]
+    table = halfline.gramian_norms([upper], np.eye(2), [0, 1, 2])[0]
     for j in (1, 2):
         assert [data[f"w{j}_norms"][str(l)] for l in range(3)] == table[j - 1].tolist()
     # ||w_2||^2 = 1 / (2ab(a + b)) for the upper roots ia, ib
@@ -426,15 +426,17 @@ def test_perturbed_split_norm_in_refined_run_is_unstable(e1_path, tmp_path,
                                                         monkeypatch, capsys):
     # Doubling the norm of w_1's large-group part at the refined grid's last
     # node, lambda = 1e3 (large root about 1000i), moves its slope by 0.13.
-    run_suites, norm = verify.run_suites, halfline.l2_norm_deriv
+    run_suites, norms = verify.run_suites, halfline.split_norms
 
-    def doubled(w, l):
-        last = w.j == 1 and l == 0 and max(abs(t.tau) for t in w.terms) > 999.0
-        return (2.0 if last else 1.0) * norm(w, l)
+    def doubled(upper, group, l_list):
+        out = norms(upper, group, l_list)
+        if group.size and abs(upper[-1, group[-1]]).max() > 999.0:
+            out[-1, 0, l_list.index(0)] *= 2.0
+        return out
 
     def refined_doubled(names, p, density=1, **kw):
         if density == 2:
-            monkeypatch.setattr(halfline, "l2_norm_deriv", doubled)
+            monkeypatch.setattr(halfline, "split_norms", doubled)
         return run_suites(names, p, density=density, **kw)
 
     monkeypatch.setattr(verify, "run_suites", refined_doubled)

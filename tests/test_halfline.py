@@ -2,20 +2,21 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilab import halfline
+from pencilab import halfline, verify
 from pencilab.catalog import agmon_pencil, e1_pencil
 from pencilab.errors import EllipticityError
 from pencilab.halfline import (boundary_defect, contour_eval, eval_deriv,
                                l2_norm_deriv, mj, ode_residual, solve,
                                solve_from_roots, split_by_group, vieta)
-from pencilab.pencil import (Pencil, Term, eval_symbol, group_roots,
-                             tau_polynomial, tau_roots)
+from pencilab.pencil import (Pencil, Term, eval_symbol, group_roots, load_pencil,
+                             mesh_group_roots, tau_polynomial, tau_roots)
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -223,7 +224,7 @@ def test_solve_from_roots_merges_split_double_root():
     roots = [0.3 + 2j, 0.3 + 2j + 3e-8 * (1 + 1j), 3j]
     sols = solve_from_roots(roots)
     assert [len(s.terms) for s in sols] == [2, 2, 2]
-    ref = halfline.gramian_norms([roots], [1, 2, 3], [0, 1, 2, 3])[0]
+    ref = halfline.gramian_norms([roots], np.eye(3), [0, 1, 2, 3])[0]
     for sol in sols:
         assert boundary_defect(sol) <= 1e-12
         for l in range(4):
@@ -240,7 +241,7 @@ def test_residue_norms_across_root_gaps(gap):
         for ratio in (0.05, 3.0, 30.0):
             roots = [base, base * (1 + gap * (1 + 0.5j)), ratio * base]
             scale = max(abs(r) for r in roots)
-            ref = halfline.gramian_norms([roots], [1, 2, 3], [0, 1, 2, 3])[0]
+            ref = halfline.gramian_norms([roots], np.eye(3), [0, 1, 2, 3])[0]
             for sol in solve_from_roots(roots):
                 assert boundary_defect(sol) <= 1e-11 * scale ** (3 - sol.j)
                 for l in range(4):
@@ -253,8 +254,9 @@ def test_residue_norms_across_root_gaps(gap):
 
 def _node_loop(p, xi_prime, lam, j_list, l_list):
     """gramian_norms one node at a time (N = 1), on tau_roots' upper roots."""
+    unit = np.eye(p.m)[[j - 1 for j in j_list]]
     return np.array([halfline.gramian_norms([tau_roots(p, x, y).upper],
-                                            j_list, l_list)[0]
+                                            unit, l_list)[0]
                      for x, y in zip(xi_prime, lam)])
 
 
@@ -411,16 +413,99 @@ def test_mesh_norms_confluent_closed_forms(c):
 def test_gramian_norms_closed_forms_m1_and_scaling():
     # m = 1: w = e^{i tau t}, ||D^l w||^2 = |tau|^(2l) / (2 Im tau).
     tau = np.array([[3.0 + 4.0j], [1e-3j], [-2e4 + 1e3j]])
-    got = halfline.gramian_norms(tau, [1], [0, 1, 2])[:, 0, :]
+    got = halfline.gramian_norms(tau, np.eye(1), [0, 1, 2])[:, 0, :]
     expected = np.sqrt(np.abs(tau) ** (2 * np.arange(3)) / (2 * tau.imag))
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
     # ||D^l w_j|| scales as r^(l - j + 1/2) when every root scales by r.
     upper = np.array([[0.3 + 1.0j, -0.2 + 2.5j, 4.0j]])
-    one = halfline.gramian_norms(upper, [1, 2, 3], [0, 2, 4])
+    one = halfline.gramian_norms(upper, np.eye(3), [0, 2, 4])
     for r in (1e-3, 7.0, 1e4):
-        scaled = halfline.gramian_norms(r * upper, [1, 2, 3], [0, 2, 4])
+        scaled = halfline.gramian_norms(r * upper, np.eye(3), [0, 2, 4])
         power = (np.array([0, 2, 4])[None, :] - np.array([1, 2, 3])[:, None] + 0.5)
         assert np.allclose(scaled, one * r ** power, rtol=1e-12, atol=0.0)
+    # At r = 1e100 the scaled D^2 w_3(0) is 2^-666 and ||w_3||^2 about
+    # 1e-503: neither square may underflow on the way.
+    one = halfline.gramian_norms(upper, np.eye(3), [0, 1])
+    scaled = halfline.gramian_norms(1e100 * upper, np.eye(3), [0, 1])
+    power = np.array([0, 1])[None, :] - np.array([1, 2, 3])[:, None] + 0.5
+    assert np.allclose(scaled, one * 1e100 ** power, rtol=1e-12, atol=0.0)
+    # Norms are linear in the initial vector.
+    got = halfline.gramian_norms(tau, [[2.0 - 1.0j]], [0, 1, 2])[:, 0, :]
+    assert np.allclose(got, math.sqrt(5.0) * expected, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# split_norms: the Gramian of each root group against the explicit split
+
+BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+
+
+def _asymptotics_groupings(p, density):
+    """The asymptotics sweep's groupings: xi' the first scan direction and
+    lambda the scan's s-values in [1, 1e3]."""
+    s = verify.scan_s(density)
+    lam = s[(s >= 1.0) & (s <= 1e3)]
+    return lam, mesh_group_roots(p, verify.scan_directions(p.n)[0], lam)
+
+
+def _split_norms_both_ways(p, groupings):
+    """(split_norms, explicit-form norms) of each group's part, by (part,
+    node, j, l), the parts in the order bounded, large."""
+    upper = np.array([g.upper_roots for g in groupings])
+    l_list = list(range(p.m + 1))
+    got, want = [], []
+    for part, key in enumerate(("group_bounded", "group_large")):
+        group = np.array([getattr(g, key) for g in groupings], dtype=int)
+        got.append(halfline.split_norms(upper, group, l_list))
+        want.append([[[l2_norm_deriv(split_by_group(sol, g)[part], l) for l in l_list]
+                      for sol in solve_from_roots(g.upper_roots)] for g in groupings])
+    return np.array(got), np.array(want)
+
+
+@pytest.mark.parametrize("density", [1, 2, 4])
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
+def test_split_norms_match_the_explicit_split_parts(name, density):
+    # Measured: 3.1e-16 relative on e1, e1_n3 and agmon, 9.5e-16 on double,
+    # 6.3e-14 on near, where the explicit form merges a pair split by 5e-7.
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    _, groupings = _asymptotics_groupings(p, density)
+    got, want = _split_norms_both_ways(p, groupings)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    if p.mu == 0:
+        assert not got[0].any()
+
+
+@pytest.mark.parametrize("density", [1, 2, 4])
+def test_split_norms_at_a_double_large_root(density):
+    # A = |xi|^2 (|xi|^2 + lambda^2)^2 (n = 2, m = 3, mu = 1, k1 = 2): at
+    # xi' = 1 the upper roots are i and the double root b = i sqrt(1 + lambda^2).
+    # With g = M_j / (tau - i), the parts are the residues
+    # M_j(i) / (i - b)^2 e^{-t} and (g'(b) + i t g(b)) e^{i b t}.
+    p = Pencil(n=2, m=3, mu=1, terms=(
+        Term((6, 0), 6, 1.0), Term((4, 2), 6, 3.0), Term((2, 4), 6, 3.0),
+        Term((0, 6), 6, 1.0), Term((4, 0), 4, 2.0), Term((2, 2), 4, 4.0),
+        Term((0, 4), 4, 2.0), Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0)))
+    lam, groupings = _asymptotics_groupings(p, density)
+    got, want = _split_norms_both_ways(p, groupings)
+    # The explicit form merges the computed double root, split by about
+    # 1e-8, at its mean.  At the density-1 nodes, against 50-digit residues
+    # at the exact roots, it errs by up to 1.2e-13 (at lambda = 316) and the
+    # Gramian by up to 4.7e-14, so the two may differ by more than 1e-13.
+    assert np.all(np.abs(got - want) <= 3e-13 * want)
+    closed = np.empty_like(got)
+    for k, b in enumerate(1j * np.sqrt(1.0 + lam ** 2)):
+        a = vieta([1j, b, b])
+        for j in range(1, 4):
+            m_j = np.array(mj(a, j))
+            g0 = np.polyval(m_j, b) / (b - 1j)
+            g1 = ((np.polyval(np.polyder(m_j), b) * (b - 1j) - np.polyval(m_j, b))
+                  / (b - 1j) ** 2)
+            parts = (halfline.ExpPolyTerm(1j, (np.polyval(m_j, 1j) / (1j - b) ** 2,)),
+                     halfline.ExpPolyTerm(b, (g1, 1j * g0)))
+            for part, term in enumerate(parts):
+                sol = halfline.ExpPolySolution(j, (term,), ())
+                closed[part, k, j - 1] = [l2_norm_deriv(sol, l) for l in range(4)]
+    assert np.all(np.abs(got - closed) <= 1e-13 * closed)
 
 
 def test_mesh_norms_real_axis_error_at_first_node():

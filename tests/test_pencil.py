@@ -4,6 +4,8 @@ import cmath
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +14,18 @@ from hypothesis import strategies as st
 
 from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.errors import EllipticityError, OutOfRangeError, PencilFormatError
+from pencilab.errors import (EllipticityError, OutOfRangeError, PencilabError,
+                             PencilFormatError)
 from pencilab.halfline import MERGE_TOL
 from pencilab.pencil import (CLUSTER_TOL, ZOOM, GridSpec, Pencil, Term,
                              check_lemma21, check_regular_degeneration,
                              cluster_roots, eval_symbol, group_roots,
-                             pencil_from_dict, pencil_to_dict, poly_roots,
-                             q_polynomial, remark22_checks, sphere_directions,
+                             load_pencil, mesh_group_roots, pencil_from_dict,
+                             pencil_to_dict, poly_roots, q_polynomial,
+                             remark22_checks, sphere_directions,
                              tau_polynomial, tau_roots)
-from pencilab.verify import energy_weight_value, sweep_multiplier_rn
+from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
+                             sweep_multiplier_rn)
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
 
@@ -453,6 +458,33 @@ def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
     with pytest.raises(EllipticityError,
                        match="Q has 0 upper roots, expected m - mu = 1"):
         group_roots(p, np.array([1.0]), 10.0)
+
+
+@pytest.mark.parametrize("density", [1, 2, 4])
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
+def test_mesh_group_roots_equals_group_roots_per_lambda(name, density):
+    # At the asymptotics sweep's nodes: xi' the first scan direction and
+    # lambda the scan's s-values in [1, 1e3].
+    p = load_pencil(Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+                    / f"{name}.json")
+    xi_prime, s = scan_directions(p.n)[0], scan_s(density)
+    lam = s[(s >= 1.0) & (s <= 1e3)]
+    mesh = mesh_group_roots(p, xi_prime, lam)
+    loop = [group_roots(p, xi_prime, y) for y in lam]
+    assert mesh == loop
+    assert [repr(g) for g in mesh] == [repr(g) for g in loop]
+
+
+@pytest.mark.parametrize("lam", [[-5.0, 1.0], [1.0, -5.0], [1.0, 2.0, 1e300]])
+def test_mesh_group_roots_raises_what_a_loop_raises_first(lam):
+    # broken's A_2mu(e_1, .) = 1 has no zeros: that error comes after node
+    # 0's roots and before the later nodes'.
+    for p in (broken_pencil(), e1_pencil()):
+        with pytest.raises(PencilabError) as loop:
+            for y in lam:
+                group_roots(p, np.array([1.0]), y)
+        with pytest.raises(type(loop.value), match=re.escape(str(loop.value))):
+            mesh_group_roots(p, np.array([1.0]), lam)
 
 
 def test_c_est_bound_holds_on_fresh_samples():

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pencilab import verify, weights
+from pencilab import pencil, verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.pencil import (Pencil, Term, group_roots, load_pencil, poly_roots,
-                             sphere_directions, tau_polynomial, tau_roots)
+from pencilab.pencil import (Pencil, Term, group_roots, load_pencil, mesh_group_roots,
+                             mesh_upper_roots, poly_roots, sphere_directions,
+                             tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
 
@@ -108,7 +109,7 @@ def test_thm41_sweep_e1():
     xa, lam = wit["xi_prime_abs"], wit["lambda"]
     assert wit["xi_prime"] == [xa]
     upper = tau_roots(e1_pencil(), np.array(wit["xi_prime"]), lam).upper
-    lhs = halfline.gramian_norms([upper], [wit["j"]], [wit["l"]])[0, 0, 0]
+    lhs = halfline.gramian_norms([upper], np.eye(2)[[wit["j"] - 1]], [wit["l"]])[0, 0, 0]
     assert lhs == wit["lhs"]
     a, b = xa, np.hypot(xa, lam)
     closed = {(1, 0): (a * a + 3 * a * b + b * b) / (2 * a * b * (a + b)),
@@ -201,8 +202,9 @@ def test_asymptotics_grid_is_the_scan_s_values_in_1_to_1e3(density, nodes):
 
 def test_asymptotics_fails_growing_bounded_residuals(monkeypatch):
     def growing(p, xi_prime, lam):
-        return replace(group_roots(p, xi_prime, lam), residual_bounded=(lam ** 2,))
-    monkeypatch.setattr(verify, "group_roots", growing)
+        return [replace(g, residual_bounded=(y ** 2,))
+                for g, y in zip(mesh_group_roots(p, xi_prime, lam), lam)]
+    monkeypatch.setattr(verify, "mesh_group_roots", growing)
     rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.verdict == "fail"
     assert rep.reasons[0] == "bounded-group residuals grow with lambda"
@@ -405,7 +407,7 @@ def test_norm_scan_ratios_are_scale_invariant(name):
                 roots = poly_roots(tau_polynomial(p, c * rec["xi_prime"][k], lam[k]))
                 upper = roots[roots.imag > 0]
                 spread = np.abs(upper).max() / np.abs(upper).min()
-                norms = halfline.gramian_norms([upper], j_list, l_list)[0]
+                norms = halfline.gramian_norms([upper], np.eye(p.m), l_list)[0]
             ratio = norms[j - 1, l] / verify.rhs_44(p.mu, j, l, xa[k], lam[k])
             assert ratio == pytest.approx(rec["ratio"][k], rel=32 * eps * spread, abs=0.0)
             rhs = num[j][k] / den[l][k] * c ** (j - l - 0.5)
@@ -440,14 +442,21 @@ def test_summary_witnesses_are_json_rows_in_column_order(name):
 
 
 def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
-    # The split loop reuses the residual loop's groupings.
+    # One stacked roots call serves every node, the residuals and the split
+    # norms alike; no per-node root, grouping or explicit-form call is left.
     seen = []
-    def counting(*args):
-        seen.append(args)
-        return group_roots(*args)
-    monkeypatch.setattr(verify, "group_roots", counting)
+    def counting(p, xi_prime, lam):
+        seen.append(len(lam))
+        return mesh_upper_roots(p, xi_prime, lam)
+    def refused(*args):
+        raise AssertionError("per-node call")
+    monkeypatch.setattr(pencil, "mesh_upper_roots", counting)
+    for name in ("tau_roots", "group_roots"):
+        monkeypatch.setattr(pencil, name, refused)
+    for name in ("solve_from_roots", "split_by_group", "l2_norm_deriv"):
+        monkeypatch.setattr(halfline, name, refused)
     rep = verify.run_suite("asymptotics", e1_pencil())
-    assert len(seen) == len(rep.records["lambda"])
+    assert seen == [len(rep.records["lambda"])]
 
 
 def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
@@ -455,12 +464,10 @@ def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
     # alone decides which root is the large one.  Flipping that choice moves
     # the recorded correction but not the Puiseux slope.
     def flipped(*args):
-        g = group_roots(*args)
-        if g.ambiguous:
-            g = replace(g, group_bounded=g.group_large, group_large=g.group_bounded)
-        return g
+        return [replace(g, group_bounded=g.group_large, group_large=g.group_bounded)
+                if g.ambiguous else g for g in mesh_group_roots(*args)]
     base = verify.run_suite("asymptotics", e1_pencil())
-    monkeypatch.setattr(verify, "group_roots", flipped)
+    monkeypatch.setattr(verify, "mesh_group_roots", flipped)
     rep = verify.run_suite("asymptotics", e1_pencil())
     assert rep.extras["ambiguous_groupings"] == 1
     assert rep.records["lhs"][0] != base.records["lhs"][0]

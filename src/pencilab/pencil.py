@@ -59,6 +59,12 @@ class Pencil:
             if math.isinf(scale):
                 raise PencilFormatError(f"coefficient {t.coeff} of the term "
                                         f"alpha={t.alpha} overflows the sum of |coeff|")
+        # The hash the dataclass would compute, once: tau_roots' memo and
+        # check_regular_degeneration's cache hash the pencil on every call.
+        object.__setattr__(self, "_hash", hash((self.n, self.m, self.mu, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degenerate(self) -> bool:
@@ -546,14 +552,27 @@ class RootSet:
     lower: tuple[complex, ...]
 
 
+# The last point tau_roots solved, {key: RootSet} with at most one entry:
+# group_roots and then solve at one point make one eigensolve.
+_last_roots: dict = {}
+
+
 def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     """All 2m roots of A(xi', tau, lambda), with the upper half marked.
 
     Raises EllipticityError if a root sits on the real axis (within
     tolerance) or if the upper count differs from m, and tau_polynomial's
     OutOfRangeError for a point outside its range.
+
+    The RootSet of the last point solved is kept, keyed on the pencil and
+    the exact bits of xi' and lambda, and returned again at that point; a
+    point that raises is not kept, so it raises on every call.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
+    key = (p, xi_prime.shape, xi_prime.tobytes(), float(lam).hex())
+    hit = _last_roots.get(key)
+    if hit is not None:
+        return hit
     coeffs = tau_polynomial(p, xi_prime, lam)
     if lam == 0.0 and math.hypot(*xi_prime.tolist()) == 0.0:
         raise ValueError("need xi' != 0 or lambda > 0")
@@ -567,7 +586,10 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     if len(upper) != p.m:
         raise EllipticityError(
             f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
-    return RootSet(tuple(all_roots), tuple(upper), tuple(lower))
+    rs = RootSet(tuple(all_roots), tuple(upper), tuple(lower))
+    _last_roots.clear()
+    _last_roots[key] = rs
+    return rs
 
 
 def mesh_upper_roots(p: Pencil, xi_prime, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -600,17 +622,17 @@ def mesh_upper_roots(p: Pencil, xi_prime, lam) -> tuple[np.ndarray, np.ndarray]:
     return upper, ok
 
 
-def _min_cost_matching(cost: np.ndarray) -> list[int]:
+def _min_cost_matching(cost: list[list[float]]) -> list[int]:
     """Row matched to each column of the square `cost` by a cheapest matching:
     best[S] is the cheapest match (total, rows) of the first |S| columns onto
     the rows in the set S, and on a tie the later row takes the column."""
-    m, c = len(cost), cost.tolist()
+    m = len(cost)
     best = [(0.0, [])] + [(math.inf, [])] * ((1 << m) - 1)
     for s in range(1, 1 << m):
         for i in reversed(range(m)):
             total, rows = best[s ^ 1 << i]
-            if s >> i & 1 and total + c[i][len(rows)] < best[s][0]:
-                best[s] = (total + c[i][len(rows)], rows + [i])
+            if s >> i & 1 and total + cost[i][len(rows)] < best[s][0]:
+                best[s] = (total + cost[i][len(rows)], rows + [i])
     return best[-1][1]
 
 
@@ -688,28 +710,29 @@ def _grouping_targets(p: Pencil, xi_prime) -> tuple[np.ndarray, DegenerationResu
 def _match_groups(p: Pencil, upper: np.ndarray, lam: float,
                   bounded_targets: np.ndarray,
                   deg: DegenerationResult) -> RootGrouping:
-    """group_roots' matching of the upper roots to its targets."""
+    """group_roots' matching of the upper roots to its targets.
+
+    The cost matrix takes one np.abs call and the rest runs on lists.  Each
+    |upper root| is Python's abs of the complex, which is the libm hypot
+    that numpy's scalar abs calls; numpy's array abs can round differently.
+    """
     large_targets = lam * np.array(deg.upper_roots)
     targets = np.concatenate([bounded_targets, large_targets])
-    cost = np.abs(upper[:, None] - targets[None, :])
+    cost = np.abs(upper[:, None] - targets[None, :]).tolist()
     assign = _min_cost_matching(cost)
-
-    group_bounded = tuple(assign[c] for c in range(p.mu))
-    group_large = tuple(assign[c] for c in range(p.mu, p.m))
-    residual_bounded = tuple(float(cost[assign[c], c]) for c in range(p.mu))
-    residual_large = tuple(float(cost[assign[c], c]) for c in range(p.mu, p.m))
+    residuals = [cost[assign[c]][c] for c in range(p.m)]
 
     ambiguous = False
     if p.mu > 0 and p.m > p.mu:
-        for i in range(p.m):
-            d_b = cost[i, :p.mu].min()
-            d_l = cost[i, p.mu:].min()
-            if abs(d_b - d_l) <= AMBIGUITY_TOL * (1.0 + abs(upper[i])):
+        for row, root in zip(cost, upper.tolist()):
+            gap = abs(min(row[:p.mu]) - min(row[p.mu:]))
+            if gap <= AMBIGUITY_TOL * (1.0 + abs(root)):
                 ambiguous = True
     return RootGrouping(
-        upper_roots=tuple(upper), group_bounded=group_bounded,
-        group_large=group_large,
+        upper_roots=tuple(upper), group_bounded=tuple(assign[:p.mu]),
+        group_large=tuple(assign[p.mu:]),
         bounded_targets=tuple(bounded_targets),
         large_targets=tuple(large_targets),
-        residual_bounded=residual_bounded, residual_large=residual_large,
+        residual_bounded=tuple(residuals[:p.mu]),
+        residual_large=tuple(residuals[p.mu:]),
         k1=deg.k1, ambiguous=ambiguous)

@@ -562,8 +562,10 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     the call.  Raises OutOfRangeError, naming the suite and where it ran,
     when the lambda range overflows or the suite's float64
     arithmetic overflows, divides by zero or makes a NaN: its verdict would
-    rest on infinities.  Any other PencilabError a suite raises is raised
-    again as the same type with the suite's name in front of its message.
+    rest on infinities.  For polygon, trace and prop52 that message ends
+    with the pencil's coeff_scale.  Any other PencilabError a suite raises
+    is raised again as the same type with the suite's name in front of its
+    message.
     The first suite in `names` to fail raises.
     """
     try:
@@ -582,8 +584,10 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 reports[name] = _dispatch(name, p, density, lambda0, lam_max, scan)
         except FloatingPointError as exc:
+            # Large coefficients overflow too, so a range's error names them.
+            scale = "" if unit_slice else f"; |coefficients| sum to {p.coeff_scale:g}"
             raise OutOfRangeError(f"suite {name}: float64 fails on {where} "
-                                  f"({exc})") from exc
+                                  f"({exc}){scale}") from exc
         except PencilabError as exc:
             raise type(exc)(f"suite {name}: {exc}") from exc
     return reports

@@ -208,6 +208,25 @@ def test_overflowing_lambda_range_exit_2(argv, message, e1_path, tmp_path, capsy
     assert not out.exists()
 
 
+def test_overflow_on_large_coefficients_names_their_size(tmp_path, capsys):
+    # e1 times 1e160 passes ellipticity, but prop52's ratio overflows on the
+    # default lambda range (ROADMAP D13): the message ends with the size of
+    # the coefficients, which the range alone would not explain.
+    data = pencil_to_dict(e1_pencil())
+    for t in data["terms"]:
+        t["re"] *= 1e160
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "rep"
+    assert run(["verify", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: suite prop52: float64 fails on lambda in [1, 1000] (overflow")
+    assert captured.err.endswith("; |coefficients| sum to 6e+160\n")
+    assert not out.exists()
+
+
 def test_unit_slice_suites_take_any_lambda_range(e1_path, tmp_path, capsys):
     # thm41, halfspace and asymptotics do not run lambda over the range.
     for argv in (["--suite", "thm41", "--grid-decades", "400"],

@@ -1,6 +1,7 @@
 """Tests for symbol evaluation, ellipticity checks, and root grouping."""
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -9,16 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pencilab import halfline
 from pencilab import pencil as pencil_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import (EllipticityError, OutOfRangeError, PencilabError,
                              PencilFormatError)
 from pencilab.halfline import MERGE_TOL
-from pencilab.pencil import (CLUSTER_TOL, ZOOM, GridSpec, Pencil, Term,
-                             check_lemma21, check_regular_degeneration,
+from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
+                             DegenerationResult, GridSpec, Pencil, RootGrouping,
+                             Term, check_lemma21, check_regular_degeneration,
                              cluster_roots, eval_symbol, group_roots,
                              load_pencil, mesh_group_roots, pencil_from_dict,
                              pencil_to_dict, poly_roots, q_polynomial,
@@ -414,7 +417,7 @@ def _square(entries):
 def test_min_cost_matching_is_a_cheapest_permutation(rows):
     cost = np.array(rows, dtype=float)
     m = len(cost)
-    match = pencil_mod._min_cost_matching(cost)
+    match = pencil_mod._min_cost_matching(cost.tolist())
     assert sorted(match) == list(range(m))
     total = lambda perm: sum(cost[r, c] for c, r in enumerate(perm))
     brute = min(map(total, itertools.permutations(range(m))))
@@ -444,6 +447,175 @@ def test_group_roots_solves_q_once_per_pencil(monkeypatch):
         group_roots(e1_pencil(), np.array([2.0]), lam)
     assert sum(seen) == 1
     assert len(seen) == 1 + 3 * 2    # Q; tau_roots and A_2mu per grouping
+    # tau_roots keeps the last point's roots: solve there finds none again,
+    # and a grouping at a new point finds its roots and A_2mu's.
+    halfline.solve(e1_pencil(), np.array([2.0]), 100.0)
+    assert len(seen) == 7
+    group_roots(e1_pencil(), np.array([2.0]), 1000.0)
+    assert len(seen) == 9
+
+
+BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+
+
+def _field_reprs(obj) -> list[str]:
+    # repr writes each float in the fewest digits that read back exactly, so
+    # equal reprs are equal bits (the sign of a zero included).
+    return [repr(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+
+
+def test_tau_roots_memo_gives_the_cold_results_bit_for_bit():
+    # 8 seeded points on each benchmark pencil.  Warm: group_roots and solve
+    # after tau_roots at the same point, both served from tau_roots' memo.
+    # Cold: each call with the memo emptied first.
+    rng = np.random.default_rng(23)
+    calls = (tau_roots, group_roots, halfline.solve)
+    for name in ("e1", "agmon", "e1_n3", "double", "near"):
+        p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+        for _ in range(8):
+            direction = rng.standard_normal(p.n - 1)
+            xi = 10.0 ** rng.uniform(-1.0, 1.0) * direction / np.linalg.norm(direction)
+            lam = float(10.0 ** rng.uniform(-1.0, 3.0))
+            cold = []
+            for call in calls:
+                pencil_mod._last_roots.clear()
+                cold.append(call(p, xi, lam))
+            pencil_mod._last_roots.clear()
+            warm = [call(p, xi, lam) for call in calls]
+            assert _field_reprs(warm[0]) == _field_reprs(cold[0])
+            assert _field_reprs(warm[1]) == _field_reprs(cold[1])
+            assert ([_field_reprs(s) for s in warm[2]]
+                    == [_field_reprs(s) for s in cold[2]])
+
+
+def test_tau_roots_memo_keys_on_the_pencil_and_the_bits_of_the_point(monkeypatch):
+    solved = []
+    def counting(coeffs):
+        solved.append(1)
+        return poly_roots(coeffs)
+    monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    a, e1 = agmon_pencil(), e1_pencil()
+    for p, xi, lam, misses in [
+            (a, 1.0, 2.0, 1),
+            (a, 1.0, 2.0, 1),               # the same point
+            (agmon_pencil(), 1.0, 2.0, 1),  # an equal pencil
+            (e1, 1.0, 2.0, 2),              # another pencil
+            (a, 1.0, 2.0, 3),               # one entry: agmon's was replaced
+            (a, 1.0, 3.0, 4),               # another lambda
+            (a, 0.0, 3.0, 5),
+            (a, -0.0, 3.0, 6),              # -0.0 == 0.0, but other bits
+            (a, -0.0, 3.0, 6),
+            (e1, 1.0, 0.0, 7),
+            (e1, 1.0, -0.0, 8)]:
+        rs = tau_roots(p, np.array([xi]), lam)
+        assert len(solved) == misses
+        assert rs == tau_roots(p, np.array([xi]), lam)
+    assert len(solved) == 8
+
+
+def test_tau_roots_memo_keeps_no_failure(monkeypatch):
+    # e1 at (1e-4, 100) is rejected as a root on the real axis (ROADMAP D11):
+    # each call solves and raises, and the point kept before stays kept.
+    kept = tau_roots(e1_pencil(), np.array([1.0]), 10.0)
+    solved = []
+    def counting(coeffs):
+        solved.append(1)
+        return poly_roots(coeffs)
+    monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    for calls in (1, 2):
+        with pytest.raises(EllipticityError, match="root on the real axis"):
+            tau_roots(e1_pencil(), np.array([1e-4]), 100.0)
+        assert len(solved) == calls
+    assert tau_roots(e1_pencil(), np.array([1.0]), 10.0) is kept
+    assert len(solved) == 2
+
+
+def _match_groups_on_arrays(p, upper, lam, bounded_targets, deg):
+    """pencil._match_groups as it was, on numpy arrays: the reference for
+    the list version."""
+    large_targets = lam * np.array(deg.upper_roots)
+    targets = np.concatenate([bounded_targets, large_targets])
+    cost = np.abs(upper[:, None] - targets[None, :])
+    assign = pencil_mod._min_cost_matching(cost.tolist())
+
+    group_bounded = tuple(assign[c] for c in range(p.mu))
+    group_large = tuple(assign[c] for c in range(p.mu, p.m))
+    residual_bounded = tuple(float(cost[assign[c], c]) for c in range(p.mu))
+    residual_large = tuple(float(cost[assign[c], c]) for c in range(p.mu, p.m))
+
+    ambiguous = False
+    if p.mu > 0 and p.m > p.mu:
+        for i in range(p.m):
+            d_b = cost[i, :p.mu].min()
+            d_l = cost[i, p.mu:].min()
+            if abs(d_b - d_l) <= AMBIGUITY_TOL * (1.0 + abs(upper[i])):
+                ambiguous = True
+    return RootGrouping(
+        upper_roots=tuple(upper), group_bounded=group_bounded,
+        group_large=group_large,
+        bounded_targets=tuple(bounded_targets),
+        large_targets=tuple(large_targets),
+        residual_bounded=residual_bounded, residual_large=residual_large,
+        k1=deg.k1, ambiguous=ambiguous)
+
+
+@st.composite
+def _matching_cases(draw):
+    """(m, mu, upper, lam, bounded targets, Q's upper roots) with m <= 4 and
+    mu < m.  Upper roots repeat (exact ties in the matching, which the later
+    row takes), and a target drawn near a root lies at a shared distance
+    `base` from it give or take 3 AMBIGUITY_TOL, so the bounded and the
+    large distances of a root can differ by less than the ambiguity
+    tolerance or just more."""
+    m = draw(st.integers(1, 4))
+    mu = draw(st.integers(0, m - 1))
+    coord = st.floats(-100.0, 100.0)
+    point = st.builds(complex, coord, coord)
+    pool = draw(st.lists(point, min_size=1, max_size=m))
+    upper = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    lam = draw(st.sampled_from([1.0, 0.5, 3.0, 1e3]))
+    base = draw(st.floats(0.0, 10.0))
+    targets = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            targets.append(draw(point))
+        else:
+            r = draw(st.sampled_from(upper))
+            step = base + draw(st.floats(-3.0, 3.0)) * AMBIGUITY_TOL * (1.0 + abs(r))
+            targets.append(r + draw(st.sampled_from([1, -1, 1j, -1j])) * step)
+    deg = DegenerationResult(True, tuple(t / lam for t in targets[mu:]),
+                             draw(st.integers(0, m)))
+    return (Pencil(n=1, m=m, mu=mu, terms=()), np.array(upper, dtype=complex),
+            lam, np.array(targets[:mu], dtype=complex), deg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_cases())
+# The root 100 lies 5 from its bounded target and 0.8 AMBIGUITY_TOL (1 + 100)
+# farther from its large target: ambiguous, by a margin a tolerance scaled
+# on |root| / 2 would miss.
+@example((Pencil(n=1, m=2, mu=1, terms=()), np.array([100 + 0j, -5 + 1j]), 1.0,
+          np.array([105 + 0j]),
+          DegenerationResult(True, (95 - 0.8 * AMBIGUITY_TOL * 101 + 0j,), 1)))
+def test_match_groups_on_lists_equals_the_array_version(case):
+    got, want = pencil_mod._match_groups(*case), _match_groups_on_arrays(*case)
+    for f in dataclasses.fields(RootGrouping):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b)
+        if isinstance(a, tuple):
+            assert [type(x) for x in a] == [type(x) for x in b]
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+def test_pencil_hash_is_the_dataclass_hash_computed_once():
+    p, q = e1_pencil(), pencil_from_dict(pencil_to_dict(e1_pencil()))
+    assert p == q and p is not q and hash(p) == hash(q)
+    assert hash(p) == hash((p.n, p.m, p.mu, p.terms))
+    assert [f.name for f in dataclasses.fields(p)] == ["n", "m", "mu", "terms"]
+    assert repr(p).startswith("Pencil(n=2, m=2, mu=1, terms=(Term(") and "_hash" not in repr(p)
+    r = dataclasses.replace(p, terms=p.terms[:-1])
+    assert r != p and hash(r) == hash((r.n, r.m, r.mu, r.terms)) != hash(p)
+    assert hash(dataclasses.replace(p)) == hash(p)
 
 
 def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
@@ -465,8 +637,7 @@ def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
 def test_mesh_group_roots_equals_group_roots_per_lambda(name, density):
     # At the asymptotics sweep's nodes: xi' the first scan direction and
     # lambda the scan's s-values in [1, 1e3].
-    p = load_pencil(Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
-                    / f"{name}.json")
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
     xi_prime, s = scan_directions(p.n)[0], scan_s(density)
     lam = s[(s >= 1.0) & (s <= 1e3)]
     mesh = mesh_group_roots(p, xi_prime, lam)

@@ -290,12 +290,15 @@ class GridSpec:
         return self.directions
 
 
-# Values per block of a slice scan (720 directions x 22 columns), float64 or
-# complex128 as the pencil's table.  A block bounds only the columns x
-# directions temporaries, which stay under a megabyte whatever the grid
-# size; the powers of rho and lambda are per column, once per scan.  On a
-# 2-CPU Xeon the 720 x 720 scans took 10-13% less time at 16384 than at 8192.
-SLICE_BLOCK_ENTRIES = 16384
+# Values per block of a slice scan (720 directions x 45 columns), float64 or
+# complex128 as the pencil's table.  A block bounds only the block and part
+# buffers, about a megabyte together at most whatever the grid size; the
+# powers of rho and lambda are per column, once per scan.  On a 2-CPU Xeon
+# (AVX-512), check_lemma21 and remark22_checks on e1, agmon, e1_n3 and near
+# at the default grid took 18.2 ms at 32768 against 20.3 ms at 16384
+# (medians of 12 interleaved rounds, 32768 faster in 11); the two 720 x 720
+# scans of e1 alone took 2.6 ms, against 3.1 ms at 16384 and 3.4 ms at 65536.
+SLICE_BLOCK_ENTRIES = 32768
 # Points per half side of the patches that refine a sphere minimum.
 ZOOM = 5
 
@@ -311,9 +314,11 @@ def homogeneous_part(p: Pencil, j: int, dirs: np.ndarray) -> np.ndarray:
     out = np.zeros(len(dirs), dtype=float if real else complex)
     for t in p.terms:
         if t.j == j:
-            mono = np.ones(len(dirs))
-            for i, a in enumerate(t.alpha):
-                mono = mono * dirs[:, i] ** a
+            # A monomial starts from its first factor and skips zero
+            # exponents: the products by 1 and by x ** 0 = 1.0 it leaves out
+            # are exact.
+            factors = [dirs[:, i] ** a for i, a in enumerate(t.alpha) if a]
+            mono = functools.reduce(np.multiply, factors) if factors else 1.0
             out += (t.coeff.real if real else t.coeff) * mono
     return out
 
@@ -333,22 +338,38 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     A_j(omega), with A_j(omega) read from `table` (see homogeneous_table);
     blocks take the table's dtype.  Each column's powers rho^j
     lambda^(2m-j) are computed once per scan, for every part j that is
-    not zero, so a block costs one multiply and one add per part.  The sum
-    over j is elementwise in a fixed order and uses no matrix product, so
-    the values do not depend on the block size, the BLAS build or its
-    threads.
+    not zero.  A block is the einsum outer product of the first part's
+    powers with its A_j, plus each later part's outer product in j order:
+    one multiply per part and one add per later part.  The sum over j is
+    elementwise, and einsum runs numpy's own loops (optimize=False, no
+    BLAS) over subscripts with no summed index, so each product is the one
+    rounding of powers[c] * A_j[d] that a broadcast multiply gives.  The
+    values therefore do not depend on the block size, the BLAS build or
+    its threads, and equal the sum over j started from zeros.  (einsum
+    adds each product to its zeroed output, so a zero product also gets
+    that sum's +0.0; column_least does not rely on it.)
+
+    The block and the buffer for a later part are allocated once per scan:
+    each yielded block is overwritten by the next one, so a caller uses a
+    block, and may overwrite it, before it advances.
     """
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     top = table.shape[1] - 1
     nonzero = table.any(axis=0)
     parts = [(rho ** j * lam ** (top - j), np.ascontiguousarray(table[:, j]))
              for j in range(top + 1) if nonzero[j]]
+    # A table of zeros has no part: its blocks are zeros.
+    (first, a_first), *rest = parts or [(np.zeros_like(rho), table[:, 0])]
     step = max(1, SLICE_BLOCK_ENTRIES // len(table))
+    block_buf = np.empty((min(step, len(rho)), len(table)), dtype=table.dtype)
+    part_buf = np.empty_like(block_buf)
     for start in range(0, len(rho), step):
         cols = slice(start, start + step)
-        block = np.zeros((len(rho[cols]), len(table)), dtype=table.dtype)
-        for powers, a_j in parts:
-            block += powers[cols, None] * a_j
+        block = block_buf[:len(first[cols])]
+        part = part_buf[:len(block)]
+        np.einsum("c,d->cd", first[cols], a_first, out=block)
+        for powers, a_j in rest:
+            block += np.einsum("c,d->cd", powers[cols], a_j, out=part)
         yield cols, block
 
 
@@ -360,11 +381,19 @@ def column_least(table: np.ndarray, rho, lam, value=np.abs) -> np.ndarray:
     normalises: dividing by a positive number and rounding is monotone, so
     min_d fl(a_d / c) = fl(min_d a_d / c) bit for bit, and each column
     takes one division instead of one per direction.
+
+    |.| of a real table is taken in place in the block, which the next block
+    overwrites anyway.  Adding 0.0 to the minima turns a -0.0 into the
+    +0.0 of a sum from zeros, so the minima of Re A keep those bits however
+    einsum writes a zero product.
     """
     least = np.empty(len(rho))
     for cols, block in symbol_blocks(table, rho, lam):
-        least[cols] = value(block).min(axis=1)
-    return least
+        if value is np.abs and block.dtype == float:
+            np.abs(block, out=block).min(axis=1, out=least[cols])
+        else:
+            least[cols] = value(block).min(axis=1)
+    return least + 0.0
 
 
 def _slice_nodes(p: Pencil, angular: int):
@@ -390,6 +419,8 @@ def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
     k = int(np.argmin(vals))
     best, value = dirs[k], float(vals[k])
     if p.n == 1:                    # the two directions are the whole sphere
+        return best, value
+    if j == 0:                      # A_0 is constant: no patch value is less
         return best, value
     gaps = np.sum((dirs - best) ** 2, axis=1)
     gaps[k] = 4.0           # no direction is farther than the antipode

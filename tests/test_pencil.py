@@ -848,6 +848,20 @@ E1_N3 = Pencil(n=3, m=2, mu=1, terms=tuple(
         ((4, 0, 0), 1.0), ((0, 4, 0), 1.0), ((0, 0, 4), 1.0), ((2, 2, 0), 2.0),
         ((2, 0, 2), 2.0), ((0, 2, 2), 2.0), ((2, 0, 0), 1.0), ((0, 2, 0), 1.0),
         ((0, 0, 2), 1.0))))
+# tau^2 + lambda^2: n = 1, whose sphere is the two directions +-1.
+N1 = Pencil(n=1, m=1, mu=0, terms=(Term((2,), 2, 1.0), Term((0,), 0, 1.0)))
+# |xi|^2 (|xi|^2 + lambda^2)^2: three nonzero parts (j = 6, 4, 2).
+M3 = Pencil(n=2, m=3, mu=1, terms=tuple(
+    Term(alpha, sum(alpha), complex(c)) for alpha, c in (
+        ((6, 0), 1.0), ((4, 2), 3.0), ((2, 4), 3.0), ((0, 6), 1.0), ((4, 0), 2.0),
+        ((2, 2), 4.0), ((0, 4), 2.0), ((2, 0), 1.0), ((0, 2), 1.0))))
+# |xi|^2 + c lambda^2 with c = e^(i pi/4) (n = 2) and c = i (n = 3): complex
+# tables.
+CPLX_N2 = Pencil(n=2, m=1, mu=0, terms=(
+    Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0), Term((0, 0), 0, cmath.exp(0.25j * math.pi))))
+CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
+    Term((2, 0, 0), 2, 1.0), Term((0, 2, 0), 2, 1.0), Term((0, 0, 2), 2, 1.0),
+    Term((0, 0, 0), 0, 1j)))
 
 
 @pytest.mark.parametrize("p, grid", [
@@ -855,9 +869,56 @@ E1_N3 = Pencil(n=3, m=2, mu=1, terms=tuple(
     (e1_pencil(), GridSpec(angular=720, directions=720)),
     (broken_pencil(), GridSpec(angular=7, directions=30)),
     (agmon_pencil(), GridSpec(angular=7, directions=30)),
-    (E1_N3, GridSpec(angular=3, directions=30))])
+    (E1_N3, GridSpec(angular=3, directions=30)),
+    (N1, GridSpec(angular=7, directions=30)),
+    # 97 angles leave a partial last block of SLICE_BLOCK_ENTRIES // 720 columns.
+    (M3, GridSpec(angular=97, directions=720)),
+    (CPLX_N2, GridSpec(angular=7, directions=30)),
+    (CPLX_N3, GridSpec(angular=3, directions=30)),
+    # No term: every part is zero.
+    (Pencil(n=2, m=1, mu=0, terms=()), GridSpec(angular=7, directions=30))])
 def test_slice_scans_bit_identical_to_full_ratio(p, grid):
     _assert_slice_scans_bit_identical(p, grid)
+
+
+@pytest.mark.parametrize("coeffs, c_min", [
+    # A = -5e-324 |xi|^2 underflows to -0.0 wherever rho^2 omega_i^2 < 1/2.
+    ({(2, 0): -5e-324, (0, 2): -5e-324}, "0100000000000080"),
+    # A = -5e-324 xi_1 lambda: rho lambda <= 1/2, so every product is a
+    # zero, and the first direction's product is -0.0.
+    ({(1, 0): -5e-324}, "0000000000000000")])
+def test_slice_scans_keep_the_sign_of_zero(coeffs, c_min):
+    # A sum of parts started from zeros turns a product -0.0 into +0.0; the
+    # minima of Re A keep that bit.
+    p = Pencil(n=2, m=1, mu=0, terms=tuple(
+        Term(alpha, sum(alpha), complex(c)) for alpha, c in coeffs.items()))
+    assert np.float64(remark22_checks(p)["c_min"]).tobytes().hex() == c_min
+    rep = check_lemma21(p)
+    assert np.array([rep.min_abs, rep.min_ratio]).tobytes() == bytes(16)
+
+
+@pytest.mark.parametrize("p", [
+    agmon_pencil(), CPLX_N2, CPLX_N3,
+    Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((1, 1), 2, 0.5),
+                                  Term((0, 0), 0, -3.0)))])
+def test_sphere_min_of_a_constant_part_is_the_grid_minimum(p, monkeypatch):
+    # A_0 is constant on the sphere, so no zoom patch can hold a smaller
+    # value: the search evaluates nothing beyond the table, and the first
+    # grid direction is the witness.
+    dirs = sphere_directions(p.n, GridSpec().direction_count(p.n))
+    table = pencil_mod.homogeneous_table(p, dirs)
+    orders = []
+    real_part = pencil_mod.homogeneous_part
+
+    def counting(p, j, dirs):
+        orders.append(j)
+        return real_part(p, j, dirs)
+
+    monkeypatch.setattr(pencil_mod, "homogeneous_part", counting)
+    rep = check_lemma21(p)
+    assert orders.count(0) == 1             # the table's column
+    assert _same(rep.witness_ii, dirs[0])
+    assert _same(rep.min_a2mu, abs(table[0, 0]))
 
 
 @settings(max_examples=20, deadline=None)

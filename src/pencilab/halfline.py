@@ -392,16 +392,11 @@ def mesh_norms(p: Pencil, xi_prime, lam, j_list, l_list) -> MeshNorms:
     """||D^l w_j|| at the nodes (xi_prime[k], lam[k]); xi_prime has shape
     (N, n-1) and lam shape (N,).
 
-    The upper roots are those of tau_roots bit for bit: mesh_upper_roots
-    builds each node's coefficients with tau_polynomial and solves the
-    stack in one eigvals call.  At nodes that it rejects, tau_roots runs in
-    node order, so an error names the same node as a loop over the nodes
-    would.
+    The upper roots are those of tau_roots bit for bit, from one
+    mesh_upper_roots call, which raises the error a loop of tau_roots
+    calls over the nodes would raise first.
     """
-    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
-    upper, ok = mesh_upper_roots(p, xi_prime, lam)
-    for k in np.flatnonzero(~ok):
-        upper[k] = tau_roots(p, xi_prime[k], lam[k]).upper
+    upper = mesh_upper_roots(p, xi_prime, lam)
     unit = np.eye(p.m)[[j - 1 for j in j_list]]
     return MeshNorms(gramian_norms(upper, unit, l_list),
                      float(np.min(upper.imag / np.abs(upper))))

@@ -12,7 +12,7 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +39,8 @@ class Pencil:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PencilFormatError(f"need n >= 1, got n={self.n}")
         if not (self.m > self.mu >= 0):
             raise PencilFormatError(f"need m > mu >= 0, got m={self.m}, mu={self.mu}")
         scale = 0.0
@@ -67,12 +69,6 @@ class Pencil:
         return self._hash
 
     @property
-    def degenerate(self) -> bool:
-        """True if either extreme homogeneity order 2m or 2mu is absent."""
-        orders = {t.j for t in self.terms if t.coeff != 0}
-        return not (2 * self.m in orders and 2 * self.mu in orders)
-
-    @property
     def coeff_scale(self) -> float:
         return sum(abs(t.coeff) for t in self.terms) or 1.0
 
@@ -81,11 +77,19 @@ class Pencil:
         return {(t.j, 2 * self.m - t.j) for t in self.terms if t.coeff != 0}
 
 
+def _integer(value, name: str) -> int:
+    """A JSON number with an integral value, as an int; a boolean is none."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def pencil_from_dict(data: dict) -> Pencil:
     try:
-        n, m, mu = int(data["n"]), int(data["m"]), int(data["mu"])
+        n, m, mu = (_integer(data[k], k) for k in ("n", "m", "mu"))
         terms = tuple(
-            Term(alpha=tuple(int(a) for a in t["alpha"]), j=int(t["j"]),
+            Term(alpha=tuple(_integer(a, "alpha entry") for a in t["alpha"]),
+                 j=_integer(t["j"], "j"),
                  coeff=complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))))
             for t in data["terms"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -463,7 +467,6 @@ class EllipticityReport:
     witness_i: np.ndarray
     witness_ii: np.ndarray
     witness_iii: tuple
-    grid: GridSpec = field(default_factory=GridSpec)
 
     @property
     def n_elliptic(self) -> bool:
@@ -517,22 +520,18 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
         min_abs=min_abs, min_ratio=min_ratio,
         C_est=min_ratio if (cond_i and cond_ii and cond_iii) else 0.0,
         witness_i=witness_i, witness_ii=witness_ii,
-        witness_iii=(rho[k] * dirs[d], float(lam[k])),
-        grid=grid)
+        witness_iii=(rho[k] * dirs[d], float(lam[k])))
 
 
 def q_polynomial(p: Pencil) -> np.ndarray:
     """Ascending coefficients of Q(tau) = tau^(-2mu) A(0, tau, 1), degree 2m-2mu.
 
-    Terms with any tangential frequency vanish at xi' = 0, so the lowest
-    2mu coefficients of A(0, tau, 1) vanish structurally; we additionally
-    require Q(0) != 0, which holds for parameter-elliptic pencils.
+    At xi' = 0 only terms with alpha = (0, ..., 0, j), j >= 2mu, survive, so
+    the lowest 2mu coefficients of A(0, tau, 1) are exact zeros.  Requires
+    Q(0) != 0, which holds for parameter-elliptic pencils.
     """
     full = tau_polynomial(p, np.zeros(p.n - 1), 1.0)
-    low = full[:2 * p.mu]
     scale = np.max(np.abs(full)) or 1.0
-    if np.any(np.abs(low) > 1e-12 * scale):
-        raise PencilFormatError("low-order tau coefficients of A(0,tau,1) nonzero")
     q = full[2 * p.mu:]
     if abs(q[0]) <= 1e-12 * scale:
         raise EllipticityError("Q(0) = 0: pencil violates parameter ellipticity at xi=0")
@@ -623,14 +622,14 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     return rs
 
 
-def mesh_upper_roots(p: Pencil, xi_prime, lam) -> tuple[np.ndarray, np.ndarray]:
+def mesh_upper_roots(p: Pencil, xi_prime, lam) -> np.ndarray:
     """tau_roots(p, xi_prime[k], lam[k]).upper at each node k of a node list.
 
-    xi_prime has shape (N, n-1) and lam shape (N,).  Returns (upper, ok) of
-    shapes (N, m) and (N,).  Where ok is False, tau_roots raises at that
-    node and upper is NaN; elsewhere upper equals tau_roots bit for bit:
-    tau_polynomial builds (or rejects) each node's coefficients, and
-    poly_roots' companion matrices go to one stacked eigensolve.
+    xi_prime has shape (N, n-1) and lam shape (N,); the (N, m) result
+    equals tau_roots bit for bit: tau_polynomial builds each node's
+    coefficients and poly_roots' companion matrices go to one stacked
+    eigensolve.  At each node this rejects, tau_roots runs, in node order,
+    and raises the error that a loop of tau_roots calls would raise first.
     """
     xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
     if xi_prime.shape != (len(lam), p.n - 1):
@@ -650,7 +649,9 @@ def mesh_upper_roots(p: Pencil, xi_prime, lam) -> tuple[np.ndarray, np.ndarray]:
     upper = np.full((len(lam), p.m), np.nan, dtype=complex)
     ok[ok] = good
     upper[ok] = roots[roots.imag > 0].reshape(-1, p.m)
-    return upper, ok
+    for k in np.flatnonzero(~ok):
+        upper[k] = tau_roots(p, xi_prime[k], lam[k]).upper
+    return upper
 
 
 def _min_cost_matching(cost: list[list[float]]) -> list[int]:
@@ -695,22 +696,20 @@ def mesh_group_roots(p: Pencil, xi_prime, lam) -> list[RootGrouping]:
     """group_roots(p, xi_prime, lam[k]) at each lambda of the array lam,
     field for field.
 
-    The upper roots come from one mesh_upper_roots call, and at a node
-    that it rejects from tau_roots; the bounded targets and Q's roots are
-    found once, since xi' is fixed.  An error names what a loop of
-    group_roots calls would name first: node 0's roots, then the targets,
-    then the later nodes.
+    The upper roots come from one mesh_upper_roots call; the bounded
+    targets and Q's roots are found once, since xi' is fixed.  An error
+    names what a loop of group_roots calls would name first: node 0's
+    roots, then the targets, then the later nodes.
     """
     xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
-    upper, ok = mesh_upper_roots(p, np.tile(xi_prime, (len(lam), 1)), lam)
-    groupings = []
-    for k, y in enumerate(lam.tolist()):
-        if not ok[k]:
-            upper[k] = tau_roots(p, xi_prime, y).upper
-        if k == 0:
-            targets = _grouping_targets(p, xi_prime)
-        groupings.append(_match_groups(p, upper[k], y, *targets))
-    return groupings
+    try:
+        targets = _grouping_targets(p, xi_prime)
+    except Exception:
+        if len(lam):                # a loop raises node 0's error first
+            tau_roots(p, xi_prime, lam[0])
+        raise
+    upper = mesh_upper_roots(p, np.tile(xi_prime, (len(lam), 1)), lam)
+    return [_match_groups(p, u, y, *targets) for u, y in zip(upper, lam.tolist())]
 
 
 def _grouping_targets(p: Pencil, xi_prime) -> tuple[np.ndarray, DegenerationResult]:

@@ -12,7 +12,6 @@ density, and thm41 and halfspace then read one scan of the unit slice.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -55,7 +54,8 @@ class SweepReport:
     equal-length numpy columns keyed xi_prime_abs, lambda, lhs, rhs, ratio;
     trace adds l after lambda, and thm41 and halfspace put xi_prime (shape
     (rows, n-1)) first and add j, l after lambda.  A witness is one row as
-    a dict of Python values."""
+    a dict of Python values.  run_suites sets `runtime`, the suite's wall
+    time in seconds; a sweep called directly leaves it at 0.0."""
     suite: str
     config: dict
     records: dict = field(default_factory=dict)
@@ -133,6 +133,11 @@ def fit_loglog(x, y):
     return np.polyfit(np.log(x), np.log(y), 1)[0]
 
 
+def _box(xi_grid, lam_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The (|xi|, lambda) columns of a box grid, rows following lambda."""
+    return np.tile(xi_grid, len(lam_grid)), np.repeat(lam_grid, len(xi_grid))
+
+
 def _columns(xi, lam, lhs, rhs, **fixed) -> dict:
     """Record columns in their order, with ratio lhs / rhs."""
     return {"xi_prime_abs": xi, "lambda": lam, **fixed,
@@ -150,7 +155,6 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     Records carry the ratio Xi_sum / Xi_product on a log grid; the binomial
     and scaling checks land in `extras`.
     """
-    t0 = time.perf_counter()
     rep = SweepReport("polygon", {
         "density": density, "lambda0": lambda0,
         "band_limits": list(POLYGON_BAND_LIMITS),
@@ -160,14 +164,11 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
 
-    # Rows follow lambda, columns |xi|, as in the records.
-    lam_col = np.repeat(lam_grid, len(xi_grid))
-    xi_col = np.tile(xi_grid, len(lam_grid))
+    xi_col, lam_col = _box(xi_grid, lam_grid)
     rep.records = _columns(xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
                            weights.xi_product_eval(w, xi_col, lam_col))
     if np_.degenerate:
         rep.extras["degenerate"] = True
-        rep.runtime = time.perf_counter() - t0
         return rep
 
     # Binomial identity: Xi^2 against sum_l xi_n^2l (shifted weight)^2.
@@ -217,14 +218,12 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
         rep.fail(f"sum/product band [{lo}, {hi}] outside limits {POLYGON_BAND_LIMITS}")
     if not (lo_lim <= bin_ratios.min() and bin_ratios.max() <= hi_lim):
         rep.fail("binomial band outside limits")
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
 def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
                             lam_max: float = 1e3) -> SweepReport:
     """Band of sigma'_l over the shifted-weight prediction, per l."""
-    t0 = time.perf_counter()
     rep = SweepReport("trace", {
         "density": density, "l_list": list(l_list), "xi_max": TRACE_XI_MAX,
         "lam_max": lam_max, "lambda0": w.lambda0,
@@ -232,9 +231,7 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
         "weight": w.to_json_dict()})
     xi_grid = np.concatenate([[0.0], np.geomspace(1e-1, TRACE_XI_MAX, 7 * density)])
     lam_grid = np.geomspace(w.lambda0, lam_max, 7 * density)
-    # Rows follow lambda, columns |xi'|, as in the records.
-    lam_col = np.repeat(lam_grid, len(xi_grid))
-    xi_col = np.tile(xi_grid, len(lam_grid))
+    xi_col, lam_col = _box(xi_grid, lam_grid)
     # One call for every l: they share the quadrature lattice.
     sigma, err = weights.trace_weight_quadrature(w, l_list, xi_col, lam_col)
     rhs = np.array([weights.xi_product_eval(
@@ -249,7 +246,6 @@ def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
         if hi / lo > TRACE_BAND_WIDTH_LIMIT:
             rep.fail(f"l={l}: band width {hi / lo} exceeds {TRACE_BAND_WIDTH_LIMIT}")
     rep.extras["quad_err_max"] = float(err.max(initial=0.0))
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -342,20 +338,18 @@ def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
     return (lam + xi_abs) ** (l - j + 0.5)
 
 
-def sweep_theorem41(p: Pencil, density: int = 1, scan=None) -> SweepReport:
+def sweep_theorem41(p: Pencil, density: int = 1,
+                    scan: NormScan | None = None) -> SweepReport:
     """Ratios of exact derivative norms to the four-case estimate table on
-    the unit slice (see norm_scan).  `scan` returns the unit slice's
-    NormScan at this density (run_suites shares one with halfspace); by
-    default the sweep makes its own."""
-    t0 = time.perf_counter()
-    scan = scan() if scan else norm_scan(p, density)
+    the unit slice (see norm_scan).  `scan` is the unit slice's NormScan at
+    this density (run_suites shares one with halfspace); by default the
+    sweep makes its own."""
+    scan = norm_scan(p, density) if scan is None else scan
     # Scalar calls through np.vectorize: numpy's array powers can round
     # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
-    rep = _norm_report("thm41", p, density, scan, lambda xa, lam: {
+    return _norm_report("thm41", p, density, scan, lambda xa, lam: {
         (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa, lam)
         for j in range(1, p.m + 1) for l in range(p.m + 1)})
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
@@ -373,7 +367,6 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
     it is set against its mean.  The roots of a split double root or a
     close pair are accurate only in their mean.
     """
-    t0 = time.perf_counter()
     s = scan_s(density)
     lambda_list = s[(s >= ASYMPTOTICS_S_RANGE[0]) & (s <= ASYMPTOTICS_S_RANGE[1])]
     xi_prime = scan_directions(p.n)[0]
@@ -441,7 +434,6 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
         if abs(slope - expected) > SLOPE_TOL:
             rep.fail(f"{part} j={j} l={l}: slope {slope} vs {expected}")
     rep.extras["split_fits"] = split_fits
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -462,7 +454,6 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     weight W; finite and grid-stable exactly when the pencil is elliptic.
     The verdict fails when the ellipticity preconditions fail.
     """
-    t0 = time.perf_counter()
     grid = GridSpec(angular=90 * density, directions=48 * density)
     rep = SweepReport("prop52", {
         "density": density, "lambda0": lambda0, "xi_max": PROP52_XI_MAX,
@@ -482,9 +473,8 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         the ratio at the column's least |A|, bit for bit."""
         return ratio(column_least(table, xa, lam), xa, lam)
 
-    # One column per (lambda, |xi|) record: the maximum over the directions.
-    lam_col = np.repeat(lam_grid, len(xi_grid))
-    xa_col = np.tile(xi_grid, len(lam_grid))
+    # One column per record: the maximum over the directions.
+    xa_col, lam_col = _box(xi_grid, lam_grid)
     table = homogeneous_table(p, dirs)
     best = column_max(table, xa_col, lam_col)
 
@@ -516,7 +506,6 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     rep.extras["elliptic"] = ell.n_elliptic
     if not ell.n_elliptic:
         rep.fail("pencil is not parameter elliptic; the constant is unbounded")
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -527,11 +516,11 @@ def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     return HomogeneousWeight(w.factors, lambda0=w.lambda0)
 
 
-def sweep_halfspace_ratio(p: Pencil, density: int = 1, scan=None) -> SweepReport:
+def sweep_halfspace_ratio(p: Pencil, density: int = 1,
+                          scan: NormScan | None = None) -> SweepReport:
     """Derivative norms against ratios of shifted homogeneous weights on the
     unit slice (see norm_scan); `scan` as in sweep_theorem41."""
-    t0 = time.perf_counter()
-    scan = scan() if scan else norm_scan(p, density)
+    scan = norm_scan(p, density) if scan is None else scan
     phi = homogeneous_energy_weight(p)
 
     def table(xa, lam):
@@ -540,9 +529,7 @@ def sweep_halfspace_ratio(p: Pencil, density: int = 1, scan=None) -> SweepReport
         den = {l: shifted(l) for l in range(p.m + 1)}
         return {(j, l): num[j] / den[l] for j in num for l in den}
 
-    rep = _norm_report("halfspace", p, density, scan, table)
-    rep.runtime = time.perf_counter() - t0
-    return rep
+    return _norm_report("halfspace", p, density, scan, table)
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +543,24 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     """Run the named suites in order, with default desk-scale grids, and
     return {name: report}.
 
-    lambda0 and decades reach only polygon, trace and prop52.  thm41 and
-    halfspace read one unit-slice scan (norm_scan), made by the first of
-    them to run, so that report's runtime carries it; nothing is kept after
-    the call.  Raises OutOfRangeError, naming the suite and where it ran,
-    when the lambda range overflows or the suite's float64
-    arithmetic overflows, divides by zero or makes a NaN: its verdict would
-    rest on infinities.  For polygon, trace and prop52 that message ends
-    with the pencil's coeff_scale.  Any other PencilabError a suite raises
-    is raised again as the same type with the suite's name in front of its
-    message.
-    The first suite in `names` to fail raises.
+    lambda0 and decades reach only polygon, trace and prop52.  Each
+    report's runtime is the wall time of its suite here.  thm41 and
+    halfspace read one unit-slice scan (norm_scan), made within the timing
+    and error handling of the first of them to run, so that report's
+    runtime carries it; nothing is kept after the call.  Raises
+    OutOfRangeError, naming the suite and where it ran, when the lambda
+    range overflows or the suite's float64 arithmetic overflows, divides
+    by zero or makes a NaN: its verdict would rest on infinities.  For
+    polygon, trace and prop52 that message ends with the pencil's
+    coeff_scale.  Any other PencilabError a suite raises is raised again
+    as the same type with the suite's name in front of its message.  The
+    first suite in `names` to fail raises.
     """
     try:
         lam_max = lambda0 * 10.0 ** decades
     except OverflowError:
         lam_max = math.inf
-    scan = functools.cache(functools.partial(norm_scan, p, density))
-    reports = {}
+    scan, reports = None, {}
     for name in names:
         unit_slice = name in ("thm41", "halfspace", "asymptotics")
         where = ("the unit slice" if unit_slice
@@ -582,7 +569,11 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
             raise OutOfRangeError(f"suite {name}: {where} overflows float64")
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                reports[name] = _dispatch(name, p, density, lambda0, lam_max, scan)
+                t0 = time.perf_counter()
+                if scan is None and name in ("thm41", "halfspace"):
+                    scan = norm_scan(p, density)
+                rep = reports[name] = _dispatch(name, p, density, lambda0, lam_max, scan)
+                rep.runtime = time.perf_counter() - t0
         except FloatingPointError as exc:
             # Large coefficients overflow too, so a range's error names them.
             scale = "" if unit_slice else f"; |coefficients| sum to {p.coeff_scale:g}"
@@ -600,7 +591,7 @@ def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
 
 
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
-              lam_max: float, scan) -> SweepReport:
+              lam_max: float, scan: NormScan | None) -> SweepReport:
     if name == "polygon":
         np_ = build_polygon(p.exponent_points())
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,

@@ -153,8 +153,44 @@ def test_bad_pencil_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_E1 = pencil_to_dict(e1_pencil())
+
+
+@pytest.mark.parametrize("data, message", [
+    # n = 0 died with an IndexError in _sphere_min (ellipticity, exit 1).
+    ({"n": 0, "m": 1, "mu": 0, "terms": [{"alpha": [], "j": 0, "re": 1.0}]},
+     "need n >= 1, got n=0"),
+    # int() read alpha [4.9, 0] with j = 2.5 as xi_1^4 with j = 2.
+    ({"n": 2, "m": 2, "mu": 1, "terms": [{"alpha": [4.9, 0], "j": 2.5, "re": 1.0}]},
+     "alpha entry must be an integer, got 4.9"),
+    ({**_E1, "terms": [{"alpha": [2, 2], "j": 4.5, "re": 1.0}]},
+     "j must be an integer, got 4.5"),
+    ({**_E1, "m": 1.5}, "m must be an integer, got 1.5"),
+    ({**_E1, "mu": True}, "mu must be an integer, got True"),
+    ({**_E1, "n": "2"}, "n must be an integer, got '2'"),
+    ([_E1], "bad pencil description"),
+    ({**_E1, "terms": [{"alpha": [4], "j": 4, "re": 1.0}]},
+     "multi-index (4,) has length != n=2"),
+    ({**_E1, "terms": [{"alpha": [6, -2], "j": 4, "re": 1.0}]},
+     "negative entry in multi-index (6, -2)"),
+])
+@pytest.mark.parametrize("cmd", ["ellipticity", "degeneration", "verify"])
+def test_malformed_pencil_exit_2(cmd, data, message, tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "rep"
+    assert run([cmd, str(path)] + (["--out", str(out)] if cmd == "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not out.exists()
+
+
 _QUADRATIC = Pencil(n=2, m=1, mu=0, terms=(
     Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0), Term((0, 0), 0, 1.0)))
+# xi_1^2 + xi_2^2 - lambda^2: Q(tau) = tau^2 - 1 has real roots.
+_REAL_Q = Pencil(n=2, m=1, mu=0, terms=(
+    Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0), Term((0, 0), 0, -1.0)))
 
 
 @pytest.mark.parametrize("p, coeffs, message", [
@@ -261,6 +297,8 @@ def test_point_out_of_range_exit_2(cmd, point, message, e1_path, capsys):
     (["verify", "--suite", "thm41", "--grid-decades", "-2"], "--grid-decades"),
     (["ellipticity", "--grid-angular", "0"], "--grid-angular"),
     (["ellipticity", "--grid-angular", "1.5"], "--grid-angular"),
+    (["polygon", "--lambda0", "one"], "--lambda0"),
+    (["ellipticity", "--tol", "small"], "--tol"),
 ])
 def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
     argv = argv[:1] + [e1_path] + argv[1:] + (
@@ -303,6 +341,60 @@ def test_band_escape_exit_2(e1_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "rep"
     assert run(["verify", e1_path, "--suite", "trace", "--out", str(out)]) == 2
     assert "error: suite trace: integral" in capsys.readouterr().err
+
+
+def _quarter_puiseux_fit(fit):
+    """fit_loglog with the one-column (Puiseux) slope divided by 4."""
+    return lambda x, y: fit(x, y) if np.ndim(y) == 2 else fit(x, y) / 4
+
+
+def _doubled_exponents(from_polygon):
+    """weights.from_polygon with every factor exponent doubled."""
+    return lambda np_, lambda0=1.0: weights.ProductWeight(
+        tuple((r, 2 * m) for r, m in from_polygon(np_, lambda0).factors), lambda0)
+
+
+@pytest.mark.parametrize("suite, module, name, patch, reason", [
+    ("polygon", weights, "from_polygon", _doubled_exponents,
+     "side r=1: degree formula mismatch"),
+    ("polygon", weights, "xi_sum_eval", lambda f: lambda *a: 2.0 * f(*a),
+     "side r=1: scaling limit off by 1.0"),
+    # e1's sum/product band is [1.001, 3.57] and its binomial band [1.0, 3.2].
+    ("polygon", verify, "POLYGON_BAND_LIMITS", lambda v: (1e-3, 3.3),
+     "sum/product band [1.001001, 3.5718420258296533] outside limits"),
+    ("polygon", verify, "POLYGON_BAND_LIMITS", lambda v: (1.0005, 1e3),
+     "binomial band outside limits"),
+    ("trace", verify, "TRACE_BAND_WIDTH_LIMIT", lambda v: 1.0,
+     "l=0: band width"),
+    ("thm41", verify, "NORM_RATIO_LIMIT", lambda v: 1.0, "max ratio 1.118"),
+    ("halfspace", verify, "NORM_RATIO_LIMIT", lambda v: 1.0, "max ratio 1.118"),
+    ("asymptotics", verify, "fit_loglog", _quarter_puiseux_fit,
+     "Puiseux slope 0.499"),
+])
+def test_forced_verdict_failure_exit_1(suite, module, name, patch, reason, e1_path,
+                                       tmp_path, monkeypatch, capsys):
+    # Each verdict check fails once its limit or helper is moved, and the
+    # reason reaches the report, the summary and the exit code.
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    rep = verify.run_suite(suite, e1_pencil())
+    assert rep.verdict == "fail"
+    assert any(r.startswith(reason) for r in rep.reasons), rep.reasons
+    out = tmp_path / "rep"
+    assert run(["verify", e1_path, "--suite", suite, "--out", str(out)]) == 1
+    assert f"\n    {reason}" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())[suite]
+    assert summary["verdict"] == "fail" and summary["reasons"] == rep.reasons
+
+
+def test_degeneration_exit_codes(broken_path, tmp_path, capsys):
+    # broken's Q(tau) = tau^2 vanishes at 0: exit 2.  tau^2 - 1 has real
+    # roots: the verdict is indeterminate, exit 1.
+    assert run(["degeneration", broken_path]) == 2
+    assert capsys.readouterr().err.startswith("error: Q(0) = 0")
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(pencil_to_dict(_REAL_Q)))
+    assert run(["degeneration", str(path)]) == 1
+    assert "regular degeneration: INDETERMINATE; k1 = 0" in capsys.readouterr().out
 
 
 def test_verify_all_writes_reports(e1_path, tmp_path, capsys):

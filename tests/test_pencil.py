@@ -303,6 +303,36 @@ def test_tau_roots_real_axis_rejected():
         tau_roots(p, np.array([1.0]), 1.0)
 
 
+def _mesh_against_loop(p, xi_prime, lam):
+    """Check mesh_upper_roots against a loop of tau_roots calls over the
+    nodes: it raises the loop's first error, of the same type and message,
+    or else returns the loop's roots bit for bit.  Returns that error or
+    None."""
+    try:
+        loop = np.array([tau_roots(p, xs, y).upper for xs, y in zip(xi_prime, lam)])
+    except Exception as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as mesh:
+            pencil_mod.mesh_upper_roots(p, xi_prime, lam)
+        assert type(mesh.value) is type(exc)
+        return exc
+    assert pencil_mod.mesh_upper_roots(p, xi_prime, lam).tobytes() == loop.tobytes()
+    return None
+
+
+@pytest.mark.parametrize("p, xi_prime, lam, error, message", [
+    # (tau - i)(tau - 2i) at lambda = 1: both roots upper, and m = 1.
+    (Pencil(n=1, m=1, mu=0, terms=(Term((2,), 2, 1.0), Term((1,), 1, -3j),
+                                   Term((0,), 0, -2.0))),
+     [], 1.0, EllipticityError, "2 upper roots, expected m = 1 (m_+ = m violated)"),
+    (agmon_pencil(), [0.0], 0.0, ValueError, "need xi' != 0 or lambda > 0"),
+])
+def test_tau_roots_rejects_at_a_point_and_on_the_mesh(p, xi_prime, lam, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tau_roots(p, np.array(xi_prime), lam)
+    exc = _mesh_against_loop(p, np.array([xi_prime, xi_prime]), np.array([2.0, lam]))
+    assert str(exc) == message
+
+
 def _sextic():
     """xi_1^6 + xi_2^6 + lambda^6 (n = 2, m = 3, mu = 0)."""
     return Pencil(n=2, m=3, mu=0, terms=(
@@ -318,8 +348,7 @@ def test_tau_roots_sextic_at_large_lambda(lam):
     expected = np.sort_complex(lam * (1 + lam ** -6) ** (1 / 6)
                                * np.exp(1j * np.pi * np.array([1, 3, 5]) / 6))
     assert np.allclose(upper, expected, rtol=1e-12, atol=0.0)
-    _, ok = pencil_mod.mesh_upper_roots(_sextic(), np.array([[1.0]]), np.array([lam]))
-    assert ok.all()
+    assert _mesh_against_loop(_sextic(), np.array([[1.0]]), np.array([lam])) is None
 
 
 def test_vanishing_leading_coefficient_still_raises():
@@ -329,7 +358,8 @@ def test_vanishing_leading_coefficient_still_raises():
     for lam in (1e-3, 1.0, 1e6):
         with pytest.raises(EllipticityError, match="leading tau coefficient"):
             tau_roots(p, np.array([1.0]), lam)
-        assert not pencil_mod.mesh_upper_roots(p, np.array([[1.0]]), np.array([lam]))[1].any()
+        exc = _mesh_against_loop(p, np.array([[1.0]]), np.array([lam]))
+        assert "leading tau coefficient" in str(exc)
 
 
 def test_out_of_range_lambda_rejected_at_a_point_and_on_the_mesh():
@@ -338,9 +368,13 @@ def test_out_of_range_lambda_rejected_at_a_point_and_on_the_mesh():
     for lam, message in ((-5.0, "lambda >= 0"), (1e300, "overflows")):
         with pytest.raises(OutOfRangeError, match=message):
             tau_roots(e1_pencil(), np.array([1.0]), lam)
-    _, ok = pencil_mod.mesh_upper_roots(e1_pencil(), np.ones((3, 1)),
-                                        np.array([-5.0, 1e300, 5.0]))
-    assert ok.tolist() == [False, False, True]
+        # On the mesh, after a node it accepts.
+        exc = _mesh_against_loop(e1_pencil(), np.ones((2, 1)), np.array([5.0, lam]))
+        assert isinstance(exc, OutOfRangeError) and message in str(exc)
+    # Of two rejected nodes the first names the error.
+    exc = _mesh_against_loop(e1_pencil(), np.ones((3, 1)), np.array([-5.0, 1e300, 5.0]))
+    assert "lambda >= 0" in str(exc)
+    assert _mesh_against_loop(e1_pencil(), np.ones((1, 1)), np.array([5.0])) is None
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -352,8 +386,8 @@ def test_leading_coefficient_threshold_same_on_mesh(above):
         a = np.nextafter(a, 1.0)
     p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((0, 2), 2, a),
                                       Term((0, 0), 0, 1.0)))
-    _, ok = pencil_mod.mesh_upper_roots(p, np.array([[1.0]]), np.array([1.0]))
-    assert ok[0] == above
+    exc = _mesh_against_loop(p, np.array([[1.0]]), np.array([1.0]))
+    assert (exc is None) == above
     if above:
         tau_roots(p, np.array([1.0]), 1.0)
     else:

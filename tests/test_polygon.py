@@ -1,6 +1,7 @@
 """Tests for convex hull geometry, slopes, degrees, and principal parts."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,18 @@ def test_vertical_last_side_rejected():
     # generators force the descending side to drop straight down
     with pytest.raises(UnsupportedShapeError):
         build_polygon({(2, 2), (2, 0)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_polygon({(4, 0), (-1, 2)}), "exponent point (-1,2) has a negative entry"),
+    (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), 0), "r must be positive or infinite"),
+    (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), F(-1, 2)),
+     "r must be positive or infinite"),
+    (lambda: principal_part([], 1), "empty coefficient table"),
+])
+def test_polygon_input_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_collinear_points_not_vertices():

@@ -10,9 +10,10 @@ import pytest
 
 from pencilab import pencil, verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.pencil import (Pencil, Term, group_roots, load_pencil, mesh_group_roots,
-                             mesh_upper_roots, poly_roots, sphere_directions,
-                             tau_polynomial, tau_roots)
+from pencilab.errors import PencilabError
+from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_pencil,
+                             mesh_group_roots, mesh_upper_roots, poly_roots,
+                             sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
 
@@ -332,6 +333,52 @@ def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
         assert "pointwise_nodes" not in extras
         verify.write_csv(rep, tmp_path / "out.csv")
         assert "clearance" not in (tmp_path / "out.csv").read_text()
+
+
+def test_run_suites_times_each_suite_and_direct_sweeps_do_not():
+    # run_suites owns the clock; a sweep called directly reports 0.0.
+    p = e1_pencil()
+    assert all(rep.runtime > 0 for rep in verify.run_suites(verify.SUITES, p).values())
+    np_ = build_polygon(p.exponent_points())
+    w = weights.from_polygon(np_)
+    direct = [verify.sweep_polygon_equivalence(np_),
+              verify.sweep_trace_equivalence(w, [0, 1]),
+              verify.sweep_theorem41(p), verify.sweep_group_asymptotics(p),
+              verify.sweep_multiplier_rn(p), verify.sweep_halfspace_ratio(p)]
+    assert [rep.runtime for rep in direct] == [0.0] * 6
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(PencilabError, match="^suite nope: unknown suite 'nope'$"):
+        verify.run_suites(["polygon", "nope"], e1_pencil())
+
+
+def _e1_n4() -> Pencil:
+    """|xi|^2 (|xi|^2 + lambda^2) in four variables: m = 2, mu = 1."""
+    def mono(*powers):
+        alpha = [0] * 4
+        for i, a in powers:
+            alpha[i] = a
+        return tuple(alpha)
+    return Pencil(n=4, m=2, mu=1, terms=tuple(
+        [Term(mono((i, 4)), 4, 1.0) for i in range(4)]
+        + [Term(mono((i, 2), (k, 2)), 4, 2.0) for i in range(4) for k in range(i + 1, 4)]
+        + [Term(mono((i, 2)), 2, 1.0) for i in range(4)]))
+
+
+@pytest.mark.parametrize("density", [1, 2])
+def test_four_variables_pass_every_suite(density):
+    # n >= 4 takes the seeded Gaussian directions of sphere_directions.
+    p = _e1_n4()
+    dirs = sphere_directions(4, 48)
+    assert dirs.shape == (48, 4)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(dirs, sphere_directions(4, 48))
+    assert check_lemma21(p).n_elliptic
+    reports = verify.run_suites(verify.SUITES, p, density=density)
+    assert {name: rep.verdict for name, rep in reports.items()} == dict.fromkeys(
+        verify.SUITES, "pass")
+    assert reports["thm41"].config["directions"] == verify.NORM_DIRECTIONS
 
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil, _double_root_pencil])

@@ -1,6 +1,7 @@
 """Tests for product weights, shifts, and the trace-weight quadrature."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,25 @@ def test_factor_validation():
         ProductWeight(((F(1), F(1)), (F(2), F(1))))   # increasing slopes
     with pytest.raises(ValueError):
         ProductWeight(((F(1), F(0)),))                # zero exponent
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: from_polygon(build_polygon({(0, 2)})), OutOfRangeError,
+     "degenerate polygon on the ordinate axis has no product weight"),
+    (lambda: shift(ProductWeight(((F(1), F(1)),)), -1), OutOfRangeError,
+     "shift amount -1 is negative"),
+    (lambda: lemma32_integral([1.0], [F(1), F(1)], 0), ValueError,
+     "1 scales for 2 exponents"),
+    (lambda: lemma32_integral([1.0, 0.0], [F(1), F(1)], 0), OutOfRangeError,
+     "scales a_s must be positive and finite"),
+    (lambda: lemma32_integral([-1.0, 2.0], [F(1), F(1)], 0), OutOfRangeError,
+     "scales a_s must be positive and finite"),
+    (lambda: trace_weight_quadrature(ProductWeight(()), 0, 1.0, 1.0),
+     OutOfRangeError, "constant weight has no trace weight"),
+])
+def test_weight_input_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_xi_sum_eval_values():

@@ -84,15 +84,23 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """A JSON number as a float; a boolean or a string is none."""
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def pencil_from_dict(data: dict) -> Pencil:
     try:
         n, m, mu = (_integer(data[k], k) for k in ("n", "m", "mu"))
         terms = tuple(
             Term(alpha=tuple(_integer(a, "alpha entry") for a in t["alpha"]),
                  j=_integer(t["j"], "j"),
-                 coeff=complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))))
+                 coeff=complex(_real(t.get("re", 0.0), "re"),
+                               _real(t.get("im", 0.0), "im")))
             for t in data["terms"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PencilFormatError(f"bad pencil description: {exc}") from exc
     return Pencil(n=n, m=m, mu=mu, terms=terms)
 
@@ -307,31 +315,57 @@ SLICE_BLOCK_ENTRIES = 32768
 ZOOM = 5
 
 
-def homogeneous_part(p: Pencil, j: int, dirs: np.ndarray) -> np.ndarray:
-    """A_j(omega) at each row omega of dirs.
+class Parts(NamedTuple):
+    """A pencil's homogeneous parts A_j, compiled by compile_parts."""
+    terms: tuple        # terms[j]: A_j's (coefficient, ((axis, power), ...))
+    dtype: type         # of their values: float or complex
 
-    float64 when every coefficient of p is real, complex128 otherwise.  The
-    values are the same either way: numpy's product of c + 0i and x has
+
+def compile_parts(p: Pencil) -> Parts:
+    """The parts A_j of p as homogeneous_part evaluates them, compiled once
+    per scan: each term's coefficient and its nonzero exponents, by order j
+    and in p.terms order.
+
+    The dtype is float when every coefficient of p is real, and complex
+    otherwise; a real dtype keeps only the real parts of the coefficients.
+    The values are the same either way: numpy's product of c + 0i and x has
     real part c x exactly and imaginary part 0, and |x + 0i| = |x|.
     """
     real = all(t.coeff.imag == 0 for t in p.terms)
-    out = np.zeros(len(dirs), dtype=float if real else complex)
+    terms = [[] for _ in range(2 * p.m + 1)]
     for t in p.terms:
-        if t.j == j:
-            # A monomial starts from its first factor and skips zero
-            # exponents: the products by 1 and by x ** 0 = 1.0 it leaves out
-            # are exact.
-            factors = [dirs[:, i] ** a for i, a in enumerate(t.alpha) if a]
-            mono = functools.reduce(np.multiply, factors) if factors else 1.0
-            out += (t.coeff.real if real else t.coeff) * mono
-    return out
+        terms[t.j].append((t.coeff.real if real else t.coeff,
+                           tuple((i, a) for i, a in enumerate(t.alpha) if a)))
+    return Parts(tuple(map(tuple, terms)), float if real else complex)
 
 
-def homogeneous_table(p: Pencil, dirs: np.ndarray) -> np.ndarray:
+def homogeneous_part(parts: Parts, j: int, pts: np.ndarray):
+    """A_j(omega) at each row omega of pts, for a part with at least one
+    term: its terms summed in order from the first (a constant part gives
+    a scalar, which broadcasts against the rows).
+
+    A monomial starts from its first factor pts[:, i] ** a and skips zero
+    exponents: the products by 1 and by x ** 0 = 1.0 it leaves out are
+    exact.  0.0 plus this sum is the sum from 0.0 bit for bit: the running
+    sums differ at most in the sign of a zero, a sum from 0.0 is never
+    -0.0, and 0.0 + (-0.0) = 0.0.
+    """
+    total = None
+    for coeff, exps in parts.terms[j]:
+        factors = [pts[:, i] ** a for i, a in exps]
+        term = coeff * (functools.reduce(np.multiply, factors) if factors else 1.0)
+        total = term if total is None else total + term
+    return total
+
+
+def homogeneous_table(parts: Parts, dirs: np.ndarray) -> np.ndarray:
     """(directions x (2m+1)) table of the homogeneous parts A_j(omega), in
-    homogeneous_part's dtype."""
-    return np.stack([homogeneous_part(p, j, dirs) for j in range(2 * p.m + 1)],
-                    axis=1)
+    the parts' dtype: each column is 0.0 plus homogeneous_part's values."""
+    table = np.zeros((len(dirs), len(parts.terms)), dtype=parts.dtype)
+    for j, terms in enumerate(parts.terms):
+        if terms:
+            table[:, j] += homogeneous_part(parts, j, dirs)
+    return table
 
 
 def symbol_blocks(table: np.ndarray, rho, lam):
@@ -353,9 +387,14 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     adds each product to its zeroed output, so a zero product also gets
     that sum's +0.0; column_least does not rely on it.)
 
-    The block and the buffer for a later part are allocated once per scan:
-    each yielded block is overwritten by the next one, so a caller uses a
-    block, and may overwrite it, before it advances.
+    The block and the buffer for a later part are allocated once per scan,
+    as the two halves of one array: each yielded block is overwritten by
+    the next one, so a caller uses a block, and may overwrite it, before it
+    advances.  With two allocations of 259 KB (a 720 x 720 scan), glibc's
+    malloc returned the top of the heap to the system after some scans and
+    the next scan faulted it in again, 95 minor page faults per scan,
+    depending on what the process had allocated before; one allocation of
+    518 KB raises glibc's trim threshold above what a scan frees.
     """
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     top = table.shape[1] - 1
@@ -365,8 +404,8 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     # A table of zeros has no part: its blocks are zeros.
     (first, a_first), *rest = parts or [(np.zeros_like(rho), table[:, 0])]
     step = max(1, SLICE_BLOCK_ENTRIES // len(table))
-    block_buf = np.empty((min(step, len(rho)), len(table)), dtype=table.dtype)
-    part_buf = np.empty_like(block_buf)
+    block_buf, part_buf = np.empty((2, min(step, len(rho)), len(table)),
+                                   dtype=table.dtype)
     for start in range(0, len(rho), step):
         cols = slice(start, start + step)
         block = block_buf[:len(first[cols])]
@@ -408,7 +447,8 @@ def _slice_nodes(p: Pencil, angular: int):
     return rho, lam, rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
 
 
-def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
+def _sphere_min(p: Pencil, parts: Parts, j: int, dirs: np.ndarray,
+                table: np.ndarray):
     """Smallest |A_j| found on the unit sphere, and its direction.
 
     The grid minimum is refined by zooming in: each round samples a patch
@@ -418,14 +458,18 @@ def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
     direction, so a zero between grid directions is still found: 90
     directions in the plane miss the zero (0, 1) of xi_1^2 with |A_j| =
     1.2e-3 at the nearest one, far above the default tolerance.
+
+    Each round evaluates the compiled part with homogeneous_part, whose
+    values differ from the table's at most in the sign of a zero, which |.|
+    removes, and normalises by np.add.reduce, the sum that np.sum calls.  A
+    part with no term is zero, and A_0 is constant: no patch can hold a
+    smaller value than the grid's, so neither zooms.
     """
     vals = np.abs(table[:, j])
-    k = int(np.argmin(vals))
+    k = int(vals.argmin())
     best, value = dirs[k], float(vals[k])
-    if p.n == 1:                    # the two directions are the whole sphere
-        return best, value
-    if j == 0:                      # A_0 is constant: no patch value is less
-        return best, value
+    if p.n == 1 or j == 0 or not parts.terms[j]:
+        return best, value          # n = 1: the two directions are the sphere
     gaps = np.sum((dirs - best) ** 2, axis=1)
     gaps[k] = 4.0           # no direction is farther than the antipode
     step = math.sqrt(gaps.min()) / ZOOM
@@ -439,9 +483,9 @@ def _sphere_min(p: Pencil, j: int, dirs: np.ndarray, table: np.ndarray):
     offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
     while step > 1e-15:
         pts = best + step * offsets
-        pts /= np.sqrt(np.sum(pts * pts, axis=1))[:, None]
-        patch_vals = np.abs(homogeneous_part(p, j, pts))
-        i = int(np.argmin(patch_vals))
+        pts /= np.sqrt(np.add.reduce(pts * pts, axis=1))[:, None]
+        patch_vals = np.abs(homogeneous_part(parts, j, pts))
+        i = patch_vals.argmin()
         if patch_vals[i] < value:
             best, value = pts[i], float(patch_vals[i])
         step /= ZOOM
@@ -498,9 +542,10 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     """
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     tol = grid.tol * p.coeff_scale
-    table = homogeneous_table(p, dirs)
-    witness_i, min_a2m = _sphere_min(p, 2 * p.m, dirs, table)
-    witness_ii, min_a2mu = _sphere_min(p, 2 * p.mu, dirs, table)
+    parts = compile_parts(p)
+    table = homogeneous_table(parts, dirs)
+    witness_i, min_a2m = _sphere_min(p, parts, 2 * p.m, dirs, table)
+    witness_ii, min_a2mu = _sphere_min(p, parts, 2 * p.mu, dirs, table)
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
     lowest = column_least(table, rho, lam)
@@ -567,7 +612,8 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     condition implies regular degeneration.
     """
     even_order = all(t.j % 2 == 0 for t in p.terms if t.coeff != 0)
-    table = homogeneous_table(p, sphere_directions(p.n, grid.direction_count(p.n)))
+    table = homogeneous_table(compile_parts(p),
+                              sphere_directions(p.n, grid.direction_count(p.n)))
     rho, lam, denom = _slice_nodes(p, grid.angular)
     c_min = float(_normalised(column_least(table, rho, lam, np.real), denom).min())
     return {"even_order": even_order,

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__, halfline, weights
 from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
-                     column_least, homogeneous_table, mesh_group_roots,
-                     sphere_directions, symbol_blocks)
+                     column_least, compile_parts, homogeneous_table,
+                     mesh_group_roots, sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
@@ -345,11 +345,13 @@ def sweep_theorem41(p: Pencil, density: int = 1,
     this density (run_suites shares one with halfspace); by default the
     sweep makes its own."""
     scan = norm_scan(p, density) if scan is None else scan
-    # Scalar calls through np.vectorize: numpy's array powers can round
-    # 1-2 ulp away from scalar ones, and these tables keep the scalar values.
-    return _norm_report("thm41", p, density, scan, lambda xa, lam: {
-        (j, l): np.vectorize(rhs_44)(p.mu, j, l, xa, lam)
-        for j in range(1, p.m + 1) for l in range(p.m + 1)})
+    # rhs_44 on Python floats: numpy's array powers can round 1-2 ulp away
+    # from scalar ones, and these tables keep the scalar values.
+    def table(xa, lam):
+        nodes = list(zip(xa.tolist(), lam.tolist()))
+        return {(j, l): np.array([rhs_44(p.mu, j, l, x, y) for x, y in nodes])
+                for j in range(1, p.m + 1) for l in range(p.m + 1)}
+    return _norm_report("thm41", p, density, scan, table)
 
 
 def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
@@ -475,7 +477,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
 
     # One column per record: the maximum over the directions.
     xa_col, lam_col = _box(xi_grid, lam_grid)
-    table = homogeneous_table(p, dirs)
+    table = homogeneous_table(compile_parts(p), dirs)
     best = column_max(table, xa_col, lam_col)
 
     rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))

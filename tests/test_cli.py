@@ -173,6 +173,16 @@ _E1 = pencil_to_dict(e1_pencil())
      "multi-index (4,) has length != n=2"),
     ({**_E1, "terms": [{"alpha": [6, -2], "j": 4, "re": 1.0}]},
      "negative entry in multi-index (6, -2)"),
+    # float() read true as 1.0 and "1.0" as 1.0, and ellipticity exited 0.
+    ({**_E1, "terms": [{"alpha": [4, 0], "j": 4, "re": True}]},
+     "re must be a number, got True"),
+    ({**_E1, "terms": [{"alpha": [4, 0], "j": 4, "re": "1.0"}]},
+     "re must be a number, got '1.0'"),
+    ({**_E1, "terms": [{"alpha": [4, 0], "j": 4, "re": 1.0, "im": False}]},
+     "im must be a number, got False"),
+    # float() of an integer beyond float64 raised an OverflowError traceback.
+    ({**_E1, "terms": [{"alpha": [4, 0], "j": 4, "re": 10 ** 400}]},
+     "int too large to convert to float"),
 ])
 @pytest.mark.parametrize("cmd", ["ellipticity", "degeneration", "verify"])
 def test_malformed_pencil_exit_2(cmd, data, message, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -781,6 +782,48 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
 # ---------------------------------------------------------------------------
 # slice scans in the pencil's dtype, reduced per row, against full matrices
 
+def _reference_part(p, j, dirs):
+    """A_j(omega) from p.terms, term by term, as homogeneous_part evaluated
+    it before its parts were compiled: the reference for compile_parts."""
+    real = all(t.coeff.imag == 0 for t in p.terms)
+    out = np.zeros(len(dirs), dtype=float if real else complex)
+    for t in p.terms:
+        if t.j == j:
+            factors = [dirs[:, i] ** a for i, a in enumerate(t.alpha) if a]
+            mono = functools.reduce(np.multiply, factors) if factors else 1.0
+            out += (t.coeff.real if real else t.coeff) * mono
+    return out
+
+
+def _reference_sphere_min(p, j, dirs, part=_reference_part):
+    """_sphere_min's search, round by round, on `part`'s values: the grid
+    minimum of |A_j|, then patches of (2 ZOOM + 1)^(n-1) points zooming in
+    by ZOOM, each evaluated from scratch."""
+    vals = np.abs(part(p, j, dirs))
+    k = int(np.argmin(vals))
+    best, value = dirs[k], float(vals[k])
+    if p.n == 1 or j == 0:
+        return best, value
+    gaps = np.sum((dirs - best) ** 2, axis=1)
+    gaps[k] = 4.0
+    step = math.sqrt(gaps.min()) / ZOOM
+    v = best.copy()
+    v[0] += math.copysign(1.0, best[0])
+    tangent = (np.eye(p.n) - 2.0 * np.outer(v, v) / np.sum(v * v))[:, 1:]
+    side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
+    patch = np.stack(np.meshgrid(*[side] * (p.n - 1)), axis=-1).reshape(-1, p.n - 1)
+    offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
+    while step > 1e-15:
+        pts = best + step * offsets
+        pts /= np.sqrt(np.sum(pts * pts, axis=1))[:, None]
+        patch_vals = np.abs(part(p, j, pts))
+        i = int(np.argmin(patch_vals))
+        if patch_vals[i] < value:
+            best, value = pts[i], float(patch_vals[i])
+        step /= ZOOM
+    return best, value
+
+
 def _complex_part(p, j, dirs):
     """A_j(omega) in complex128 whatever the coefficients."""
     out = np.zeros(len(dirs), dtype=complex)
@@ -804,12 +847,14 @@ def _full_symbol(p, dirs, rho, lam):
     return out
 
 
-def _reference_prop52(p):
-    """sweep_multiplier_rn's records, C and C_point at density 1, from the
-    full ratio matrix and its argmax."""
-    dirs = sphere_directions(p.n, GridSpec(angular=90, directions=48).direction_count(p.n))
-    xi = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 10)])
-    lam_grid = np.geomspace(1.0, 1e3, 8)
+def _reference_prop52(p, density=1):
+    """sweep_multiplier_rn's records, C and C_point, from the full ratio
+    matrix and its argmax; the polish evaluates the whole symbol at the
+    peak direction every round."""
+    dirs = sphere_directions(p.n, GridSpec(
+        angular=90 * density, directions=48 * density).direction_count(p.n))
+    xi = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 10 * density)])
+    lam_grid = np.geomspace(1.0, 1e3, 8 * density)
     lam_col, xa_col = np.repeat(lam_grid, len(xi)), np.tile(xi, len(lam_grid))
 
     def ratios(dirs, xa, lam):
@@ -824,7 +869,7 @@ def _reference_prop52(p):
     if point[0] > 0.0:
         peak = dirs[np.argmax(full[i])][None]
         lo, hi = np.array([1e-2, 1.0]), np.array([1e3, 1e3])
-        step = np.log(hi / lo) / (np.array([10, 8]) - 1) / ZOOM
+        step = np.log(hi / lo) / (np.array([10, 8]) * density - 1) / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
         while step.max() > 1e-15:
             xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
@@ -841,16 +886,15 @@ def _same(x, y):
 
 
 def _assert_slice_scans_bit_identical(p, grid, prop52=True):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pencil_mod, "homogeneous_part", _complex_part)
-        ref = check_lemma21(p, grid)     # complex tables throughout
+    dirs = sphere_directions(p.n, grid.direction_count(p.n))
+    # (i), (ii): the sphere minima and their zooms, on complex values.
+    ref_i = _reference_sphere_min(p, 2 * p.m, dirs, _complex_part)
+    ref_ii = _reference_sphere_min(p, 2 * p.mu, dirs, _complex_part)
     rep = check_lemma21(p, grid)
-    # (i), (ii): the sphere minima and their zooms.
-    assert _same(rep.witness_i, ref.witness_i) and _same(rep.witness_ii, ref.witness_ii)
-    assert (rep.min_a2m, rep.min_a2mu) == (ref.min_a2m, ref.min_a2mu)
+    assert _same(rep.witness_i, ref_i[0]) and _same(rep.witness_ii, ref_ii[0])
+    assert (rep.min_a2m, rep.min_a2mu) == (ref_i[1], ref_ii[1])
 
     # (iii): the first minimising node of the full ratio matrix.
-    dirs = sphere_directions(p.n, grid.direction_count(p.n))
     theta = (np.arange(grid.angular) + 0.5) / grid.angular * (np.pi / 2.0)
     rho, lam = np.cos(theta), np.sin(theta)
     denom = _normaliser(p, rho, lam)[:, None]
@@ -860,7 +904,8 @@ def _assert_slice_scans_bit_identical(p, grid, prop52=True):
     k, d = np.unravel_index(np.argmin(ratio), ratio.shape)
     assert rep.min_abs == np.abs(vals).min()
     assert rep.min_ratio == ratio[k, d]
-    assert rep.C_est == (ratio[k, d] if ref.n_elliptic else 0.0)
+    elliptic = min(ratio[k, d], ref_i[1], ref_ii[1]) > grid.tol * p.coeff_scale
+    assert rep.C_est == (ratio[k, d] if elliptic else 0.0)
     assert _same(rep.witness_iii[0], rho[k] * dirs[d])
     assert rep.witness_iii[1] == lam[k]
 
@@ -940,13 +985,13 @@ def test_sphere_min_of_a_constant_part_is_the_grid_minimum(p, monkeypatch):
     # value: the search evaluates nothing beyond the table, and the first
     # grid direction is the witness.
     dirs = sphere_directions(p.n, GridSpec().direction_count(p.n))
-    table = pencil_mod.homogeneous_table(p, dirs)
+    table = pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs)
     orders = []
     real_part = pencil_mod.homogeneous_part
 
-    def counting(p, j, dirs):
+    def counting(parts, j, pts):
         orders.append(j)
-        return real_part(p, j, dirs)
+        return real_part(parts, j, pts)
 
     monkeypatch.setattr(pencil_mod, "homogeneous_part", counting)
     rep = check_lemma21(p)
@@ -985,3 +1030,70 @@ def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
     for entries in (1, 10 ** 9):
         monkeypatch.setattr(pencil_mod, "SLICE_BLOCK_ENTRIES", entries)
         assert [np.asarray(x).tobytes() for x in scans()] == default
+
+
+# ---------------------------------------------------------------------------
+# compiled parts and the searches on them, against the term-by-term loop
+
+_COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0, 2.0, 0.5, 1e-300]),
+                    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _any_pencils(draw):
+    """Terms of any orders in [2mu, 2m], in any order and with repeated
+    multi-indices, whose coefficients include 1.0, -1.0 and zeros; complex
+    ones (1 + 0i among them) in about half of the pencils."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    mu = draw(st.integers(0, m - 1))
+    real = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        j = draw(st.integers(2 * mu, 2 * m))
+        cuts = sorted(draw(st.lists(st.integers(0, j), min_size=n - 1,
+                                    max_size=n - 1)))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [j]))
+        coeff = complex(draw(_COEFFS), 0.0 if real else draw(_COEFFS))
+        terms.append(Term(alpha, j, coeff))
+    return Pencil(n=n, m=m, mu=mu, terms=tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_pencils(), st.data())
+def test_compiled_parts_match_the_term_loop(p, data):
+    # Points anywhere, zeros of either sign among their entries.
+    rows = data.draw(st.integers(1, 12))
+    pts = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-2.0, 2.0)), min_size=p.n, max_size=p.n),
+        min_size=rows, max_size=rows))).reshape(rows, p.n)
+    parts = pencil_mod.compile_parts(p)
+    ref = np.stack([_reference_part(p, j, pts) for j in range(2 * p.m + 1)], axis=1)
+    table = pencil_mod.homogeneous_table(parts, pts)
+    assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
+    # One part alone (the zoom's sum, from its first term) can only differ
+    # in the sign of a zero, which |.| removes.
+    for j in range(2 * p.m + 1):
+        if parts.terms[j]:
+            part = np.broadcast_to(pencil_mod.homogeneous_part(parts, j, pts), (rows,))
+            assert np.all(part == ref[:, j])
+            assert np.abs(part).tobytes() == np.abs(ref[:, j]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near", "broken"])
+def test_searches_match_the_reference_zoom_and_polish(name):
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    for size in (1, 2, 90, 720):
+        grid = GridSpec(angular=size, directions=size)
+        dirs = sphere_directions(p.n, grid.direction_count(p.n))
+        rep = check_lemma21(p, grid)
+        for j, witness, least in ((2 * p.m, rep.witness_i, rep.min_a2m),
+                                  (2 * p.mu, rep.witness_ii, rep.min_a2mu)):
+            ref_witness, ref_least = _reference_sphere_min(p, j, dirs)
+            assert _same(witness, ref_witness) and _same(least, ref_least)
+    for density in (1, 2):
+        sweep = sweep_multiplier_rn(p, density=density)
+        _, c_val, c_point = _reference_prop52(p, density)
+        assert _same(sweep.extras["C"], c_val)
+        assert _same(sweep.extras["C_point"], c_point)

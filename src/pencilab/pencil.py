@@ -61,12 +61,10 @@ class Pencil:
             if math.isinf(scale):
                 raise PencilFormatError(f"coefficient {t.coeff} of the term "
                                         f"alpha={t.alpha} overflows the sum of |coeff|")
-        # The hash the dataclass would compute, once: tau_roots' memo and
-        # check_regular_degeneration's cache hash the pencil on every call.
-        object.__setattr__(self, "_hash", hash((self.n, self.m, self.mu, self.terms)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # What the point queries derive from this pencil alone, kept with it:
+        # Q's DegenerationResult and tau_roots' last point.  Not a field, so
+        # ==, hash, repr and dataclasses.replace ignore it.
+        object.__setattr__(self, "_derived", {})
 
     @property
     def coeff_scale(self) -> float:
@@ -230,8 +228,9 @@ def _companion(desc: np.ndarray) -> np.ndarray:
 
 def _near_real_axis(roots: np.ndarray) -> np.ndarray:
     """Whether any root (along the last axis) lies within REAL_AXIS_TOL *
-    (1 + max |root|) of the real axis."""
-    scale = 1.0 + np.abs(roots).max(axis=-1, initial=0.0, keepdims=True)
+    max |root| of the real axis, a relative rule as in cluster_roots: 2^k *
+    roots are near it as roots are.  A root at 0 is real."""
+    scale = np.abs(roots).max(axis=-1, initial=0.0, keepdims=True)
     return (np.abs(roots.imag) <= REAL_AXIS_TOL * scale).any(axis=-1)
 
 
@@ -416,27 +415,44 @@ def symbol_blocks(table: np.ndarray, rho, lam):
         yield cols, block
 
 
-def column_least(table: np.ndarray, rho, lam, value=np.abs) -> np.ndarray:
+def column_least(table: np.ndarray, rho, lam, value=np.abs):
     """Least value(A(rho[c] omega_d, lam[c])) over the directions d, for each
-    column c, from symbol_blocks.
+    column c, from symbol_blocks; and, for a real table under |.|, whether A
+    is negative at some node and whether it is positive at some node (both
+    False otherwise).
 
     A scan that needs one extreme per column takes it here, before it
     normalises: dividing by a positive number and rounding is monotone, so
     min_d fl(a_d / c) = fl(min_d a_d / c) bit for bit, and each column
     takes one division instead of one per direction.
 
-    |.| of a real table is taken in place in the block, which the next block
-    overwrites anyway.  Adding 0.0 to the minima turns a -0.0 into the
-    +0.0 of a sum from zeros, so the minima of Re A keep those bits however
-    einsum writes a zero product.
+    A real table's least |A| comes from A's signed extremes, in the one
+    pass over the blocks: a block's column minima, which are its least |A|
+    when none is negative.  Only a block with a negative value takes its
+    column maxima too: minus them when none is positive, and |.| in place
+    otherwise.  A block without a negative value shows its positive values
+    by its positive minima; a column whose minimum is 0 has least |A| 0
+    already.  Adding 0.0 to the minima turns a -0.0 into the +0.0 of a sum
+    from zeros, so the minima keep those bits however einsum writes a zero
+    product.
     """
     least = np.empty(len(rho))
+    negative = positive = False
     for cols, block in symbol_blocks(table, rho, lam):
-        if value is np.abs and block.dtype == float:
+        if value is not np.abs or block.dtype != float:
+            least[cols] = value(block).min(axis=1)
+            continue
+        lo = block.min(axis=1, out=least[cols])
+        if not (lo < 0.0).any():
+            positive = positive or bool((lo > 0.0).any())
+            continue
+        negative, hi = True, block.max(axis=1)
+        if (hi > 0.0).any():
+            positive = True
             np.abs(block, out=block).min(axis=1, out=least[cols])
         else:
-            least[cols] = value(block).min(axis=1)
-    return least + 0.0
+            np.negative(hi, out=least[cols])
+    return least + 0.0, negative, positive
 
 
 def _slice_nodes(p: Pencil, angular: int):
@@ -539,6 +555,14 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     direction is found by evaluating and dividing that angle's row again:
     two values of |A| can round to the same ratio, so the first minimising
     direction need not be the first least |A|.
+
+    The closed slice is connected and the ratio, taken with A's sign, is
+    continuous on it, with the values A_2m(omega) and A_2mu(omega) at its
+    ends.  So a real A whose ratio is negative and positive among the grid
+    nodes and the ends vanishes on the slice: min_ratio is then 0.0 and
+    (iii) fails, whatever the grid minimum, and witness_iii stays the node
+    of least ratio.  A zero without a sign change, or a zero of a complex
+    A, shows only as a small grid minimum.
     """
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     tol = grid.tol * p.coeff_scale
@@ -548,13 +572,17 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     witness_ii, min_a2mu = _sphere_min(p, parts, 2 * p.mu, dirs, table)
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
-    lowest = column_least(table, rho, lam)
+    lowest, negative, positive = column_least(table, rho, lam)
     ratio = _normalised(lowest, denom)
     k, d = int(np.argmin(ratio)), 0
     min_abs, min_ratio = float(lowest.min()), float(ratio[k])
     if min_ratio < np.inf:          # else the normaliser underflows everywhere
         _, block = next(symbol_blocks(table, rho[k:k + 1], lam[k:k + 1]))
         d = int(np.argmin(np.abs(block[0]) / denom[k]))
+    ends = table[:, [2 * p.m, 2 * p.mu]]   # the ratio at the slice's ends
+    if table.dtype == float and ((negative or ends.min() < 0.0)
+                                 and (positive or ends.max() > 0.0)):
+        min_ratio = 0.0
 
     cond_i = bool(min_a2m > tol)
     cond_ii = bool(min_a2mu > tol)
@@ -589,18 +617,21 @@ class DegenerationResult(NamedTuple):
     k1: int
 
 
-@functools.cache
 def check_regular_degeneration(p: Pencil) -> DegenerationResult:
     """Count upper-half-plane roots of Q; regular iff the count is m - mu.
-    Q depends on the pencil alone, so results are kept per pencil value."""
-    q = q_polynomial(p)
-    roots = poly_roots(q)
-    if _near_real_axis(roots):
-        return DegenerationResult(None, tuple(roots[roots.imag > 0]), 0)
+    Q depends on the pencil alone, so the result is kept on the pencil."""
+    deg = p._derived.get("degeneration")
+    if deg is not None:
+        return deg
+    roots = poly_roots(q_polynomial(p))
     upper = roots[roots.imag > 0]
-    clusters = cluster_roots(upper)
-    k1 = max((len(members) for _, members in clusters), default=0)
-    return DegenerationResult(len(upper) == p.m - p.mu, tuple(upper), k1)
+    if _near_real_axis(roots):
+        deg = DegenerationResult(None, tuple(upper), 0)
+    else:
+        k1 = max((len(members) for _, members in cluster_roots(upper)), default=0)
+        deg = DegenerationResult(len(upper) == p.m - p.mu, tuple(upper), k1)
+    p._derived["degeneration"] = deg
+    return deg
 
 
 def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
@@ -615,7 +646,7 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     table = homogeneous_table(compile_parts(p),
                               sphere_directions(p.n, grid.direction_count(p.n)))
     rho, lam, denom = _slice_nodes(p, grid.angular)
-    c_min = float(_normalised(column_least(table, rho, lam, np.real), denom).min())
+    c_min = float(_normalised(column_least(table, rho, lam, np.real)[0], denom).min())
     return {"even_order": even_order,
             "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale),
             "c_min": c_min}
@@ -628,11 +659,6 @@ class RootSet:
     lower: tuple[complex, ...]
 
 
-# The last point tau_roots solved, {key: RootSet} with at most one entry:
-# group_roots and then solve at one point make one eigensolve.
-_last_roots: dict = {}
-
-
 def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     """All 2m roots of A(xi', tau, lambda), with the upper half marked.
 
@@ -640,15 +666,16 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     tolerance) or if the upper count differs from m, and tau_polynomial's
     OutOfRangeError for a point outside its range.
 
-    The RootSet of the last point solved is kept, keyed on the pencil and
-    the exact bits of xi' and lambda, and returned again at that point; a
-    point that raises is not kept, so it raises on every call.
+    The pencil keeps the RootSet of the last point it solved, keyed on the
+    exact bits of xi' and lambda, and returns it again at that point: a
+    point query (group_roots, then solve) makes one eigensolve.  A point
+    that raises is not kept, so it raises on every call.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
-    key = (p, xi_prime.shape, xi_prime.tobytes(), float(lam).hex())
-    hit = _last_roots.get(key)
-    if hit is not None:
-        return hit
+    key = (xi_prime.shape, xi_prime.tobytes(), float(lam).hex())
+    last = p._derived.get("roots")
+    if last is not None and last[0] == key:
+        return last[1]
     coeffs = tau_polynomial(p, xi_prime, lam)
     if lam == 0.0 and math.hypot(*xi_prime.tolist()) == 0.0:
         raise ValueError("need xi' != 0 or lambda > 0")
@@ -663,8 +690,7 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
         raise EllipticityError(
             f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
     rs = RootSet(tuple(all_roots), tuple(upper), tuple(lower))
-    _last_roots.clear()
-    _last_roots[key] = rs
+    p._derived["roots"] = key, rs
     return rs
 
 

@@ -473,7 +473,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         """Largest ratio over the table's directions, per (|xi|, lambda)
         column.  Each rounded step of the ratio is monotone in |A|, so it is
         the ratio at the column's least |A|, bit for bit."""
-        return ratio(column_least(table, xa, lam), xa, lam)
+        return ratio(column_least(table, xa, lam)[0], xa, lam)
 
     # One column per record: the maximum over the directions.
     xa_col, lam_col = _box(xi_grid, lam_grid)

@@ -100,6 +100,44 @@ def test_roots_and_solve_commands(e1_path, capsys):
     assert "w_1" in out and "w_2" in out and "norms" in out
 
 
+def test_point_queries_at_a_scaled_down_point(e1_path, capsys):
+    # At (1e-8, 1e-3) e1's roots are +-1e-8 i and about +-1e-3 i: 1e-5 of
+    # the largest root from the real axis, which an absolute 1e-6 refused.
+    argv = ["--xi-prime", "1e-8", "--lam", "1e-3", "--format", "json"]
+    assert run(["roots", e1_path] + argv) == 0
+    upper = json.loads(capsys.readouterr().out)["upper"]
+    assert sorted(im for _, im in upper) == pytest.approx([1e-8, 1e-3], rel=1e-9)
+    assert run(["solve", e1_path] + argv) == 0
+
+
+# Real pencils whose symbol changes sign on the slice (ROADMAP D16):
+# |xi|^2 - 2 lambda^2, |xi|^2 - lambda^2, |xi|^2 - 3 lambda^2 with n = 3,
+# and e1 with its A_2 negated.
+_SQUARES = {2: [[2, 0], [0, 2]], 3: [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}
+SIGN_CHANGING = {
+    name: {"n": n, "m": 1, "mu": 0, "terms": [
+        *({"alpha": a, "j": 2, "re": 1.0} for a in _SQUARES[n]),
+        {"alpha": [0] * n, "j": 0, "re": -c}]}
+    for name, n, c in (("xi2-2lam2", 2, 2.0), ("xi2-lam2", 2, 1.0),
+                       ("xi2-3lam2-n3", 3, 3.0))}
+SIGN_CHANGING["e1-negated-A2"] = {"n": 2, "m": 2, "mu": 1, "terms": [
+    {"alpha": [4, 0], "j": 4, "re": 1.0}, {"alpha": [2, 2], "j": 4, "re": 2.0},
+    {"alpha": [0, 4], "j": 4, "re": 1.0}, {"alpha": [2, 0], "j": 2, "re": -1.0},
+    {"alpha": [0, 2], "j": 2, "re": -1.0}]}
+
+
+@pytest.mark.parametrize("name", SIGN_CHANGING)
+def test_symbol_of_both_signs_is_not_elliptic(name, tmp_path, capsys):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(SIGN_CHANGING[name]))
+    for angular in ("90", "720", "721", "1440"):
+        assert run(["ellipticity", str(path), "--grid-angular", angular,
+                    "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert not data["cond_iii"] and data["min_ratio"] == data["C_est"] == 0.0
+    assert run(["verify", str(path), "--suite", "prop52", "--out", str(tmp_path / "rep")]) == 1
+
+
 def test_solve_norms_come_from_the_gramian(e1_path, capsys):
     assert run(["solve", e1_path, "--xi-prime", "1.0", "--lam", "10",
                 "--format", "json"]) == 0

@@ -141,6 +141,34 @@ def test_check_lemma21_broken_fails_condition_iii_on_every_grid(angular):
     assert not rep.cond_iii
 
 
+def _minus_lambda2(n, c):
+    """|xi|^2 - c lambda^2 in n variables (m = 1, mu = 0)."""
+    return Pencil(n=n, m=1, mu=0, terms=tuple(
+        Term(tuple(2 if k == i else 0 for k in range(n)), 2, 1.0) for i in range(n))
+        + (Term((0,) * n, 0, -c),))
+
+
+# Real pencils whose symbol changes sign on the slice (ROADMAP D16).  The
+# zero of |xi|^2 - lambda^2 lies on a node of the odd grids only, and e1
+# with its A_2 negated is |xi|^2 (|xi|^2 - lambda^2).
+SIGN_CHANGING = {
+    "xi2-2lam2": _minus_lambda2(2, 2.0),
+    "xi2-lam2": _minus_lambda2(2, 1.0),
+    "xi2-3lam2-n3": _minus_lambda2(3, 3.0),
+    "e1-negated-A2": Pencil(n=2, m=2, mu=1, terms=tuple(
+        Term(t.alpha, t.j, -t.coeff if t.j == 2 else t.coeff) for t in e1_pencil().terms))}
+
+
+@pytest.mark.parametrize("angular", [1, 2, 90, 720, 721, 1440])
+@pytest.mark.parametrize("name", SIGN_CHANGING)
+def test_check_lemma21_fails_a_real_symbol_of_both_signs(name, angular):
+    # The slice is connected and the signed ratio continuous on it, so a
+    # sign change among the nodes and the slice's ends is a zero.
+    rep = check_lemma21(SIGN_CHANGING[name], GridSpec(angular=angular, directions=angular))
+    assert not rep.cond_iii and not rep.n_elliptic
+    assert rep.min_ratio == rep.C_est == 0.0
+
+
 def test_q_polynomial():
     assert np.allclose(q_polynomial(e1_pencil()), [1.0, 0.0, 1.0])
     assert np.allclose(q_polynomial(agmon_pencil()), [1.0, 0.0, 1.0])
@@ -352,6 +380,32 @@ def test_tau_roots_sextic_at_large_lambda(lam):
     assert _mesh_against_loop(_sextic(), np.array([[1.0]]), np.array([lam])) is None
 
 
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
+def test_tau_roots_accept_a_point_at_every_scale(name):
+    # At (2^k xi', 2^k lambda) the roots are 2^k times those at (xi',
+    # lambda): the real-axis rule is relative, so it accepts the point at
+    # every scale, down to |xi'| + lambda of about 1e-13.
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        direction = rng.standard_normal(p.n - 1)
+        xi = 10.0 ** rng.uniform(-1.0, 1.0) * direction / np.linalg.norm(direction)
+        lam = float(10.0 ** rng.uniform(-1.0, 3.0))
+        total = sum(tau_roots(p, xi, lam).upper)
+        for k in range(-40, 41):
+            upper = tau_roots(p, 2.0 ** k * xi, 2.0 ** k * lam).upper
+            assert len(upper) == p.m
+            assert sum(upper) == pytest.approx(2.0 ** k * total, rel=1e-9)
+
+
+def test_tau_roots_refuse_a_real_root_at_every_scale():
+    # |xi|^2 - 2 lambda^2 at (1, 3): tau^2 = 17.
+    p = SIGN_CHANGING["xi2-2lam2"]
+    for k in range(-40, 41):
+        with pytest.raises(EllipticityError, match="root on the real axis"):
+            tau_roots(p, np.array([2.0 ** k]), 3.0 * 2.0 ** k)
+
+
 def test_vanishing_leading_coefficient_still_raises():
     # A_2m(e_n) = 0: xi_n^2m is missing, at every scale.
     p = Pencil(n=2, m=1, mu=0, terms=(Term((2, 0), 2, 1.0), Term((1, 1), 2, 0.5),
@@ -469,25 +523,30 @@ def test_group_roots_targets_are_q_upper_roots(pencil):
 
 
 def test_group_roots_solves_q_once_per_pencil(monkeypatch):
-    # Q depends on the pencil alone: repeated groupings of equal pencils,
-    # at several points, find its roots once.
-    check_regular_degeneration.cache_clear()
-    q = q_polynomial(e1_pencil())
+    # Q depends on the pencil alone: repeated groupings of one pencil, at
+    # several points, find its roots once; an equal pencil solves it again.
+    p = e1_pencil()
+    q = q_polynomial(p)
     seen = []
     def counting(coeffs):
         seen.append(np.array_equal(coeffs, q))
         return poly_roots(coeffs)
     monkeypatch.setattr(pencil_mod, "poly_roots", counting)
     for lam in (1.0, 10.0, 100.0):      # at |xi'| = 1, A_2mu's tau-polynomial is Q
-        group_roots(e1_pencil(), np.array([2.0]), lam)
+        group_roots(p, np.array([2.0]), lam)
     assert sum(seen) == 1
     assert len(seen) == 1 + 3 * 2    # Q; tau_roots and A_2mu per grouping
-    # tau_roots keeps the last point's roots: solve there finds none again,
+    assert check_regular_degeneration(p) is check_regular_degeneration(p)
+    # The pencil keeps its last point's roots: solve there finds none again,
     # and a grouping at a new point finds its roots and A_2mu's.
-    halfline.solve(e1_pencil(), np.array([2.0]), 100.0)
+    halfline.solve(p, np.array([2.0]), 100.0)
     assert len(seen) == 7
-    group_roots(e1_pencil(), np.array([2.0]), 1000.0)
+    group_roots(p, np.array([2.0]), 1000.0)
     assert len(seen) == 9
+    fresh = e1_pencil()
+    assert fresh == p and hash(fresh) == hash(p)
+    group_roots(fresh, np.array([2.0]), 1000.0)
+    assert sum(seen) == 2 and len(seen) == 12
 
 
 BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
@@ -501,8 +560,8 @@ def _field_reprs(obj) -> list[str]:
 
 def test_tau_roots_memo_gives_the_cold_results_bit_for_bit():
     # 8 seeded points on each benchmark pencil.  Warm: group_roots and solve
-    # after tau_roots at the same point, both served from tau_roots' memo.
-    # Cold: each call with the memo emptied first.
+    # after tau_roots at the same point on one pencil object, both served
+    # from the roots it keeps.  Cold: each call on a fresh equal pencil.
     rng = np.random.default_rng(23)
     calls = (tau_roots, group_roots, halfline.solve)
     for name in ("e1", "agmon", "e1_n3", "double", "near"):
@@ -511,11 +570,7 @@ def test_tau_roots_memo_gives_the_cold_results_bit_for_bit():
             direction = rng.standard_normal(p.n - 1)
             xi = 10.0 ** rng.uniform(-1.0, 1.0) * direction / np.linalg.norm(direction)
             lam = float(10.0 ** rng.uniform(-1.0, 3.0))
-            cold = []
-            for call in calls:
-                pencil_mod._last_roots.clear()
-                cold.append(call(p, xi, lam))
-            pencil_mod._last_roots.clear()
+            cold = [call(dataclasses.replace(p), xi, lam) for call in calls]
             warm = [call(p, xi, lam) for call in calls]
             assert _field_reprs(warm[0]) == _field_reprs(cold[0])
             assert _field_reprs(warm[1]) == _field_reprs(cold[1])
@@ -524,6 +579,8 @@ def test_tau_roots_memo_gives_the_cold_results_bit_for_bit():
 
 
 def test_tau_roots_memo_keys_on_the_pencil_and_the_bits_of_the_point(monkeypatch):
+    # Each pencil object keeps its own last point: two pencils queried in
+    # turn each keep theirs, and an equal pencil keeps nothing of another.
     solved = []
     def counting(coeffs):
         solved.append(1)
@@ -533,25 +590,32 @@ def test_tau_roots_memo_keys_on_the_pencil_and_the_bits_of_the_point(monkeypatch
     for p, xi, lam, misses in [
             (a, 1.0, 2.0, 1),
             (a, 1.0, 2.0, 1),               # the same point
-            (agmon_pencil(), 1.0, 2.0, 1),  # an equal pencil
-            (e1, 1.0, 2.0, 2),              # another pencil
-            (a, 1.0, 2.0, 3),               # one entry: agmon's was replaced
+            (agmon_pencil(), 1.0, 2.0, 2),  # an equal pencil
+            (e1, 1.0, 2.0, 3),              # another pencil
+            (a, 1.0, 2.0, 3),               # each keeps its own point
+            (e1, 1.0, 2.0, 3),
             (a, 1.0, 3.0, 4),               # another lambda
-            (a, 0.0, 3.0, 5),
-            (a, -0.0, 3.0, 6),              # -0.0 == 0.0, but other bits
-            (a, -0.0, 3.0, 6),
-            (e1, 1.0, 0.0, 7),
-            (e1, 1.0, -0.0, 8)]:
+            (a, 1.0, 2.0, 5),               # one entry: (1, 2) was replaced
+            (a, 0.0, 3.0, 6),
+            (a, -0.0, 3.0, 7),              # -0.0 == 0.0, but other bits
+            (a, -0.0, 3.0, 7),
+            (e1, 1.0, 0.0, 8),
+            (e1, 1.0, -0.0, 9)]:
         rs = tau_roots(p, np.array([xi]), lam)
         assert len(solved) == misses
         assert rs == tau_roots(p, np.array([xi]), lam)
-    assert len(solved) == 8
+    # The same bits in another shape are another point, which tau_polynomial
+    # refuses.
+    with pytest.raises(ValueError, match="xi' has shape"):
+        tau_roots(e1, np.array([[1.0]]), -0.0)
+    assert len(solved) == 9
 
 
 def test_tau_roots_memo_keeps_no_failure(monkeypatch):
-    # e1 at (1e-4, 100) is rejected as a root on the real axis (ROADMAP D11):
-    # each call solves and raises, and the point kept before stays kept.
-    kept = tau_roots(e1_pencil(), np.array([1.0]), 10.0)
+    # e1 at xi' = 0 has a double root at tau = 0, which is real: each call
+    # solves and raises, and the point kept before stays kept.
+    p = e1_pencil()
+    kept = tau_roots(p, np.array([1.0]), 10.0)
     solved = []
     def counting(coeffs):
         solved.append(1)
@@ -559,9 +623,9 @@ def test_tau_roots_memo_keeps_no_failure(monkeypatch):
     monkeypatch.setattr(pencil_mod, "poly_roots", counting)
     for calls in (1, 2):
         with pytest.raises(EllipticityError, match="root on the real axis"):
-            tau_roots(e1_pencil(), np.array([1e-4]), 100.0)
+            tau_roots(p, np.array([0.0]), 1.0)
         assert len(solved) == calls
-    assert tau_roots(e1_pencil(), np.array([1.0]), 10.0) is kept
+    assert tau_roots(p, np.array([1.0]), 10.0) is kept
     assert len(solved) == 2
 
 
@@ -642,15 +706,21 @@ def test_match_groups_on_lists_equals_the_array_version(case):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
-def test_pencil_hash_is_the_dataclass_hash_computed_once():
+def test_pencil_hash_and_fields_ignore_what_it_keeps():
+    # The roots and Q's result a pencil keeps are no field: equality, the
+    # dataclass hash and repr see the four fields alone, and a copy made by
+    # dataclasses.replace keeps nothing.
     p, q = e1_pencil(), pencil_from_dict(pencil_to_dict(e1_pencil()))
+    group_roots(p, np.array([1.0]), 10.0)
     assert p == q and p is not q and hash(p) == hash(q)
     assert hash(p) == hash((p.n, p.m, p.mu, p.terms))
     assert [f.name for f in dataclasses.fields(p)] == ["n", "m", "mu", "terms"]
-    assert repr(p).startswith("Pencil(n=2, m=2, mu=1, terms=(Term(") and "_hash" not in repr(p)
+    assert repr(p) == repr(e1_pencil()) and "_derived" not in repr(p)
     r = dataclasses.replace(p, terms=p.terms[:-1])
     assert r != p and hash(r) == hash((r.n, r.m, r.mu, r.terms)) != hash(p)
-    assert hash(dataclasses.replace(p)) == hash(p)
+    copy = dataclasses.replace(p)
+    assert copy == p and hash(copy) == hash(p)
+    assert p._derived and not copy._derived and not q._derived
 
 
 def test_group_roots_rejects_unsettled_degeneration(monkeypatch):
@@ -902,10 +972,17 @@ def _assert_slice_scans_bit_identical(p, grid, prop52=True):
     ratio = np.full(vals.shape, np.inf)
     np.divide(np.abs(vals), denom, out=ratio, where=denom > 1e-300)
     k, d = np.unravel_index(np.argmin(ratio), ratio.shape)
+    # A real symbol of both signs, among the nodes and the slice's ends
+    # (A_2m and A_2mu), vanishes on the slice: its least ratio is 0.
+    signed = np.concatenate([vals.ravel(), _complex_part(p, 2 * p.m, dirs),
+                             _complex_part(p, 2 * p.mu, dirs)])
+    both_signs = (all(t.coeff.imag == 0 for t in p.terms)
+                  and (signed.real < 0).any() and (signed.real > 0).any())
+    min_ratio = 0.0 if both_signs else ratio[k, d]
     assert rep.min_abs == np.abs(vals).min()
-    assert rep.min_ratio == ratio[k, d]
-    elliptic = min(ratio[k, d], ref_i[1], ref_ii[1]) > grid.tol * p.coeff_scale
-    assert rep.C_est == (ratio[k, d] if elliptic else 0.0)
+    assert rep.min_ratio == min_ratio
+    elliptic = min(min_ratio, ref_i[1], ref_ii[1]) > grid.tol * p.coeff_scale
+    assert rep.C_est == (min_ratio if elliptic else 0.0)
     assert _same(rep.witness_iii[0], rho[k] * dirs[d])
     assert rep.witness_iii[1] == lam[k]
 
@@ -955,7 +1032,13 @@ CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     (CPLX_N2, GridSpec(angular=7, directions=30)),
     (CPLX_N3, GridSpec(angular=3, directions=30)),
     # No term: every part is zero.
-    (Pencil(n=2, m=1, mu=0, terms=()), GridSpec(angular=7, directions=30))])
+    (Pencil(n=2, m=1, mu=0, terms=()), GridSpec(angular=7, directions=30)),
+    # Symbols of both signs: blocks with a negative value take |.|.
+    *((p, GridSpec(angular=97, directions=720)) for p in SIGN_CHANGING.values()),
+    # A negative symbol: its least |A| is minus the column maxima.
+    (Pencil(n=2, m=3, mu=1, terms=tuple(Term(t.alpha, t.j, -2.0 * t.coeff)
+                                        for t in M3.terms)),
+     GridSpec(angular=97, directions=720))])
 def test_slice_scans_bit_identical_to_full_ratio(p, grid):
     _assert_slice_scans_bit_identical(p, grid)
 

@@ -32,7 +32,6 @@ import numpy as np
 from .pencil import Pencil, cluster_roots, mesh_upper_roots, tau_roots
 
 MERGE_TOL = 1e-4
-CONTOUR_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def solve_from_roots(upper_roots):
     Roots within MERGE_TOL * |c| of a cluster's running mean c are merged
     at c, and w_j is the residue sum with A_+ and M_j built from the merged
     roots: it meets its boundary data to rounding and, as A_+ divides the
-    full symbol, its ODE (see `ode_residual`) to the merge's (g/2)^2.
+    full symbol, its ODE to the merge's (g/2)^2.
     `roots` keeps the given roots.
     """
     upper_roots = [complex(r) for r in upper_roots]
@@ -190,28 +189,6 @@ def boundary_defect(sol: ExpPolySolution) -> float:
     return worst
 
 
-def ode_residual(sol: ExpPolySolution, coeffs_asc) -> float:
-    """Coefficientwise residual of A(xi', D_t, lambda) w_j = 0.
-
-    Applies the tau-polynomial to each exponential-polynomial term and
-    returns the largest resulting coefficient magnitude, relative to the
-    polynomial scale.
-    """
-    coeffs_asc = np.asarray(coeffs_asc, dtype=complex)
-    scale = np.max(np.abs(coeffs_asc))
-    worst = 0.0
-    for term in sol.terms:
-        acc = np.zeros(len(term.poly), dtype=complex)
-        work = [ExpPolyTerm(term.tau, term.poly)]
-        for c in coeffs_asc:
-            contrib = np.asarray(work[0].poly, dtype=complex)
-            acc[: len(contrib)] += c * contrib
-            work = _deriv_once(work)
-        term_scale = scale * max(1.0, float(np.max(np.abs(term.poly))))
-        worst = max(worst, float(np.max(np.abs(acc))) / term_scale)
-    return worst
-
-
 def l2_norm_deriv(sol: ExpPolySolution, l: int) -> float:
     """Exact L2(0, inf) norm of D_t^l w_j via the Gram formula.
 
@@ -228,33 +205,6 @@ def l2_norm_deriv(sol: ExpPolySolution, l: int) -> float:
                     total += (ca * cb.conjugate()
                               * math.factorial(pa + pb) / c ** (pa + pb + 1))
     return math.sqrt(max(total.real, 0.0))
-
-
-def contour_eval(sol: ExpPolySolution, l: int, t: float) -> complex:
-    """Independent contour-quadrature evaluation of D_t^l w_j(t).
-
-    Trapezoid rule with CONTOUR_NODES points on each of a union of circles,
-    one per root cluster; small circles keep |e^{izt}| moderate on the
-    contour, which preserves relative accuracy.  Serves as an oracle for
-    the residue construction.
-    """
-    a = vieta(sol.roots)
-    mj_desc = mj(a, sol.j)
-    clusters = cluster_roots(sol.roots)
-    centers = np.array([c for c, _ in clusters])
-    theta = 2.0 * np.pi * (np.arange(CONTOUR_NODES) + 0.5) / CONTOUR_NODES
-    out = 0j
-    for i, center in enumerate(centers):
-        others = np.delete(centers, i)
-        gap = np.min(np.abs(others - center)) if others.size else np.inf
-        # non-overlapping circles: nearest foreign pole stays 0.55*gap away
-        radius = max(min(0.45 * gap, 0.5), 1e-6)
-        z = center + radius * np.exp(1j * theta)
-        dz = 1j * radius * np.exp(1j * theta)
-        vals = (z ** l * np.polyval(mj_desc, z) * np.exp(1j * t * z)
-                / np.polyval(a, z))
-        out += np.sum(vals * dz) / (1j * CONTOUR_NODES)
-    return complex(out)
 
 
 def split_by_group(sol: ExpPolySolution, grouping):

@@ -103,14 +103,6 @@ def pencil_from_dict(data: dict) -> Pencil:
     return Pencil(n=n, m=m, mu=mu, terms=terms)
 
 
-def pencil_to_dict(p: Pencil) -> dict:
-    return {
-        "n": p.n, "m": p.m, "mu": p.mu,
-        "terms": [{"alpha": list(t.alpha), "j": t.j,
-                   "re": t.coeff.real, "im": t.coeff.imag} for t in p.terms],
-    }
-
-
 def load_pencil(path) -> Pencil:
     with open(path) as fh:
         try:
@@ -654,13 +646,12 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
 
 @dataclass(frozen=True)
 class RootSet:
-    all_roots: tuple[complex, ...]
     upper: tuple[complex, ...]
     lower: tuple[complex, ...]
 
 
 def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
-    """All 2m roots of A(xi', tau, lambda), with the upper half marked.
+    """The 2m roots of A(xi', tau, lambda), upper and lower half-plane apart.
 
     Raises EllipticityError if a root sits on the real axis (within
     tolerance) or if the upper count differs from m, and tau_polynomial's
@@ -683,13 +674,13 @@ def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
     if _near_real_axis(roots):
         raise EllipticityError(
             f"root on the real axis at xi'={xi_prime}, lambda={lam}")
-    all_roots, upper, lower = roots.tolist(), [], []
-    for r in all_roots:
+    upper, lower = [], []
+    for r in roots.tolist():
         (upper if r.imag > 0 else lower).append(r)
     if len(upper) != p.m:
         raise EllipticityError(
             f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
-    rs = RootSet(tuple(all_roots), tuple(upper), tuple(lower))
+    rs = RootSet(tuple(upper), tuple(lower))
     p._derived["roots"] = key, rs
     return rs
 

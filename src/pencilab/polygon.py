@@ -59,15 +59,6 @@ class NewtonPolygon:
     def k_max(self) -> Fraction:
         return max(v[1] for v in self.vertices)
 
-    def contains(self, a, b) -> bool:
-        a, b = Fraction(a), Fraction(b)
-        if a < 0 or b < 0 or b > self.k_max or a > self.i_max:
-            return False
-        for s in self.sides:
-            if not s.is_horizontal and a + s.r * b > s.d:
-                return False
-        return True
-
     def integer_points(self) -> list[tuple[int, int]]:
         """All lattice points inside or on the hull."""
         pts = []
@@ -80,9 +71,6 @@ class NewtonPolygon:
                 continue
             pts.extend((i, k) for i in range(int(bound) + 1))
         return pts
-
-    def slopes(self) -> list[Fraction | float]:
-        return [s.r for s in self.sides]
 
 
 def build_polygon(points) -> NewtonPolygon:
@@ -152,24 +140,3 @@ def r_degree(np_: NewtonPolygon, r):
     if r <= 0:
         raise ValueError("r must be positive or infinite")
     return max(v[0] + r * v[1] for v in np_.vertices)
-
-
-def principal_part(terms, r):
-    """Terms of a coefficient table on the side of exterior normal (1, r).
-
-    `terms` is a sequence of (alpha, k, coeff) with alpha a multi-index.
-    Keeps exactly the terms with |alpha| + r*k maximal; for r = inf keeps
-    the terms with maximal k and, among those, maximal |alpha|.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty coefficient table")
-    if r == INF:
-        b1 = max(k for (_, k, _) in terms)
-        a2 = max(sum(alpha) for (alpha, k, _) in terms if k == b1)
-        return [(alpha, k, c) for (alpha, k, c) in terms
-                if k == b1 and sum(alpha) == a2]
-    r = Fraction(r)
-    degs = [Fraction(sum(alpha)) + r * k for (alpha, k, _) in terms]
-    d = max(degs)
-    return [t for t, dg in zip(terms, degs) if dg == d]

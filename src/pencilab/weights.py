@@ -139,13 +139,13 @@ def shift(w: ProductWeight, s) -> ProductWeight:
 
 # Trapezoid rule in u = log t.  The integrand is analytic in the strip
 # |Im u| < pi/2 (singularities at u = log a_s +- i pi/2), so the error of
-# step h falls like exp(-pi^2 / h), about 4e-22 at h = 0.2.  The lattice
-# runs from _MARGIN below the smallest log-scale to _MARGIN above the
-# largest, the same for every l.  Past its ends the integrand is a power of
-# t times a binomial series in (t / a_s)^2 or (a_s / t)^2, both at most
-# exp(-2 _MARGIN), so each infinite tail of the rule is a sum of geometric
-# series.  The first term left out is below C(E + 12, 13) e^(-52) of its
-# tail, E = sum 2m_s: 2e-19 at E = 6.
+# step h falls like exp(-pi^2 / h), about 4e-22 at h = 0.2.  Each point's
+# lattice runs from _MARGIN below its smallest log-scale to _MARGIN above
+# its largest, the same for every l.  Past its ends the integrand is a
+# power of t times a binomial series in (t / a_s)^2 or (a_s / t)^2, both at
+# most exp(-2 _MARGIN), so each infinite tail of the rule is a sum of
+# geometric series.  The first term left out is below C(E + 12, 13)
+# e^(-52) of its tail, E = sum 2m_s: 2e-19 at E = 6.
 _STEP = 0.2
 _MARGIN = 2.0
 _TERMS = 12
@@ -180,20 +180,26 @@ def _trapezoid(log_a, exps, rates):
     not a bound: it holds at the default step h = 0.2, where the error is
     at rounding level, but at h = 0.3-0.6 the change from halving the step
     exceeded r^2 in 19-98 of 500 random sets of one to three scales.
+
+    Each row has its own odd node count.  The nodes run along the first
+    axis, those past a row's last one add exact zeros (log-integrand -inf)
+    and the sums add in node order, so a row gives the same bits alone.
     """
     h = _STEP
     lo, hi = log_a.min(axis=1), log_a.max(axis=1)
-    count = int(np.ceil(((hi - lo).max() + 2 * _MARGIN) / h)) + 1
-    count += 1 - count % 2
-    u = (lo - _MARGIN)[:, None] + h * np.arange(count)
+    counts = np.ceil((hi - lo + 2 * _MARGIN) / h).astype(int) + 1
+    counts += 1 - counts % 2
+    nodes = np.arange(counts.max())[:, None]
+    u = (lo - _MARGIN) + h * nodes
     # log of t^(2l) dt/du / prod (t^2+a_s^2)^(2m_s) with t = e^u, dt/du = t;
     # logaddexp keeps huge and tiny scales from overflowing.  Only the power
-    # of t depends on l.
+    # of t depends on l.  f has shape (nodes, l, rows).
     left, right = rates[:, :1], rates[:, 1:]
-    f = left[:, :, None] * u - sum(e * np.logaddexp(2.0 * u, 2.0 * log_a[:, s, None])
-                                   for s, e in enumerate(exps))
-    top = f.max(axis=2)
-    g = np.exp(f - top[:, :, None])
+    decay = sum(e * np.logaddexp(2.0 * u, 2.0 * log_a[:, s]) for s, e in enumerate(exps))
+    decay[nodes >= counts] = np.inf
+    f = left * u[:, None] - decay[:, None]
+    top = f.max(axis=0)
+    g = np.exp(f - top)
 
     # Left of the lattice the integrand is t^(2l+1) prod_s a_s^(-2 e_s)
     # (1 + y_s)^(-e_s) with y_s = (t/a_s)^2; right of it, t^(2l+1-2E)
@@ -205,10 +211,11 @@ def _trapezoid(log_a, exps, rates):
     # exact rate, which can be far below 2l+1 and 2E: that tail then holds
     # most of the integral, and 2l+1-2E in float64 would cost it digits.
     rows = len(log_a)
-    y = np.exp(2.0 * np.concatenate([u[:, :1] - log_a, log_a - u[:, -1:]]))
+    first, last = u[0], u[counts - 1, np.arange(rows)]
+    y = np.exp(2.0 * np.concatenate([first[:, None] - log_a, log_a - last[:, None]]))
     c = _series(-y, exps)
-    lead_left = g[:, :, 0] * np.prod((1.0 + y[:rows]) ** exps, axis=1)
-    lead_right = np.exp(-right * u[:, -1] - top)
+    lead_left = g[0] * np.prod((1.0 + y[:rows]) ** exps, axis=1)
+    lead_right = np.exp(-right * last - top)
     twice_n = 2.0 * np.arange(_TERMS + 1)
 
     def tails(step):
@@ -220,8 +227,8 @@ def _trapezoid(log_a, exps, rates):
             for rate, coef in ((left, c[:, :rows]), (right, c[:, rows:])))
         return lead_left * left_sum + lead_right * right_sum
 
-    fine = 2.0 * h * (g.sum(axis=2) + tails(h))
-    coarse = 4.0 * h * (g[:, :, ::2].sum(axis=2) + tails(2.0 * h))
+    fine = 2.0 * h * (g.sum(axis=0) + tails(h))
+    coarse = 4.0 * h * (g[::2].sum(axis=0) + tails(2.0 * h))
     return top, fine, (np.abs(fine - coarse) / fine) ** 2
 
 

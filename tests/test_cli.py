@@ -17,8 +17,8 @@ from pencilab import halfline, verify, weights
 from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
 from pencilab.errors import EllipticityError
-from pencilab.pencil import (GridSpec, Pencil, Term, check_lemma21, pencil_to_dict,
-                             tau_roots)
+from pencilab.pencil import GridSpec, Pencil, Term, check_lemma21, tau_roots
+from reference import pencil_to_dict
 
 
 @pytest.fixture
@@ -108,6 +108,19 @@ def test_point_queries_at_a_scaled_down_point(e1_path, capsys):
     upper = json.loads(capsys.readouterr().out)["upper"]
     assert sorted(im for _, im in upper) == pytest.approx([1e-8, 1e-3], rel=1e-9)
     assert run(["solve", e1_path] + argv) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect D11: at |xi'| / lambda = 1e-6 the bounded roots lie 1e-6 "
+    "of the largest root's modulus from the real axis, and tau_roots "
+    "refuses them as real"))
+@pytest.mark.parametrize("xi, lam", [("1e-4", "100"), ("1", "1e6")])
+def test_point_queries_where_the_bounded_roots_are_small(e1_path, capsys, xi, lam):
+    code = run(["roots", e1_path, "--xi-prime", xi, "--lam", lam])
+    err = capsys.readouterr().err
+    if code and "root on the real axis" not in err:
+        pytest.fail(f"exit {code} for another reason than D11: {err}")
+    assert code == 0, err
 
 
 # Real pencils whose symbol changes sign on the slice (ROADMAP D16):

@@ -6,17 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencilab import halfline, verify
 from pencilab.catalog import agmon_pencil, e1_pencil
 from pencilab.errors import EllipticityError
-from pencilab.halfline import (boundary_defect, contour_eval, eval_deriv,
-                               l2_norm_deriv, mj, ode_residual, solve,
-                               solve_from_roots, split_by_group, vieta)
+from pencilab.halfline import (boundary_defect, eval_deriv, l2_norm_deriv,
+                               mj, solve, solve_from_roots, split_by_group,
+                               vieta)
 from pencilab.pencil import (Pencil, Term, eval_symbol, group_roots, load_pencil,
                              mesh_group_roots, tau_polynomial, tau_roots)
+from reference import contour_eval, ode_residual
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -332,13 +333,26 @@ def _node_arrays(p, nodes):
 @settings(max_examples=40, deadline=None)
 @given(_half_line_pencils().filter(lambda p: p.mu > 0), st.floats(1e-2, 1e2),
        st.floats(0.0, 2 * math.pi), st.floats(1e-2, 1e3))
+# xi_1^4 + xi_1^2 lambda^2 + xi_2^4 + xi_2^2 lambda^2 at |xi'| / lambda =
+# 9.99e-7, which the real-axis test refuses (ROADMAP D11).
+@example(Pencil(n=2, m=2, mu=1, terms=(
+    Term((4, 0), 4, 1.0), Term((2, 0), 2, 1.0), Term((0, 4), 4, 1.0),
+    Term((0, 2), 2, 1.0))), 0.0625, 4.71875, 398.0)
 def test_bounded_targets_are_zeros_of_a2mu(p, radius, angle, lam):
     # group_roots builds A_2mu(xi', .) with tau_polynomial's term loop.  Here
     # eval_symbol gives A_2mu at 2mu + 1 real tau, and Lagrange interpolation,
     # exact for degree 2mu, carries it to each complex target.
     xi_prime = radius * np.array([math.cos(angle), math.sin(angle)])[:p.n - 1]
     a2mu = Pencil(p.n, p.m, p.mu, tuple(t for t in p.terms if t.j == 2 * p.mu))
-    targets = group_roots(p, xi_prime, lam).bounded_targets
+    try:
+        targets = group_roots(p, xi_prime, lam).bounded_targets
+    except EllipticityError as exc:
+        if "root on the real axis" not in str(exc):
+            raise
+        # D11 refuses accurate roots where the bounded ones are small against
+        # the large ones; the refusal is this test's business only there.
+        assert np.linalg.norm(xi_prime) / lam < 1e-5, f"not D11: {exc}"
+        return
     assert len(targets) == p.mu
     nodes = max(abs(tau) for tau in targets) * np.linspace(-1.0, 1.0, 2 * p.mu + 1)
     values = [eval_symbol(a2mu, np.append(xi_prime, t), 1.0) for t in nodes]

@@ -25,11 +25,11 @@ from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
                              Term, check_lemma21, check_regular_degeneration,
                              cluster_roots, eval_symbol, group_roots,
                              load_pencil, mesh_group_roots, pencil_from_dict,
-                             pencil_to_dict, poly_roots, q_polynomial,
-                             remark22_checks, sphere_directions,
-                             tau_polynomial, tau_roots)
+                             poly_roots, q_polynomial, remark22_checks,
+                             sphere_directions, tau_polynomial, tau_roots)
 from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
                              sweep_multiplier_rn)
+from reference import PENCILS, pencil_to_dict
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
 
@@ -465,7 +465,7 @@ def test_root_continuity_no_axis_crossing():
     prev = None
     for lam in np.geomspace(0.5, 50.0, 40):
         rs = tau_roots(p, np.array([1.0]), lam)
-        cur = np.array(rs.all_roots)
+        cur = np.array(rs.upper + rs.lower)
         if prev is not None:
             # nearest-neighbor step stays well off the real axis
             for r in cur:
@@ -1005,16 +1005,12 @@ E1_N3 = Pencil(n=3, m=2, mu=1, terms=tuple(
         ((2, 0, 2), 2.0), ((0, 2, 2), 2.0), ((2, 0, 0), 1.0), ((0, 2, 0), 1.0),
         ((0, 0, 2), 1.0))))
 # tau^2 + lambda^2: n = 1, whose sphere is the two directions +-1.
-N1 = Pencil(n=1, m=1, mu=0, terms=(Term((2,), 2, 1.0), Term((0,), 0, 1.0)))
+N1 = load_pencil(PENCILS / "n1.json")
 # |xi|^2 (|xi|^2 + lambda^2)^2: three nonzero parts (j = 6, 4, 2).
-M3 = Pencil(n=2, m=3, mu=1, terms=tuple(
-    Term(alpha, sum(alpha), complex(c)) for alpha, c in (
-        ((6, 0), 1.0), ((4, 2), 3.0), ((2, 4), 3.0), ((0, 6), 1.0), ((4, 0), 2.0),
-        ((2, 2), 4.0), ((0, 4), 2.0), ((2, 0), 1.0), ((0, 2), 1.0))))
+M3 = load_pencil(PENCILS / "m3.json")
 # |xi|^2 + c lambda^2 with c = e^(i pi/4) (n = 2) and c = i (n = 3): complex
 # tables.
-CPLX_N2 = Pencil(n=2, m=1, mu=0, terms=(
-    Term((2, 0), 2, 1.0), Term((0, 2), 2, 1.0), Term((0, 0), 0, cmath.exp(0.25j * math.pi))))
+CPLX_N2 = load_pencil(PENCILS / "cplx.json")
 CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     Term((2, 0, 0), 2, 1.0), Term((0, 2, 0), 2, 1.0), Term((0, 0, 2), 2, 1.0),
     Term((0, 0, 0), 0, 1j)))

@@ -1,4 +1,4 @@
-"""Tests for convex hull geometry, slopes, degrees, and principal parts."""
+"""Tests for convex hull geometry, slopes and degrees."""
 
 import itertools
 import re
@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pencilab.errors import UnsupportedShapeError
-from pencilab.polygon import (INF, NewtonPolygon, Side, _cross, build_polygon,
-                              principal_part, r_degree)
+from pencilab.polygon import INF, NewtonPolygon, Side, _cross, build_polygon, r_degree
+from reference import contains
 
 F = Fraction
 
@@ -146,7 +146,7 @@ def test_pencil_shape_polygon(m, mu):
     np_ = build_polygon({(2 * m, 0), (2 * mu, 2 * m - 2 * mu)})
     assert set(np_.vertices) == {(0, 0), (2 * m, 0), (2 * mu, 2 * m - 2 * mu),
                                  (0, 2 * m - 2 * mu)}
-    rs = np_.slopes()
+    rs = [s.r for s in np_.sides]
     assert rs[0] == INF
     assert rs[1] == F(2 * m - 2 * mu, 2 * m - 2 * mu) == 1
 
@@ -162,7 +162,6 @@ def test_vertical_last_side_rejected():
     (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), 0), "r must be positive or infinite"),
     (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), F(-1, 2)),
      "r must be positive or infinite"),
-    (lambda: principal_part([], 1), "empty coefficient table"),
 ])
 def test_polygon_input_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -208,7 +207,7 @@ def test_slopes_strictly_decreasing(points):
         np_ = build_polygon(points)
     except UnsupportedShapeError:
         return
-    rs = np_.slopes()
+    rs = [s.r for s in np_.sides]
     assert np_.degenerate or rs
     assert all(a > b for a, b in zip(rs, rs[1:]))
 
@@ -218,21 +217,7 @@ def test_contains_and_integer_points():
     pts = set(np_.integer_points())
     assert (3, 1) in pts and (4, 0) in pts and (0, 2) in pts
     assert (4, 1) not in pts
-    assert np_.contains(3, 1) and not np_.contains(4, 1)
-
-
-def test_principal_part_finite_r():
-    terms = [((4, 0), 0, 1.0), ((2, 0), 2, 1.0)]   # |xi|^4 + lambda^2 |xi|^2
-    assert principal_part(terms, 1) == terms        # both have i + k = 4
-    assert principal_part(terms, 2) == [((2, 0), 2, 1.0)]
-
-
-def test_principal_part_infinite_r_and_constant():
-    terms = [((4, 0), 0, 1.0), ((2, 0), 2, 1.0), ((0, 0), 2, 3.0)]
-    assert principal_part(terms, INF) == [((2, 0), 2, 1.0)]
-    const = [((0, 0), 0, 5.0)]
-    assert principal_part(const, 1) == const
-    assert principal_part(const, INF) == const
+    assert contains(np_, 3, 1) and not contains(np_, 4, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +232,7 @@ def test_hull_idempotence(points):
         return
     again = build_polygon(np_.integer_points())
     assert set(again.vertices) == set(np_.vertices)
-    assert again.slopes() == np_.slopes()
+    assert [s.r for s in again.sides] == [s.r for s in np_.sides]
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,4 +246,4 @@ def test_generators_inside_hull(points):
     if np_.degenerate:
         return
     for (i, k) in points:
-        assert np_.contains(i, k)
+        assert contains(np_, i, k)

@@ -16,6 +16,7 @@ from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_penc
                              sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
+from reference import PENCILS
 
 
 def test_summary_band_and_first_witnesses():
@@ -353,23 +354,11 @@ def test_unknown_suite_raises():
         verify.run_suites(["polygon", "nope"], e1_pencil())
 
 
-def _e1_n4() -> Pencil:
-    """|xi|^2 (|xi|^2 + lambda^2) in four variables: m = 2, mu = 1."""
-    def mono(*powers):
-        alpha = [0] * 4
-        for i, a in powers:
-            alpha[i] = a
-        return tuple(alpha)
-    return Pencil(n=4, m=2, mu=1, terms=tuple(
-        [Term(mono((i, 4)), 4, 1.0) for i in range(4)]
-        + [Term(mono((i, 2), (k, 2)), 4, 2.0) for i in range(4) for k in range(i + 1, 4)]
-        + [Term(mono((i, 2)), 2, 1.0) for i in range(4)]))
-
-
 @pytest.mark.parametrize("density", [1, 2])
 def test_four_variables_pass_every_suite(density):
-    # n >= 4 takes the seeded Gaussian directions of sphere_directions.
-    p = _e1_n4()
+    # |xi|^2 (|xi|^2 + lambda^2) in four variables (m = 2, mu = 1): n >= 4
+    # takes the seeded Gaussian directions of sphere_directions.
+    p = load_pencil(PENCILS / "e1_n4.json")
     dirs = sphere_directions(4, 48)
     assert dirs.shape == (48, 4)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
@@ -473,8 +462,7 @@ COLUMN_ORDER = {
 def test_summary_witnesses_are_json_rows_in_column_order(name):
     # A witness is one row of Python values (no numpy scalars), so the
     # summary is JSON as it stands; its keys follow the suite's columns.
-    p = (Pencil(n=1, m=1, mu=0, terms=(Term((2,), 2, 1.0), Term((0,), 0, 1.0)))
-         if name == "n1" else load_pencil(BENCHMARK_PENCILS / f"{name}.json"))
+    p = load_pencil((PENCILS if name == "n1" else BENCHMARK_PENCILS) / f"{name}.json")
     for suite, rep in verify.run_suites(verify.SUITES, p).items():
         s = rep.summary()
         json.dumps(s)

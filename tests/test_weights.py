@@ -373,19 +373,28 @@ def test_weight_json_round_shape():
     assert d["lambda0"] == 2.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the quadrature lattice of a block of up to 128 points is "
-    "as long as its widest row needs, so a point's trace weight depends on "
-    "the other points of its block; fixing it moves trace.csv"))
 def test_trace_weight_of_a_point_does_not_depend_on_its_block():
-    # e1's weight on the trace suite's density-1 box, every l it checks: 43
-    # of the 56 points differ, by up to 4.2e-16 relative, when each is
-    # computed alone.
+    # e1's weight on the trace suite's density-1 box, every l it checks:
+    # each point alone gives the weight and error estimate it has among the
+    # 56, whose lattices have several lengths.
     w = from_polygon(build_polygon({(4, 0), (2, 2)}))
     xi = np.tile(np.concatenate([[0.0], np.geomspace(1e-1, 1e2, 7)]), 7)
     lam = np.repeat(np.geomspace(1.0, 1e3, 7), 8)
     l_list = [0, 1, 2, 3]
-    together, _ = trace_weight_quadrature(w, l_list, xi, lam)
-    alone = np.stack([trace_weight_quadrature(w, l_list, xi[k:k + 1], lam[k:k + 1])[0][:, 0]
-                      for k in range(len(xi))], axis=1)
-    assert alone.tobytes() == together.tobytes()
+    together = trace_weight_quadrature(w, l_list, xi, lam)
+    for k in range(len(xi)):
+        alone = trace_weight_quadrature(w, l_list, xi[k:k + 1], lam[k:k + 1])
+        for a, b in zip(alone, together):
+            assert a[:, 0].tobytes() == b[:, k].tobytes()
+
+
+def test_trace_weight_does_not_depend_on_the_block_size(monkeypatch):
+    # Three factors at points spread over twelve decades: the rows of a
+    # block need lattices of many lengths.
+    w = ProductWeight(((INF, F(1)), (F(1), F(1, 2)), (F(1, 3), F(1))))
+    rng = np.random.default_rng(7)
+    xi, lam = 10.0 ** rng.uniform(-6, 6, 60), 10.0 ** rng.uniform(-6, 6, 60)
+    whole = trace_weight_quadrature(w, [0, 1, 2], xi, lam)
+    monkeypatch.setattr(weights, "_BLOCK", 7)
+    for a, b in zip(trace_weight_quadrature(w, [0, 1, 2], xi, lam), whole):
+        assert a.tobytes() == b.tobytes()

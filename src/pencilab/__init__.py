@@ -22,5 +22,5 @@ from .halfline import (ExpPolySolution, ExpPolyTerm, boundary_defect,
                        eval_deriv, l2_norm_deriv, solve, solve_from_roots,
                        split_by_group)
 from .catalog import agmon_pencil, broken_pencil, e1_pencil
-from .verify import SweepReport, run_suite, run_suites, write_csv
+from .verify import SweepReport, run_suites, write_csv
 

@@ -51,7 +51,7 @@ def _parse_point(args, n: int):
 def cmd_polygon(args) -> int:
     p = load_pencil(args.pencil)
     np_ = build_polygon(p.exponent_points())
-    w = weights.from_polygon(np_, lambda0=args.lambda0)
+    w = weights.from_polygon(np_)
     lines = ["vertices: " + ", ".join(f"({v[0]},{v[1]})" for v in np_.vertices)]
     for s in np_.sides:
         d = "-" if s.d is None else str(s.d)
@@ -245,7 +245,7 @@ OPTIONS = {
                                "in a slope)"),
 }
 SUBCOMMANDS = (
-    ("polygon", cmd_polygon, ("--lambda0", "--format")),
+    ("polygon", cmd_polygon, ("--format",)),
     ("ellipticity", cmd_ellipticity, ("--tol", "--grid-angular", "--format")),
     ("degeneration", cmd_degeneration, ("--format",)),
     ("roots", cmd_roots, ("--xi-prime", "--lam", "--format")),

@@ -296,10 +296,10 @@ def gramian_norms(upper, y, l_list) -> np.ndarray:
     return np.ldexp(np.sqrt(np.ldexp(sq, power % 2)), power // 2)
 
 
-def split_norms(upper, group, l_list) -> np.ndarray:
-    """||D^l w_j^G|| by (node, j, l), j = 1..m, where w_j^G is the part of
-    w_j on the roots G = upper[k, group[k]] at node k: the residue sum of
-    `split_by_group` over G.
+def split_norms(upper, group) -> np.ndarray:
+    """||D^l w_j^G|| by (node, j, l), j = 1..m and l = 0..m, where w_j^G is
+    the part of w_j on the roots G = upper[k, group[k]] at node k: the
+    residue sum of `split_by_group` over G.
 
     upper has shape (N, m) and group (N, q).  w_j^G solves A_G(D) w = 0,
     A_G = prod over G of (tau - tau_g), and D^k w_j^G(0) is the divided
@@ -315,8 +315,9 @@ def split_norms(upper, group, l_list) -> np.ndarray:
     n, m = upper.shape
     group = np.asarray(group, dtype=int)
     q = group.shape[1]
+    l_list = list(range(m + 1))
     if q == 0:
-        return np.zeros((n, m, len(l_list)))
+        return np.zeros((n, m, m + 1))
     if q == m:
         return gramian_norms(upper, np.eye(m), l_list)
     inside = np.take_along_axis(upper, group, axis=1)
@@ -338,17 +339,16 @@ def split_norms(upper, group, l_list) -> np.ndarray:
     return gramian_norms(inside, y.transpose(0, 2, 1), l_list)
 
 
-def mesh_norms(p: Pencil, xi_prime, lam, j_list, l_list) -> MeshNorms:
-    """||D^l w_j|| at the nodes (xi_prime[k], lam[k]); xi_prime has shape
-    (N, n-1) and lam shape (N,).
+def mesh_norms(p: Pencil, xi_prime, lam) -> MeshNorms:
+    """||D^l w_j||, j = 1..m and l = 0..m, at the nodes (xi_prime[k], lam[k]);
+    xi_prime has shape (N, n-1) and lam shape (N,).
 
     The upper roots are those of tau_roots bit for bit, from one
     mesh_upper_roots call, which raises the error a loop of tau_roots
     calls over the nodes would raise first.
     """
     upper = mesh_upper_roots(p, xi_prime, lam)
-    unit = np.eye(p.m)[[j - 1 for j in j_list]]
-    return MeshNorms(gramian_norms(upper, unit, l_list),
+    return MeshNorms(gramian_norms(upper, np.eye(p.m), list(range(p.m + 1))),
                      float(np.min(upper.imag / np.abs(upper))))
 
 

@@ -156,11 +156,11 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     and scaling checks land in `extras`.
     """
     rep = SweepReport("polygon", {
-        "density": density, "lambda0": lambda0,
+        "density": density, "lambda0": lambda0, "lam_max": lam_max,
         "band_limits": list(POLYGON_BAND_LIMITS),
         "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
 
-    w = weights.from_polygon(np_, lambda0=lambda0)
+    w = weights.from_polygon(np_)
     xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
 
@@ -222,15 +222,16 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
 
 
 def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
+                            lambda0: float = 1.0,
                             lam_max: float = 1e3) -> SweepReport:
     """Band of sigma'_l over the shifted-weight prediction, per l."""
     rep = SweepReport("trace", {
         "density": density, "l_list": list(l_list), "xi_max": TRACE_XI_MAX,
-        "lam_max": lam_max, "lambda0": w.lambda0,
+        "lam_max": lam_max, "lambda0": lambda0,
         "band_width_limit": TRACE_BAND_WIDTH_LIMIT,
         "weight": w.to_json_dict()})
     xi_grid = np.concatenate([[0.0], np.geomspace(1e-1, TRACE_XI_MAX, 7 * density)])
-    lam_grid = np.geomspace(w.lambda0, lam_max, 7 * density)
+    lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
     xi_col, lam_col = _box(xi_grid, lam_grid)
     # One call for every l: they share the quadrature lattice.
     sigma, err = weights.trace_weight_quadrature(w, l_list, xi_col, lam_col)
@@ -297,8 +298,7 @@ def norm_scan(p: Pencil, density: int) -> NormScan:
         xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
     xi_prime = np.concatenate([np.outer(xa, omega) for omega in dirs])
     xa, lam = np.tile(xa, len(dirs)), np.tile(lam, len(dirs))
-    norms = halfline.mesh_norms(p, xi_prime, lam, list(range(1, p.m + 1)),
-                                list(range(p.m + 1)))
+    norms = halfline.mesh_norms(p, xi_prime, lam)
     return NormScan(xi_prime, xa, lam, len(dirs), norms)
 
 
@@ -417,13 +417,12 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
     rules = {"w1": lambda j, l: 0.0 if j <= p.mu else float(p.mu - j),
              "w2": lambda j, l: (l - p.mu - 0.5) if j <= p.mu else (l - j + 0.5)}
     upper = np.array([g.upper_roots for g in groupings])
-    l_list = list(range(p.m + 1))
     names, series = [], []
     for part, key in zip(rules, ("group_bounded", "group_large")):
         group = np.array([getattr(g, key) for g in groupings], dtype=int)
-        norms = halfline.split_norms(upper, group, l_list)
+        norms = halfline.split_norms(upper, group)
         for j in range(1, p.m + 1):
-            for l in l_list:
+            for l in range(p.m + 1):
                 if norms[:, j - 1, l].max() > 1e-13:
                     names.append((part, j, l))
                     series.append(norms[:, j - 1, l])
@@ -457,11 +456,10 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     The verdict fails when the ellipticity preconditions fail.
     """
     grid = GridSpec(angular=90 * density, directions=48 * density)
+    dirs = sphere_directions(p.n, grid.direction_count(p.n))
     rep = SweepReport("prop52", {
         "density": density, "lambda0": lambda0, "xi_max": PROP52_XI_MAX,
-        "lam_max": lam_max, "angular": grid.angular,
-        "directions": grid.directions})
-    dirs = sphere_directions(p.n, grid.direction_count(p.n))
+        "lam_max": lam_max, "angular": grid.angular, "directions": len(dirs)})
     xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, PROP52_XI_MAX, 10 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 8 * density)
 
@@ -492,8 +490,10 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         xa, lam = xa_col[i:i + 1], lam_col[i:i + 1]
         _, block = next(symbol_blocks(table, xa, lam))
         table = table[int(np.argmax(ratio(np.abs(block[0]), xa, lam)))][None]
-        lo, hi = np.array([1e-2, lambda0]), np.array([PROP52_XI_MAX, lam_max])
-        step = np.log(hi / lo) / (np.array([10, 8]) * density - 1) / ZOOM
+        # The grid's box and spacing, past |xi| = 0; geomspace keeps its ends.
+        lo, hi = np.array([[xi_grid[1], lam_grid[0]], [xi_grid[-1], lam_grid[-1]]])
+        cells = np.array([len(xi_grid) - 2, len(lam_grid) - 1])
+        step = np.log(hi / lo) / cells / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
         while step.max() > 1e-15:
             xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
@@ -514,8 +514,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
 def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     """Homogeneous weight of the energy polygon: |xi|^mu (lambda+|xi|)^(m-mu)."""
     np_ = build_polygon({(p.m, 0), (p.mu, p.m - p.mu)})
-    w = weights.from_polygon(np_)
-    return HomogeneousWeight(w.factors, lambda0=w.lambda0)
+    return HomogeneousWeight(weights.from_polygon(np_).factors)
 
 
 def sweep_halfspace_ratio(p: Pencil, density: int = 1,
@@ -586,12 +585,6 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     return reports
 
 
-def run_suite(name: str, p: Pencil, density: int = 1, lambda0: float = 1.0,
-              decades: int = 3) -> SweepReport:
-    """One named suite; see run_suites."""
-    return run_suites([name], p, density, lambda0, decades)[name]
-
-
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
               lam_max: float, scan: NormScan | None) -> SweepReport:
     if name == "polygon":
@@ -599,10 +592,10 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,
                                          lam_max=lam_max)
     if name == "trace":
-        w = weights.from_polygon(build_polygon(p.exponent_points()), lambda0=lambda0)
+        w = weights.from_polygon(build_polygon(p.exponent_points()))
         l_list = [l for l in range(4) if 2 * l + 1 < 4 * w.total_exponent]
         return sweep_trace_equivalence(w, l_list, density=density,
-                                       lam_max=lam_max)
+                                       lambda0=lambda0, lam_max=lam_max)
     if name == "thm41":
         return sweep_theorem41(p, density=density, scan=scan)
     if name == "asymptotics":
@@ -639,6 +632,6 @@ def drift_between(r1: SweepReport, r2: SweepReport) -> float:
 
 def refinement_drift(name: str, p: Pencil, density: int = 1, **kw) -> tuple:
     """drift_between a grid and its 2x refinement."""
-    r1 = run_suite(name, p, density=density, **kw)
-    r2 = run_suite(name, p, density=2 * density, **kw)
+    r1 = run_suites([name], p, density, **kw)[name]
+    r2 = run_suites([name], p, 2 * density, **kw)[name]
     return r1, r2, drift_between(r1, r2)

@@ -28,7 +28,6 @@ class ProductWeight:
     """Ordered factors (r, m) with r strictly decreasing, m > 0."""
 
     factors: tuple[tuple[Fraction | float, Fraction], ...]
-    lambda0: float = 1.0
 
     def __post_init__(self):
         rs = [r for r, _ in self.factors]
@@ -43,13 +42,9 @@ class ProductWeight:
         return sum((m for _, m in self.factors), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "factors": [
-                {"r": "inf" if r == INF else str(Fraction(r)), "m": str(Fraction(m))}
-                for r, m in self.factors
-            ],
-            "lambda0": self.lambda0,
-        }
+        return {"factors": [
+            {"r": "inf" if r == INF else str(Fraction(r)), "m": str(Fraction(m))}
+            for r, m in self.factors]}
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def from_polygon(np_: NewtonPolygon, lambda0: float = 1.0) -> ProductWeight:
+def from_polygon(np_: NewtonPolygon) -> ProductWeight:
     """Product weight of a polygon: per side, m_s = (a_{s+1} - a_s) / 2."""
     if np_.degenerate:
         # Only the abscissa-axis growth survives; a pure lambda-axis polygon
@@ -70,14 +65,14 @@ def from_polygon(np_: NewtonPolygon, lambda0: float = 1.0) -> ProductWeight:
             raise OutOfRangeError(
                 "degenerate polygon on the ordinate axis has no product weight")
         if np_.i_max == 0:
-            return ProductWeight((), lambda0=lambda0)
-        return ProductWeight(((INF, Fraction(np_.i_max, 2)),), lambda0=lambda0)
+            return ProductWeight(())
+        return ProductWeight(((INF, Fraction(np_.i_max, 2)),))
     factors = []
     for s in np_.sides:
         m = Fraction(s.end[0] - s.start[0], 2)
         if m > 0:
             factors.append((s.r, m))
-    return ProductWeight(tuple(factors), lambda0=lambda0)
+    return ProductWeight(tuple(factors))
 
 
 def xi_sum_eval(np_: NewtonPolygon, xi_abs, lambda_abs):

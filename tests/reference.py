@@ -4,7 +4,7 @@ The oracles here check pencilab's results by a second route: the half-line
 solutions by contour quadrature and by their ODE residual, and polygon
 membership by the side inequalities.  `pencil_to_dict` writes the pencil
 files that the command-line tests read, and `PENCILS` holds the pencil
-files that tests and CI share.
+files that tests and CI share, `SIGN_CHANGING` among them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ CONTOUR_NODES = 256
 # Pencil files that the tests and CI share; perfbench/pencils holds the
 # benchmark's own.
 PENCILS = Path(__file__).resolve().parent / "pencils"
+
+# Real pencils whose symbol changes sign on the slice (ROADMAP D16), by
+# test id: |xi|^2 - 2 lambda^2, |xi|^2 - lambda^2, |xi|^2 - 3 lambda^2 with
+# n = 3, and e1 with its A_2 negated, |xi|^2 (|xi|^2 - lambda^2).  The zero
+# of |xi|^2 - lambda^2 lies on a node of the odd grids only.
+SIGN_CHANGING = {name: PENCILS / f"{stem}.json" for name, stem in (
+    ("xi2-2lam2", "sign"), ("xi2-lam2", "sign_lam2"),
+    ("xi2-3lam2-n3", "sign_n3"), ("e1-negated-A2", "sign_e1"))}
 
 
 def contour_eval(sol: ExpPolySolution, l: int, t: float) -> complex:

@@ -107,7 +107,7 @@ def test_criterion_5_root_grouping():
         assert abs(g.upper_roots[b] - 1j) < 1e-10
     g = group_roots(p, np.array([1.0]), 1000.0)
     assert g.residual_large[0] == pytest.approx(1.0 / 2000.0, rel=0.05)
-    rep = verify.run_suite("asymptotics", p)
+    rep = verify.run_suites(["asymptotics"], p)["asymptotics"]
     assert rep.extras["puiseux_slope"] >= 1.0 / g.k1 - 0.1
     _report(5, "root-grouping", t0, 5.0)
 
@@ -151,7 +151,7 @@ def test_criterion_7_derivative_estimates():
 
 def test_criterion_8_group_split_estimates():
     t0 = time.perf_counter()
-    rep = verify.run_suite("asymptotics", e1_pencil())
+    rep = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     assert rep.verdict == "pass"
     for fit in rep.extras["split_fits"].values():
         assert abs(fit["slope"] - fit["expected"]) <= 0.1

@@ -18,7 +18,7 @@ from pencilab.catalog import broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
 from pencilab.errors import EllipticityError
 from pencilab.pencil import GridSpec, Pencil, Term, check_lemma21, tau_roots
-from reference import pencil_to_dict
+from reference import SIGN_CHANGING, pencil_to_dict
 
 
 @pytest.fixture
@@ -123,26 +123,9 @@ def test_point_queries_where_the_bounded_roots_are_small(e1_path, capsys, xi, la
     assert code == 0, err
 
 
-# Real pencils whose symbol changes sign on the slice (ROADMAP D16):
-# |xi|^2 - 2 lambda^2, |xi|^2 - lambda^2, |xi|^2 - 3 lambda^2 with n = 3,
-# and e1 with its A_2 negated.
-_SQUARES = {2: [[2, 0], [0, 2]], 3: [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}
-SIGN_CHANGING = {
-    name: {"n": n, "m": 1, "mu": 0, "terms": [
-        *({"alpha": a, "j": 2, "re": 1.0} for a in _SQUARES[n]),
-        {"alpha": [0] * n, "j": 0, "re": -c}]}
-    for name, n, c in (("xi2-2lam2", 2, 2.0), ("xi2-lam2", 2, 1.0),
-                       ("xi2-3lam2-n3", 3, 3.0))}
-SIGN_CHANGING["e1-negated-A2"] = {"n": 2, "m": 2, "mu": 1, "terms": [
-    {"alpha": [4, 0], "j": 4, "re": 1.0}, {"alpha": [2, 2], "j": 4, "re": 2.0},
-    {"alpha": [0, 4], "j": 4, "re": 1.0}, {"alpha": [2, 0], "j": 2, "re": -1.0},
-    {"alpha": [0, 2], "j": 2, "re": -1.0}]}
-
-
 @pytest.mark.parametrize("name", SIGN_CHANGING)
 def test_symbol_of_both_signs_is_not_elliptic(name, tmp_path, capsys):
-    path = tmp_path / "pencil.json"
-    path.write_text(json.dumps(SIGN_CHANGING[name]))
+    path = SIGN_CHANGING[name]
     for angular in ("90", "720", "721", "1440"):
         assert run(["ellipticity", str(path), "--grid-angular", angular,
                     "--format", "json"]) == 1
@@ -351,14 +334,14 @@ def test_point_out_of_range_exit_2(cmd, point, message, e1_path, capsys):
     (["verify", "--suite", "thm41", "--lambda0", "-1"], "--lambda0"),
     (["verify", "--suite", "thm41", "--lambda0", "0"], "--lambda0"),
     (["verify", "--suite", "thm41", "--lambda0", "inf"], "--lambda0"),
-    (["polygon", "--lambda0", "nan"], "--lambda0"),
+    (["verify", "--suite", "thm41", "--lambda0", "nan"], "--lambda0"),
     (["verify", "--suite", "prop52", "--density", "0"], "--density"),
     (["verify", "--suite", "prop52", "--density", "-1"], "--density"),
     (["verify", "--suite", "thm41", "--grid-decades", "0"], "--grid-decades"),
     (["verify", "--suite", "thm41", "--grid-decades", "-2"], "--grid-decades"),
     (["ellipticity", "--grid-angular", "0"], "--grid-angular"),
     (["ellipticity", "--grid-angular", "1.5"], "--grid-angular"),
-    (["polygon", "--lambda0", "one"], "--lambda0"),
+    (["verify", "--suite", "thm41", "--lambda0", "one"], "--lambda0"),
     (["ellipticity", "--tol", "small"], "--tol"),
 ])
 def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
@@ -411,8 +394,8 @@ def _quarter_puiseux_fit(fit):
 
 def _doubled_exponents(from_polygon):
     """weights.from_polygon with every factor exponent doubled."""
-    return lambda np_, lambda0=1.0: weights.ProductWeight(
-        tuple((r, 2 * m) for r, m in from_polygon(np_, lambda0).factors), lambda0)
+    return lambda np_: weights.ProductWeight(
+        tuple((r, 2 * m) for r, m in from_polygon(np_).factors))
 
 
 @pytest.mark.parametrize("suite, module, name, patch, reason", [
@@ -437,7 +420,7 @@ def test_forced_verdict_failure_exit_1(suite, module, name, patch, reason, e1_pa
     # Each verdict check fails once its limit or helper is moved, and the
     # reason reaches the report, the summary and the exit code.
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
-    rep = verify.run_suite(suite, e1_pencil())
+    rep = verify.run_suites([suite], e1_pencil())[suite]
     assert rep.verdict == "fail"
     assert any(r.startswith(reason) for r in rep.reasons), rep.reasons
     out = tmp_path / "rep"
@@ -600,10 +583,10 @@ def test_perturbed_split_norm_in_refined_run_is_unstable(e1_path, tmp_path,
     # node, lambda = 1e3 (large root about 1000i), moves its slope by 0.13.
     run_suites, norms = verify.run_suites, halfline.split_norms
 
-    def doubled(upper, group, l_list):
-        out = norms(upper, group, l_list)
+    def doubled(upper, group):
+        out = norms(upper, group)
         if group.size and abs(upper[-1, group[-1]]).max() > 999.0:
-            out[-1, 0, l_list.index(0)] *= 2.0
+            out[-1, 0, 0] *= 2.0
         return out
 
     def refined_doubled(names, p, density=1, **kw):
@@ -660,7 +643,11 @@ def test_handlers_read_every_option_offered(argv, e1_path, tmp_path, capsys):
 def test_option_not_taken_is_usage_error(e1_path, capsys):
     assert run(["verify", e1_path, "--tol", "1e-3"]) == 2
     assert run(["degeneration", e1_path, "--grid-angular", "90"]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # The lambda ray is verify's: no weight or polygon depends on it.
+    assert run(["polygon", e1_path, "--lambda0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments") == 3
+    assert "unrecognized arguments: --lambda0 1" in err
 
 
 def test_cli_verify_loads_no_scipy(e1_path, tmp_path):

@@ -29,6 +29,7 @@ from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
                              sphere_directions, tau_polynomial, tau_roots)
 from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
                              sweep_multiplier_rn)
+import reference
 from reference import PENCILS, pencil_to_dict
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
@@ -141,22 +142,9 @@ def test_check_lemma21_broken_fails_condition_iii_on_every_grid(angular):
     assert not rep.cond_iii
 
 
-def _minus_lambda2(n, c):
-    """|xi|^2 - c lambda^2 in n variables (m = 1, mu = 0)."""
-    return Pencil(n=n, m=1, mu=0, terms=tuple(
-        Term(tuple(2 if k == i else 0 for k in range(n)), 2, 1.0) for i in range(n))
-        + (Term((0,) * n, 0, -c),))
-
-
-# Real pencils whose symbol changes sign on the slice (ROADMAP D16).  The
-# zero of |xi|^2 - lambda^2 lies on a node of the odd grids only, and e1
-# with its A_2 negated is |xi|^2 (|xi|^2 - lambda^2).
-SIGN_CHANGING = {
-    "xi2-2lam2": _minus_lambda2(2, 2.0),
-    "xi2-lam2": _minus_lambda2(2, 1.0),
-    "xi2-3lam2-n3": _minus_lambda2(3, 3.0),
-    "e1-negated-A2": Pencil(n=2, m=2, mu=1, terms=tuple(
-        Term(t.alpha, t.j, -t.coeff if t.j == 2 else t.coeff) for t in e1_pencil().terms))}
+# The real pencils of both signs on the slice (see reference.SIGN_CHANGING).
+SIGN_CHANGING = {name: load_pencil(path)
+                 for name, path in reference.SIGN_CHANGING.items()}
 
 
 @pytest.mark.parametrize("angular", [1, 2, 90, 720, 721, 1440])

@@ -89,7 +89,7 @@ def test_trace_sweep_matches_scalar_quadrature():
 
 @pytest.mark.parametrize("pencil", [e1_pencil, agmon_pencil])
 def test_trace_quadrature_error_reported(pencil):
-    rep = verify.run_suite("trace", pencil())
+    rep = verify.run_suites(["trace"], pencil())["trace"]
     err = rep.summary()["extras"]["quad_err_max"]
     assert np.isfinite(err) and 0.0 <= err < 1e-12
 
@@ -133,7 +133,7 @@ def test_thm41_known_point_ratio():
 
 
 def test_asymptotics_sweep_e1():
-    rep = verify.run_suite("asymptotics", e1_pencil())
+    rep = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     assert rep.verdict == "pass"
     assert rep.extras["puiseux_slope"] >= rep.extras["puiseux_floor"]
     fits = rep.extras["split_fits"]
@@ -144,7 +144,7 @@ def test_asymptotics_counts_ambiguous_groupings(tmp_path):
     # At lambda = 1 both of e1's targets are i, so that grouping is a tie.
     for pencil, at_least in ((e1_pencil, 1), (agmon_pencil, 0)):
         p = pencil()
-        rep = verify.run_suite("asymptotics", p)
+        rep = verify.run_suites(["asymptotics"], p)["asymptotics"]
         lams = rep.records["lambda"]
         count = sum(group_roots(p, np.array([1.0]), lam).ambiguous for lam in lams)
         assert rep.extras["ambiguous_groupings"] == count >= at_least
@@ -159,7 +159,7 @@ def test_asymptotics_double_root_pencil():
     p = Pencil(n=2, m=2, mu=0, terms=(
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, 2.0), Term((0, 2), 2, 2.0), Term((0, 0), 0, 1.0)))
-    rep = verify.run_suite("asymptotics", p)
+    rep = verify.run_suites(["asymptotics"], p)["asymptotics"]
     assert rep.verdict == "pass", rep.reasons
     for key, fit in rep.extras["split_fits"].items():
         assert key.startswith("w2_")
@@ -177,7 +177,7 @@ def test_asymptotics_correction_at_confluent_large_roots(b, c):
     p = Pencil(n=2, m=2, mu=0, terms=(
         Term((4, 0), 4, 1.0), Term((2, 2), 4, 2.0), Term((0, 4), 4, 1.0),
         Term((2, 0), 2, b), Term((0, 2), 2, b), Term((0, 0), 0, c)))
-    rep = verify.run_suite("asymptotics", p)
+    rep = verify.run_suites(["asymptotics"], p)["asymptotics"]
     lam = rep.records["lambda"]
     t = b / 2 + np.array([[-1.0], [1.0]]) * np.sqrt(max(b * b / 4 - c, 0.0))
     exact = np.mean(1 / (np.sqrt(1 + lam ** 2 * t) + lam * np.sqrt(t)), axis=0) / lam
@@ -193,8 +193,8 @@ def test_asymptotics_grid_is_the_scan_s_values_in_1_to_1e3(density, nodes):
     # lambda runs over the unit-slice scan's s-values in [1, 1e3] at
     # xi' = e_1, whatever the lambda range the other suites take.
     s = verify.scan_s(density)
-    rep = verify.run_suite("asymptotics", e1_pencil(), density=density,
-                           lambda0=10.0, decades=1)
+    rep = verify.run_suites(["asymptotics"], e1_pencil(), density=density,
+                            lambda0=10.0, decades=1)["asymptotics"]
     assert rep.verdict == "pass"
     assert rep.records["lambda"].tolist() == s[(s >= 1.0) & (s <= 1e3)].tolist()
     assert len(rep.records["lambda"]) == nodes
@@ -207,7 +207,7 @@ def test_asymptotics_fails_growing_bounded_residuals(monkeypatch):
         return [replace(g, residual_bounded=(y ** 2,))
                 for g, y in zip(mesh_group_roots(p, xi_prime, lam), lam)]
     monkeypatch.setattr(verify, "mesh_group_roots", growing)
-    rep = verify.run_suite("asymptotics", e1_pencil())
+    rep = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     assert rep.verdict == "fail"
     assert rep.reasons[0] == "bounded-group residuals grow with lambda"
 
@@ -375,7 +375,7 @@ def test_norm_suites_share_one_scan(pencil, monkeypatch):
     # run_suites makes one unit-slice scan for thm41 and halfspace, and each
     # report equals that of its suite run alone.
     p = pencil()
-    alone = {name: verify.run_suite(name, p, density=2)
+    alone = {name: verify.run_suites([name], p, density=2)[name]
              for name in ("halfspace", "thm41")}
     calls = []
     mesh_norms = halfline.mesh_norms
@@ -398,7 +398,7 @@ def test_norm_scan_covers_both_rays_of_the_plane():
     # (0.6, 0.8) the norms of the two rays differ by about 0.02.
     p = Pencil(n=2, m=2, mu=0,
                terms=_double_root_pencil().terms + (Term((1, 2), 3, 0.5),))
-    both = halfline.mesh_norms(p, [[0.6], [-0.6]], [0.8, 0.8], [1, 2], [0, 1, 2])
+    both = halfline.mesh_norms(p, [[0.6], [-0.6]], [0.8, 0.8])
     assert np.abs(both.values[0] - both.values[1]).min() > 0.01
     rep = verify.sweep_theorem41(p)
     assert rep.verdict == "pass"
@@ -415,6 +415,22 @@ def test_norm_scan_covers_both_rays_of_the_plane():
 
 
 BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+
+
+@pytest.mark.parametrize("path, count", [
+    (BENCHMARK_PENCILS / "e1.json", 48), (BENCHMARK_PENCILS / "e1_n3.json", 2000),
+    (PENCILS / "n1.json", 2)])
+def test_prop52_records_the_directions_it_scans(path, count, monkeypatch):
+    # GridSpec scans at least 2000 directions for n = 3, and the sphere of
+    # n = 1 is +-1; prop52's config recorded 48 for both.
+    scanned = []
+    def spy(n, k):
+        dirs = sphere_directions(n, k)
+        scanned.append(len(dirs))
+        return dirs
+    monkeypatch.setattr(verify, "sphere_directions", spy)
+    rep = verify.sweep_multiplier_rn(load_pencil(path))
+    assert scanned == [count] and rep.config["directions"] == count
 
 
 @pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near"])
@@ -490,7 +506,7 @@ def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
         monkeypatch.setattr(pencil, name, refused)
     for name in ("solve_from_roots", "split_by_group", "l2_norm_deriv"):
         monkeypatch.setattr(halfline, name, refused)
-    rep = verify.run_suite("asymptotics", e1_pencil())
+    rep = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     assert seen == [len(rep.records["lambda"])]
 
 
@@ -501,9 +517,9 @@ def test_asymptotics_fit_ignores_ambiguous_groupings(monkeypatch):
     def flipped(*args):
         return [replace(g, group_bounded=g.group_large, group_large=g.group_bounded)
                 if g.ambiguous else g for g in mesh_group_roots(*args)]
-    base = verify.run_suite("asymptotics", e1_pencil())
+    base = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     monkeypatch.setattr(verify, "mesh_group_roots", flipped)
-    rep = verify.run_suite("asymptotics", e1_pencil())
+    rep = verify.run_suites(["asymptotics"], e1_pencil())["asymptotics"]
     assert rep.extras["ambiguous_groupings"] == 1
     assert rep.records["lhs"][0] != base.records["lhs"][0]
     assert rep.extras["puiseux_slope"] == base.extras["puiseux_slope"]
@@ -569,6 +585,19 @@ def test_report_summary_and_hash():
     assert len(s["config_hash"]) == 16
     rep2 = verify.sweep_polygon_equivalence(np_)
     assert rep2.config_hash == rep.config_hash
+
+
+def test_config_hash_follows_the_lambda_box():
+    # polygon, trace and prop52 run lambda over [lambda0, lambda0 10^decades]
+    # and record both ends; the unit-slice suites do not read the box.
+    # polygon's config held lambda0 alone, and its hash stayed while its
+    # band moved with the decades.
+    three, five = (verify.run_suites(verify.SUITES, e1_pencil(), decades=d)
+                   for d in (3, 5))
+    for name in verify.SUITES:
+        box = name in ("polygon", "trace", "prop52")
+        assert (three[name].config_hash != five[name].config_hash) == box, name
+    assert three["polygon"].min_ratio != five["polygon"].min_ratio
 
 
 def test_fit_loglog():

@@ -367,10 +367,9 @@ def test_trace_matches_shift_prediction_band():
 
 
 def test_weight_json_round_shape():
-    w = ProductWeight(((INF, F(1, 2)), (F(1), F(1, 2))), lambda0=2.0)
-    d = w.to_json_dict()
-    assert d["factors"][0] == {"r": "inf", "m": "1/2"}
-    assert d["lambda0"] == 2.0
+    w = ProductWeight(((INF, F(1, 2)), (F(1), F(1, 2))))
+    assert w.to_json_dict() == {"factors": [{"r": "inf", "m": "1/2"},
+                                            {"r": "1", "m": "1/2"}]}
 
 
 def test_trace_weight_of_a_point_does_not_depend_on_its_block():

@@ -61,14 +61,12 @@ class Pencil:
             if math.isinf(scale):
                 raise PencilFormatError(f"coefficient {t.coeff} of the term "
                                         f"alpha={t.alpha} overflows the sum of |coeff|")
-        # What the point queries derive from this pencil alone, kept with it:
-        # Q's DegenerationResult and tau_roots' last point.  Not a field, so
-        # ==, hash, repr and dataclasses.replace ignore it.
+        # Not fields, so ==, hash, repr and dataclasses.replace ignore them:
+        # coeff_scale, the sum of |coeff| (1.0 if it is 0), and what the
+        # point queries derive from this pencil alone, kept with it: Q's
+        # DegenerationResult and tau_roots' last point.
+        object.__setattr__(self, "coeff_scale", scale or 1.0)
         object.__setattr__(self, "_derived", {})
-
-    @property
-    def coeff_scale(self) -> float:
-        return sum(abs(t.coeff) for t in self.terms) or 1.0
 
     def exponent_points(self) -> set[tuple[int, int]]:
         """Points (|alpha|, lambda-power) generating the Newton polygon."""
@@ -407,10 +405,10 @@ def symbol_blocks(table: np.ndarray, rho, lam):
         yield cols, block
 
 
-def column_least(table: np.ndarray, rho, lam, value=np.abs):
-    """Least value(A(rho[c] omega_d, lam[c])) over the directions d, for each
-    column c, from symbol_blocks; and, for a real table under |.|, whether A
-    is negative at some node and whether it is positive at some node (both
+def column_least(table: np.ndarray, rho, lam):
+    """Least |A(rho[c] omega_d, lam[c])| over the directions d, for each
+    column c, from symbol_blocks; and, for a real table, whether A is
+    negative at some node and whether it is positive at some node (both
     False otherwise).
 
     A scan that needs one extreme per column takes it here, before it
@@ -431,8 +429,8 @@ def column_least(table: np.ndarray, rho, lam, value=np.abs):
     least = np.empty(len(rho))
     negative = positive = False
     for cols, block in symbol_blocks(table, rho, lam):
-        if value is not np.abs or block.dtype != float:
-            least[cols] = value(block).min(axis=1)
+        if block.dtype != float:
+            least[cols] = np.abs(block).min(axis=1)
             continue
         lo = block.min(axis=1, out=least[cols])
         if not (lo < 0.0).any():
@@ -455,8 +453,7 @@ def _slice_nodes(p: Pencil, angular: int):
     return rho, lam, rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
 
 
-def _sphere_min(p: Pencil, parts: Parts, j: int, dirs: np.ndarray,
-                table: np.ndarray):
+def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     """Smallest |A_j| found on the unit sphere, and its direction.
 
     The grid minimum is refined by zooming in: each round samples a patch
@@ -476,7 +473,8 @@ def _sphere_min(p: Pencil, parts: Parts, j: int, dirs: np.ndarray,
     vals = np.abs(table[:, j])
     k = int(vals.argmin())
     best, value = dirs[k], float(vals[k])
-    if p.n == 1 or j == 0 or not parts.terms[j]:
+    n = dirs.shape[1]
+    if n == 1 or j == 0 or not parts.terms[j]:
         return best, value          # n = 1: the two directions are the sphere
     gaps = np.sum((dirs - best) ** 2, axis=1)
     gaps[k] = 4.0           # no direction is farther than the antipode
@@ -485,9 +483,9 @@ def _sphere_min(p: Pencil, parts: Parts, j: int, dirs: np.ndarray,
     # span the tangent plane at best.
     v = best.copy()
     v[0] += math.copysign(1.0, best[0])
-    tangent = (np.eye(p.n) - 2.0 * np.outer(v, v) / np.sum(v * v))[:, 1:]
+    tangent = (np.eye(n) - 2.0 * np.outer(v, v) / np.sum(v * v))[:, 1:]
     side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
-    patch = np.stack(np.meshgrid(*[side] * (p.n - 1)), axis=-1).reshape(-1, p.n - 1)
+    patch = np.stack(np.meshgrid(*[side] * (n - 1)), axis=-1).reshape(-1, n - 1)
     offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
     while step > 1e-15:
         pts = best + step * offsets
@@ -560,8 +558,8 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     tol = grid.tol * p.coeff_scale
     parts = compile_parts(p)
     table = homogeneous_table(parts, dirs)
-    witness_i, min_a2m = _sphere_min(p, parts, 2 * p.m, dirs, table)
-    witness_ii, min_a2mu = _sphere_min(p, parts, 2 * p.mu, dirs, table)
+    witness_i, min_a2m = _sphere_min(parts, 2 * p.m, dirs, table)
+    witness_ii, min_a2mu = _sphere_min(parts, 2 * p.mu, dirs, table)
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
     lowest, negative, positive = column_least(table, rho, lam)
@@ -638,7 +636,10 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     table = homogeneous_table(compile_parts(p),
                               sphere_directions(p.n, grid.direction_count(p.n)))
     rho, lam, denom = _slice_nodes(p, grid.angular)
-    c_min = float(_normalised(column_least(table, rho, lam, np.real)[0], denom).min())
+    # Least Re A per angle, +0.0 for a -0.0 as in column_least.
+    least = np.concatenate([block.real.min(axis=1)
+                            for _, block in symbol_blocks(table, rho, lam)])
+    c_min = float(_normalised(least + 0.0, denom).min())
     return {"even_order": even_order,
             "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale),
             "c_min": c_min}

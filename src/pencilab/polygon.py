@@ -124,19 +124,10 @@ def build_polygon(points) -> NewtonPolygon:
     return NewtonPolygon((origin, *chain), tuple(sides))
 
 
-def r_degree(np_: NewtonPolygon, r):
-    """Support value max(a + r*b) over the polygon.
-
-    For finite r > 0 this is the r-degree, an exact rational.  For r = inf
-    the support value is not finite; following the horizontal-side
-    convention we return the pair (b1, a2): the maximal ordinate and the
-    maximal abscissa among polygon points at that ordinate.
-    """
-    if r == INF:
-        b1 = np_.k_max
-        a2 = max((v[0] for v in np_.vertices if v[1] == b1), default=Fraction(0))
-        return (b1, a2)
+def r_degree(np_: NewtonPolygon, r) -> Fraction:
+    """The r-degree max(a + r*b) over the polygon, an exact rational, for
+    finite r > 0."""
+    if not 0 < r < INF:
+        raise ValueError("r must be positive and finite")
     r = Fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive or infinite")
     return max(v[0] + r * v[1] for v in np_.vertices)

@@ -6,8 +6,9 @@ extremal witness points.  Constants are always reported, never assumed;
 verdicts compare the observed band against fixed limits.  Callers set the
 lambda grid and the density; the |xi| ranges and limits are constants below.
 The thm41, halfspace and asymptotics sweeps depend only on s = lambda/|xi'|
-and take only the density.  `run_suites` runs any of the suites at one
-density, and thm41 and halfspace then read one scan of the unit slice.
+and take no lambda grid.  `run_suites` runs any of the suites at one
+density, and thm41 and halfspace read the one scan of the unit slice that
+it makes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
 SLOPE_TOL = 0.1
-# Each sweep records its |xi| range and limit in its config.
+# Each sweep records its |xi| range and limit in its config.  A box suite
+# (polygon, trace, prop52) samples |xi| = 0 and a geometric grid over its
+# (lo, hi) range.
+POLYGON_XI_RANGE = (1e-2, 1e3)
 POLYGON_BAND_LIMITS = (1e-3, 1e3)   # Xi_sum / Xi_product and binomial bands
-TRACE_XI_MAX = 1e2
+TRACE_XI_RANGE = (1e-1, 1e2)
 TRACE_BAND_WIDTH_LIMIT = 1e2        # hi / lo of each l's band
 NORM_S_RANGE = (1e-5, 1e5)          # lambda / |xi'| > 0 in thm41 and halfspace
 NORM_DIRECTIONS = 8                 # their directions xi' / |xi'| for n >= 3
@@ -41,7 +45,7 @@ NORM_RATIO_LIMIT = 1e3
 # s in asymptotics.  Its correction |mean - lambda q| / lambda loses digits
 # like eps s^2; a Taylor shift about each root q of Q would lift the cap.
 ASYMPTOTICS_S_RANGE = (1.0, 1e3)
-PROP52_XI_MAX = 1e3
+PROP52_XI_RANGE = (1e-2, 1e3)
 
 
 def _ratio(rec: dict | None) -> float:
@@ -157,11 +161,12 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     """
     rep = SweepReport("polygon", {
         "density": density, "lambda0": lambda0, "lam_max": lam_max,
+        "xi_range": list(POLYGON_XI_RANGE),
         "band_limits": list(POLYGON_BAND_LIMITS),
         "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
 
     w = weights.from_polygon(np_)
-    xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 11 * density)])
+    xi_grid = np.concatenate([[0.0], np.geomspace(*POLYGON_XI_RANGE, 11 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
 
     xi_col, lam_col = _box(xi_grid, lam_grid)
@@ -221,16 +226,18 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     return rep
 
 
-def sweep_trace_equivalence(w: ProductWeight, l_list, density: int = 1,
+def sweep_trace_equivalence(w: ProductWeight, density: int = 1,
                             lambda0: float = 1.0,
                             lam_max: float = 1e3) -> SweepReport:
-    """Band of sigma'_l over the shifted-weight prediction, per l."""
+    """Band of sigma'_l over the shifted-weight prediction, per l: every
+    l <= 3 whose trace integral converges, 2l + 1 < 4 sum(m_s)."""
+    l_list = [l for l in range(4) if 2 * l + 1 < 4 * w.total_exponent]
     rep = SweepReport("trace", {
-        "density": density, "l_list": list(l_list), "xi_max": TRACE_XI_MAX,
+        "density": density, "l_list": l_list, "xi_range": list(TRACE_XI_RANGE),
         "lam_max": lam_max, "lambda0": lambda0,
         "band_width_limit": TRACE_BAND_WIDTH_LIMIT,
         "weight": w.to_json_dict()})
-    xi_grid = np.concatenate([[0.0], np.geomspace(1e-1, TRACE_XI_MAX, 7 * density)])
+    xi_grid = np.concatenate([[0.0], np.geomspace(*TRACE_XI_RANGE, 7 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
     xi_col, lam_col = _box(xi_grid, lam_grid)
     # One call for every l: they share the quadrature lattice.
@@ -338,13 +345,10 @@ def rhs_44(mu: int, j: int, l: int, xi_abs: float, lam: float) -> float:
     return (lam + xi_abs) ** (l - j + 0.5)
 
 
-def sweep_theorem41(p: Pencil, density: int = 1,
-                    scan: NormScan | None = None) -> SweepReport:
+def sweep_theorem41(p: Pencil, density: int, scan: NormScan) -> SweepReport:
     """Ratios of exact derivative norms to the four-case estimate table on
-    the unit slice (see norm_scan).  `scan` is the unit slice's NormScan at
-    this density (run_suites shares one with halfspace); by default the
-    sweep makes its own."""
-    scan = norm_scan(p, density) if scan is None else scan
+    the unit slice: `scan` is its NormScan at this density, which
+    run_suites shares with halfspace."""
     # rhs_44 on Python floats: numpy's array powers can round 1-2 ulp away
     # from scalar ones, and these tables keep the scalar values.
     def table(xa, lam):
@@ -393,7 +397,7 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
                            corr, 1.0 / lambda_list)
     rep.extras["ambiguous_groupings"] = sum(g.ambiguous for g in groupings)
     rep.extras["bounded_residuals"] = [float(b) for b in bounded_res]
-    if max(bounded_res) > 0 and bounded_res[-1] > bounded_res[0] + 1e-9:
+    if bounded_res[-1] > bounded_res[0] + 1e-9:
         if bounded_res[-1] > 10 * max(bounded_res[0], 1e-12):
             rep.fail("bounded-group residuals grow with lambda")
 
@@ -458,9 +462,9 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     grid = GridSpec(angular=90 * density, directions=48 * density)
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     rep = SweepReport("prop52", {
-        "density": density, "lambda0": lambda0, "xi_max": PROP52_XI_MAX,
+        "density": density, "lambda0": lambda0, "xi_range": list(PROP52_XI_RANGE),
         "lam_max": lam_max, "angular": grid.angular, "directions": len(dirs)})
-    xi_grid = np.concatenate([[0.0], np.geomspace(1e-2, PROP52_XI_MAX, 10 * density)])
+    xi_grid = np.concatenate([[0.0], np.geomspace(*PROP52_XI_RANGE, 10 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 8 * density)
 
     def ratio(a, xa, lam):          # W / (|A|^2 / W + lambda^(2m-2mu))
@@ -517,11 +521,9 @@ def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
     return HomogeneousWeight(weights.from_polygon(np_).factors)
 
 
-def sweep_halfspace_ratio(p: Pencil, density: int = 1,
-                          scan: NormScan | None = None) -> SweepReport:
+def sweep_halfspace_ratio(p: Pencil, density: int, scan: NormScan) -> SweepReport:
     """Derivative norms against ratios of shifted homogeneous weights on the
-    unit slice (see norm_scan); `scan` as in sweep_theorem41."""
-    scan = norm_scan(p, density) if scan is None else scan
+    unit slice; `scan` as in sweep_theorem41."""
     phi = homogeneous_energy_weight(p)
 
     def table(xa, lam):
@@ -593,9 +595,8 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
                                          lam_max=lam_max)
     if name == "trace":
         w = weights.from_polygon(build_polygon(p.exponent_points()))
-        l_list = [l for l in range(4) if 2 * l + 1 < 4 * w.total_exponent]
-        return sweep_trace_equivalence(w, l_list, density=density,
-                                       lambda0=lambda0, lam_max=lam_max)
+        return sweep_trace_equivalence(w, density=density, lambda0=lambda0,
+                                       lam_max=lam_max)
     if name == "thm41":
         return sweep_theorem41(p, density=density, scan=scan)
     if name == "asymptotics":

@@ -52,10 +52,6 @@ class HomogeneousWeight(ProductWeight):
     """Same factor list, but the r = inf factor reads |xi|^2 instead of 1 + |xi|^2."""
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def from_polygon(np_: NewtonPolygon) -> ProductWeight:
     """Product weight of a polygon: per side, m_s = (a_{s+1} - a_s) / 2."""
     if np_.degenerate:
@@ -98,7 +94,7 @@ def xi_product_eval(w: ProductWeight, xi_abs, lambda_abs):
 
 def kappa_index(w: ProductWeight, s) -> int:
     """1-based index kappa with 2(m_1+..+m_{kappa-1}) <= s < 2(m_1+..+m_kappa)."""
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s < 0:
         raise OutOfRangeError(f"shift amount {s} is negative")
     acc = Fraction(0)
@@ -117,19 +113,16 @@ def shift(w: ProductWeight, s) -> ProductWeight:
     exponent (m_1+..+m_kappa) - s/2, later factors are unchanged.  s equal
     to the total exponent 2*sum(m_s) yields the empty (constant) weight.
     """
-    s = _as_fraction(s)
+    s = Fraction(s)
     if s == 0:
         return w
     if s == 2 * w.total_exponent:
         return replace(w, factors=())
     kappa = kappa_index(w, s)
     partial = sum((m for _, m in w.factors[:kappa]), Fraction(0))
-    new = []
-    m_k = partial - s / 2
-    if m_k > 0:
-        new.append((w.factors[kappa - 1][0], m_k))
-    new.extend(w.factors[kappa:])
-    return replace(w, factors=tuple(new))
+    # kappa_index puts s below 2 * partial, so the kappa-th factor stays.
+    kept = (w.factors[kappa - 1][0], partial - s / 2)
+    return replace(w, factors=(kept, *w.factors[kappa:]))
 
 
 # Trapezoid rule in u = log t.  The integrand is analytic in the strip
@@ -231,7 +224,7 @@ def _lemma32(a, m, ls):
     """lemma32_integral for every l in ls at once: each result has a leading
     axis over ls.  The lattice, its logaddexp terms and the tail series are
     computed once for all of them."""
-    m = [_as_fraction(x) for x in m]
+    m = [Fraction(x) for x in m]
     if len(a) != len(m):
         raise ValueError(f"{len(a)} scales for {len(m)} exponents")
     scales = np.stack(np.broadcast_arrays(*a), axis=-1).astype(float)

@@ -4,7 +4,8 @@ The oracles here check pencilab's results by a second route: the half-line
 solutions by contour quadrature and by their ODE residual, and polygon
 membership by the side inequalities.  `pencil_to_dict` writes the pencil
 files that the command-line tests read, and `PENCILS` holds the pencil
-files that tests and CI share, `SIGN_CHANGING` among them.
+files that tests and CI share, `SIGN_CHANGING` among them;
+`BENCHMARK_PENCILS` holds the benchmark's.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from pencilab.polygon import NewtonPolygon
 
 CONTOUR_NODES = 256
 
-# Pencil files that the tests and CI share; perfbench/pencils holds the
-# benchmark's own.
+# Pencil files that the tests and CI share, and the benchmark's own.
 PENCILS = Path(__file__).resolve().parent / "pencils"
+BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
 
 # Real pencils whose symbol changes sign on the slice (ROADMAP D16), by
 # test id: |xi|^2 - 2 lambda^2, |xi|^2 - lambda^2, |xi|^2 - 3 lambda^2 with

@@ -75,7 +75,7 @@ def test_criterion_3_trace_equivalence():
     t0 = time.perf_counter()
     np_ = build_polygon(e1_pencil().exponent_points())
     w = weights.from_polygon(np_)
-    rep = verify.sweep_trace_equivalence(w, [0, 1, 2, 3])
+    rep = verify.sweep_trace_equivalence(w)
     assert rep.verdict == "pass"
     for l in range(4):
         lo, hi = rep.extras[f"band_l{l}"]

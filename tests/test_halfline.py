@@ -2,7 +2,6 @@
 
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from pencilab.halfline import (boundary_defect, eval_deriv, l2_norm_deriv,
                                vieta)
 from pencilab.pencil import (Pencil, Term, eval_symbol, group_roots, load_pencil,
                              mesh_group_roots, tau_polynomial, tau_roots)
-from reference import contour_eval, ode_residual
+from reference import BENCHMARK_PENCILS, contour_eval, ode_residual
 
 A1, B1 = 1.0, math.sqrt(101.0)     # E1 upper roots i*a, i*b at xi'=1, lam=10
 
@@ -447,8 +446,6 @@ def test_gramian_norms_closed_forms_m1_and_scaling():
 
 # ---------------------------------------------------------------------------
 # split_norms: the Gramian of each root group against the explicit split
-
-BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
 
 
 def _asymptotics_groupings(p, density):

@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
 from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
                              sweep_multiplier_rn)
 import reference
-from reference import PENCILS, pencil_to_dict
+from reference import BENCHMARK_PENCILS, PENCILS, pencil_to_dict
 
 SMALL_GRID = GridSpec(angular=120, directions=120)
 
@@ -62,6 +61,18 @@ def test_overflowing_coefficient_sum_rejected():
                        match=r"alpha=\(2, 2\) overflows the sum of \|coeff\|"):
         Pencil(n=2, m=2, mu=1, terms=terms)
     assert Pencil(n=2, m=2, mu=1, terms=terms[:1]).coeff_scale == 1e308
+
+
+def test_coeff_scale_is_set_with_the_terms():
+    # The sum of |coeff|, 1.0 when every coefficient is zero; replace runs
+    # __post_init__ again, so the scale follows the new terms.
+    p = e1_pencil()              # coefficients 1, 2, 1, 1, 1
+    assert p.coeff_scale == 6.0
+    zeros = dataclasses.replace(p, terms=tuple(Term(t.alpha, t.j, 0j) for t in p.terms))
+    assert zeros.coeff_scale == 1.0
+    tripled = dataclasses.replace(p, terms=tuple(Term(t.alpha, t.j, 3 * t.coeff)
+                                                 for t in p.terms))
+    assert tripled.coeff_scale == 18.0 and p.coeff_scale == 6.0
 
 
 def test_json_round_trip():
@@ -535,9 +546,6 @@ def test_group_roots_solves_q_once_per_pencil(monkeypatch):
     assert fresh == p and hash(fresh) == hash(p)
     group_roots(fresh, np.array([2.0]), 1000.0)
     assert sum(seen) == 2 and len(seen) == 12
-
-
-BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
 
 
 def _field_reprs(obj) -> list[str]:

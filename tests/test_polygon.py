@@ -159,9 +159,10 @@ def test_vertical_last_side_rejected():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: build_polygon({(4, 0), (-1, 2)}), "exponent point (-1,2) has a negative entry"),
-    (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), 0), "r must be positive or infinite"),
+    (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), 0), "r must be positive and finite"),
     (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), F(-1, 2)),
-     "r must be positive or infinite"),
+     "r must be positive and finite"),
+    (lambda: r_degree(build_polygon({(4, 0), (2, 2)}), INF), "r must be positive and finite"),
 ])
 def test_polygon_input_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -179,11 +180,6 @@ def test_r_degree_values():
     assert r_degree(np_, 1) == 4
     assert r_degree(np_, 2) == 6          # attained at (2,2)
     assert r_degree(np_, F(1, 2)) == 4    # attained at (4,0)
-
-
-def test_r_degree_infinite_slope_convention():
-    np_ = build_polygon({(4, 0), (2, 2)})
-    assert r_degree(np_, INF) == (2, 2)   # (max k, max i at that k)
 
 
 def test_r_degree_degenerate():

@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_penc
                              sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
-from reference import PENCILS
+from reference import BENCHMARK_PENCILS, PENCILS
 
 
 def test_summary_band_and_first_witnesses():
@@ -67,7 +66,7 @@ def test_polygon_sweep_figure_shape_degrees():
 
 def test_trace_sweep_band():
     w = weights.from_polygon(build_polygon({(4, 0), (2, 2)}))
-    rep = verify.sweep_trace_equivalence(w, [0, 1])
+    rep = verify.sweep_trace_equivalence(w)
     assert rep.verdict == "pass"
     for l in (0, 1):
         lo, hi = rep.extras[f"band_l{l}"]
@@ -78,9 +77,9 @@ def test_trace_sweep_matches_scalar_quadrature():
     # The sweep evaluates whole grids at once; each record must agree with
     # the one-point call to a few ulps of the summed nodes.
     w = weights.from_polygon(build_polygon({(4, 0), (2, 2)}))
-    rep = verify.sweep_trace_equivalence(w, [0, 1, 3], lam_max=1e6)
+    rep = verify.sweep_trace_equivalence(w, lam_max=1e6)
     rec = rep.records
-    assert len(rec["lhs"]) == 3 * 8 * 7
+    assert len(rec["lhs"]) == 4 * 8 * 7       # l = 0..3
     for l, xa, lam, lhs in zip(rec["l"].tolist(), rec["xi_prime_abs"],
                                rec["lambda"], rec["lhs"]):
         expected, _ = weights.trace_weight_quadrature(w, l, xa, lam)
@@ -97,12 +96,33 @@ def test_trace_quadrature_error_reported(pencil):
 def test_trace_sweep_agmon_shape():
     # mu = 0: sigma'_0 tracks (lambda + |xi'|)^(1/2)
     w = weights.from_polygon(build_polygon({(2, 0), (0, 2)}))
-    rep = verify.sweep_trace_equivalence(w, [0])
+    rep = verify.sweep_trace_equivalence(w)
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("w, l_list", [
+    (weights.ProductWeight(((Fraction(1), Fraction(1, 2)),)), [0]),
+    (weights.from_polygon(build_polygon(agmon_pencil().exponent_points())), [0, 1]),
+    (weights.from_polygon(build_polygon(e1_pencil().exponent_points())), [0, 1, 2, 3])])
+def test_trace_sweep_scans_the_orders_its_weight_allows(w, l_list):
+    # sigma'_l converges for 2l + 1 < 4 sum(m_s): sum(m_s) = 1/2, 1 and 2.
+    rep = verify.sweep_trace_equivalence(w)
+    assert rep.config["l_list"] == l_list
+    assert np.unique(rep.records["l"]).tolist() == l_list
+
+
+@pytest.mark.parametrize("suite", ["polygon", "trace", "prop52"])
+@pytest.mark.parametrize("density", [1, 2])
+def test_box_suites_record_their_xi_range(suite, density):
+    # A box grid is |xi| = 0 and a geometric grid over xi_range, ends kept.
+    rep = verify.run_suites([suite], e1_pencil(), density)[suite]
+    xa = rep.records["xi_prime_abs"]
+    assert rep.config["xi_range"] == [xa[xa > 0].min(), xa.max()]
+    assert xa.min() == 0.0
+
+
 def test_thm41_sweep_e1():
-    rep = verify.sweep_theorem41(e1_pencil(), density=1)
+    rep = verify.run_suites(["thm41"], e1_pencil())["thm41"]
     assert rep.verdict == "pass"
     wit = rep.summary()["witness_max"]
     # witness reproducibility: recompute lhs at the witness point, one node
@@ -125,7 +145,7 @@ def test_thm41_known_point_ratio():
     # The ratio at (|xi'|, lambda) = (1, 10) is ||D^2 w_2|| / sqrt(11) with
     # ||D^2 w_2|| = 2.4453; it is homogeneous of degree 0, so the scan's
     # node s = lambda / |xi'| = 10 on each ray has it too.
-    rec = verify.sweep_theorem41(e1_pencil()).records
+    rec = verify.run_suites(["thm41"], e1_pencil())["thm41"].records
     at = ((rec["j"] == 2) & (rec["l"] == 2)
           & np.isclose(rec["lambda"] / rec["xi_prime_abs"], 10.0, rtol=1e-6, atol=0.0))
     assert sorted(rec["xi_prime"][at, 0] / rec["xi_prime_abs"][at]) == [-1.0, 1.0]
@@ -233,7 +253,7 @@ def test_prop52_agmon_order_bound():
 
 
 def test_halfspace_sweep_e1():
-    rep = verify.sweep_halfspace_ratio(e1_pencil(), density=1)
+    rep = verify.run_suites(["halfspace"], e1_pencil())["halfspace"]
     assert rep.verdict == "pass"
     assert np.isfinite(rep.max_ratio)
 
@@ -270,8 +290,7 @@ def test_norm_sweeps_match_pointwise_loop(pencil):
     # may round 1-2 ulp away from scalar ones.
     p = pencil()
     phi = verify.homogeneous_energy_weight(p)
-    thm = verify.sweep_theorem41(p)
-    half = verify.sweep_halfspace_ratio(p)
+    thm, half = verify.run_suites(["thm41", "halfspace"], p).values()
     for rep, rhs, rel in (
             (thm, lambda j, l, xa, lam: verify.rhs_44(p.mu, j, l, xa, lam),
              0.0),
@@ -327,8 +346,7 @@ def test_norm_sweeps_report_root_clearance(pencil, tmp_path):
     # The smallest Im tau / |tau| over the mesh, which bounds the conditioning
     # of the Gramian's Lyapunov solve, is in summary.json, never in the CSV.
     clearance = np.sqrt(0.5) if pencil is _quartic_pencil else 1.0
-    for rep in (verify.sweep_theorem41(pencil()),
-                verify.sweep_halfspace_ratio(pencil())):
+    for rep in verify.run_suites(["thm41", "halfspace"], pencil()).values():
         extras = rep.summary()["extras"]
         assert extras["root_clearance_min"] == pytest.approx(clearance, rel=1e-12)
         assert "pointwise_nodes" not in extras
@@ -341,11 +359,11 @@ def test_run_suites_times_each_suite_and_direct_sweeps_do_not():
     p = e1_pencil()
     assert all(rep.runtime > 0 for rep in verify.run_suites(verify.SUITES, p).values())
     np_ = build_polygon(p.exponent_points())
-    w = weights.from_polygon(np_)
+    w, scan = weights.from_polygon(np_), verify.norm_scan(p, 1)
     direct = [verify.sweep_polygon_equivalence(np_),
-              verify.sweep_trace_equivalence(w, [0, 1]),
-              verify.sweep_theorem41(p), verify.sweep_group_asymptotics(p),
-              verify.sweep_multiplier_rn(p), verify.sweep_halfspace_ratio(p)]
+              verify.sweep_trace_equivalence(w),
+              verify.sweep_theorem41(p, 1, scan), verify.sweep_group_asymptotics(p),
+              verify.sweep_multiplier_rn(p), verify.sweep_halfspace_ratio(p, 1, scan)]
     assert [rep.runtime for rep in direct] == [0.0] * 6
 
 
@@ -400,7 +418,7 @@ def test_norm_scan_covers_both_rays_of_the_plane():
                terms=_double_root_pencil().terms + (Term((1, 2), 3, 0.5),))
     both = halfline.mesh_norms(p, [[0.6], [-0.6]], [0.8, 0.8])
     assert np.abs(both.values[0] - both.values[1]).min() > 0.01
-    rep = verify.sweep_theorem41(p)
+    rep = verify.run_suites(["thm41"], p)["thm41"]
     assert rep.verdict == "pass"
     # Records come ray by ray, each with the same nodes, j and l.
     rec = rep.records
@@ -412,9 +430,6 @@ def test_norm_scan_covers_both_rays_of_the_plane():
     assert np.abs(rec["lhs"][:half] - rec["lhs"][half:]).max() > 0.01
     wit = rep.summary()["witness_max"]
     assert wit["xi_prime"] == [np.sign(wit["xi_prime"][0]) * wit["xi_prime_abs"]]
-
-
-BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
 
 
 @pytest.mark.parametrize("path, count", [
@@ -445,7 +460,7 @@ def test_norm_scan_ratios_are_scale_invariant(name):
     # real-axis test of tau_roots, absolute at that scale, rejects.
     p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
     phi = verify.homogeneous_energy_weight(p)
-    thm, half = verify.sweep_theorem41(p), verify.sweep_halfspace_ratio(p)
+    thm, half = verify.run_suites(["thm41", "halfspace"], p).values()
     j_list, l_list = thm.config["j_list"], thm.config["l_list"]
     eps = np.finfo(float).eps
     rec = thm.records

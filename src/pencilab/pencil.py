@@ -291,14 +291,14 @@ class GridSpec:
         return self.directions
 
 
-# Values per block of a slice scan (720 directions x 45 columns), float64 or
+# Values per block of a slice scan (table rows x columns), float64 or
 # complex128 as the pencil's table.  A block bounds only the block and part
 # buffers, about a megabyte together at most whatever the grid size; the
-# powers of rho and lambda are per column, once per scan.  On a 2-CPU Xeon
-# (AVX-512), check_lemma21 and remark22_checks on e1, agmon, e1_n3 and near
-# at the default grid took 18.2 ms at 32768 against 20.3 ms at 16384
-# (medians of 12 interleaved rounds, 32768 faster in 11); the two 720 x 720
-# scans of e1 alone took 2.6 ms, against 3.1 ms at 16384 and 3.4 ms at 65536.
+# powers of rho and lambda are per column, once per scan.  The scans take
+# distinct rows, so only a generic table fills a block: broken's 596 rows of
+# 720 take 54 columns.  On a 2-CPU Xeon (AVX-512) its check_lemma21 and
+# remark22_checks at the default grid took 3.97 ms, against 4.13 ms at 16384
+# (slower in 21 of 25 interleaved rounds) and 3.57 ms at 65536 (faster in 20).
 SLICE_BLOCK_ENTRIES = 32768
 # Points per half side of the patches that refine a sphere minimum.
 ZOOM = 5
@@ -357,6 +357,19 @@ def homogeneous_table(parts: Parts, dirs: np.ndarray) -> np.ndarray:
     return table
 
 
+def distinct_rows(table: np.ndarray) -> np.ndarray:
+    """The rows of a direction table that differ bit for bit, each at its
+    first occurrence, in order.  The keys are uint64 words (two per complex
+    entry), not values: == would merge 0.0 with -0.0 and never merge NaN."""
+    keys = np.ascontiguousarray(table).view(np.uint64).T
+    order = np.lexsort(keys)            # stable: equal rows keep their order
+    cols, new = keys.take(order, axis=1), np.ones(len(order), dtype=bool)
+    new[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    first = np.zeros(len(order), dtype=bool)
+    first[order[new]] = True            # each run's first row: no second sort
+    return table[first]
+
+
 def symbol_blocks(table: np.ndarray, rho, lam):
     """Yield (cols, block) with block[k, d] = A(rho[c] omega_d, lam[c]) for
     c = cols.start + k, over consecutive slices `cols` of the columns.
@@ -372,14 +385,15 @@ def symbol_blocks(table: np.ndarray, rho, lam):
     BLAS) over subscripts with no summed index, so each product is the one
     rounding of powers[c] * A_j[d] that a broadcast multiply gives.  The
     values therefore do not depend on the block size, the BLAS build or
-    its threads, and equal the sum over j started from zeros.  (einsum
+    its threads, and equal the sum over j started from zeros; each depends
+    on its own table row alone (see distinct_rows).  (einsum
     adds each product to its zeroed output, so a zero product also gets
     that sum's +0.0; column_least does not rely on it.)
 
     The block and the buffer for a later part are allocated once per scan,
     as the two halves of one array: each yielded block is overwritten by
     the next one, so a caller uses a block, and may overwrite it, before it
-    advances.  With two allocations of 259 KB (a 720 x 720 scan), glibc's
+    advances.  With two allocations of 259 KB (a 720-row table), glibc's
     malloc returned the top of the heap to the system after some scans and
     the next scan faulted it in again, 95 minor page faults per scan,
     depending on what the process had allocated before; one allocation of
@@ -425,6 +439,9 @@ def column_least(table: np.ndarray, rho, lam):
     already.  Adding 0.0 to the minima turns a -0.0 into the +0.0 of a sum
     from zeros, so the minima keep those bits however einsum writes a zero
     product.
+
+    The least |A| and both flags depend only on the set of table rows: the
+    scans pass distinct_rows(table); prop52's polish passes its one row.
     """
     least = np.empty(len(rho))
     negative = positive = False
@@ -539,12 +556,14 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     degree 2m, so this slice determines the constant).  witness_iii is the
     first minimising node in (angle, direction) order.
 
-    Each angle divides only its least |A| by the normaliser (see
-    column_least), which gives the same min_ratio bit for bit.  The least
+    The slice scan takes the table's distinct rows, which gives min_abs,
+    min_ratio and the sign flags of the whole grid bit for bit (see
+    column_least).  Each angle divides only its least |A| by the
+    normaliser, which gives the same min_ratio bit for bit.  The least
     ratio's first angle is the first minimising node's angle, and its
-    direction is found by evaluating and dividing that angle's row again:
-    two values of |A| can round to the same ratio, so the first minimising
-    direction need not be the first least |A|.
+    direction is found by evaluating and dividing that angle's row of the
+    whole table again: two values of |A| can round to the same ratio, so
+    the first minimising direction need not be the first least |A|.
 
     The closed slice is connected and the ratio, taken with A's sign, is
     continuous on it, with the values A_2m(omega) and A_2mu(omega) at its
@@ -562,7 +581,7 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     witness_ii, min_a2mu = _sphere_min(parts, 2 * p.mu, dirs, table)
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
-    lowest, negative, positive = column_least(table, rho, lam)
+    lowest, negative, positive = column_least(distinct_rows(table), rho, lam)
     ratio = _normalised(lowest, denom)
     k, d = int(np.argmin(ratio)), 0
     min_abs, min_ratio = float(lowest.min()), float(ratio[k])
@@ -630,11 +649,12 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     even_order: only even homogeneity orders occur, so Q is a polynomial in
     tau^2.  strongly_elliptic: Re A dominates |xi|^2mu (lambda+|xi|)^(2m-2mu)
     on the compact slice, with c_min the smallest ratio of the two.  Either
-    condition implies regular degeneration.
+    condition implies regular degeneration.  Re A is scanned on the
+    distinct rows of the direction table, bit for bit as on all of them.
     """
     even_order = all(t.j % 2 == 0 for t in p.terms if t.coeff != 0)
-    table = homogeneous_table(compile_parts(p),
-                              sphere_directions(p.n, grid.direction_count(p.n)))
+    table = distinct_rows(homogeneous_table(
+        compile_parts(p), sphere_directions(p.n, grid.direction_count(p.n))))
     rho, lam, denom = _slice_nodes(p, grid.angular)
     # Least Re A per angle, +0.0 for a -0.0 as in column_least.
     least = np.concatenate([block.real.min(axis=1)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, halfline, weights
 from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
-                     column_least, compile_parts, homogeneous_table,
+                     column_least, compile_parts, distinct_rows, homogeneous_table,
                      mesh_group_roots, sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
@@ -480,7 +480,7 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     # One column per record: the maximum over the directions.
     xa_col, lam_col = _box(xi_grid, lam_grid)
     table = homogeneous_table(compile_parts(p), dirs)
-    best = column_max(table, xa_col, lam_col)
+    best = column_max(distinct_rows(table), xa_col, lam_col)
 
     rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pencilab import halfline
 from pencilab import pencil as pencil_mod
+from pencilab import verify as verify_mod
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import (EllipticityError, OutOfRangeError, PencilabError,
                              PencilFormatError)
@@ -1019,7 +1020,7 @@ CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     (agmon_pencil(), GridSpec(angular=7, directions=30)),
     (E1_N3, GridSpec(angular=3, directions=30)),
     (N1, GridSpec(angular=7, directions=30)),
-    # 97 angles leave a partial last block of SLICE_BLOCK_ENTRIES // 720 columns.
+    # m3's 720 directions give a few dozen distinct rows: one block.
     (M3, GridSpec(angular=97, directions=720)),
     (CPLX_N2, GridSpec(angular=7, directions=30)),
     (CPLX_N3, GridSpec(angular=3, directions=30)),
@@ -1030,7 +1031,10 @@ CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     # A negative symbol: its least |A| is minus the column maxima.
     (Pencil(n=2, m=3, mu=1, terms=tuple(Term(t.alpha, t.j, -2.0 * t.coeff)
                                         for t in M3.terms)),
-     GridSpec(angular=97, directions=720))])
+     GridSpec(angular=97, directions=720)),
+    # broken's several hundred distinct rows leave a partial last block
+    # (test_broken_scan_ends_in_a_partial_block).
+    (broken_pencil(), GridSpec(angular=97, directions=720))])
 def test_slice_scans_bit_identical_to_full_ratio(p, grid):
     _assert_slice_scans_bit_identical(p, grid)
 
@@ -1086,9 +1090,12 @@ def test_slice_scans_bit_identical_on_odd_order_pencils(p, angular, directions):
     # e1 is rotation invariant, so ratios tie up to rounding across directions.
     (e1_pencil(), GridSpec(angular=720, directions=720)),
     (broken_pencil(), GridSpec(angular=7, directions=30)),
-    # 2000 directions (the n = 3 least): the default block of
-    # SLICE_BLOCK_ENTRIES // 2000 columns leaves a partial last block.
-    (E1_N3, GridSpec(angular=97, directions=97))])
+    # 2000 directions (the n = 3 least), which give a few dozen distinct
+    # rows: the default block holds every angle.
+    (E1_N3, GridSpec(angular=97, directions=97)),
+    # A partial last block at the default size
+    # (test_broken_scan_ends_in_a_partial_block).
+    (broken_pencil(), GridSpec(angular=97, directions=720))])
 def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
     def scans():
         rep = check_lemma21(p, grid)
@@ -1105,6 +1112,151 @@ def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
     for entries in (1, 10 ** 9):
         monkeypatch.setattr(pencil_mod, "SLICE_BLOCK_ENTRIES", entries)
         assert [np.asarray(x).tobytes() for x in scans()] == default
+
+
+# ---------------------------------------------------------------------------
+# the slice scans visit the distinct rows of the direction table
+
+def _least_re(table, rho, lam):
+    """remark22_checks' least Re A per column, from symbol_blocks."""
+    return np.concatenate([block.real.min(axis=1) for _, block
+                           in pencil_mod.symbol_blocks(table, rho, lam)]) + 0.0
+
+
+def _first_rows(table):
+    """Indices of the rows whose bytes no earlier row has, in order."""
+    seen, first = set(), []
+    for d, row in enumerate(table):
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            first.append(d)
+    return first
+
+
+def _distinct_count(table):
+    """The number of distinct rows of a table, by np.unique on a void view."""
+    rows = np.ascontiguousarray(table).view(f"V{table.itemsize * table.shape[1]}")
+    return len(np.unique(rows))
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _repeated_tables(draw):
+    """Direction tables that repeat a few base rows in any order, real or
+    complex: with rows that differ from a base row only in the sign of its
+    zeros, all-zero columns, and 1-row tables."""
+    cols = draw(st.integers(3, 7))
+    dtype = draw(st.sampled_from([float, complex]))
+    width = cols * (1 if dtype is float else 2)
+    base = np.array(draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                                  min_size=1, max_size=4)))
+    base = base.view(dtype) if dtype is complex else base
+    zero_cols = draw(st.lists(st.integers(0, cols - 1), max_size=cols))
+    base[:, zero_cols] = draw(st.sampled_from([0.0, -0.0]))
+    flipped = np.empty_like(base)        # each zero of the other sign
+    flipped.real = np.where(base.real == 0, -np.copysign(0.0, base.real), base.real)
+    if dtype is complex:
+        flipped.imag = np.where(base.imag == 0, -np.copysign(0.0, base.imag), base.imag)
+    rows = np.concatenate([base, flipped])
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    return np.ascontiguousarray(rows[picks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeated_tables(), st.integers(1, 9))
+def test_scans_of_the_distinct_rows_equal_the_full_scans(table, angular):
+    theta = (np.arange(angular) + 0.5) / angular * (np.pi / 2.0)
+    # The slice's ends, rho = 0 and lambda = 0, besides its midpoints.
+    rho, lam = np.r_[np.cos(theta), 0.0, 1.0], np.r_[np.sin(theta), 1.0, 0.0]
+    rows = pencil_mod.distinct_rows(table)
+    assert rows.dtype == table.dtype
+    assert rows.tobytes() == table[_first_rows(table)].tobytes()
+    assert len(rows) == _distinct_count(table)
+    least, negative, positive = pencil_mod.column_least(rows, rho, lam)
+    full_least, full_negative, full_positive = pencil_mod.column_least(table, rho, lam)
+    assert least.tobytes() == full_least.tobytes()
+    assert (negative, positive) == (full_negative, full_positive)
+    assert _least_re(rows, rho, lam).tobytes() == _least_re(table, rho, lam).tobytes()
+
+
+def test_distinct_rows_compare_bits():
+    table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 2.0],
+                      [np.nan, 2.0], [-0.0, 1.0]])
+    assert pencil_mod.distinct_rows(table).tobytes() == table[[0, 1, 3]].tobytes()
+    # A complex entry is two words: rows that differ in an imaginary zero's
+    # sign stay apart.
+    table = np.array([[1.0 + 0.0j], [complex(1.0, -0.0)], [1.0 + 0.0j]])
+    assert pencil_mod.distinct_rows(table).tobytes() == table[[0, 1]].tobytes()
+    assert pencil_mod.distinct_rows(table[:1]).tobytes() == table[:1].tobytes()
+
+
+def _scan_lengths(monkeypatch):
+    """(table rows, columns) of each symbol_blocks call, as they come."""
+    lengths = []
+    real_blocks = pencil_mod.symbol_blocks
+
+    def recording(table, rho, lam):
+        lengths.append((len(table), len(rho)))
+        return real_blocks(table, rho, lam)
+
+    monkeypatch.setattr(pencil_mod, "symbol_blocks", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("path", sorted([*PENCILS.glob("*.json"),
+                                         *BENCHMARK_PENCILS.glob("*.json")]),
+                         ids=lambda path: path.stem)
+def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
+    # Counts, not clocks: the scans evaluate the symbol at each distinct
+    # row of the table and each angle, and the witness of (iii) takes its
+    # angle's full row of directions.  How many rows are distinct depends
+    # on the platform's cos and sin, so the count is computed, not pinned.
+    p, grid = load_pencil(path), GridSpec()
+    dirs = sphere_directions(p.n, grid.direction_count(p.n))
+    table = pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs)
+    distinct = _distinct_count(table)
+    lengths = _scan_lengths(monkeypatch)
+    check_lemma21(p, grid)
+    assert lengths == [(distinct, grid.angular), (len(dirs), 1)]
+    lengths.clear()
+    remark22_checks(p, grid)
+    assert lengths == [(distinct, grid.angular)]
+    if path.stem == "e1":
+        assert distinct < 100 < len(dirs)
+
+
+def test_broken_scan_ends_in_a_partial_block():
+    # The block-size tests run broken at 97 angles and 720 directions to
+    # cover a last block with fewer columns than the others.
+    p = load_pencil(BENCHMARK_PENCILS / "broken.json")
+    dirs = sphere_directions(p.n, 720)
+    rows = pencil_mod.distinct_rows(
+        pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs))
+    step = pencil_mod.SLICE_BLOCK_ENTRIES // len(rows)
+    assert 1 < step < 97 and 97 % step
+
+
+@pytest.mark.parametrize("name", ["e1", "broken", "e1_n3"])
+def test_prop52_finds_the_distinct_rows_once(name, monkeypatch):
+    # The box scan takes the distinct rows, and the ellipticity check at the
+    # end takes its own; the polish scans the one row of its direction as it
+    # is, with no sort per step.
+    calls = []
+    real_distinct = pencil_mod.distinct_rows
+
+    def counting(table):
+        calls.append(table)
+        return real_distinct(table)
+
+    for module in (pencil_mod, verify_mod):
+        monkeypatch.setattr(module, "distinct_rows", counting)
+    lengths = _scan_lengths(monkeypatch)
+    sweep_multiplier_rn(load_pencil(BENCHMARK_PENCILS / f"{name}.json"))
+    assert len(calls) == 2 and lengths[0][0] == _distinct_count(calls[0])
+    polish = [rows for rows, columns in lengths if columns == (2 * ZOOM + 1) ** 2]
+    assert polish and set(polish) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pencil import Pencil, cluster_roots, mesh_upper_roots, tau_roots
+from .pencil import Pencil, accepted, cluster_roots, mesh_roots, tau_roots
 
 MERGE_TOL = 1e-4
 
@@ -229,7 +229,7 @@ def split_by_group(sol: ExpPolySolution, grouping):
 # r_l = e_1^T C^l and (iC) G_j + G_j (iC)^H = -e_j e_j^H.  A_+ needs only the
 # symmetric functions of the upper roots, so no 1/gap term appears.  The
 # Kronecker matrix has the eigenvalues i(tau_b - conj(tau_a)) and degrades
-# only as a root nears the real axis, where tau_roots refuses.
+# only as a root nears the real axis, where mesh_roots refuses the node.
 
 class MeshNorms(NamedTuple):
     values: np.ndarray          # ||D^l w_j|| by (node, j, l)
@@ -343,11 +343,11 @@ def mesh_norms(p: Pencil, xi_prime, lam) -> MeshNorms:
     """||D^l w_j||, j = 1..m and l = 0..m, at the nodes (xi_prime[k], lam[k]);
     xi_prime has shape (N, n-1) and lam shape (N,).
 
-    The upper roots are those of tau_roots bit for bit, from one
-    mesh_upper_roots call, which raises the error a loop of tau_roots
-    calls over the nodes would raise first.
+    The upper roots come from one mesh_roots call, bit for bit those of
+    tau_roots at each node; the first refused node, in node order, raises
+    its error.
     """
-    upper = mesh_upper_roots(p, xi_prime, lam)
+    upper = np.array([rs.upper for rs in accepted(mesh_roots(p, xi_prime, lam))])
     return MeshNorms(gramian_norms(upper, np.eye(p.m), list(range(p.m + 1))),
                      float(np.min(upper.imag / np.abs(upper))))
 
@@ -361,7 +361,7 @@ def homogeneity_check(p: Pencil, xi_prime, lam: float, r: float,
     scaled point; the two agree for exact arithmetic.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
-    upper = [tau_roots(p, xi_prime, lam).upper,
-             tau_roots(p, xi_prime / r, lam / r).upper]
+    upper = [rs.upper for rs in accepted(
+        mesh_roots(p, [xi_prime, xi_prime / r], [lam, lam / r]))]
     lhs, scaled = gramian_norms(upper, np.eye(p.m)[[j - 1]], [l])[:, 0, 0]
     return float(lhs), r ** (0.5 - j + l) * float(scaled)

@@ -8,7 +8,6 @@ the normal frequency.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -64,7 +63,7 @@ class Pencil:
         # Not fields, so ==, hash, repr and dataclasses.replace ignore them:
         # coeff_scale, the sum of |coeff| (1.0 if it is 0), and what the
         # point queries derive from this pencil alone, kept with it: Q's
-        # DegenerationResult and tau_roots' last point.
+        # DegenerationResult and tau_roots' last point (see tau_roots).
         object.__setattr__(self, "coeff_scale", scale or 1.0)
         object.__setattr__(self, "_derived", {})
 
@@ -190,8 +189,8 @@ def poly_roots(coeffs) -> np.ndarray:
     backward stable (Edelman & Murakami 1995) and keeps the mean of a
     split multiple root.  numpy.roots itself is skipped: at one polynomial
     of degree 2m its per-call overhead costs more than the eigensolve.
-    mesh_upper_roots solves a stack of these matrices in one eigvals call,
-    which gives each matrix the same bits.
+    This solves Q and A_2mu(xi', .); mesh_roots solves A's matrices in one
+    stacked eigvals call, which gives each matrix the same bits.
     """
     c = np.asarray(coeffs, dtype=complex).tolist()
     while c and c[-1] == 0:
@@ -210,10 +209,10 @@ def _companion(desc: np.ndarray) -> np.ndarray:
     """Companion matrices, as numpy.roots builds them, of the polynomials
     whose descending coefficients run along the last axis of desc."""
     d = desc.shape[-1] - 1
-    out = np.zeros(desc.shape[:-1] + (d, d), dtype=complex)
-    out[..., 1:, :-1] = np.eye(d - 1)
-    out[..., 0, :] = -desc[..., 1:] / desc[..., :1]
-    return out
+    out = np.zeros(desc.shape[:-1] + (d * d,), dtype=complex)
+    out[..., d::d + 1] = 1.0            # the subdiagonal, row major
+    out[..., :d] = -desc[..., 1:] / desc[..., :1]
+    return out.reshape(desc.shape[:-1] + (d, d))
 
 
 def _near_real_axis(roots: np.ndarray) -> np.ndarray:
@@ -671,71 +670,75 @@ class RootSet:
     lower: tuple[complex, ...]
 
 
+def mesh_roots(p: Pencil, xi_prime, lam) -> list:
+    """The tau-roots of A at each node (xi_prime[k], lam[k]), xi_prime of
+    shape (N, n-1): per node a RootSet, or the error that refuses the node,
+    returned and not raised.  Every tau-root set of A comes from here: one
+    stacked eigvals call, which gives each node the bits it has alone.
+    Refused, in turn: what _tau_coefficients refuses, xi' = lambda = 0, a
+    root on the real axis (a zero constant term is a root at 0), m_+ != m.
+    """
+    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
+    if xi_prime.shape != (len(lam), p.n - 1):
+        raise ValueError(f"xi' has shape {xi_prime.shape}, expected "
+                         f"({len(lam)}, {p.n - 1})")
+    nodes = list(zip(xi_prime.tolist(), lam.tolist()))
+    out, solved, coeffs = [None] * len(nodes), [], []
+    for k, (xs, y) in enumerate(nodes):
+        try:
+            coeffs.append(_tau_coefficients(p, xs, y))
+            solved.append(k)
+        except (OutOfRangeError, EllipticityError) as exc:
+            out[k] = exc
+    if not coeffs:
+        return out
+    roots = np.linalg.eigvals(_companion(np.array(coeffs)[:, ::-1]))
+    near_real = _near_real_axis(roots).tolist()
+    for k, c, r, near in zip(solved, coeffs, roots.tolist(), near_real):
+        (xs, y), upper, lower = nodes[k], [], []
+        for z in r:
+            (upper if z.imag > 0 else lower).append(z)
+        if y == 0.0 and math.hypot(*xs) == 0.0:
+            out[k] = ValueError("need xi' != 0 or lambda > 0")
+        elif near or c[0] == 0:
+            out[k] = EllipticityError(
+                f"root on the real axis at xi'={np.array(xs)}, lambda={y}")
+        elif len(upper) != p.m:
+            out[k] = EllipticityError(
+                f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
+        else:
+            out[k] = RootSet(tuple(upper), tuple(lower))
+    return out
+
+
+def accepted(results: list) -> list[RootSet]:
+    """mesh_roots' results, once none is an error; else raises the first."""
+    for rs in results:
+        if isinstance(rs, Exception):
+            raise rs
+    return results
+
+
 def tau_roots(p: Pencil, xi_prime, lam: float) -> RootSet:
-    """The 2m roots of A(xi', tau, lambda), upper and lower half-plane apart.
+    """The 2m roots of A(xi', tau, lambda), upper and lower half-plane apart:
+    mesh_roots at the one node, raising that node's error.
 
-    Raises EllipticityError if a root sits on the real axis (within
-    tolerance) or if the upper count differs from m, and tau_polynomial's
-    OutOfRangeError for a point outside its range.
-
-    The pencil keeps the RootSet of the last point it solved, keyed on the
-    exact bits of xi' and lambda, and returns it again at that point: a
-    point query (group_roots, then solve) makes one eigensolve.  A point
-    that raises is not kept, so it raises on every call.
+    The pencil keeps the RootSet of its last point, keyed on the bits of xi'
+    and lambda; a point that raises is not kept.  halfline-points calls
+    group_roots, then solve, at each point: without this memo its wall_s
+    rose from 0.040 to 0.056 s (+39%, 2-CPU Xeon).  It can go once that
+    benchmark calls what the CLI calls, which solves each point once.
     """
     xi_prime = np.asarray(xi_prime, dtype=float)
     key = (xi_prime.shape, xi_prime.tobytes(), float(lam).hex())
     last = p._derived.get("roots")
     if last is not None and last[0] == key:
         return last[1]
-    coeffs = tau_polynomial(p, xi_prime, lam)
-    if lam == 0.0 and math.hypot(*xi_prime.tolist()) == 0.0:
-        raise ValueError("need xi' != 0 or lambda > 0")
-    roots = poly_roots(coeffs)
-    if _near_real_axis(roots):
-        raise EllipticityError(
-            f"root on the real axis at xi'={xi_prime}, lambda={lam}")
-    upper, lower = [], []
-    for r in roots.tolist():
-        (upper if r.imag > 0 else lower).append(r)
-    if len(upper) != p.m:
-        raise EllipticityError(
-            f"{len(upper)} upper roots, expected m = {p.m} (m_+ = m violated)")
-    rs = RootSet(tuple(upper), tuple(lower))
+    if xi_prime.shape != (p.n - 1,):
+        raise ValueError(f"xi' has shape {xi_prime.shape}, expected ({p.n - 1},)")
+    rs, = accepted(mesh_roots(p, xi_prime[None], [lam]))
     p._derived["roots"] = key, rs
     return rs
-
-
-def mesh_upper_roots(p: Pencil, xi_prime, lam) -> np.ndarray:
-    """tau_roots(p, xi_prime[k], lam[k]).upper at each node k of a node list.
-
-    xi_prime has shape (N, n-1) and lam shape (N,); the (N, m) result
-    equals tau_roots bit for bit: tau_polynomial builds each node's
-    coefficients and poly_roots' companion matrices go to one stacked
-    eigensolve.  At each node this rejects, tau_roots runs, in node order,
-    and raises the error that a loop of tau_roots calls would raise first.
-    """
-    xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
-    if xi_prime.shape != (len(lam), p.n - 1):
-        raise ValueError(f"xi' has shape {xi_prime.shape}, expected "
-                         f"({len(lam)}, {p.n - 1})")
-    coeffs = np.zeros((len(lam), 2 * p.m + 1), dtype=complex)
-    for k, (xs, y) in enumerate(zip(xi_prime.tolist(), lam.tolist())):
-        with contextlib.suppress(OutOfRangeError, EllipticityError):
-            coeffs[k] = _tau_coefficients(p, xs, y)
-    # A node that tau_polynomial rejects keeps zero coefficients.  A zero
-    # constant term is a root at 0, which tau_roots rejects as real, and
-    # tau_roots rejects xi' = lambda = 0.
-    ok = (coeffs[:, 0] != 0) & ((lam != 0) | (xi_prime != 0).any(axis=1))
-    roots = np.linalg.eigvals(_companion(coeffs[ok][:, ::-1]))
-    good = ~_near_real_axis(roots) & (np.sum(roots.imag > 0, axis=-1) == p.m)
-    roots = roots[good]
-    upper = np.full((len(lam), p.m), np.nan, dtype=complex)
-    ok[ok] = good
-    upper[ok] = roots[roots.imag > 0].reshape(-1, p.m)
-    for k in np.flatnonzero(~ok):
-        upper[k] = tau_roots(p, xi_prime[k], lam[k]).upper
-    return upper
 
 
 def _min_cost_matching(cost: list[list[float]]) -> list[int]:
@@ -778,22 +781,17 @@ def group_roots(p: Pencil, xi_prime, lam: float) -> RootGrouping:
 
 def mesh_group_roots(p: Pencil, xi_prime, lam) -> list[RootGrouping]:
     """group_roots(p, xi_prime, lam[k]) at each lambda of the array lam,
-    field for field.
-
-    The upper roots come from one mesh_upper_roots call; the bounded
-    targets and Q's roots are found once, since xi' is fixed.  An error
-    names what a loop of group_roots calls would name first: node 0's
-    roots, then the targets, then the later nodes.
+    field for field, from one mesh_roots call; the bounded targets and Q's
+    roots are found once, since xi' is fixed.  An error names what a loop
+    of group_roots calls would name first: node 0's roots, then the
+    targets, then the later nodes.
     """
     xi_prime, lam = np.asarray(xi_prime, dtype=float), np.asarray(lam, dtype=float)
-    try:
-        targets = _grouping_targets(p, xi_prime)
-    except Exception:
-        if len(lam):                # a loop raises node 0's error first
-            tau_roots(p, xi_prime, lam[0])
-        raise
-    upper = mesh_upper_roots(p, np.tile(xi_prime, (len(lam), 1)), lam)
-    return [_match_groups(p, u, y, *targets) for u, y in zip(upper, lam.tolist())]
+    results = mesh_roots(p, np.tile(xi_prime, (len(lam), 1)), lam)
+    accepted(results[:1])
+    targets = _grouping_targets(p, xi_prime)
+    return [_match_groups(p, np.array(rs.upper), y, *targets)
+            for rs, y in zip(accepted(results), lam.tolist())]
 
 
 def _grouping_targets(p: Pencil, xi_prime) -> tuple[np.ndarray, DegenerationResult]:

@@ -22,11 +22,12 @@ from pencilab.errors import (EllipticityError, OutOfRangeError, PencilabError,
 from pencilab.halfline import MERGE_TOL
 from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
                              DegenerationResult, GridSpec, Pencil, RootGrouping,
-                             Term, check_lemma21, check_regular_degeneration,
-                             cluster_roots, eval_symbol, group_roots,
-                             load_pencil, mesh_group_roots, pencil_from_dict,
-                             poly_roots, q_polynomial, remark22_checks,
-                             sphere_directions, tau_polynomial, tau_roots)
+                             RootSet, Term, check_lemma21,
+                             check_regular_degeneration, cluster_roots,
+                             eval_symbol, group_roots, load_pencil,
+                             mesh_group_roots, pencil_from_dict, poly_roots,
+                             q_polynomial, remark22_checks, sphere_directions,
+                             tau_polynomial, tau_roots)
 from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
                              sweep_multiplier_rn)
 import reference
@@ -280,8 +281,9 @@ def _polynomial_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(_polynomial_stacks())
 def test_point_roots_match_stacked_eigvals_bit_for_bit(coeffs):
-    # poly_roots solves one companion matrix, mesh_upper_roots a stack of
-    # them in one eigvals call; the tau_roots/mesh contract rests on it.
+    # mesh_roots solves a stack of companion matrices in one eigvals call,
+    # and tau_roots a stack of one: a node's roots must not depend on the
+    # stack around it.
     stacked = np.linalg.eigvals(pencil_mod._companion(coeffs[:, ::-1]))
     point = np.array([poly_roots(c) for c in coeffs])
     assert point.tobytes() == stacked.tobytes()
@@ -332,20 +334,26 @@ def test_tau_roots_real_axis_rejected():
         tau_roots(p, np.array([1.0]), 1.0)
 
 
+def _root_bits(rs):
+    return np.array(rs.upper).tobytes(), np.array(rs.lower).tobytes()
+
+
 def _mesh_against_loop(p, xi_prime, lam):
-    """Check mesh_upper_roots against a loop of tau_roots calls over the
-    nodes: it raises the loop's first error, of the same type and message,
-    or else returns the loop's roots bit for bit.  Returns that error or
-    None."""
-    try:
-        loop = np.array([tau_roots(p, xs, y).upper for xs, y in zip(xi_prime, lam)])
-    except Exception as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as mesh:
-            pencil_mod.mesh_upper_roots(p, xi_prime, lam)
-        assert type(mesh.value) is type(exc)
-        return exc
-    assert pencil_mod.mesh_upper_roots(p, xi_prime, lam).tobytes() == loop.tobytes()
-    return None
+    """Check mesh_roots against tau_roots at each node: the node's RootSet
+    bit for bit, or an error of the same type and message.  Returns the
+    first node's error, in node order, or None."""
+    results = pencil_mod.mesh_roots(p, xi_prime, lam)
+    assert len(results) == len(lam)
+    first = None
+    for got, xs, y in zip(results, xi_prime, lam):
+        try:
+            want = tau_roots(dataclasses.replace(p), xs, y)
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            first = first or exc
+        else:
+            assert type(got) is RootSet and _root_bits(got) == _root_bits(want)
+    return first
 
 
 @pytest.mark.parametrize("p, xi_prime, lam, error, message", [
@@ -360,6 +368,61 @@ def test_tau_roots_rejects_at_a_point_and_on_the_mesh(p, xi_prime, lam, error, m
         tau_roots(p, np.array(xi_prime), lam)
     exc = _mesh_against_loop(p, np.array([xi_prime, xi_prime]), np.array([2.0, lam]))
     assert str(exc) == message
+
+
+# tau^2 - 3i lambda tau + 2 xi_1^2 - 2 lambda^2 + 1e15 xi_2^2 (n = 3, m = 1):
+# at xi_2 = 0 its roots i(3 lambda +- sqrt(lambda^2 + 8 xi_1^2)) / 2 are one
+# upper and one lower where xi_1 > lambda, both upper where xi_1 < lambda,
+# and 3i lambda and 0 where xi_1 = lambda.  Where xi_2 dominates, its
+# constant coefficient outweighs the leading 1 by more than 1e14.
+REFUSALS = Pencil(n=3, m=1, mu=0, terms=(
+    Term((0, 0, 2), 2, 1.0), Term((0, 0, 1), 1, -3j), Term((2, 0, 0), 2, 2.0),
+    Term((0, 0, 0), 0, -2.0), Term((0, 2, 0), 2, 1e15)))
+REFUSAL_NODES = [   # (xi_1, xi_2, lambda), and what tau_roots says there
+    (2.0, 0.0, 1.0, None),
+    (1.0, 0.0, -1.0, "need finite xi' and finite lambda >= 0"),
+    (1.0, 0.0, 1e300, "overflows"),
+    (3.0, 0.0, 0.5, None),
+    (0.0, 1.0, 0.0, "leading tau coefficient vanishes"),
+    (0.0, 0.0, 0.0, "need xi' != 0 or lambda > 0"),
+    (1.0, 0.0, 1.0, "root on the real axis"),           # a root at 0
+    (1.0, 0.0, 1.0 + 1e-9, "root on the real axis"),    # a root 1.3e-9 i
+    (0.5, 0.0, 1.0, "2 upper roots, expected m = 1"),
+    (1.0, 0.0, 0.0, None),
+]
+
+
+def test_mesh_roots_refuse_each_node_as_tau_roots_does():
+    # One mesh with good nodes and every refusal: each entry is tau_roots'
+    # RootSet bit for bit, or the error it raises, of the same type and
+    # message; mesh_norms raises the first refusal in node order, and
+    # mesh_group_roots what a loop of group_roots calls raises first.
+    nodes = np.array([node[:3] for node in REFUSAL_NODES])
+    xi_prime, lam = nodes[:, :2], nodes[:, 2]
+    results = pencil_mod.mesh_roots(REFUSALS, xi_prime, lam)
+    _mesh_against_loop(REFUSALS, xi_prime, lam)
+    for (*_, message), got in zip(REFUSAL_NODES, results):
+        if message is None:
+            assert type(got) is RootSet and len(got.upper) == 1
+        else:
+            assert isinstance(got, Exception) and message in str(got)
+    for start in range(len(nodes)):
+        order = np.roll(np.arange(len(nodes)), -start)
+        first = next(r for r in np.array(results, dtype=object)[order]
+                     if isinstance(r, Exception))
+        with pytest.raises(type(first), match=f"^{re.escape(str(first))}$"):
+            halfline.mesh_norms(REFUSALS, xi_prime[order], lam[order])
+    # mesh_group_roots keeps xi' and varies lambda.  Q = (tau - i)(tau - 2i)
+    # has two upper roots: the targets' error comes after node 0's.
+    for xi, lams in [((1.0, 0.0), [0.5, -1.0, 1.0]), ((1.0, 0.0), [-1.0, 0.5]),
+                     ((1.0, 0.0), [1.0, 1e300]), ((1.0, 0.0), [1.0 + 1e-9, 0.5]),
+                     ((1.0, 0.0), [2.0, 0.5]), ((0.0, 1.0), [0.0, 1.0]),
+                     ((0.0, 0.0), [0.0, 1.0])]:
+        with pytest.raises((PencilabError, ValueError)) as loop:
+            for y in lams:
+                group_roots(REFUSALS, np.array(xi), y)
+        with pytest.raises(type(loop.value), match=f"^{re.escape(str(loop.value))}$"):
+            mesh_group_roots(REFUSALS, np.array(xi), np.array(lams))
 
 
 def _sextic():
@@ -525,28 +588,35 @@ def test_group_roots_targets_are_q_upper_roots(pencil):
 def test_group_roots_solves_q_once_per_pencil(monkeypatch):
     # Q depends on the pencil alone: repeated groupings of one pencil, at
     # several points, find its roots once; an equal pencil solves it again.
+    # poly_roots solves Q and A_2mu(xi', .), mesh_roots the points.
     p = e1_pencil()
     q = q_polynomial(p)
-    seen = []
+    seen, points = [], []
+    mesh_roots = pencil_mod.mesh_roots
     def counting(coeffs):
         seen.append(np.array_equal(coeffs, q))
         return poly_roots(coeffs)
+    def solving(p, xi_prime, lam):
+        points.append(len(lam))
+        return mesh_roots(p, xi_prime, lam)
     monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    monkeypatch.setattr(pencil_mod, "mesh_roots", solving)
     for lam in (1.0, 10.0, 100.0):      # at |xi'| = 1, A_2mu's tau-polynomial is Q
         group_roots(p, np.array([2.0]), lam)
     assert sum(seen) == 1
-    assert len(seen) == 1 + 3 * 2    # Q; tau_roots and A_2mu per grouping
+    assert len(seen) == 1 + 3        # Q; A_2mu per grouping
+    assert points == [1, 1, 1]       # one point per grouping
     assert check_regular_degeneration(p) is check_regular_degeneration(p)
     # The pencil keeps its last point's roots: solve there finds none again,
     # and a grouping at a new point finds its roots and A_2mu's.
     halfline.solve(p, np.array([2.0]), 100.0)
-    assert len(seen) == 7
+    assert len(seen) == 4 and len(points) == 3
     group_roots(p, np.array([2.0]), 1000.0)
-    assert len(seen) == 9
+    assert len(seen) == 5 and len(points) == 4
     fresh = e1_pencil()
     assert fresh == p and hash(fresh) == hash(p)
     group_roots(fresh, np.array([2.0]), 1000.0)
-    assert sum(seen) == 2 and len(seen) == 12
+    assert sum(seen) == 2 and len(seen) == 7 and len(points) == 5
 
 
 def _field_reprs(obj) -> list[str]:
@@ -579,10 +649,11 @@ def test_tau_roots_memo_keys_on_the_pencil_and_the_bits_of_the_point(monkeypatch
     # Each pencil object keeps its own last point: two pencils queried in
     # turn each keep theirs, and an equal pencil keeps nothing of another.
     solved = []
-    def counting(coeffs):
-        solved.append(1)
-        return poly_roots(coeffs)
-    monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    mesh_roots = pencil_mod.mesh_roots
+    def counting(p, xi_prime, lam):
+        solved.append(len(lam))
+        return mesh_roots(p, xi_prime, lam)
+    monkeypatch.setattr(pencil_mod, "mesh_roots", counting)
     a, e1 = agmon_pencil(), e1_pencil()
     for p, xi, lam, misses in [
             (a, 1.0, 2.0, 1),
@@ -601,11 +672,11 @@ def test_tau_roots_memo_keys_on_the_pencil_and_the_bits_of_the_point(monkeypatch
         rs = tau_roots(p, np.array([xi]), lam)
         assert len(solved) == misses
         assert rs == tau_roots(p, np.array([xi]), lam)
-    # The same bits in another shape are another point, which tau_polynomial
-    # refuses.
+    # The same bits in another shape are another point, which tau_roots
+    # refuses before it solves; each solve is of one node.
     with pytest.raises(ValueError, match="xi' has shape"):
         tau_roots(e1, np.array([[1.0]]), -0.0)
-    assert len(solved) == 9
+    assert solved == [1] * 9
 
 
 def test_tau_roots_memo_keeps_no_failure(monkeypatch):
@@ -614,10 +685,11 @@ def test_tau_roots_memo_keeps_no_failure(monkeypatch):
     p = e1_pencil()
     kept = tau_roots(p, np.array([1.0]), 10.0)
     solved = []
-    def counting(coeffs):
-        solved.append(1)
-        return poly_roots(coeffs)
-    monkeypatch.setattr(pencil_mod, "poly_roots", counting)
+    mesh_roots = pencil_mod.mesh_roots
+    def counting(p, xi_prime, lam):
+        solved.append(len(lam))
+        return mesh_roots(p, xi_prime, lam)
+    monkeypatch.setattr(pencil_mod, "mesh_roots", counting)
     for calls in (1, 2):
         with pytest.raises(EllipticityError, match="root on the real axis"):
             tau_roots(p, np.array([0.0]), 1.0)

@@ -11,7 +11,7 @@ from pencilab import pencil, verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.errors import PencilabError
 from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_pencil,
-                             mesh_group_roots, mesh_upper_roots, poly_roots,
+                             mesh_group_roots, mesh_roots, poly_roots,
                              sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
@@ -513,10 +513,10 @@ def test_asymptotics_groups_once_on_the_unit_sphere(monkeypatch):
     seen = []
     def counting(p, xi_prime, lam):
         seen.append(len(lam))
-        return mesh_upper_roots(p, xi_prime, lam)
+        return mesh_roots(p, xi_prime, lam)
     def refused(*args):
         raise AssertionError("per-node call")
-    monkeypatch.setattr(pencil, "mesh_upper_roots", counting)
+    monkeypatch.setattr(pencil, "mesh_roots", counting)
     for name in ("tau_roots", "group_roots"):
         monkeypatch.setattr(pencil, name, refused)
     for name in ("solve_from_roots", "split_by_group", "l2_norm_deriv"):

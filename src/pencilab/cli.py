@@ -70,8 +70,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_ellipticity(args) -> int:
     p = load_pencil(args.pencil)
-    grid = GridSpec(angular=args.grid_angular, directions=args.grid_angular,
-                    tol=args.tol)
+    grid = GridSpec(angular=args.grid_angular, directions=args.grid_angular)
     rep = check_lemma21(p, grid)
     xi_iii, lam_iii = rep.witness_iii
     lines = [
@@ -220,8 +219,6 @@ def _positive_int(text: str) -> int:
 OPTIONS = {
     "--lambda0": dict(type=_positive_float, default=1.0, help="lower end of "
                       "the spectral parameter ray (default 1.0)"),
-    "--tol": dict(type=_positive_float, default=1e-6,
-                  help="zero-detection tolerance (default 1e-6)"),
     "--grid-angular": dict(type=_positive_int, default=720, help="angular "
                            "grid points for compact-set checks (default 720)"),
     "--format": dict(choices=("csv", "json"), default="csv",
@@ -246,7 +243,7 @@ OPTIONS = {
 }
 SUBCOMMANDS = (
     ("polygon", cmd_polygon, ("--format",)),
-    ("ellipticity", cmd_ellipticity, ("--tol", "--grid-angular", "--format")),
+    ("ellipticity", cmd_ellipticity, ("--grid-angular", "--format")),
     ("degeneration", cmd_degeneration, ("--format",)),
     ("roots", cmd_roots, ("--xi-prime", "--lam", "--format")),
     ("solve", cmd_solve, ("--xi-prime", "--lam", "--format")),

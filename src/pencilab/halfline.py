@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pencil import Pencil, accepted, cluster_roots, mesh_roots, tau_roots
+from .pencil import Pencil, accepted, cluster_roots, companion, mesh_roots, tau_roots
 
 MERGE_TOL = 1e-4
 
@@ -246,14 +246,12 @@ def _monic(roots: np.ndarray) -> np.ndarray:
     return a
 
 
-def _companion(roots: np.ndarray) -> np.ndarray:
+def _root_companion(roots: np.ndarray) -> np.ndarray:
     """Companion matrices C, by row of roots, of prod (tau - roots[k, i]):
-    C maps (w, Dw, ..., D^(q-1) w) to (Dw, ..., D^q w) for its solutions."""
-    n, m = roots.shape
-    comp = np.zeros((n, m, m), dtype=complex)
-    comp[:, :-1, 1:] = np.eye(m - 1)
-    comp[:, -1, :] = -_monic(roots)[:, :0:-1]
-    return comp
+    pencil.companion's with rows and columns reversed, so that C maps
+    (w, Dw, ..., D^(q-1) w) to (Dw, ..., D^q w) for its solutions.  The copy
+    is contiguous: a strided view can send `comp @ v` through other loops."""
+    return np.ascontiguousarray(companion(_monic(roots))[:, ::-1, ::-1])
 
 
 def gramian_norms(upper, y, l_list) -> np.ndarray:
@@ -271,7 +269,7 @@ def gramian_norms(upper, y, l_list) -> np.ndarray:
     upper = np.asarray(upper, dtype=complex)
     n, m = upper.shape
     e = np.frexp(np.abs(upper).max(axis=1))[1][:, None]
-    comp = _companion(upper * np.ldexp(1.0, -e))
+    comp = _root_companion(upper * np.ldexp(1.0, -e))
     y = np.asarray(y) * np.ldexp(1.0, -e[:, :, None] * np.arange(m))
     f = np.frexp(np.abs(y).max(axis=2))[1]
     y = y * np.ldexp(1.0, -f)[:, :, None]
@@ -323,7 +321,7 @@ def split_norms(upper, group) -> np.ndarray:
     inside = np.take_along_axis(upper, group, axis=1)
     others = np.ones((n, m), dtype=bool)
     np.put_along_axis(others, group, False, axis=1)
-    comp, eye = _companion(inside), np.eye(q)
+    comp, eye = _root_companion(inside), np.eye(q)
     # Horner's rule on M_j(tau) = sum_{k <= m-j} a_k tau^(m-j-k), whose
     # coefficients are a prefix of A_+'s: step k gives M_(m-k)(C_G) e_q.
     a, v = _monic(upper), np.zeros((n, q), dtype=complex)

@@ -201,13 +201,14 @@ def poly_roots(coeffs) -> np.ndarray:
     roots = np.zeros(len(c) - 1, dtype=complex)
     if len(c) - zeros > 1:
         desc = np.array([c[zeros:][::-1]])
-        roots[:len(c) - 1 - zeros] = np.linalg.eigvals(_companion(desc))[0]
+        roots[:len(c) - 1 - zeros] = np.linalg.eigvals(companion(desc))[0]
     return roots
 
 
-def _companion(desc: np.ndarray) -> np.ndarray:
+def companion(desc: np.ndarray) -> np.ndarray:
     """Companion matrices, as numpy.roots builds them, of the polynomials
-    whose descending coefficients run along the last axis of desc."""
+    whose descending coefficients run along the last axis of desc; reversed,
+    they serve the half-line Gramians."""
     d = desc.shape[-1] - 1
     out = np.zeros(desc.shape[:-1] + (d * d,), dtype=complex)
     out[..., d::d + 1] = 1.0            # the subdiagonal, row major
@@ -274,7 +275,10 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling densities for the compact-set checks."""
+    """Sampling densities for the compact-set checks, and `tol`, their zero
+    threshold as a multiple of the sum of |coeff|.  Every caller in src/
+    takes its default; it stays a field because perfbench/workloads.py
+    passes it by keyword."""
 
     angular: int = 720       # quarter-circle points in (|xi|, lambda)
     directions: int = 720    # unit-sphere directions (n=2 default)
@@ -692,7 +696,7 @@ def mesh_roots(p: Pencil, xi_prime, lam) -> list:
             out[k] = exc
     if not coeffs:
         return out
-    roots = np.linalg.eigvals(_companion(np.array(coeffs)[:, ::-1]))
+    roots = np.linalg.eigvals(companion(np.array(coeffs)[:, ::-1]))
     near_real = _near_real_axis(roots).tolist()
     for k, c, r, near in zip(solved, coeffs, roots.tolist(), near_real):
         (xs, y), upper, lower = nodes[k], [], []

@@ -342,7 +342,6 @@ def test_point_out_of_range_exit_2(cmd, point, message, e1_path, capsys):
     (["ellipticity", "--grid-angular", "0"], "--grid-angular"),
     (["ellipticity", "--grid-angular", "1.5"], "--grid-angular"),
     (["verify", "--suite", "thm41", "--lambda0", "one"], "--lambda0"),
-    (["ellipticity", "--tol", "small"], "--tol"),
 ])
 def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
     argv = argv[:1] + [e1_path] + argv[1:] + (
@@ -354,13 +353,12 @@ def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_ellipticity_tol_must_be_positive(tol, broken_path, capsys):
-    # At tol 0 or below, broken's sampled min |A_2mu| of 3.7e-33 passed.
-    assert run(["ellipticity", broken_path, "--tol", tol]) == 2
+def test_ellipticity_takes_no_tol(e1_path, capsys):
+    # ellipticity judges against GridSpec.tol, as prop52 and the benchmark do.
+    assert run(["ellipticity", e1_path, "--tol", "1e-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument --tol: need a finite number > 0" in captured.err
+    assert "error: unrecognized arguments: --tol 1e-3" in captured.err
 
 
 def test_ellipticity_single_direction_grid(e1_path, capsys):

@@ -5,7 +5,14 @@ with its exit code at the default grid and at --grid-angular 97, and
 `pencilab degeneration`'s exit code and k1.  The files of the pencils in
 POINT_QUERIES also hold, at each of their points, `pencilab roots` and
 `pencilab solve` with `--format json`: the exit code, the output and the
-message an error prints.  The test compares verdicts, exit codes,
+message an error prints.  The files of the nine pencils in VERIFY_PENCILS
+hold `pencilab verify --suite all --check-refinement` at --density 1 and 2:
+the exit code and summary.json without its wall times (`runtime_s`) and
+its `provenance`, that is every suite's verdict, reasons, band, witnesses,
+extras (C, C_point, the Puiseux and split slopes, `refinement_drift`) and
+`config_hash`.  broken and the sign pencils are left out of that: under
+`--suite all` they exit 2 (defects D12 and D16 of ROADMAP), and pinning
+that exit would pin the defects.  The test compares verdicts, exit codes,
 messages and every other non-number exactly, and numbers to 1e-12
 relative; a point query's numbers may also differ by 1e-12 times the
 largest in their output.  A change that moves a pinned number on purpose rewrites the
@@ -22,6 +29,7 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,6 +53,8 @@ POINT_QUERIES = {
     "n1": [("", lam) for lam in ("1", "30", "1000")],
 }
 POINT_QUERIES["e1"] += [("1e-8", "1e-3"), ("1", "-1"), ("1", "1e300"), ("0", "0")]
+# The nine pencils that CI runs `verify --suite all --check-refinement` on.
+VERIFY_PENCILS = ("e1", "agmon", "e1_n3", "double", "near", "n1", "m3", "e1_n4", "cplx")
 
 
 def _run_json(argv: list[str]):
@@ -73,7 +83,23 @@ def pinned(path: Path) -> dict:
             code, output, error = _run_json(
                 [cmd, str(path), "--xi-prime", xi, "--lam", lam])
             point[cmd] = {"exit": code, "output": output, "error": error}
+    if path.stem in VERIFY_PENCILS:
+        result["verify"] = {f"density_{d}": _verify_summary(path, d) for d in (1, 2)}
     return result
+
+
+def _verify_summary(path: Path, density: int) -> dict:
+    """Exit code and summary.json, without each suite's `runtime_s` and
+    `provenance`, of `pencilab verify <path> --suite all --check-refinement
+    --density <density>`."""
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(["verify", str(path), "--suite", "all", "--check-refinement",
+                    "--density", str(density), "--out", out])
+        summary = json.loads((Path(out) / "summary.json").read_text())
+    for suite in summary.values():
+        del suite["runtime_s"], suite["provenance"]
+    return {"exit": code, "summary": summary}
 
 
 def _mismatches(got, want, where: str = "", floor: float = 0.0) -> list[str]:

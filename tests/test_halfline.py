@@ -1,5 +1,6 @@
 """Tests for the exponential-polynomial half-line solutions."""
 
+import cmath
 import math
 import re
 
@@ -442,6 +443,43 @@ def test_gramian_norms_closed_forms_m1_and_scaling():
     # Norms are linear in the initial vector.
     got = halfline.gramian_norms(tau, [[2.0 - 1.0j]], [0, 1, 2])[:, 0, :]
     assert np.allclose(got, math.sqrt(5.0) * expected, rtol=1e-14, atol=0.0)
+
+
+_modulus = st.floats(-1.0, 1.0).map(lambda e: 2.0 ** e)
+# Generic upper roots, and purely imaginary ones (agmon's), whose companion
+# entries hold signed zeros.
+_upper_root = st.one_of(
+    st.builds(lambda r, a: cmath.rect(r, a), _modulus, st.floats(0.05, 3.09)),
+    _modulus.map(lambda r: 1j * r))
+
+
+@st.composite
+def _upper_root_stacks(draw):
+    """1-3 rows of m = 1..4 upper roots of moduli 1/2..2, repeated roots among
+    them, all scaled by 2^-60, 1 or 2^60 (exactly)."""
+    m, scale = draw(st.integers(1, 4)), draw(st.sampled_from([2.0 ** -60, 1.0, 2.0 ** 60]))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = []
+        while len(row) < m:
+            row += [scale * draw(_upper_root)] * min(draw(st.integers(1, 3)), m - len(row))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_upper_root_stacks())
+@example(np.array([[2.0 ** 60 * 1j] * 4, [1j, 2j, 1j, 2j]]))
+def test_gramian_companion_has_each_root_as_eigenvalue(roots):
+    # The Gramians' companion matrix is pencil.companion's of A_+, reversed:
+    # C v(tau) = tau v(tau) with v(tau) = (1, tau, ..., tau^(m-1)) at each
+    # root, which is what makes C map (w, ..., D^(m-1) w) to (Dw, ..., D^m w).
+    comp = halfline._root_companion(roots)
+    assert comp.flags.c_contiguous and comp.shape == roots.shape + roots.shape[1:]
+    for c, row in zip(comp, roots):
+        for tau in row:
+            v = tau ** np.arange(len(row))
+            assert np.linalg.norm(c @ v - tau * v) <= 1e-12 * np.linalg.norm(tau * v)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_point_roots_match_stacked_eigvals_bit_for_bit(coeffs):
     # mesh_roots solves a stack of companion matrices in one eigvals call,
     # and tau_roots a stack of one: a node's roots must not depend on the
     # stack around it.
-    stacked = np.linalg.eigvals(pencil_mod._companion(coeffs[:, ::-1]))
+    stacked = np.linalg.eigvals(pencil_mod.companion(coeffs[:, ::-1]))
     point = np.array([poly_roots(c) for c in coeffs])
     assert point.tobytes() == stacked.tobytes()
 

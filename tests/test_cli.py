@@ -353,12 +353,14 @@ def test_invalid_grid_option_exit_2(argv, option, e1_path, tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
-def test_ellipticity_takes_no_tol(e1_path, capsys):
-    # ellipticity judges against GridSpec.tol, as prop52 and the benchmark do.
-    assert run(["ellipticity", e1_path, "--tol", "1e-3"]) == 2
+@pytest.mark.parametrize("tol", ["1e-3", "0", "-1", "nan"])
+def test_ellipticity_takes_no_tol(tol, e1_path, capsys):
+    # ellipticity judges against GridSpec.tol, as prop52 and the benchmark
+    # do, so --tol is refused whatever its value.
+    assert run(["ellipticity", e1_path, "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: unrecognized arguments: --tol 1e-3" in captured.err
+    assert f"error: unrecognized arguments: --tol {tol}" in captured.err
 
 
 def test_ellipticity_single_direction_grid(e1_path, capsys):

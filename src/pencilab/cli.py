@@ -163,16 +163,12 @@ def cmd_verify(args) -> int:
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     # Every suite runs before any verdict is written, so an error (exit 2)
     # leaves no partial report.
-    run_suites = functools.partial(verify.run_suites, p=p, lambda0=args.lambda0,
-                                   decades=args.grid_decades)
-    reports = run_suites(suites, density=args.density)
     if args.check_refinement:
-        passed = [name for name, rep in reports.items() if rep.verdict == "pass"]
-        for name, fine in run_suites(passed, density=2 * args.density).items():
-            rep = reports[name]
-            drift = rep.extras["refinement_drift"] = verify.drift_between(rep, fine)
-            if drift >= 0.05:
-                rep.verdict = "unstable"
+        reports, _ = verify.run_refined(suites, p, args.density, args.lambda0,
+                                        args.grid_decades)
+    else:
+        reports = verify.run_suites(suites, p, args.density, args.lambda0,
+                                    args.grid_decades)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -236,10 +232,10 @@ OPTIONS = {
                       help="grid density multiplier (default 1)"),
     "--out": dict(default="report", help="output directory for CSV/JSON "
                   "reports (default report/)"),
-    "--check-refinement": dict(action="store_true", help="also rerun each "
-                               "suite at 2x density and flag suites that "
-                               "drift by 5%% or more (asymptotics: by 0.05 "
-                               "in a slope)"),
+    "--check-refinement": dict(action="store_true", help="also refine each "
+                               "passing suite at 2x density and flag suites "
+                               "that drift by 5%% or more (asymptotics: by "
+                               "0.05 in a slope)"),
 }
 SUBCOMMANDS = (
     ("polygon", cmd_polygon, ("--format",)),

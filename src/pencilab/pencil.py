@@ -444,7 +444,7 @@ def column_least(table: np.ndarray, rho, lam):
     product.
 
     The least |A| and both flags depend only on the set of table rows: the
-    scans pass distinct_rows(table); prop52's polish passes its one row.
+    scans pass distinct_rows(table).
     """
     least = np.empty(len(rho))
     negative = positive = False

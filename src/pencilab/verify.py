@@ -8,7 +8,10 @@ lambda grid and the density; the |xi| ranges and limits are constants below.
 The thm41, halfspace and asymptotics sweeps depend only on s = lambda/|xi'|
 and take no lambda grid.  `run_suites` runs any of the suites at one
 density, and thm41 and halfspace read the one scan of the unit slice that
-it makes.
+it makes.  `run_refined` runs them, then refines each suite that passes at
+twice the density: the refined pass computes only what `drift_between`
+compares, and its unit-slice scan solves only the nodes that the first
+pass's scan lacks.
 """
 
 from __future__ import annotations
@@ -151,6 +154,25 @@ def _columns(xi, lam, lhs, rhs, **fixed) -> dict:
 # ---------------------------------------------------------------------------
 # polygon / weight equivalences
 
+def _polygon_box(np_: NewtonPolygon, density: int, lambda0: float,
+                 lam_max: float):
+    """The polygon report with its records alone, Xi_sum / Xi_product on
+    the box, which is all a refinement compares; and the weight and the
+    (|xi|, lambda) grids they came from."""
+    rep = SweepReport("polygon", {
+        "density": density, "lambda0": lambda0, "lam_max": lam_max,
+        "xi_range": list(POLYGON_XI_RANGE),
+        "band_limits": list(POLYGON_BAND_LIMITS),
+        "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
+    w = weights.from_polygon(np_)
+    xi_grid = np.concatenate([[0.0], np.geomspace(*POLYGON_XI_RANGE, 11 * density)])
+    lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
+    xi_col, lam_col = _box(xi_grid, lam_grid)
+    rep.records = _columns(xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
+                           weights.xi_product_eval(w, xi_col, lam_col))
+    return rep, w, xi_grid, lam_grid
+
+
 def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
                               lambda0: float = 1.0,
                               lam_max: float = 1e3) -> SweepReport:
@@ -159,19 +181,7 @@ def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
     Records carry the ratio Xi_sum / Xi_product on a log grid; the binomial
     and scaling checks land in `extras`.
     """
-    rep = SweepReport("polygon", {
-        "density": density, "lambda0": lambda0, "lam_max": lam_max,
-        "xi_range": list(POLYGON_XI_RANGE),
-        "band_limits": list(POLYGON_BAND_LIMITS),
-        "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
-
-    w = weights.from_polygon(np_)
-    xi_grid = np.concatenate([[0.0], np.geomspace(*POLYGON_XI_RANGE, 11 * density)])
-    lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
-
-    xi_col, lam_col = _box(xi_grid, lam_grid)
-    rep.records = _columns(xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
-                           weights.xi_product_eval(w, xi_col, lam_col))
+    rep, w, xi_grid, lam_grid = _polygon_box(np_, density, lambda0, lam_max)
     if np_.degenerate:
         rep.extras["degenerate"] = True
         return rep
@@ -286,7 +296,7 @@ def scan_s(density: int) -> np.ndarray:
     return np.geomspace(*NORM_S_RANGE, 20 * density + 1)
 
 
-def norm_scan(p: Pencil, density: int) -> NormScan:
+def norm_scan(p: Pencil, density: int, coarse: NormScan | None = None) -> NormScan:
     """The derivative norms on the unit slice |xi'|^2 + lambda^2 = 1.
 
     The norms and the right-hand sides of thm41 and halfspace are jointly
@@ -296,16 +306,38 @@ def norm_scan(p: Pencil, density: int) -> NormScan:
     s = 0 and 20*density + 1 values geometric over NORM_S_RANGE; for n = 1
     the only node is xi' = (), lambda = 1.  The norms come from one
     `halfline.mesh_norms` call.
+
+    `coarse`, the scan at density / 2, refines: the s-values nest bit for
+    bit (scan_s(2d)[::2] == scan_s(d)), and mesh_norms gives a node the
+    same bits alone as in a stack, so only the nodes that `coarse` lacks
+    are solved, and the scan is the one made from scratch, bit for bit.
+    Its nodes were all accepted, so the first refused node among the new
+    ones is the first refused node of the scan.
     """
     dirs = scan_directions(p.n)
     if p.n == 1:
-        xa, lam = np.zeros(1), np.ones(1)
+        xa, lam, new = np.zeros(1), np.ones(1), np.zeros(1, dtype=bool)
     else:
         s = np.concatenate([[0.0], scan_s(density)])
         xa, lam = 1.0 / np.hypot(1.0, s), s / np.hypot(1.0, s)
+        # s[2], s[4], ...: the values of odd index in scan_s(density), the
+        # ones that scan_s(density // 2) lacks.
+        new = np.zeros(len(s), dtype=bool)
+        new[2::2] = True
     xi_prime = np.concatenate([np.outer(xa, omega) for omega in dirs])
     xa, lam = np.tile(xa, len(dirs)), np.tile(lam, len(dirs))
-    norms = halfline.mesh_norms(p, xi_prime, lam)
+    if coarse is None:
+        norms = halfline.mesh_norms(p, xi_prime, lam)
+    else:
+        new = np.tile(new, len(dirs))
+        values = np.empty((len(lam),) + coarse.norms.values.shape[1:])
+        values[~new] = coarse.norms.values
+        clearance = coarse.norms.root_clearance_min
+        if new.any():
+            added = halfline.mesh_norms(p, xi_prime[new], lam[new])
+            values[new] = added.values
+            clearance = float(np.minimum(clearance, added.root_clearance_min))
+        norms = halfline.MeshNorms(values, clearance)
     return NormScan(xi_prime, xa, lam, len(dirs), norms)
 
 
@@ -451,6 +483,10 @@ def energy_weight_value(p: Pencil, xi_abs: float, lam: float) -> float:
             * (lam ** 2 + xi_abs ** 2) ** (p.m - p.mu))
 
 
+def _prop52_grid(density: int) -> GridSpec:
+    return GridSpec(angular=90 * density, directions=48 * density)
+
+
 def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
                         lam_max: float = 1e3) -> SweepReport:
     """Empirical constant of the whole-space a priori estimate.
@@ -459,7 +495,19 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     weight W; finite and grid-stable exactly when the pencil is elliptic.
     The verdict fails when the ellipticity preconditions fail.
     """
-    grid = GridSpec(angular=90 * density, directions=48 * density)
+    rep = _multiplier_constant(p, lambda0, density, lam_max)
+    ell = check_lemma21(p, _prop52_grid(density))
+    rep.extras["elliptic"] = ell.n_elliptic
+    if not ell.n_elliptic:
+        rep.fail("pencil is not parameter elliptic; the constant is unbounded")
+    return rep
+
+
+def _multiplier_constant(p: Pencil, lambda0: float, density: int,
+                         lam_max: float) -> SweepReport:
+    """The prop52 report without its ellipticity check: the records and C
+    with its point, which is all a refinement compares."""
+    grid = _prop52_grid(density)
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     rep = SweepReport("prop52", {
         "density": density, "lambda0": lambda0, "xi_range": list(PROP52_XI_RANGE),
@@ -471,16 +519,12 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
         wgt = energy_weight_value(p, xa, lam)
         return wgt / (a ** 2 / wgt + lam ** (2 * p.m - 2 * p.mu))
 
-    def column_max(table, xa, lam):
-        """Largest ratio over the table's directions, per (|xi|, lambda)
-        column.  Each rounded step of the ratio is monotone in |A|, so it is
-        the ratio at the column's least |A|, bit for bit."""
-        return ratio(column_least(table, xa, lam)[0], xa, lam)
-
-    # One column per record: the maximum over the directions.
+    # One column per record: the largest ratio over the directions.  Each
+    # rounded step of the ratio is monotone in |A|, so it is the ratio at
+    # the column's least |A|, bit for bit.
     xa_col, lam_col = _box(xi_grid, lam_grid)
     table = homogeneous_table(compile_parts(p), dirs)
-    best = column_max(distinct_rows(table), xa_col, lam_col)
+    best = ratio(column_least(distinct_rows(table), xa_col, lam_col)[0], xa_col, lam_col)
 
     rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))
 
@@ -493,25 +537,38 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
     if point[0] > 0.0:
         xa, lam = xa_col[i:i + 1], lam_col[i:i + 1]
         _, block = next(symbol_blocks(table, xa, lam))
-        table = table[int(np.argmax(ratio(np.abs(block[0]), xa, lam)))][None]
+        row = table[int(np.argmax(ratio(np.abs(block[0]), xa, lam)))]
+        top, parts = len(row) - 1, [(j, a) for j, a in enumerate(row) if a]
+
+        def least(xa, lam):
+            """|A| on the direction of `row`, bit for bit the column_least
+            of the one-row table: its nonzero parts' products, each
+            rounded once as symbol_blocks rounds them, summed from zeros
+            in j order (|.| is never -0.0, so column_least's + 0.0 is
+            a no-op here)."""
+            total = np.zeros(len(xa))
+            for j, a in parts:
+                total = total + xa ** j * lam ** (top - j) * a
+            return np.abs(total)
+
         # The grid's box and spacing, past |xi| = 0; geomspace keeps its ends.
         lo, hi = np.array([[xi_grid[1], lam_grid[0]], [xi_grid[-1], lam_grid[-1]]])
         cells = np.array([len(xi_grid) - 2, len(lam_grid) - 1])
         step = np.log(hi / lo) / cells / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
+        log_point = np.log(point)
         while step.max() > 1e-15:
-            xa, lam = np.clip(np.exp(np.log(point) + step * stencil), lo, hi).T
-            vals = column_max(table, xa, lam)
+            nodes = np.exp(log_point + step * stencil)
+            np.maximum(nodes, lo, out=nodes)
+            xa, lam = np.minimum(nodes, hi, out=nodes).T
+            vals = ratio(least(xa, lam), xa, lam)
             k = int(np.argmax(vals))
             if vals[k] > c_val:
                 c_val, point = vals[k], (xa[k], lam[k])
+                log_point = np.log(point)
             step /= ZOOM
     rep.extras["C_point"] = [float(point[0]), float(point[1])]
     rep.extras["C"] = float(c_val)
-    ell = check_lemma21(p, grid)
-    rep.extras["elliptic"] = ell.n_elliptic
-    if not ell.n_elliptic:
-        rep.fail("pencil is not parameter elliptic; the constant is unbounded")
     return rep
 
 
@@ -539,6 +596,8 @@ def sweep_halfspace_ratio(p: Pencil, density: int, scan: NormScan) -> SweepRepor
 # suite orchestration
 
 SUITES = ("polygon", "trace", "thm41", "asymptotics", "prop52", "halfspace")
+# The refinement_drift at which a passing suite becomes "unstable".
+REFINEMENT_DRIFT_LIMIT = 0.05
 
 
 def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
@@ -550,7 +609,8 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     report's runtime is the wall time of its suite here.  thm41 and
     halfspace read one unit-slice scan (norm_scan), made within the timing
     and error handling of the first of them to run, so that report's
-    runtime carries it; nothing is kept after the call.  Raises
+    runtime carries it; nothing is kept after the call (run_refined hands
+    the scan to its second pass).  Raises
     OutOfRangeError, naming the suite and where it ran, when the lambda
     range overflows or the suite's float64 arithmetic overflows, divides
     by zero or makes a NaN: its verdict would rest on infinities.  For
@@ -559,6 +619,41 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     as the same type with the suite's name in front of its message.  The
     first suite in `names` to fail raises.
     """
+    return _run_pass(names, p, density, lambda0, decades)[0]
+
+
+def run_refined(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
+                decades: int = 3) -> tuple[dict, dict]:
+    """run_suites, then each suite that passes again at twice the density:
+    ({name: report}, {name: refined report}).
+
+    A passing report takes the extra refinement_drift, drift_between it and
+    its refinement, and the verdict "unstable" when that drift is
+    REFINEMENT_DRIFT_LIMIT or more.  A refined report holds what
+    drift_between compares and may lack the rest: polygon's has its records
+    alone, without the binomial and side-scaling checks, and prop52's its
+    records and C, without the Lemma 2.1 check; the other suites run in
+    full.  The refined unit-slice scan extends the first pass's, which
+    this call hands over (norm_scan's `coarse`) and keeps no longer.
+    Errors are raised as in run_suites, the refined pass's after every
+    suite has run once; a check that the refined pass skips raises none.
+    """
+    reports, scan = _run_pass(names, p, density, lambda0, decades)
+    passed = [name for name, rep in reports.items() if rep.verdict == "pass"]
+    refined = _run_pass(passed, p, 2 * density, lambda0, decades,
+                        refined=True, coarse=scan)[0]
+    for name, fine in refined.items():
+        rep = reports[name]
+        drift = rep.extras["refinement_drift"] = drift_between(rep, fine)
+        if drift >= REFINEMENT_DRIFT_LIMIT:
+            rep.verdict = "unstable"
+    return reports, refined
+
+
+def _run_pass(names, p: Pencil, density: int, lambda0: float, decades: int,
+              refined: bool = False, coarse: NormScan | None = None) -> tuple:
+    """The suites' reports and their unit-slice scan (None when no suite
+    read one), as run_suites and run_refined describe them."""
     try:
         lam_max = lambda0 * 10.0 ** decades
     except OverflowError:
@@ -574,8 +669,9 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 t0 = time.perf_counter()
                 if scan is None and name in ("thm41", "halfspace"):
-                    scan = norm_scan(p, density)
-                rep = reports[name] = _dispatch(name, p, density, lambda0, lam_max, scan)
+                    scan = norm_scan(p, density, coarse)
+                rep = reports[name] = _dispatch(name, p, density, lambda0, lam_max,
+                                                scan, refined)
                 rep.runtime = time.perf_counter() - t0
         except FloatingPointError as exc:
             # Large coefficients overflow too, so a range's error names them.
@@ -584,13 +680,15 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
                                   f"({exc}){scale}") from exc
         except PencilabError as exc:
             raise type(exc)(f"suite {name}: {exc}") from exc
-    return reports
+    return reports, scan
 
 
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
-              lam_max: float, scan: NormScan | None) -> SweepReport:
+              lam_max: float, scan: NormScan | None, refined: bool) -> SweepReport:
     if name == "polygon":
         np_ = build_polygon(p.exponent_points())
+        if refined:
+            return _polygon_box(np_, density, lambda0, lam_max)[0]
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,
                                          lam_max=lam_max)
     if name == "trace":
@@ -602,8 +700,8 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
     if name == "asymptotics":
         return sweep_group_asymptotics(p, density=density)
     if name == "prop52":
-        return sweep_multiplier_rn(p, lambda0=lambda0, density=density,
-                                   lam_max=lam_max)
+        sweep = _multiplier_constant if refined else sweep_multiplier_rn
+        return sweep(p, lambda0, density, lam_max)
     if name == "halfspace":
         return sweep_halfspace_ratio(p, density=density, scan=scan)
     raise PencilabError(f"unknown suite {name!r}")
@@ -618,9 +716,10 @@ def _fitted_slopes(rep: SweepReport) -> dict:
 
 
 def drift_between(r1: SweepReport, r2: SweepReport) -> float:
-    """Relative change of the reported constant (prop52) or max ratio; for
-    asymptotics, whose verdict rests on slopes, the largest absolute change
-    of a fitted slope (inf if the two fit different slopes)."""
+    """Relative change of the reported constant (prop52) or max ratio (inf
+    from 0 to anything else); for asymptotics, whose verdict rests on
+    slopes, the largest absolute change of a fitted slope (inf if the two
+    fit different slopes)."""
     if r1.suite == "asymptotics":
         s1, s2 = _fitted_slopes(r1), _fitted_slopes(r2)
         if s1.keys() != s2.keys():
@@ -628,11 +727,14 @@ def drift_between(r1: SweepReport, r2: SweepReport) -> float:
         return max((abs(s2[k] - s1[k]) for k in s1), default=0.0)
     c1 = r1.extras["C"] if "C" in r1.extras else r1.max_ratio
     c2 = r2.extras["C"] if "C" in r2.extras else r2.max_ratio
-    return abs(c2 - c1) / abs(c1) if c1 else 0.0
+    if c1 == 0.0:
+        return 0.0 if c2 == 0.0 else math.inf
+    return abs(c2 - c1) / abs(c1)
 
 
 def refinement_drift(name: str, p: Pencil, density: int = 1, **kw) -> tuple:
-    """drift_between a grid and its 2x refinement."""
-    r1 = run_suites([name], p, density, **kw)[name]
-    r2 = run_suites([name], p, 2 * density, **kw)[name]
-    return r1, r2, drift_between(r1, r2)
+    """(report, refined report, drift) of one suite from run_refined; for a
+    suite that does not pass, (report, None, nan)."""
+    reports, refined = run_refined([name], p, density, **kw)
+    r1 = reports[name]
+    return r1, refined.get(name), r1.extras.get("refinement_drift", math.nan)

@@ -538,20 +538,45 @@ def test_one_variable_point_queries_take_an_empty_xi_prime(cmd, tmp_path, capsys
 
 def test_check_refinement_runs_each_density_once(e1_path, tmp_path,
                                                 monkeypatch, capsys):
-    densities = []
-    run_suites = verify.run_suites
+    # The first pass runs at --density and the refinement at twice it; the
+    # refinement computes polygon's box records alone, what the drift reads.
+    passes, sweeps = [], []
+    run_pass, sweep = verify._run_pass, verify.sweep_polygon_equivalence
 
-    def counting(names, p, density=1, **kw):
-        densities.append((list(names), density))
-        return run_suites(names, p, density=density, **kw)
+    def counting(names, p, density, *args, **kw):
+        passes.append((list(names), density, kw.get("refined", False)))
+        return run_pass(names, p, density, *args, **kw)
 
-    monkeypatch.setattr(verify, "run_suites", counting)
+    def counting_sweep(np_, density=1, **kw):
+        sweeps.append(density)
+        return sweep(np_, density=density, **kw)
+
+    monkeypatch.setattr(verify, "_run_pass", counting)
+    monkeypatch.setattr(verify, "sweep_polygon_equivalence", counting_sweep)
     out = tmp_path / "rep"
     assert run(["verify", e1_path, "--suite", "polygon", "--density", "2",
                 "--check-refinement", "--out", str(out)]) == 0
-    assert densities == [(["polygon"], 2), (["polygon"], 4)]
+    assert passes == [(["polygon"], 2, False), (["polygon"], 4, True)]
+    assert sweeps == [2]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["polygon"]["extras"]["refinement_drift"] < 0.05
+
+
+def test_check_refinement_computes_each_number_once(e1_path, tmp_path,
+                                                   monkeypatch, capsys):
+    # On e1 the refinement reuses the first pass's 44 unit-slice nodes and
+    # solves the 40 it adds, 84 in all (not 44 + 84), and prop52's Lemma
+    # 2.1 premise is checked once, in the first pass.
+    nodes, premises = [], []
+    mesh_norms, lemma21 = halfline.mesh_norms, verify.check_lemma21
+    monkeypatch.setattr(halfline, "mesh_norms",
+                        lambda p, xi, lam: nodes.append(len(lam)) or mesh_norms(p, xi, lam))
+    monkeypatch.setattr(verify, "check_lemma21",
+                        lambda p, grid: premises.append(grid) or lemma21(p, grid))
+    assert run(["verify", e1_path, "--suite", "all", "--check-refinement",
+                "--out", str(tmp_path / "rep")]) == 0
+    assert nodes == [44, 40] and sum(nodes) == 84
+    assert len(premises) == 1
 
 
 def test_unstable_verdict_exit_1(e1_path, tmp_path, monkeypatch, capsys):
@@ -581,7 +606,7 @@ def test_perturbed_split_norm_in_refined_run_is_unstable(e1_path, tmp_path,
                                                         monkeypatch, capsys):
     # Doubling the norm of w_1's large-group part at the refined grid's last
     # node, lambda = 1e3 (large root about 1000i), moves its slope by 0.13.
-    run_suites, norms = verify.run_suites, halfline.split_norms
+    sweep, norms = verify.sweep_group_asymptotics, halfline.split_norms
 
     def doubled(upper, group):
         out = norms(upper, group)
@@ -589,12 +614,12 @@ def test_perturbed_split_norm_in_refined_run_is_unstable(e1_path, tmp_path,
             out[-1, 0, 0] *= 2.0
         return out
 
-    def refined_doubled(names, p, density=1, **kw):
+    def refined_doubled(p, density=1):
         if density == 2:
             monkeypatch.setattr(halfline, "split_norms", doubled)
-        return run_suites(names, p, density=density, **kw)
+        return sweep(p, density=density)
 
-    monkeypatch.setattr(verify, "run_suites", refined_doubled)
+    monkeypatch.setattr(verify, "sweep_group_asymptotics", refined_doubled)
     out = tmp_path / "rep"
     argv = ["verify", e1_path, "--suite", "asymptotics", "--out", str(out)]
     assert run(argv + ["--check-refinement"]) == 1

@@ -1311,10 +1311,11 @@ def test_broken_scan_ends_in_a_partial_block():
 
 
 @pytest.mark.parametrize("name", ["e1", "broken", "e1_n3"])
-def test_prop52_finds_the_distinct_rows_once(name, monkeypatch):
+def test_prop52_scans_its_box_once_and_polishes_without_a_scan(name, monkeypatch):
     # The box scan takes the distinct rows, and the ellipticity check at the
-    # end takes its own; the polish scans the one row of its direction as it
-    # is, with no sort per step.
+    # end takes its own.  Besides them only the polish's choice of direction
+    # scans the whole table, at one node; its rounds evaluate their one row
+    # directly, with no symbol_blocks or column_least call.
     calls = []
     real_distinct = pencil_mod.distinct_rows
 
@@ -1325,10 +1326,20 @@ def test_prop52_finds_the_distinct_rows_once(name, monkeypatch):
     for module in (pencil_mod, verify_mod):
         monkeypatch.setattr(module, "distinct_rows", counting)
     lengths = _scan_lengths(monkeypatch)
-    sweep_multiplier_rn(load_pencil(BENCHMARK_PENCILS / f"{name}.json"))
-    assert len(calls) == 2 and lengths[0][0] == _distinct_count(calls[0])
-    polish = [rows for rows, columns in lengths if columns == (2 * ZOOM + 1) ** 2]
-    assert polish and set(polish) == {1}
+    monkeypatch.setattr(verify_mod, "symbol_blocks", pencil_mod.symbol_blocks)
+    least = []
+    real_least = pencil_mod.column_least
+    monkeypatch.setattr(verify_mod, "column_least",
+                        lambda *args: least.append(len(args[1])) or real_least(*args))
+    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    sweep = sweep_multiplier_rn(p)
+    grid = GridSpec(angular=90, directions=48)
+    dirs = len(sphere_directions(p.n, grid.direction_count(p.n)))
+    box = len(sweep.records["ratio"])
+    assert len(calls) == 2 and least == [box]
+    assert lengths == [(_distinct_count(calls[0]), box), (dirs, 1),
+                       (_distinct_count(calls[1]), grid.angular), (dirs, 1)]
+    assert sweep.extras["C"] > sweep.max_ratio       # the polish moved C
 
 
 # ---------------------------------------------------------------------------

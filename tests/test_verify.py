@@ -9,7 +9,7 @@ import pytest
 
 from pencilab import pencil, verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.errors import PencilabError
+from pencilab.errors import EllipticityError, PencilabError
 from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_pencil,
                              mesh_group_roots, mesh_roots, poly_roots,
                              sphere_directions, tau_polynomial, tau_roots)
@@ -432,6 +432,74 @@ def test_norm_scan_covers_both_rays_of_the_plane():
     assert wit["xi_prime"] == [np.sign(wit["xi_prime"][0]) * wit["xi_prime_abs"]]
 
 
+@pytest.mark.parametrize("density", [1, 2, 4])
+def test_scan_s_values_nest(density):
+    # What a refined scan rests on: every other s-value of the 2x grid is
+    # the grid's own, bit for bit.
+    assert verify.scan_s(2 * density)[::2].tobytes() == verify.scan_s(density).tobytes()
+
+
+# The nine pencils whose verify outputs CI compares (test_golden's VERIFY_PENCILS).
+CI_PENCILS = [BENCHMARK_PENCILS / f"{name}.json"
+              for name in ("e1", "agmon", "e1_n3", "double", "near")] + [
+    PENCILS / f"{name}.json" for name in ("n1", "m3", "e1_n4", "cplx")]
+
+
+@pytest.mark.parametrize("path", CI_PENCILS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("density", [1, 2])
+def test_refined_norm_scan_is_the_scan_from_scratch(path, density, monkeypatch):
+    p = load_pencil(path)
+    coarse = verify.norm_scan(p, density)
+    solved = []
+    mesh_norms = halfline.mesh_norms
+    monkeypatch.setattr(halfline, "mesh_norms",
+                        lambda p, xi, lam: solved.append(len(lam)) or mesh_norms(p, xi, lam))
+    refined = verify.norm_scan(p, 2 * density, coarse)
+    # Only the nodes the coarse scan lacks are solved: 20 density per
+    # direction (none for n = 1, whose one node is every scan).
+    assert solved == ([20 * density * coarse.directions] if p.n > 1 else [])
+    monkeypatch.undo()
+    scratch = verify.norm_scan(p, 2 * density)
+    for key in ("xi_prime", "xi_abs", "lam"):
+        assert getattr(refined, key).tobytes() == getattr(scratch, key).tobytes(), key
+    assert refined.directions == scratch.directions
+    assert refined.norms.values.tobytes() == scratch.norms.values.tobytes()
+    assert refined.norms.values.shape == scratch.norms.values.shape
+    assert (np.float64(refined.norms.root_clearance_min).tobytes()
+            == np.float64(scratch.norms.root_clearance_min).tobytes())
+
+
+def test_refined_scan_raises_the_first_refused_node(monkeypatch):
+    # Two nodes of the 2x scan that the 1x scan lacks are refused, each with
+    # its own message; the refined scan raises the first in node order (the
+    # -e_1 ray's comes after the +e_1 ray's), as the scan from scratch does.
+    p = e1_pencil()
+    coarse = verify.norm_scan(p, 1)
+    s = verify.scan_s(2)
+    lam_at = lambda k: float(s[k] / np.hypot(1.0, s[k]))
+    refused = {(-1.0, lam_at(1)), (1.0, lam_at(3))}
+    mesh_roots = halfline.mesh_roots
+
+    def refusing(p, xi_prime, lam):
+        out = mesh_roots(p, xi_prime, lam)
+        for k, node in enumerate(zip(np.sign(np.asarray(xi_prime)[:, 0]).tolist(),
+                                     np.asarray(lam).tolist())):
+            if node in refused:
+                out[k] = EllipticityError(f"refused at {node}")
+        return out
+
+    monkeypatch.setattr(halfline, "mesh_roots", refusing)
+    with pytest.raises(EllipticityError) as scratch:
+        verify.norm_scan(p, 2)
+    with pytest.raises(EllipticityError) as refined:
+        verify.norm_scan(p, 2, coarse)
+    assert str(refined.value) == str(scratch.value) == f"refused at {(1.0, lam_at(3))}"
+    # The first pass passes, and the refinement stops the run with it.
+    assert verify.run_suites(["thm41"], p)["thm41"].verdict == "pass"
+    with pytest.raises(EllipticityError, match=r"^suite thm41: refused at \(1\.0, "):
+        verify.run_refined(["thm41", "halfspace"], p)
+
+
 @pytest.mark.parametrize("path, count", [
     (BENCHMARK_PENCILS / "e1.json", 48), (BENCHMARK_PENCILS / "e1_n3.json", 2000),
     (PENCILS / "n1.json", 2)])
@@ -580,6 +648,18 @@ def test_drift_between_uses_constant_when_reported():
     r1 = verify.SweepReport("thm41", {}, records={"ratio": np.array([4.0])})
     r2 = verify.SweepReport("thm41", {}, records={"ratio": np.array([3.0])})
     assert verify.drift_between(r1, r2) == pytest.approx(0.25)
+
+
+def test_drift_between_a_zero_constant():
+    # A constant that leaves 0 under refinement is no small change; one that
+    # stays 0 does not move.
+    zero, one = (verify.SweepReport("prop52", {}, extras={"C": c}) for c in (0.0, 1.0))
+    assert verify.drift_between(zero, zero) == 0.0
+    assert verify.drift_between(zero, one) == np.inf
+    assert verify.drift_between(one, zero) == 1.0
+    r1, r2 = (verify.SweepReport("thm41", {}, records={"ratio": np.array([c])})
+              for c in (0.0, 3.0))
+    assert verify.drift_between(r1, r2) == np.inf
 
 
 def test_csv_deterministic(tmp_path):

@@ -298,10 +298,16 @@ class GridSpec:
 # complex128 as the pencil's table.  A block bounds only the block and part
 # buffers, about a megabyte together at most whatever the grid size; the
 # powers of rho and lambda are per column, once per scan.  The scans take
-# distinct rows, so only a generic table fills a block: broken's 596 rows of
-# 720 take 54 columns.  On a 2-CPU Xeon (AVX-512) its check_lemma21 and
-# remark22_checks at the default grid took 3.97 ms, against 4.13 ms at 16384
-# (slower in 21 of 25 interleaved rounds) and 3.57 ms at 65536 (faster in 20).
+# distinct rows, and a real table whose scan exceeds this many values skips
+# the rows that another row dominates (column_least): at the default grid
+# broken's 596 distinct rows of 720 come down to 4 and aniso's 669 to 16,
+# one block each.  Blocks still fill for complex tables, for the maxima and
+# the rescans of a symbol that changes sign, and for the superset that
+# three or more parts keep.  On a 2-CPU Xeon, check_lemma21 plus
+# remark22_checks at the default grid took 2.10 ms on aniso and 3.05 ms on
+# aniso with -lambda^2 in place of +lambda^2 (which changes sign), against
+# 2.12 and 3.12 ms at 16384 and 2.13 and 3.18 ms at 65536 (medians of 25
+# interleaved rounds).
 SLICE_BLOCK_ENTRIES = 32768
 # Points per half side of the patches that refine a sphere minimum.
 ZOOM = 5
@@ -433,18 +439,52 @@ def column_least(table: np.ndarray, rho, lam):
     min_d fl(a_d / c) = fl(min_d a_d / c) bit for bit, and each column
     takes one division instead of one per direction.
 
+    The least |A| and both flags depend only on the set of table rows: the
+    scans pass distinct_rows(table).  A real table whose scan exceeds
+    SLICE_BLOCK_ENTRIES values reads fewer rows still, by dominance.  With
+    rho, lambda >= 0 every part power rho^j lambda^(2m-j) is >= 0, and a
+    block value is the rounded products summed in j order; IEEE rounding is
+    monotone, so a row that is >= another in every nonzero part gives a
+    value >= the other's at every node, bit for bit, as long as no product
+    or partial sum overflows (see _dominance_parts, which also requires a
+    finite table).  So a column's minimum lies on the rows that no row
+    dominates from below, and its maximum on those that none dominates from
+    above (_undominated).  The minima give the least |A| where they are >=
+    0, minus the maxima where those are <= 0, and the two flags.  A column
+    where A changes sign needs the rows near zero: it is scanned again over
+    every row.  A scan of one block, and a complex table, read every row
+    (_least_abs).  Adding 0.0 to the result turns a -0.0 into the +0.0 of a
+    sum from zeros, so the least |A| keeps those bits whichever of two rows
+    that tie at zero a reduction returns.
+    """
+    parts = _dominance_parts(table, rho, lam)
+    if parts is None:
+        return _least_abs(table, rho, lam)
+    least = _column_reduce(np.minimum, table[_undominated(parts)], rho, lam)
+    negative, positive = bool((least < 0.0).any()), bool((least > 0.0).any())
+    # The maxima serve the columns with a negative minimum, and every
+    # column while no positive value has shown.
+    cols = np.flatnonzero((least < 0.0) | (not positive))
+    if len(cols):
+        hi = _column_reduce(np.maximum, table[_undominated(-parts)], rho[cols], lam[cols])
+        positive = positive or bool((hi > 0.0).any())
+        below = least[cols] < 0.0
+        least[cols[below]] = -hi[below]
+        mixed = cols[below & (hi > 0.0)]
+        if len(mixed):
+            least[mixed] = _least_abs(table, rho[mixed], lam[mixed])[0]
+    return least + 0.0, negative, positive
+
+
+def _least_abs(table: np.ndarray, rho, lam):
+    """column_least over every row of the table.
+
     A real table's least |A| comes from A's signed extremes, in the one
     pass over the blocks: a block's column minima, which are its least |A|
     when none is negative.  Only a block with a negative value takes its
     column maxima too: minus them when none is positive, and |.| in place
     otherwise.  A block without a negative value shows its positive values
-    by its positive minima; a column whose minimum is 0 has least |A| 0
-    already.  Adding 0.0 to the minima turns a -0.0 into the +0.0 of a sum
-    from zeros, so the minima keep those bits however einsum writes a zero
-    product.
-
-    The least |A| and both flags depend only on the set of table rows: the
-    scans pass distinct_rows(table).
+    by its positive minima, or, when every minimum is 0, by its maximum.
     """
     least = np.empty(len(rho))
     negative = positive = False
@@ -454,7 +494,8 @@ def column_least(table: np.ndarray, rho, lam):
             continue
         lo = block.min(axis=1, out=least[cols])
         if not (lo < 0.0).any():
-            positive = positive or bool((lo > 0.0).any())
+            positive = (positive or bool((lo > 0.0).any())
+                        or bool((block > 0.0).any()))
             continue
         negative, hi = True, block.max(axis=1)
         if (hi > 0.0).any():
@@ -463,6 +504,83 @@ def column_least(table: np.ndarray, rho, lam):
         else:
             np.negative(hi, out=least[cols])
     return least + 0.0, negative, positive
+
+
+def _dominance_parts(table: np.ndarray, rho, lam):
+    """The nonzero parts of a real table, one row of directions each, when a
+    scan of the table exceeds SLICE_BLOCK_ENTRIES values and may skip the
+    rows that another row dominates; else None.
+
+    Each part power P_j = rho^j lambda^(2m-j) must be >= 0, and no product
+    P_j A_j(omega) or partial sum of a block value may overflow, on any
+    row: P_j's largest value times A_j's largest |.|, summed in j order,
+    must be finite, which also makes the table finite.  Then each rounded
+    product is a nondecreasing function of A_j(omega), and so is the
+    rounded sum in j order, and a scan that skips rows cannot miss an
+    overflow that the whole scan would raise.  A scan of one block costs
+    less than the search for the rows it may skip.
+    """
+    if table.dtype != float or len(table) * len(rho) <= SLICE_BLOCK_ENTRIES:
+        return None
+    rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
+    by_part = table.T.copy()        # reductions over rows run contiguous
+    largest = np.abs(by_part).max(axis=1)
+    nonzero, top, bound = np.flatnonzero(largest), len(largest) - 1, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in nonzero:
+            powers = rho ** j * lam ** (top - j)
+            if not powers.min() >= 0.0:
+                return None
+            bound += powers.max() * largest[j]
+    return by_part[nonzero] if math.isfinite(bound) else None
+
+
+def _undominated(parts: np.ndarray) -> np.ndarray:
+    """Indices of directions among which each direction of `parts` (nonzero
+    parts x directions) finds one that is <= it in every part.
+
+    With one or two parts they are exactly the directions that no other
+    dominates, one of each set of equal ones: sorted by (first part, last
+    part), a direction is kept when its last part is below every earlier
+    one's.  With more parts they are a superset: the pivots, which are each
+    part's least direction and the direction of least sum, and every
+    direction that no pivot dominates.
+    """
+    if 1 <= len(parts) <= 2:
+        order = np.lexsort((parts[-1], parts[0]))
+        last = parts[-1, order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = last[1:] < np.minimum.accumulate(last)[:-1]
+        return order[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = parts.sum(axis=0)
+    pivots = np.unique([*parts.argmin(axis=1), sums.argmin()])
+    keep = ~(parts[:, pivots, None] <= parts[:, None, :]).all(axis=0).any(axis=0)
+    keep[pivots] = True
+    return np.flatnonzero(keep)
+
+
+def _column_reduce(ufunc, table: np.ndarray, rho, lam) -> np.ndarray:
+    """np.minimum or np.maximum of A over the rows of a real table, for each
+    column, from symbol_blocks.  It reduces a contiguous transpose of each
+    block: over a few rows, a (720 x 7) block's min along its short axis
+    took 60 us, and its transpose's along the long one 4 us."""
+    out = np.empty(len(rho))
+    for cols, block in symbol_blocks(table, rho, lam):
+        ufunc.reduce(block.T.copy(), axis=0, out=out[cols])
+    return out
+
+
+def _column_least_re(table: np.ndarray, rho, lam) -> np.ndarray:
+    """Least Re A over the rows of the table, for each column, from
+    symbol_blocks, with +0.0 for a -0.0 as in column_least.  A real table
+    whose scan exceeds SLICE_BLOCK_ENTRIES values reads only the rows that
+    no row dominates from below, as column_least does."""
+    parts = _dominance_parts(table, rho, lam)
+    if parts is not None:
+        return _column_reduce(np.minimum, table[_undominated(parts)], rho, lam) + 0.0
+    return np.concatenate([block.real.min(axis=1)
+                           for _, block in symbol_blocks(table, rho, lam)]) + 0.0
 
 
 def _slice_nodes(p: Pencil, angular: int):
@@ -561,7 +679,14 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
 
     The slice scan takes the table's distinct rows, which gives min_abs,
     min_ratio and the sign flags of the whole grid bit for bit (see
-    column_least).  Each angle divides only its least |A| by the
+    column_least).  A generic real table, whose scan exceeds
+    SLICE_BLOCK_ENTRIES values, is cut further by dominance: the slice's
+    rho, lambda >= 0 make every part power >= 0, so with a finite table
+    and no overflow a row that is >= another in every nonzero part is >=
+    it at every node, bit for bit, and the least and largest A of each
+    angle lie on the rows that no row dominates from below or from above.
+    An angle where A changes sign is scanned again over every distinct row
+    for its least |A|.  Each angle divides only its least |A| by the
     normaliser, which gives the same min_ratio bit for bit.  The least
     ratio's first angle is the first minimising node's angle, and its
     direction is found by evaluating and dividing that angle's row of the
@@ -654,15 +779,18 @@ def remark22_checks(p: Pencil, grid: GridSpec = GridSpec()) -> dict:
     on the compact slice, with c_min the smallest ratio of the two.  Either
     condition implies regular degeneration.  Re A is scanned on the
     distinct rows of the direction table, bit for bit as on all of them.
+    On the slice rho, lambda >= 0, so every part power is >= 0: when the
+    scan exceeds SLICE_BLOCK_ENTRIES values and no product or partial sum
+    can overflow, a real table's least Re A lies on the rows that no row
+    dominates from below (>= it in every nonzero part gives a value >= at
+    every node, since IEEE rounding is monotone), and only those are
+    scanned (see column_least).
     """
     even_order = all(t.j % 2 == 0 for t in p.terms if t.coeff != 0)
     table = distinct_rows(homogeneous_table(
         compile_parts(p), sphere_directions(p.n, grid.direction_count(p.n))))
     rho, lam, denom = _slice_nodes(p, grid.angular)
-    # Least Re A per angle, +0.0 for a -0.0 as in column_least.
-    least = np.concatenate([block.real.min(axis=1)
-                            for _, block in symbol_blocks(table, rho, lam)])
-    c_min = float(_normalised(least + 0.0, denom).min())
+    c_min = float(_normalised(_column_least_re(table, rho, lam), denom).min())
     return {"even_order": even_order,
             "strongly_elliptic": bool(c_min > grid.tol * p.coeff_scale),
             "c_min": c_min}

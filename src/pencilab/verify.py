@@ -10,8 +10,8 @@ and take no lambda grid.  `run_suites` runs any of the suites at one
 density, and thm41 and halfspace read the one scan of the unit slice that
 it makes.  `run_refined` runs them, then refines each suite that passes at
 twice the density: the refined pass computes only what `drift_between`
-compares, and its unit-slice scan solves only the nodes that the first
-pass's scan lacks.
+compares, and its unit-slice scan and asymptotics' root groupings solve
+only the nodes that the first pass lacks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -405,8 +406,31 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
     it is set against its mean.  The roots of a split double root or a
     close pair are accurate only in their mean.
     """
+    return _asymptotics_report(p, density, _asymptotics_groupings(p, density))
+
+
+def _asymptotics_groupings(p: Pencil, density: int, coarse: dict | None = None) -> dict:
+    """{lambda: RootGrouping} at sweep_group_asymptotics' nodes, from
+    mesh_group_roots.
+
+    `coarse`, the groupings at density / 2, refines: the s-values nest bit
+    for bit (scan_s(2d)[::2] == scan_s(d)), and mesh_group_roots groups a
+    node as it does alone, so only the lambdas that `coarse` lacks are
+    grouped, and the groupings are those made from scratch.  Its nodes
+    were all accepted and its targets found, so the first error among the
+    new nodes is the first error of the whole.
+    """
     s = scan_s(density)
-    lambda_list = s[(s >= ASYMPTOTICS_S_RANGE[0]) & (s <= ASYMPTOTICS_S_RANGE[1])]
+    lams = s[(s >= ASYMPTOTICS_S_RANGE[0]) & (s <= ASYMPTOTICS_S_RANGE[1])].tolist()
+    known = coarse or {}
+    new = [lam for lam in lams if lam not in known]
+    found = dict(zip(new, mesh_group_roots(p, scan_directions(p.n)[0], new))) if new else {}
+    return {lam: known[lam] if lam in known else found[lam] for lam in lams}
+
+
+def _asymptotics_report(p: Pencil, density: int, groupings: dict) -> SweepReport:
+    """sweep_group_asymptotics' report from its groupings by lambda."""
+    lambda_list, groupings = np.array(list(groupings)), list(groupings.values())
     xi_prime = scan_directions(p.n)[0]
     xi_abs = float(np.linalg.norm(xi_prime))
     rep = SweepReport("asymptotics", {
@@ -414,7 +438,6 @@ def sweep_group_asymptotics(p: Pencil, density: int = 1) -> SweepReport:
         "xi_prime_list": [xi_prime.tolist()],
         "l_max": p.m, "slope_tol": SLOPE_TOL})
 
-    groupings = mesh_group_roots(p, xi_prime, lambda_list)
     corr, bounded_res = [], []
     for lam, g in zip(lambda_list, groupings):
         bounded = max(g.residual_bounded, default=0.0)
@@ -610,7 +633,7 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     halfspace read one unit-slice scan (norm_scan), made within the timing
     and error handling of the first of them to run, so that report's
     runtime carries it; nothing is kept after the call (run_refined hands
-    the scan to its second pass).  Raises
+    the scan and asymptotics' groupings to its second pass).  Raises
     OutOfRangeError, naming the suite and where it ran, when the lambda
     range overflows or the suite's float64 arithmetic overflows, divides
     by zero or makes a NaN: its verdict would rest on infinities.  For
@@ -633,15 +656,17 @@ def run_refined(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     drift_between compares and may lack the rest: polygon's has its records
     alone, without the binomial and side-scaling checks, and prop52's its
     records and C, without the Lemma 2.1 check; the other suites run in
-    full.  The refined unit-slice scan extends the first pass's, which
-    this call hands over (norm_scan's `coarse`) and keeps no longer.
+    full.  The refined unit-slice scan extends the first pass's, and the
+    refined asymptotics groups only the lambdas that the first pass's
+    groupings lack; this call hands both over (the `coarse` of norm_scan
+    and of _asymptotics_groupings) and keeps them no longer.
     Errors are raised as in run_suites, the refined pass's after every
     suite has run once; a check that the refined pass skips raises none.
     """
-    reports, scan = _run_pass(names, p, density, lambda0, decades)
+    reports, shared = _run_pass(names, p, density, lambda0, decades)
     passed = [name for name, rep in reports.items() if rep.verdict == "pass"]
     refined = _run_pass(passed, p, 2 * density, lambda0, decades,
-                        refined=True, coarse=scan)[0]
+                        refined=True, coarse=shared)[0]
     for name, fine in refined.items():
         rep = reports[name]
         drift = rep.extras["refinement_drift"] = drift_between(rep, fine)
@@ -650,15 +675,23 @@ def run_refined(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     return reports, refined
 
 
+class _Shared(NamedTuple):
+    """What a pass of the suites computes for more than one suite or for
+    its refinement: thm41's and halfspace's unit-slice scan, and
+    asymptotics' groupings by lambda; None where no suite made them."""
+    scan: NormScan | None = None
+    groupings: dict | None = None
+
+
 def _run_pass(names, p: Pencil, density: int, lambda0: float, decades: int,
-              refined: bool = False, coarse: NormScan | None = None) -> tuple:
-    """The suites' reports and their unit-slice scan (None when no suite
-    read one), as run_suites and run_refined describe them."""
+              refined: bool = False, coarse: _Shared = _Shared()) -> tuple:
+    """The suites' reports and what they share, as run_suites and
+    run_refined describe them; `coarse`, the first pass's, refines."""
     try:
         lam_max = lambda0 * 10.0 ** decades
     except OverflowError:
         lam_max = math.inf
-    scan, reports = None, {}
+    shared, reports = _Shared(), {}
     for name in names:
         unit_slice = name in ("thm41", "halfspace", "asymptotics")
         where = ("the unit slice" if unit_slice
@@ -668,10 +701,13 @@ def _run_pass(names, p: Pencil, density: int, lambda0: float, decades: int,
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 t0 = time.perf_counter()
-                if scan is None and name in ("thm41", "halfspace"):
-                    scan = norm_scan(p, density, coarse)
+                if shared.scan is None and name in ("thm41", "halfspace"):
+                    shared = shared._replace(scan=norm_scan(p, density, coarse.scan))
+                if name == "asymptotics":
+                    shared = shared._replace(groupings=_asymptotics_groupings(
+                        p, density, coarse.groupings))
                 rep = reports[name] = _dispatch(name, p, density, lambda0, lam_max,
-                                                scan, refined)
+                                                shared, refined)
                 rep.runtime = time.perf_counter() - t0
         except FloatingPointError as exc:
             # Large coefficients overflow too, so a range's error names them.
@@ -680,11 +716,11 @@ def _run_pass(names, p: Pencil, density: int, lambda0: float, decades: int,
                                   f"({exc}){scale}") from exc
         except PencilabError as exc:
             raise type(exc)(f"suite {name}: {exc}") from exc
-    return reports, scan
+    return reports, shared
 
 
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
-              lam_max: float, scan: NormScan | None, refined: bool) -> SweepReport:
+              lam_max: float, shared: _Shared, refined: bool) -> SweepReport:
     if name == "polygon":
         np_ = build_polygon(p.exponent_points())
         if refined:
@@ -696,14 +732,14 @@ def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
         return sweep_trace_equivalence(w, density=density, lambda0=lambda0,
                                        lam_max=lam_max)
     if name == "thm41":
-        return sweep_theorem41(p, density=density, scan=scan)
+        return sweep_theorem41(p, density=density, scan=shared.scan)
     if name == "asymptotics":
-        return sweep_group_asymptotics(p, density=density)
+        return _asymptotics_report(p, density, shared.groupings)
     if name == "prop52":
         sweep = _multiplier_constant if refined else sweep_multiplier_rn
         return sweep(p, lambda0, density, lam_max)
     if name == "halfspace":
-        return sweep_halfspace_ratio(p, density=density, scan=scan)
+        return sweep_halfspace_ratio(p, density=density, scan=shared.scan)
     raise PencilabError(f"unknown suite {name!r}")
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1083,6 +1084,14 @@ CPLX_N2 = load_pencil(PENCILS / "cplx.json")
 CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     Term((2, 0, 0), 2, 1.0), Term((0, 2, 0), 2, 1.0), Term((0, 0, 2), 2, 1.0),
     Term((0, 0, 0), 0, 1j)))
+# A generic anisotropic pencil, Q1 (Q2 + lambda^2) with non-isotropic
+# quadratic forms Q1, Q2: nearly every row of its direction table is
+# distinct.  With -lambda^2 in place of +lambda^2 it changes sign on the
+# slice, so its scan takes the column maxima and rescans the columns of
+# both signs.
+ANISO = load_pencil(PENCILS / "aniso.json")
+ANISO_SIGN = Pencil(n=2, m=2, mu=1, terms=tuple(
+    Term(t.alpha, t.j, -t.coeff if t.j == 2 else t.coeff) for t in ANISO.terms))
 
 
 @pytest.mark.parametrize("p, grid", [
@@ -1104,9 +1113,14 @@ CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
     (Pencil(n=2, m=3, mu=1, terms=tuple(Term(t.alpha, t.j, -2.0 * t.coeff)
                                         for t in M3.terms)),
      GridSpec(angular=97, directions=720)),
-    # broken's several hundred distinct rows leave a partial last block
-    # (test_broken_scan_ends_in_a_partial_block).
-    (broken_pencil(), GridSpec(angular=97, directions=720))])
+    # broken's several hundred distinct rows: the scans skip the rows that
+    # another row dominates, and read 4.
+    (broken_pencil(), GridSpec(angular=97, directions=720)),
+    # Generic tables, cut by dominance; the sign-changing one also takes
+    # the column maxima and rescans its columns of both signs, each over
+    # several blocks (test_pruned_scan_ends_in_a_partial_block).
+    (ANISO, GridSpec(angular=97, directions=720)),
+    (ANISO_SIGN, GridSpec(angular=720, directions=720))])
 def test_slice_scans_bit_identical_to_full_ratio(p, grid):
     _assert_slice_scans_bit_identical(p, grid)
 
@@ -1165,9 +1179,9 @@ def test_slice_scans_bit_identical_on_odd_order_pencils(p, angular, directions):
     # 2000 directions (the n = 3 least), which give a few dozen distinct
     # rows: the default block holds every angle.
     (E1_N3, GridSpec(angular=97, directions=97)),
-    # A partial last block at the default size
-    # (test_broken_scan_ends_in_a_partial_block).
-    (broken_pencil(), GridSpec(angular=97, directions=720))])
+    # Kept rows over several blocks, the last one partial, at the default
+    # size (test_pruned_scan_ends_in_a_partial_block).
+    (ANISO_SIGN, GridSpec(angular=720, directions=720))])
 def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
     def scans():
         rep = check_lemma21(p, grid)
@@ -1180,7 +1194,8 @@ def test_slice_scans_do_not_depend_on_the_block_size(p, grid, monkeypatch):
                 sweep.extras["C"], sweep.extras["C_point"]]
 
     default = [np.asarray(x).tobytes() for x in scans()]
-    # One column per block, and one block for the whole scan.
+    # One column per block, where every real scan skips dominated rows, and
+    # one block for the whole scan, where none does.
     for entries in (1, 10 ** 9):
         monkeypatch.setattr(pencil_mod, "SLICE_BLOCK_ENTRIES", entries)
         assert [np.asarray(x).tobytes() for x in scans()] == default
@@ -1253,6 +1268,96 @@ def test_scans_of_the_distinct_rows_equal_the_full_scans(table, angular):
     assert _least_re(rows, rho, lam).tobytes() == _least_re(table, rho, lam).tobytes()
 
 
+def _all_values(table, rho, lam):
+    """A at every (column, row) node, by brute force: each part's power
+    rho^j lambda^(2m-j) times A_j(omega), rounded once, summed from zeros in
+    j order over every part, zero ones included (those change at most the
+    sign of a zero)."""
+    top = table.shape[1] - 1
+    values = np.zeros((len(rho), len(table)))
+    for j in range(top + 1):
+        values = values + (rho ** j * lam ** (top - j))[:, None] * table[:, j]
+    return values
+
+
+@st.composite
+def _dominance_tables(draw):
+    """Real direction tables with 1 to 5 nonzero parts among up to 7
+    orders, and how many values a block of their scans holds: mostly fewer
+    than the scan's, so that the scans skip dominated rows over several
+    blocks, the last often partial, and otherwise read every row.
+    The rows repeat a few base rows shifted up or down by >= 0 in some
+    parts (weakly dominated rows, and tied ones when no part moves), and
+    flip the sign of zeros; their values are >= 0, <= 0, or of both signs."""
+    width = draw(st.integers(1, 7))
+    nonzero = draw(st.lists(st.integers(0, width - 1), min_size=1,
+                            max_size=min(5, width), unique=True))
+    sign = draw(st.sampled_from([1.0, -1.0, None]))
+    entries = _ENTRIES if sign is None else _ENTRIES.map(lambda x: sign * abs(x))
+    base = draw(st.lists(st.lists(entries, min_size=len(nonzero), max_size=len(nonzero)),
+                         min_size=1, max_size=8))
+    rows = [list(row) for row in base]
+    for _ in range(draw(st.integers(0, 30))):
+        row = np.array(draw(st.sampled_from(base)))
+        shifts = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                                        min_size=len(row), max_size=len(row))))
+        up = draw(st.booleans()) if sign is None else sign < 0
+        rows.append(list(row + shifts if up else row - shifts))
+        rows.append([-x if x == 0 else x for x in rows[-1]])
+    table = np.zeros((len(rows), width))
+    table[:, nonzero] = rows
+    table = table[draw(st.permutations(range(len(rows))))]
+    angular = draw(st.integers(1, 9))
+    block = draw(st.integers(1, 2 * len(table) * (angular + 2)))
+    return table, angular, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dominance_tables())
+def test_scans_that_skip_dominated_rows_equal_brute_force(drawn):
+    table, angular, block = drawn
+    theta = (np.arange(angular) + 0.5) / angular * (np.pi / 2.0)
+    # The slice's ends, where a part power is 0 and lambda^0 = 1, besides
+    # its midpoints.
+    rho, lam = np.r_[np.cos(theta), 0.0, 1.0], np.r_[np.sin(theta), 1.0, 0.0]
+    values = _all_values(table, rho, lam)
+    with mock.patch.object(pencil_mod, "SLICE_BLOCK_ENTRIES", block):
+        least, negative, positive = pencil_mod.column_least(table, rho, lam)
+        least_re = pencil_mod._column_least_re(table, rho, lam)
+    assert least.tobytes() == (np.abs(values).min(axis=1) + 0.0).tobytes()
+    assert (negative, positive) == (bool((values < 0).any()), bool((values > 0).any()))
+    assert least_re.tobytes() == (values.min(axis=1) + 0.0).tobytes()
+
+
+def test_scans_skip_no_row_unless_every_power_and_value_is_finite():
+    # Row 1 is >= row 0 in every part, but rho < 0 makes the power rho
+    # lambda of A_1 negative, which reverses the order of that part (rho^2
+    # lambda^0 would not), and row 1 overflows where row 0 does not; a
+    # table with an infinite entry has no order to rely on.  Each scan then
+    # reads every row: it gives the brute-force values, and an overflow
+    # raises under np.errstate as the whole scan's does.
+    table = np.array([[1.0, 1.0, 0.0], [2.0, 3.0, 0.0]])
+    rho, lam = np.linspace(-1.0, 1.0, 40), np.linspace(0.0, 1.0, 40)
+    # At rho = lambda = 10 each product of row 1 is 1e308 and their sum overflows.
+    huge, big = np.array([[1.0, 0.0, 1.0], [1e306, 0.0, 1e306]]), np.full(40, 10.0)
+    with mock.patch.object(pencil_mod, "SLICE_BLOCK_ENTRIES", 10):
+        assert pencil_mod._dominance_parts(table, rho, lam) is None
+        assert pencil_mod._dominance_parts(table, np.abs(rho), lam) is not None
+        even = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 3.0]])      # A_0 and A_2
+        assert pencil_mod._dominance_parts(even, rho, lam) is not None
+        values = _all_values(table, rho, lam)
+        assert pencil_mod.column_least(table, rho, lam)[0].tobytes() == \
+            (np.abs(values).min(axis=1) + 0.0).tobytes()
+        assert pencil_mod._column_least_re(table, rho, lam).tobytes() == \
+            (values.min(axis=1) + 0.0).tobytes()
+        assert pencil_mod._dominance_parts(huge, big, big) is None
+        for scan in (pencil_mod.column_least, pencil_mod._column_least_re):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                scan(huge, big, big)
+        infinite = np.array([[1.0, 0.0, 1.0], [np.inf, 0.0, 2.0]])
+        assert pencil_mod._dominance_parts(infinite, np.abs(rho), lam) is None
+
+
 def test_distinct_rows_compare_bits():
     table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 2.0],
                       [np.nan, 2.0], [-0.0, 1.0]])
@@ -1277,37 +1382,60 @@ def _scan_lengths(monkeypatch):
     return lengths
 
 
+def _undominated_count(table):
+    """The number of distinct value rows of a table's nonzero parts that no
+    other one is <= in every part, by comparing every pair."""
+    rows = np.unique(table[:, table.any(axis=0)] + 0.0, axis=0)
+    below = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
+    np.fill_diagonal(below, False)
+    return int((~below.any(axis=0)).sum())
+
+
 @pytest.mark.parametrize("path", sorted([*PENCILS.glob("*.json"),
                                          *BENCHMARK_PENCILS.glob("*.json")]),
                          ids=lambda path: path.stem)
 def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
     # Counts, not clocks: the scans evaluate the symbol at each distinct
     # row of the table and each angle, and the witness of (iii) takes its
-    # angle's full row of directions.  How many rows are distinct depends
-    # on the platform's cos and sin, so the count is computed, not pinned.
+    # angle's full row of directions.  A scan of more than
+    # SLICE_BLOCK_ENTRIES values reads only the rows that no row dominates
+    # from below; every pencil file here is positive where it is that
+    # generic, so no scan takes the maxima.  How many rows are distinct
+    # depends on the platform's cos and sin, so the counts are computed,
+    # not pinned.
     p, grid = load_pencil(path), GridSpec()
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     table = pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs)
     distinct = _distinct_count(table)
+    kept = distinct
+    if distinct * grid.angular > pencil_mod.SLICE_BLOCK_ENTRIES:
+        kept = _undominated_count(table)
     lengths = _scan_lengths(monkeypatch)
     check_lemma21(p, grid)
-    assert lengths == [(distinct, grid.angular), (len(dirs), 1)]
+    assert lengths == [(kept, grid.angular), (len(dirs), 1)]
     lengths.clear()
     remark22_checks(p, grid)
-    assert lengths == [(distinct, grid.angular)]
+    assert lengths == [(kept, grid.angular)]
     if path.stem == "e1":
         assert distinct < 100 < len(dirs)
+    if path.stem == "broken":
+        assert kept < 20 and distinct > 500
 
 
-def test_broken_scan_ends_in_a_partial_block():
-    # The block-size tests run broken at 97 angles and 720 directions to
-    # cover a last block with fewer columns than the others.
-    p = load_pencil(BENCHMARK_PENCILS / "broken.json")
-    dirs = sphere_directions(p.n, 720)
-    rows = pencil_mod.distinct_rows(
-        pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs))
-    step = pencil_mod.SLICE_BLOCK_ENTRIES // len(rows)
-    assert 1 < step < 97 and 97 % step
+def test_pruned_scan_ends_in_a_partial_block(monkeypatch):
+    # The block-size tests run ANISO_SIGN at the default grid to cover kept
+    # rows that span several blocks, the last with fewer columns than the
+    # others: in the minima, in the maxima of the columns with a negative
+    # minimum, and in the rescan of the columns of both signs over every
+    # distinct row.
+    lengths = _scan_lengths(monkeypatch)
+    check_lemma21(ANISO_SIGN)
+    lows, highs, rescan, witness = lengths
+    assert lows[1] == GridSpec().angular and witness == (720, 1)
+    assert lows[0] < highs[0] < rescan[0] and highs[1] < lows[1]
+    for rows, cols in (lows, highs, rescan):
+        step = pencil_mod.SLICE_BLOCK_ENTRIES // rows
+        assert 1 < step < cols and cols % step
 
 
 @pytest.mark.parametrize("name", ["e1", "broken", "e1_n3"])

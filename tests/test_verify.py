@@ -500,6 +500,56 @@ def test_refined_scan_raises_the_first_refused_node(monkeypatch):
         verify.run_refined(["thm41", "halfspace"], p)
 
 
+@pytest.mark.parametrize("path", CI_PENCILS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("density", [1, 2])
+def test_refined_asymptotics_groups_only_its_new_lambdas(path, density, monkeypatch):
+    # run_refined hands asymptotics' groupings to its 2x pass, which groups
+    # only the lambdas it adds (6 density of 12 density + 1), and its report
+    # is the sweep's from scratch, bit for bit.
+    p = load_pencil(path)
+    grouped = []
+    mesh_group_roots = verify.mesh_group_roots
+    monkeypatch.setattr(verify, "mesh_group_roots", lambda p, xi, lam: grouped.append(
+        len(lam)) or mesh_group_roots(p, xi, lam))
+    reports, refined = verify.run_refined(["asymptotics"], p, density)
+    assert grouped == [6 * density + 1, 6 * density]
+    monkeypatch.undo()
+    first, fine = reports["asymptotics"], refined["asymptotics"]
+    for rep, d in ((first, density), (fine, 2 * density)):
+        scratch = verify.sweep_group_asymptotics(p, d)
+        assert rep.records.keys() == scratch.records.keys()
+        for key, col in scratch.records.items():
+            assert rep.records[key].tobytes() == col.tobytes(), key
+        extras = {k: v for k, v in rep.extras.items() if k != "refinement_drift"}
+        assert repr(extras) == repr(scratch.extras)
+        assert (rep.config, rep.reasons) == (scratch.config, scratch.reasons)
+
+
+def test_refined_asymptotics_raises_the_first_refused_lambda(monkeypatch):
+    # Two lambdas of the 2x grid that the 1x grid lacks are refused, each
+    # with its own message; the refined groupings raise the first, as the
+    # groupings from scratch do.
+    p = e1_pencil()
+    coarse = verify._asymptotics_groupings(p, 1)
+    lams = list(verify._asymptotics_groupings(p, 2))
+    refused = {lams[3], lams[7]}
+    mesh_roots = pencil.mesh_roots
+
+    def refusing(p, xi_prime, lam):
+        out = mesh_roots(p, xi_prime, lam)
+        for k, y in enumerate(np.asarray(lam).tolist()):
+            if y in refused:
+                out[k] = EllipticityError(f"refused at {y!r}")
+        return out
+
+    monkeypatch.setattr(pencil, "mesh_roots", refusing)
+    with pytest.raises(EllipticityError) as scratch:
+        verify._asymptotics_groupings(p, 2)
+    with pytest.raises(EllipticityError) as refined:
+        verify._asymptotics_groupings(p, 2, coarse)
+    assert str(refined.value) == str(scratch.value) == f"refused at {lams[3]!r}"
+
+
 @pytest.mark.parametrize("path, count", [
     (BENCHMARK_PENCILS / "e1.json", 48), (BENCHMARK_PENCILS / "e1_n3.json", 2000),
     (PENCILS / "n1.json", 2)])

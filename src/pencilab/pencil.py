@@ -561,26 +561,24 @@ def _undominated(parts: np.ndarray) -> np.ndarray:
 
 
 def _column_reduce(ufunc, table: np.ndarray, rho, lam) -> np.ndarray:
-    """np.minimum or np.maximum of A over the rows of a real table, for each
-    column, from symbol_blocks.  It reduces a contiguous transpose of each
-    block: over a few rows, a (720 x 7) block's min along its short axis
-    took 60 us, and its transpose's along the long one 4 us."""
+    """np.minimum or np.maximum of Re A over the rows of the table, for
+    each column, from symbol_blocks.  It reduces a contiguous transpose of
+    each block: over a few rows, a (720 x 7) block's min along its short
+    axis took 60 us, and its transpose's along the long one 4 us."""
     out = np.empty(len(rho))
     for cols, block in symbol_blocks(table, rho, lam):
-        ufunc.reduce(block.T.copy(), axis=0, out=out[cols])
+        ufunc.reduce(block.real.T.copy(), axis=0, out=out[cols])
     return out
 
 
 def _column_least_re(table: np.ndarray, rho, lam) -> np.ndarray:
-    """Least Re A over the rows of the table, for each column, from
-    symbol_blocks, with +0.0 for a -0.0 as in column_least.  A real table
-    whose scan exceeds SLICE_BLOCK_ENTRIES values reads only the rows that
-    no row dominates from below, as column_least does."""
+    """Least Re A over the rows of the table, for each column, with +0.0
+    for a -0.0 as in column_least.  A real table whose scan exceeds
+    SLICE_BLOCK_ENTRIES values reads only the rows that no row dominates
+    from below, as column_least does."""
     parts = _dominance_parts(table, rho, lam)
-    if parts is not None:
-        return _column_reduce(np.minimum, table[_undominated(parts)], rho, lam) + 0.0
-    return np.concatenate([block.real.min(axis=1)
-                           for _, block in symbol_blocks(table, rho, lam)]) + 0.0
+    rows = table if parts is None else table[_undominated(parts)]
+    return _column_reduce(np.minimum, rows, rho, lam) + 0.0
 
 
 def _slice_nodes(p: Pencil, angular: int):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import halfline, verify, weights
 from .errors import PencilabError
-from .pencil import (GridSpec, _grouping_targets, _match_groups, check_lemma21,
-                     check_regular_degeneration, load_pencil, q_polynomial, tau_roots)
+from .pencil import (GridSpec, check_lemma21, check_regular_degeneration, group_roots,
+                     load_pencil, q_polynomial, tau_roots)
 from .polygon import INF, build_polygon
 
 
@@ -117,7 +117,7 @@ def cmd_roots(args) -> int:
     p = load_pencil(args.pencil)
     xi_prime, lam = _parse_point(args, p.n)
     rs = tau_roots(p, xi_prime, lam)
-    g = _match_groups(p, np.array(rs.upper), lam, *_grouping_targets(p, xi_prime))
+    g = group_roots(p, xi_prime, lam)       # its tau_roots call is served by the memo
     lines = ["upper roots: " + ", ".join(_c(r) for r in rs.upper),
              "lower roots: " + ", ".join(_c(r) for r in rs.lower),
              "bounded group: " + ", ".join(

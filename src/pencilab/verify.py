@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, halfline, weights
 from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
-                     column_least, compile_parts, distinct_rows, homogeneous_table,
+                     column_least, compile_parts, homogeneous_table,
                      mesh_group_roots, sphere_directions, symbol_blocks)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
@@ -547,7 +547,7 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
     # the column's least |A|, bit for bit.
     xa_col, lam_col = _box(xi_grid, lam_grid)
     table = homogeneous_table(compile_parts(p), dirs)
-    best = ratio(column_least(distinct_rows(table), xa_col, lam_col)[0], xa_col, lam_col)
+    best = ratio(column_least(table, xa_col, lam_col)[0], xa_col, lam_col)
 
     rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))
 

@@ -1087,11 +1087,10 @@ CPLX_N3 = Pencil(n=3, m=1, mu=0, terms=(
 # A generic anisotropic pencil, Q1 (Q2 + lambda^2) with non-isotropic
 # quadratic forms Q1, Q2: nearly every row of its direction table is
 # distinct.  With -lambda^2 in place of +lambda^2 it changes sign on the
-# slice, so its scan takes the column maxima and rescans the columns of
-# both signs.
+# slice (aniso_sign: its A_2 negated), so its scan takes the column maxima
+# and rescans the columns of both signs.
 ANISO = load_pencil(PENCILS / "aniso.json")
-ANISO_SIGN = Pencil(n=2, m=2, mu=1, terms=tuple(
-    Term(t.alpha, t.j, -t.coeff if t.j == 2 else t.coeff) for t in ANISO.terms))
+ANISO_SIGN = load_pencil(PENCILS / "aniso_sign.json")
 
 
 @pytest.mark.parametrize("p, grid", [
@@ -1107,7 +1106,7 @@ ANISO_SIGN = Pencil(n=2, m=2, mu=1, terms=tuple(
     (CPLX_N3, GridSpec(angular=3, directions=30)),
     # No term: every part is zero.
     (Pencil(n=2, m=1, mu=0, terms=()), GridSpec(angular=7, directions=30)),
-    # Symbols of both signs: blocks with a negative value take |.|.
+    # Symbols of both signs: the columns of both signs are rescanned for |.|.
     *((p, GridSpec(angular=97, directions=720)) for p in SIGN_CHANGING.values()),
     # A negative symbol: its least |A| is minus the column maxima.
     (Pencil(n=2, m=3, mu=1, terms=tuple(Term(t.alpha, t.j, -2.0 * t.coeff)
@@ -1323,7 +1322,7 @@ def test_scans_that_skip_dominated_rows_equal_brute_force(drawn):
     values = _all_values(table, rho, lam)
     with mock.patch.object(pencil_mod, "SLICE_BLOCK_ENTRIES", block):
         least, negative, positive = pencil_mod.column_least(table, rho, lam)
-        least_re = pencil_mod._column_least_re(table, rho, lam)
+        least_re = pencil_mod._least_re(table, rho, lam)[0]
     assert least.tobytes() == (np.abs(values).min(axis=1) + 0.0).tobytes()
     assert (negative, positive) == (bool((values < 0).any()), bool((values > 0).any()))
     assert least_re.tobytes() == (values.min(axis=1) + 0.0).tobytes()
@@ -1348,10 +1347,10 @@ def test_scans_skip_no_row_unless_every_power_and_value_is_finite():
         values = _all_values(table, rho, lam)
         assert pencil_mod.column_least(table, rho, lam)[0].tobytes() == \
             (np.abs(values).min(axis=1) + 0.0).tobytes()
-        assert pencil_mod._column_least_re(table, rho, lam).tobytes() == \
+        assert pencil_mod._least_re(table, rho, lam)[0].tobytes() == \
             (values.min(axis=1) + 0.0).tobytes()
         assert pencil_mod._dominance_parts(huge, big, big) is None
-        for scan in (pencil_mod.column_least, pencil_mod._column_least_re):
+        for scan in (pencil_mod.column_least, pencil_mod._least_re):
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 scan(huge, big, big)
         infinite = np.array([[1.0, 0.0, 1.0], [np.inf, 0.0, 2.0]])
@@ -1397,31 +1396,51 @@ def _undominated_count(table):
 def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
     # Counts, not clocks: the scans evaluate the symbol at each distinct
     # row of the table and each angle, and the witness of (iii) takes its
-    # angle's full row of directions.  A scan of more than
+    # angle's full row of directions.  A scan of a real table of more than
     # SLICE_BLOCK_ENTRIES values reads only the rows that no row dominates
-    # from below.  The files whose scans are that large (broken, aniso) have
-    # two nonzero parts, where those rows are found exactly, and A >= 0 on
-    # the slice, so no scan takes the maxima.  How many rows are distinct
-    # depends on the platform's cos and sin, so the counts are computed,
-    # not pinned.
+    # from below, for the minima, or from above, for the maxima.  The files
+    # whose scans are that large (broken, aniso, aniso_sign) have two
+    # nonzero parts, where those rows are found exactly.  check_lemma21's
+    # scan of a real table takes the minima at every angle, then the maxima
+    # at the angles whose minimum is negative (at every angle when no
+    # minimum is positive), then |A| over every distinct row at the angles
+    # where A has both signs; remark22_checks takes the minima alone.  How
+    # many rows are distinct depends on the platform's cos and sin, so the
+    # counts are computed, not pinned, and the passes are found from the
+    # brute-force values.
     p, grid = load_pencil(path), GridSpec()
     dirs = sphere_directions(p.n, grid.direction_count(p.n))
     table = pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), dirs)
+    real = table.dtype == float
     distinct = _distinct_count(table)
-    kept = distinct
-    if distinct * grid.angular > pencil_mod.SLICE_BLOCK_ENTRIES:
+    below = above = distinct
+    if real and distinct * grid.angular > pencil_mod.SLICE_BLOCK_ENTRIES:
         assert table.any(axis=0).sum() <= 2
-        kept = _undominated_count(table)
+        below, above = _undominated_count(table), _undominated_count(-table)
+    lows = [(below, grid.angular)]
+    passes = list(lows)
+    if real:
+        rho, lam, _ = pencil_mod._slice_nodes(p, grid.angular)
+        values = _all_values(table, rho, lam)
+        lo, hi = values.min(axis=1), values.max(axis=1)
+        highs = int(((lo < 0.0) | (not (lo > 0.0).any())).sum())
+        mixed = int(((lo < 0.0) & (hi > 0.0)).sum())
+        if highs:
+            passes.append((above, highs))
+        if mixed:
+            passes.append((distinct, mixed))
     lengths = _scan_lengths(monkeypatch)
     check_lemma21(p, grid)
-    assert lengths == [(kept, grid.angular), (len(dirs), 1)]
+    assert lengths == passes + [(len(dirs), 1)]
     lengths.clear()
     remark22_checks(p, grid)
-    assert lengths == [(kept, grid.angular)]
+    assert lengths == lows
     if path.stem == "e1":
         assert distinct < 100 < len(dirs)
     if path.stem == "broken":
-        assert kept < 20 and distinct > 500
+        assert below < 20 and distinct > 500
+    if path.stem == "aniso_sign":       # pruned minima and maxima, and a rescan
+        assert len(passes) == 3 and above < distinct and below < distinct
 
 
 def test_pruned_scan_ends_in_a_partial_block(monkeypatch):
@@ -1453,8 +1472,7 @@ def test_prop52_scans_its_box_once_and_polishes_without_a_scan(name, monkeypatch
         calls.append(table)
         return real_distinct(table)
 
-    for module in (pencil_mod, verify_mod):
-        monkeypatch.setattr(module, "distinct_rows", counting)
+    monkeypatch.setattr(pencil_mod, "distinct_rows", counting)
     lengths = _scan_lengths(monkeypatch)
     monkeypatch.setattr(verify_mod, "symbol_blocks", pencil_mod.symbol_blocks)
     least = []

@@ -314,6 +314,32 @@ SLICE_BLOCK_ENTRIES = 32768
 ZOOM = 5
 
 
+def zoom(evaluate, centre, value, step, ahead: int):
+    """Refine the least `value`, at `centre`, by rounds at the steps step,
+    step / ZOOM, ... (while the largest entry exceeds 1e-15); evaluate(centre,
+    steps) gives their points and values around `centre`, flat, round after
+    round.  A call takes one round first and after a move, else four times
+    the last (at most `ahead`); the first round whose least value (argmin's)
+    beats the best so far moves the centre.  So every round sees the
+    round-by-round search's centre, points, values, ties and NaN comparisons,
+    bit for bit, in no more calls, evaluating at most 4 times its rounds."""
+    steps, top = [], float(np.max(step))    # rounded division keeps the largest
+    while top > 1e-15:
+        steps.append(step)
+        step, top = step / ZOOM, top / ZOOM
+    size = 1
+    while steps:
+        batch = np.array(steps[:size])
+        points, vals = evaluate(centre, batch)
+        vals, size = vals.reshape(len(batch), -1), min(4 * size, ahead)
+        for r, k in enumerate(vals.argmin(axis=1)):
+            if vals[r, k] < value:
+                centre, value, size = points[r * vals.shape[1] + k], float(vals[r, k]), 1
+                break
+        del steps[:r + 1]
+    return centre, value
+
+
 class Parts(NamedTuple):
     """A pencil's homogeneous parts A_j, compiled by compile_parts."""
     terms: tuple        # terms[j]: A_j's (coefficient, ((axis, power), ...))
@@ -571,15 +597,15 @@ def _slice_nodes(p: Pencil, angular: int):
 def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     """Smallest |A_j| found on the unit sphere, and its direction.
 
-    The grid minimum is refined by zooming in: each round samples a patch
-    of 2*ZOOM+1 points a side, parallel to the tangent plane at the grid
-    minimum and centred on the best direction so far, and the next round
-    samples one cell of it.  The first patch reaches the nearest grid
-    direction, so a zero between grid directions is still found: 90
-    directions in the plane miss the zero (0, 1) of xi_1^2 with |A_j| =
-    1.2e-3 at the nearest one, far above the default tolerance.
+    The grid minimum is refined by zoom, with at most len(dirs) points per
+    call: each round samples a patch of 2*ZOOM+1 points a side, parallel to
+    the tangent plane at the grid minimum and centred on the best direction
+    so far, and the next round samples one cell of it.  The first patch
+    reaches the nearest grid direction, so a zero between grid directions
+    is still found: 90 directions in the plane miss the zero (0, 1) of
+    xi_1^2 with |A_j| = 1.2e-3 at the nearest one, far above the tolerance.
 
-    Each round evaluates the compiled part with homogeneous_part, whose
+    Each call evaluates the compiled part with homogeneous_part, whose
     values differ from the table's at most in the sign of a zero, which |.|
     removes, and normalises by np.add.reduce, the sum that np.sum calls.  A
     part with no term is zero, and A_0 is constant: no patch can hold a
@@ -593,7 +619,6 @@ def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
         return best, value          # n = 1: the two directions are the sphere
     gaps = np.sum((dirs - best) ** 2, axis=1)
     gaps[k] = 4.0           # no direction is farther than the antipode
-    step = math.sqrt(gaps.min()) / ZOOM
     # Columns 2..n of the Householder reflection that maps e_1 to -+best
     # span the tangent plane at best.
     v = best.copy()
@@ -602,15 +627,14 @@ def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
     patch = np.stack(np.meshgrid(*[side] * (n - 1)), axis=-1).reshape(-1, n - 1)
     offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
-    while step > 1e-15:
-        pts = best + step * offsets
+
+    def evaluate(best, steps):
+        pts = (best + steps[:, None, None] * offsets).reshape(-1, n)
         pts /= np.sqrt(np.add.reduce(pts * pts, axis=1))[:, None]
-        patch_vals = np.abs(homogeneous_part(parts, j, pts))
-        i = patch_vals.argmin()
-        if patch_vals[i] < value:
-            best, value = pts[i], float(patch_vals[i])
-        step /= ZOOM
-    return best, value
+        return pts, np.abs(homogeneous_part(parts, j, pts))
+
+    return zoom(evaluate, best, value, math.sqrt(gaps.min()) / ZOOM,
+                max(1, len(dirs) // len(offsets)))
 
 
 def _normalised(values: np.ndarray, denom: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from . import __version__, halfline, weights
 from .errors import OutOfRangeError, PencilabError
 from .pencil import (ZOOM, GridSpec, Pencil, check_lemma21, cluster_roots,
                      column_least, compile_parts, homogeneous_table,
-                     mesh_group_roots, sphere_directions, symbol_blocks)
+                     mesh_group_roots, sphere_directions, symbol_blocks, zoom)
 from .polygon import INF, NewtonPolygon, build_polygon, r_degree
 from .weights import HomogeneousWeight, ProductWeight
 
@@ -553,8 +553,10 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak: a pattern search in
-    # (log|xi|, log lambda) on its direction, zooming as pencil._sphere_min does.
-    # The direction is the first that attains the maximum in its column.
+    # (log|xi|, log lambda) on its direction, by pencil.zoom on the negated
+    # ratio (its first least value is the ratio's first largest), with at
+    # most the box scan's nodes per call.  The direction is the first that
+    # attains the maximum in its column.
     i = int(np.argmax(best))
     c_val, point = best[i], (xa_col[i], lam_col[i])
     if point[0] > 0.0:
@@ -577,19 +579,18 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
         # The grid's box and spacing, past |xi| = 0; geomspace keeps its ends.
         lo, hi = np.array([[xi_grid[1], lam_grid[0]], [xi_grid[-1], lam_grid[-1]]])
         cells = np.array([len(xi_grid) - 2, len(lam_grid) - 1])
-        step = np.log(hi / lo) / cells / ZOOM
         stencil = np.mgrid[-ZOOM:ZOOM + 1, -ZOOM:ZOOM + 1].reshape(2, -1).T
-        log_point = np.log(point)
-        while step.max() > 1e-15:
-            nodes = np.exp(log_point + step * stencil)
+
+        def evaluate(point, steps):
+            nodes = np.exp(np.log(point) + steps[:, None, :] * stencil).reshape(-1, 2)
             np.maximum(nodes, lo, out=nodes)
             xa, lam = np.minimum(nodes, hi, out=nodes).T
-            vals = ratio(least(xa, lam), xa, lam)
-            k = int(np.argmax(vals))
-            if vals[k] > c_val:
-                c_val, point = vals[k], (xa[k], lam[k])
-                log_point = np.log(point)
-            step /= ZOOM
+            return nodes, -ratio(least(xa, lam), xa, lam)
+
+        point, c_val = zoom(evaluate, np.array(point), -c_val,
+                            np.log(hi / lo) / cells / ZOOM,
+                            len(dirs) * len(xa_col) // len(stencil))
+        c_val = -c_val
     rep.extras["C_point"] = [float(point[0]), float(point[1])]
     rep.extras["C"] = float(c_val)
     return rep

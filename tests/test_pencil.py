@@ -1539,9 +1539,17 @@ def test_compiled_parts_match_the_term_loop(p, data):
             assert np.abs(part).tobytes() == np.abs(ref[:, j]).tobytes()
 
 
-@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near", "broken"])
+@pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near", "broken",
+                                  "aniso", "aniso_sign", "m3", "cplx", "e1_n4"])
 def test_searches_match_the_reference_zoom_and_polish(name):
-    p = load_pencil(BENCHMARK_PENCILS / f"{name}.json")
+    # The zoom looks ahead over the rounds that keep its centre.  Some
+    # searches move it often: aniso's (i) zoom in 8 of 18 rounds, and
+    # aniso_sign's polish in 19 of 21.  e1_n4's 1331-point patches exceed
+    # the grid's directions, so its zooms take one round per call.
+    folder = BENCHMARK_PENCILS
+    if not (folder / f"{name}.json").exists():
+        folder = PENCILS
+    p = load_pencil(folder / f"{name}.json")
     for size in (1, 2, 90, 720):
         grid = GridSpec(angular=size, directions=size)
         dirs = sphere_directions(p.n, grid.direction_count(p.n))
@@ -1555,3 +1563,113 @@ def test_searches_match_the_reference_zoom_and_polish(name):
         _, c_val, c_point = _reference_prop52(p, density)
         assert _same(sweep.extras["C"], c_val)
         assert _same(sweep.extras["C_point"], c_point)
+
+
+def _round_by_round(evaluate, centre, value, step):
+    """pencil.zoom as one evaluation per round, the search it replaced; and
+    the rounds that moved the centre."""
+    moves, r = [], 0
+    while np.max(step) > 1e-15:
+        points, vals = evaluate(centre, np.array([step]))
+        k = int(np.argmin(vals))
+        if vals[k] < value:
+            centre, value = points[k], float(vals[k])
+            moves.append(r)
+        step, r = step / ZOOM, r + 1
+    return centre, value, moves
+
+
+def _assert_zoom_matches_round_by_round(table, value):
+    """zoom from the point with id 0 and `value`, for every look-ahead,
+    against _round_by_round; returns the rounds that move the centre.
+    Around the point with id c, round r gives its K points the ids
+    1 + r K + k and the values table[c, r]."""
+    rounds, size = table.shape[1:]
+    first = 2e-15 * float(ZOOM) ** (rounds - 1)
+    index, step = {}, first
+    while step > 1e-15:
+        index[step] = len(index)
+        step /= ZOOM
+    assert len(index) == rounds
+
+    def evaluate(centre, steps):
+        r = np.array([index[s] for s in steps])
+        return (1 + r[:, None] * size + np.arange(size)).ravel(), table[centre, r].ravel()
+
+    centre, least, moves = _round_by_round(evaluate, 0, value, first)
+    for ahead in range(1, rounds + 1):
+        calls = []
+        got = pencil_mod.zoom(lambda c, steps: calls.append(len(steps)) or evaluate(c, steps),
+                              0, value, first, ahead)
+        assert _same(got[0], centre) and _same(got[1], least)
+        # No more calls than rounds, at most 4 times the rounds evaluated.
+        assert len(calls) <= rounds <= sum(calls) <= 4 * rounds
+        assert max(calls) <= ahead
+        if ahead == rounds and not moves:       # 1, 4, 16, ... rounds a call
+            assert calls == [min(4 ** i, rounds - (4 ** i - 1) // 3)
+                             for i in range(len(calls))]
+    return moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 25), st.integers(1, 15), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([math.inf, 2.0, 0.0, math.nan]))
+def test_zoom_matches_the_round_by_round_search(rounds, size, seed, value):
+    # Small integers tie often, about one value in ten is NaN, and deeper
+    # rounds reach lower values, so the centre moves often and anywhere.
+    rng = np.random.default_rng(seed)
+    low = -np.arange(rounds)[:, None]
+    table = rng.integers(low, 3, (1 + rounds * size, rounds, size)).astype(float)
+    table[rng.random(table.shape) < 0.1] = math.nan
+    _assert_zoom_matches_round_by_round(table, value)
+
+
+_ZOOM_CASES = {     # the start's value, the rows of every round, and the moves
+    # The first of equal least values; an equal value does not move.
+    "ties": (2.0, [[1.0, 1.0, 1.0]] * 4 + [[1.0, 0.5, 0.5]], [0, 4]),
+    # argmin takes the first NaN, which beats nothing, whatever else is less.
+    "nan": (2.0, [[math.nan, 0.0, -1.0], [1.0, math.nan, 1.0], [3.0, 1.0, 0.0]], [2]),
+    "first_and_last": (1.0, [[0.0, 2.0, 2.0]] + [[1.0, 0.0, 1.0]] * 6
+                       + [[2.0, 2.0, -1.0]], [0, 7]),
+    "consecutive": (math.inf, [[4.0 - r, 9.0, 9.0] for r in range(5)], [0, 1, 2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("value, rows, moves", _ZOOM_CASES.values(), ids=_ZOOM_CASES)
+def test_zoom_matches_the_round_by_round_search_on_set_cases(value, rows, moves):
+    rows = np.array(rows)
+    table = np.broadcast_to(rows, (1 + rows.size, *rows.shape))
+    assert _assert_zoom_matches_round_by_round(table, value) == moves
+
+
+def test_zoom_evaluates_the_rounds_that_keep_its_centre_together(monkeypatch):
+    # check_lemma21(e1) zooms on A_4 and on A_2, 18 rounds of 11 points
+    # each, which round by round took 2 x 18 calls beside the table's two.
+    # A call takes one round after a move and 4 times the last one's
+    # otherwise.  A_4's centre moves in rounds 0 and 4 and A_2's never.
+    calls = []
+    real = pencil_mod.homogeneous_part
+    monkeypatch.setattr(pencil_mod, "homogeneous_part",
+                        lambda parts, j, pts: calls.append((j, len(pts))) or real(parts, j, pts))
+    check_lemma21(load_pencil(BENCHMARK_PENCILS / "e1.json"))
+    assert calls[:2] == [(2, 720), (4, 720)]
+    rounds = [(j, size // 11) for j, size in calls[2:]]
+    assert rounds == [(4, 1), (4, 1), (4, 4), (4, 1), (4, 4), (4, 8),
+                      (2, 1), (2, 4), (2, 13)]
+    assert len(calls) < 2 + 2 * 18
+
+
+def test_polish_evaluates_the_rounds_that_keep_its_point_together(monkeypatch):
+    # sweep_multiplier_rn(e1) weighs its box scan's 88 columns, then the
+    # peak column's directions at one node, then the polish's 21 rounds of
+    # 121 nodes, which round by round took 21 calls.  The point moves in
+    # round 0 only, and the calls after it take 4 times the last one's
+    # rounds.
+    calls = []
+    real = verify_mod.energy_weight_value
+    monkeypatch.setattr(verify_mod, "energy_weight_value",
+                        lambda p, xa, lam: calls.append(np.size(xa)) or real(p, xa, lam))
+    sweep_multiplier_rn(load_pencil(BENCHMARK_PENCILS / "e1.json"))
+    assert calls[:2] == [88, 1]
+    assert [size // 121 for size in calls[2:]] == [1, 1, 4, 15]
+    assert len(calls) < 2 + 21

@@ -9,6 +9,7 @@ the normal frequency.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -61,9 +62,9 @@ class Pencil:
                 raise PencilFormatError(f"coefficient {t.coeff} of the term "
                                         f"alpha={t.alpha} overflows the sum of |coeff|")
         # Not fields, so ==, hash, repr and dataclasses.replace ignore them:
-        # coeff_scale, the sum of |coeff| (1.0 if it is 0), and what the
-        # point queries derive from this pencil alone, kept with it: Q's
-        # DegenerationResult and tau_roots' last point (see tau_roots).
+        # coeff_scale, the sum of |coeff| (1.0 if it is 0), and what is
+        # derived from this pencil alone, kept with it: its compiled Parts,
+        # Q's DegenerationResult and tau_roots' last point (see tau_roots).
         object.__setattr__(self, "coeff_scale", scale or 1.0)
         object.__setattr__(self, "_derived", {})
 
@@ -344,24 +345,45 @@ class Parts(NamedTuple):
     """A pencil's homogeneous parts A_j, compiled by compile_parts."""
     terms: tuple        # terms[j]: A_j's (coefficient, ((axis, power), ...))
     dtype: type         # of their values: float or complex
+    tops: tuple         # tops[j][i]: the highest power of axis i in A_j's terms
 
 
 def compile_parts(p: Pencil) -> Parts:
-    """The parts A_j of p as homogeneous_part evaluates them, compiled once
-    per scan: each term's coefficient and its nonzero exponents, by order j
-    and in p.terms order.
+    """The parts A_j of p, compiled once per pencil and kept with it: each
+    term's coefficient and its nonzero exponents, by order j and in p.terms
+    order, and the highest power of each coordinate in each part (_powers).
 
     The dtype is float when every coefficient of p is real, and complex
     otherwise; a real dtype keeps only the real parts of the coefficients.
     The values are the same either way: numpy's product of c + 0i and x has
     real part c x exactly and imaginary part 0, and |x + 0i| = |x|.
     """
-    real = all(t.coeff.imag == 0 for t in p.terms)
-    terms = [[] for _ in range(2 * p.m + 1)]
-    for t in p.terms:
-        terms[t.j].append((t.coeff.real if real else t.coeff,
-                           tuple((i, a) for i, a in enumerate(t.alpha) if a)))
-    return Parts(tuple(map(tuple, terms)), float if real else complex)
+    if "parts" not in p._derived:
+        real = all(t.coeff.imag == 0 for t in p.terms)
+        terms = [[] for _ in range(2 * p.m + 1)]
+        tops = [[0] * p.n for _ in terms]
+        for t in p.terms:
+            terms[t.j].append((t.coeff.real if real else t.coeff,
+                               tuple((i, a) for i, a in enumerate(t.alpha) if a)))
+            tops[t.j] = list(map(max, tops[t.j], t.alpha))
+        p._derived["parts"] = Parts(tuple(map(tuple, terms)),
+                                    float if real else complex, tuple(map(tuple, tops)))
+    return p._derived["parts"]
+
+
+def _powers(pts: np.ndarray, tops) -> list:
+    """powers[i][k] = x^k for x = pts[:, i], 1 <= k <= tops[i]: x^k = x^(k-1) x."""
+    return [[None, *itertools.accumulate([pts[:, i]] * top, np.multiply)]
+            for i, top in enumerate(tops)]
+
+
+def _part(terms, powers):
+    total = None
+    for coeff, exps in terms:
+        factors = [powers[i][a] for i, a in exps]
+        term = coeff * (functools.reduce(np.multiply, factors) if factors else 1.0)
+        total = term if total is None else total + term
+    return total
 
 
 def homogeneous_part(parts: Parts, j: int, pts: np.ndarray):
@@ -369,27 +391,25 @@ def homogeneous_part(parts: Parts, j: int, pts: np.ndarray):
     term: its terms summed in order from the first (a constant part gives
     a scalar, which broadcasts against the rows).
 
-    A monomial starts from its first factor pts[:, i] ** a and skips zero
-    exponents: the products by 1 and by x ** 0 = 1.0 it leaves out are
-    exact.  0.0 plus this sum is the sum from 0.0 bit for bit: the running
-    sums differ at most in the sign of a zero, a sum from 0.0 is never
-    -0.0, and 0.0 + (-0.0) = 0.0.
+    A monomial is coeff times its factors x^a in coordinate order, zero
+    exponents skipped (the products left out are exact), with x^a from _powers'
+    x^k = x^(k-1) x, not x ** a: numpy's pow runs SIMD on positive bases but a
+    scalar loop, 27 times slower, on negative ones, half of the coordinates,
+    and its bits follow the SIMD build; squares keep x ** 2's bits (x x).  0.0
+    plus this sum is the sum from 0.0 bit for bit: running sums differ at most
+    in a zero's sign, a sum from 0.0 is never -0.0, and 0.0 + (-0.0) = 0.0.
     """
-    total = None
-    for coeff, exps in parts.terms[j]:
-        factors = [pts[:, i] ** a for i, a in exps]
-        term = coeff * (functools.reduce(np.multiply, factors) if factors else 1.0)
-        total = term if total is None else total + term
-    return total
+    return _part(parts.terms[j], _powers(pts, parts.tops[j]))
 
 
 def homogeneous_table(parts: Parts, dirs: np.ndarray) -> np.ndarray:
-    """(directions x (2m+1)) table of the homogeneous parts A_j(omega), in
-    the parts' dtype: each column is 0.0 plus homogeneous_part's values."""
+    """(directions x (2m+1)) table of the parts A_j(omega), in their dtype,
+    from one table of powers: each column is 0.0 plus homogeneous_part's."""
     table = np.zeros((len(dirs), len(parts.terms)), dtype=parts.dtype)
+    powers = _powers(dirs, map(max, *parts.tops))
     for j, terms in enumerate(parts.terms):
         if terms:
-            table[:, j] += homogeneous_part(parts, j, dirs)
+            table[:, j] += _part(terms, powers)
     return table
 
 
@@ -605,11 +625,11 @@ def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     is still found: 90 directions in the plane miss the zero (0, 1) of
     xi_1^2 with |A_j| = 1.2e-3 at the nearest one, far above the tolerance.
 
-    Each call evaluates the compiled part with homogeneous_part, whose
-    values differ from the table's at most in the sign of a zero, which |.|
-    removes, and normalises by np.add.reduce, the sum that np.sum calls.  A
-    part with no term is zero, and A_0 is constant: no patch can hold a
-    smaller value than the grid's, so neither zooms.
+    Each call evaluates the part with homogeneous_part, whose products are
+    the table's, so its values differ from the table's at most in the sign
+    of a zero, which |.| removes, and normalises by np.add.reduce, the sum
+    that np.sum calls.  A part with no term is zero, and A_0 is constant:
+    no patch can hold a smaller value than the grid's, so neither zooms.
     """
     vals = np.abs(table[:, j])
     k = int(vals.argmin())
@@ -617,16 +637,16 @@ def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     n = dirs.shape[1]
     if n == 1 or j == 0 or not parts.terms[j]:
         return best, value          # n = 1: the two directions are the sphere
-    gaps = np.sum((dirs - best) ** 2, axis=1)
+    gaps = np.add.reduce(np.square(dirs - best), axis=1)
     gaps[k] = 4.0           # no direction is farther than the antipode
     # Columns 2..n of the Householder reflection that maps e_1 to -+best
     # span the tangent plane at best.
     v = best.copy()
     v[0] += math.copysign(1.0, best[0])
-    tangent = (np.eye(n) - 2.0 * np.outer(v, v) / np.sum(v * v))[:, 1:]
+    tangent = (np.eye(n) - 2.0 * np.outer(v, v) / np.add.reduce(v * v))[:, 1:]
     side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
     patch = np.stack(np.meshgrid(*[side] * (n - 1)), axis=-1).reshape(-1, n - 1)
-    offsets = np.sum(patch[:, None, :] * tangent[None, :, :], axis=2)
+    offsets = np.add.reduce(patch[:, None, :] * tangent[None, :, :], axis=2)
 
     def evaluate(best, steps):
         pts = (best + steps[:, None, None] * offsets).reshape(-1, n)

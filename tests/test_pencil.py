@@ -922,6 +922,15 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
 # ---------------------------------------------------------------------------
 # slice scans in the pencil's dtype, reduced per row, against full matrices
 
+def _power(x, a):
+    """x^a for a >= 1 by the products x^1 = x, x^k = x^(k-1) x: the rule by
+    which pencil builds the powers of direction coordinates."""
+    out = x
+    for _ in range(a - 1):
+        out = out * x
+    return out
+
+
 def _reference_part(p, j, dirs):
     """A_j(omega) from p.terms, term by term, as homogeneous_part evaluated
     it before its parts were compiled: the reference for compile_parts."""
@@ -929,7 +938,7 @@ def _reference_part(p, j, dirs):
     out = np.zeros(len(dirs), dtype=float if real else complex)
     for t in p.terms:
         if t.j == j:
-            factors = [dirs[:, i] ** a for i, a in enumerate(t.alpha) if a]
+            factors = [_power(dirs[:, i], a) for i, a in enumerate(t.alpha) if a]
             mono = functools.reduce(np.multiply, factors) if factors else 1.0
             out += (t.coeff.real if real else t.coeff) * mono
     return out
@@ -971,7 +980,8 @@ def _complex_part(p, j, dirs):
         if t.j == j:
             mono = np.ones(len(dirs))
             for i, a in enumerate(t.alpha):
-                mono = mono * dirs[:, i] ** a
+                if a:       # x^0 = 1.0: the product by it is exact
+                    mono = mono * _power(dirs[:, i], a)
             out += t.coeff * mono
     return out
 
@@ -1159,7 +1169,7 @@ def test_sphere_min_of_a_constant_part_is_the_grid_minimum(p, monkeypatch):
 
     monkeypatch.setattr(pencil_mod, "homogeneous_part", counting)
     rep = check_lemma21(p)
-    assert orders.count(0) == 1             # the table's column
+    assert orders.count(0) == 0             # the table's column takes no call
     assert _same(rep.witness_ii, dirs[0])
     assert _same(rep.min_a2mu, abs(table[0, 0]))
 
@@ -1398,9 +1408,11 @@ def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
     # row of the table and each angle, and the witness of (iii) takes its
     # angle's full row of directions.  A scan of a real table of more than
     # SLICE_BLOCK_ENTRIES values reads only the rows that no row dominates
-    # from below, for the minima, or from above, for the maxima.  The files
-    # whose scans are that large (broken, aniso, aniso_sign) have two
-    # nonzero parts, where those rows are found exactly.  check_lemma21's
+    # from below, for the minima, or from above, for the maxima.  Of the
+    # files whose scans are that large, broken, aniso and aniso_sign have
+    # two nonzero parts, where those rows are found exactly; gen_n3 has
+    # three, where the scans read a superset of them, and at most every
+    # distinct row.  check_lemma21's
     # scan of a real table takes the minima at every angle, then the maxima
     # at the angles whose minimum is negative (at every angle when no
     # minimum is positive), then |A| over every distinct row at the angles
@@ -1414,8 +1426,9 @@ def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
     real = table.dtype == float
     distinct = _distinct_count(table)
     below = above = distinct
+    superset = False
     if real and distinct * grid.angular > pencil_mod.SLICE_BLOCK_ENTRIES:
-        assert table.any(axis=0).sum() <= 2
+        superset = table.any(axis=0).sum() > 2
         below, above = _undominated_count(table), _undominated_count(-table)
     lows = [(below, grid.angular)]
     passes = list(lows)
@@ -1429,16 +1442,22 @@ def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
             passes.append((above, highs))
         if mixed:
             passes.append((distinct, mixed))
+    def read(got, want):        # the rows of each pass, exactly or a superset
+        return [c for _, c in got] == [c for _, c in want] and all(
+            g == w or superset and w <= g <= distinct for (g, _), (w, _) in zip(got, want))
+
     lengths = _scan_lengths(monkeypatch)
     check_lemma21(p, grid)
-    assert lengths == passes + [(len(dirs), 1)]
+    assert read(lengths, passes + [(len(dirs), 1)])
     lengths.clear()
     remark22_checks(p, grid)
-    assert lengths == lows
+    assert read(lengths, lows)
     if path.stem == "e1":
         assert distinct < 100 < len(dirs)
     if path.stem == "broken":
         assert below < 20 and distinct > 500
+    if path.stem == "gen_n3":
+        assert superset and lengths[0][0] < distinct
     if path.stem == "aniso_sign":       # pruned minima and maxima, and a rescan
         assert len(passes) == 3 and above < distinct and below < distinct
 
@@ -1537,6 +1556,87 @@ def test_compiled_parts_match_the_term_loop(p, data):
             part = np.broadcast_to(pencil_mod.homogeneous_part(parts, j, pts), (rows,))
             assert np.all(part == ref[:, j])
             assert np.abs(part).tobytes() == np.abs(ref[:, j]).tobytes()
+
+
+def _python_table(p, rows):
+    """The direction table of a real pencil in Python floats, one IEEE
+    rounding per operation: each power x^k = x^(k-1) x, each monomial its
+    coefficient times the product of its powers in coordinate order, each
+    part the sum of its terms in p.terms order, and 0.0 plus that sum."""
+    table = []
+    for row in rows:
+        entries = [0.0] * (2 * p.m + 1)
+        totals = {}
+        for t in p.terms:
+            mono = None
+            for x, a in zip(row, t.alpha):
+                if a:
+                    power = x
+                    for _ in range(a - 1):
+                        power = power * x
+                    mono = power if mono is None else mono * power
+            term = t.coeff.real * (1.0 if mono is None else mono)
+            totals[t.j] = term if t.j not in totals else totals[t.j] + term
+        for j, total in totals.items():
+            entries[j] = 0.0 + total
+        table.append(entries)
+    return np.array(table, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_pencils().filter(lambda p: all(t.coeff.imag == 0 for t in p.terms)),
+       st.data())
+def test_direction_tables_equal_python_float_products(p, data):
+    # Coordinates of both signs, zeros of both signs, and rows whose every
+    # coordinate is negative or -0.0: the bases on which numpy's float64
+    # pow leaves its SIMD kernel.  Products round the same in every kernel,
+    # so each entry equals Python's, whatever numpy's CPU dispatch.
+    rows = data.draw(st.integers(1, 40))
+    pts = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                           st.floats(-2.0, 2.0)), min_size=p.n, max_size=p.n),
+        min_size=rows, max_size=rows))).reshape(rows, p.n)
+    if data.draw(st.booleans()):
+        pts = -np.abs(pts)
+    table = pencil_mod.homogeneous_table(pencil_mod.compile_parts(p), pts)
+    assert table.dtype == float
+    assert table.tobytes() == _python_table(p, pts.tolist()).tobytes()
+
+
+class _NoPower(np.ndarray):
+    """Directions on which ** raises; numpy's ufuncs keep the subclass, so
+    the arrays computed from them (a zoom's patches) raise too."""
+
+    def __pow__(self, other):
+        raise AssertionError("** on a direction coordinate")
+
+    __rpow__ = __ipow__ = __pow__
+
+
+@pytest.mark.parametrize("name", ["e1", "e1_n4", "gen_n3", "cplx", "m3"])
+def test_no_direction_coordinate_is_raised_to_a_power(name, monkeypatch):
+    folder = BENCHMARK_PENCILS if name == "e1" else PENCILS
+    p = load_pencil(folder / f"{name}.json")
+    parts = pencil_mod.compile_parts(p)
+    dirs = sphere_directions(p.n, GridSpec().direction_count(p.n))
+    guarded = dirs.view(_NoPower)
+    with pytest.raises(AssertionError):
+        guarded[:, 0] ** 3
+    table = pencil_mod.homogeneous_table(parts, guarded)
+    assert _same(table, pencil_mod.homogeneous_table(parts, dirs))
+    for j, terms in enumerate(parts.terms):
+        if terms:
+            assert _same(pencil_mod.homogeneous_part(parts, j, guarded),
+                         pencil_mod.homogeneous_part(parts, j, dirs))
+    seen = []
+    real = pencil_mod.homogeneous_part
+    monkeypatch.setattr(pencil_mod, "homogeneous_part",
+                        lambda parts, j, pts: seen.append(type(pts)) or real(parts, j, pts))
+    for j in (2 * p.m, 2 * p.mu):
+        got = pencil_mod._sphere_min(parts, j, guarded, table)
+        want = pencil_mod._sphere_min(parts, j, dirs, table)
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert _NoPower in seen
 
 
 @pytest.mark.parametrize("name", ["e1", "agmon", "e1_n3", "double", "near", "broken",
@@ -1644,19 +1744,20 @@ def test_zoom_matches_the_round_by_round_search_on_set_cases(value, rows, moves)
 
 def test_zoom_evaluates_the_rounds_that_keep_its_centre_together(monkeypatch):
     # check_lemma21(e1) zooms on A_4 and on A_2, 18 rounds of 11 points
-    # each, which round by round took 2 x 18 calls beside the table's two.
-    # A call takes one round after a move and 4 times the last one's
-    # otherwise.  A_4's centre moves in rounds 0 and 4 and A_2's never.
+    # each, which round by round took 2 x 18 calls; the table's columns
+    # share one table of powers and take no call.  A call takes one round
+    # after a move and 4 times the last one's otherwise.  A_4 = |xi|^4 is 1
+    # on the whole sphere, so where its centre moves follows the rounding
+    # of its values: in rounds 1 and 2 (_round_by_round), and A_2's never.
     calls = []
     real = pencil_mod.homogeneous_part
     monkeypatch.setattr(pencil_mod, "homogeneous_part",
                         lambda parts, j, pts: calls.append((j, len(pts))) or real(parts, j, pts))
     check_lemma21(load_pencil(BENCHMARK_PENCILS / "e1.json"))
-    assert calls[:2] == [(2, 720), (4, 720)]
-    rounds = [(j, size // 11) for j, size in calls[2:]]
-    assert rounds == [(4, 1), (4, 1), (4, 4), (4, 1), (4, 4), (4, 8),
+    rounds = [(j, size // 11) for j, size in calls]
+    assert rounds == [(4, 1), (4, 4), (4, 1), (4, 1), (4, 4), (4, 10),
                       (2, 1), (2, 4), (2, 13)]
-    assert len(calls) < 2 + 2 * 18
+    assert len(calls) < 2 * 18
 
 
 def test_polish_evaluates_the_rounds_that_keep_its_point_together(monkeypatch):

@@ -21,6 +21,20 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says in CHANGES.md which numbers moved and why.
+
+The files hold what numpy's default CPU dispatch gives, and some of their
+numbers follow its SIMD kernels.  numpy's own switch
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" turns those
+kernels off for the process it is set in.  Under it (numpy 2.4.6, 2-CPU
+AVX-512 Xeon) 10 of the 19 files fail.  On eight of the nine VERIFY_PENCILS
+(all but n1) the verify suites' own kernels move numbers by more than
+1e-12: asymptotics' bounded_residuals, puiseux_slope and refinement_drift,
+prop52's C_point and refinement_drift, and trace's quad_err_max,
+refinement_drift and witness_min.  The n = 3 directions of
+sphere_directions (np.arccos, np.sin, np.cos) move gen_n3's witness_ii and
+sign_n3's witness_iii at 97 angles.  The direction tables themselves do
+not move: they are products of doubles, which round the same in every
+kernel.  No tolerance here allows for the switch.
 """
 
 from __future__ import annotations

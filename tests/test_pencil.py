@@ -1411,12 +1411,12 @@ def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
     # from below, for the minima, or from above, for the maxima.  Of the
     # files whose scans are that large, broken, aniso and aniso_sign have
     # two nonzero parts, where those rows are found exactly; gen_n3 has
-    # three, where the scans read a superset of them, and at most every
-    # distinct row.  check_lemma21's
-    # scan of a real table takes the minima at every angle, then the maxima
-    # at the angles whose minimum is negative (at every angle when no
-    # minimum is positive), then |A| over every distinct row at the angles
-    # where A has both signs; remark22_checks takes the minima alone.  How
+    # three, where the scans read a superset of them and at most every
+    # distinct row.  check_lemma21's scan of a real table takes the minima
+    # at every angle, then the maxima at the angles whose minimum is
+    # negative (at every angle when no minimum is positive), then |A| over
+    # every distinct row at the angles where A has both signs;
+    # remark22_checks takes the minima alone.  How
     # many rows are distinct depends on the platform's cos and sin, so the
     # counts are computed, not pinned, and the passes are found from the
     # brute-force values.
@@ -1442,6 +1442,7 @@ def test_slice_scans_visit_each_distinct_row_once(path, monkeypatch):
             passes.append((above, highs))
         if mixed:
             passes.append((distinct, mixed))
+
     def read(got, want):        # the rows of each pass, exactly or a superset
         return [c for _, c in got] == [c for _, c in want] and all(
             g == w or superset and w <= g <= distinct for (g, _), (w, _) in zip(got, want))
@@ -1571,10 +1572,7 @@ def _python_table(p, rows):
             mono = None
             for x, a in zip(row, t.alpha):
                 if a:
-                    power = x
-                    for _ in range(a - 1):
-                        power = power * x
-                    mono = power if mono is None else mono * power
+                    mono = _power(x, a) if mono is None else mono * _power(x, a)
             term = t.coeff.real * (1.0 if mono is None else mono)
             totals[t.j] = term if t.j not in totals else totals[t.j] + term
         for j, total in totals.items():

@@ -313,29 +313,50 @@ class GridSpec:
 SLICE_BLOCK_ENTRIES = 32768
 # Points per half side of the patches that refine a sphere minimum.
 ZOOM = 5
+# Points that a call of zoom evaluates at first and after each move: as many
+# rounds as this holds, at least one.  On a 2-CPU Xeon (numpy 2.4.6) the two
+# sphere searches of check_lemma21 took, at 64 / 256 / 512 / 1024 / 4096
+# points: e1 (11 points a round, 18 rounds) 431 / 350 / 352 / 350 / 349 us;
+# e1_n3 (121 points a round) 815 / 817 / 698 / 740 / 827 us; gen_n3 (121)
+# 3854 / 3849 / 3540 / 4280 / 5007 us; e1_n4 (1331, so one round a call at
+# each) 4.35 / 4.30 / 4.32 / 4.34 / 4.34 ms (medians of 25 interleaved
+# rounds of 5 calls).  A generic n = 3 search moves every few rounds, and
+# each move discards the rounds its call evaluated after it.
+ZOOM_POINTS = 512
 
 
-def zoom(evaluate, centre, value, step, ahead: int):
+def zoom(evaluate, centre, value, step, points: int, most: int):
     """Refine the least `value`, at `centre`, by rounds at the steps step,
     step / ZOOM, ... (while the largest entry exceeds 1e-15); evaluate(centre,
     steps) gives their points and values around `centre`, flat, round after
-    round.  A call takes one round first and after a move, else four times
-    the last (at most `ahead`); the first round whose least value (argmin's)
-    beats the best so far moves the centre.  So every round sees the
-    round-by-round search's centre, points, values, ties and NaN comparisons,
-    bit for bit, in no more calls, evaluating at most 4 times its rounds."""
+    round, `points` a round.
+
+    The first call, and the first after a move, takes as many rounds as
+    ZOOM_POINTS points hold; each later call takes 4 times the last one's
+    rounds, as many as max(most, ZOOM_POINTS) points hold at most.  Every
+    call takes at least one round.  The first round whose least value
+    (argmin's) beats the best so far moves the centre, and the rounds after
+    it are evaluated again around the new one.  So every round sees the
+    round-by-round search's centre, points, values, ties and NaN
+    comparisons, bit for bit, in no more calls than rounds.  A call that
+    starts the search or follows a move evaluates at most
+    max(ZOOM_POINTS, points) points, any other at most 4 times the last
+    call's and max(most, ZOOM_POINTS, points) in all.
+    """
     steps, top = [], float(np.max(step))    # rounded division keeps the largest
     while top > 1e-15:
         steps.append(step)
         step, top = step / ZOOM, top / ZOOM
-    size = 1
+    first = max(1, ZOOM_POINTS // points)
+    ahead = max(1, max(most, ZOOM_POINTS) // points)
+    size = first
     while steps:
         batch = np.array(steps[:size])
-        points, vals = evaluate(centre, batch)
+        found, vals = evaluate(centre, batch)
         vals, size = vals.reshape(len(batch), -1), min(4 * size, ahead)
         for r, k in enumerate(vals.argmin(axis=1)):
             if vals[r, k] < value:
-                centre, value, size = points[r * vals.shape[1] + k], float(vals[r, k]), 1
+                centre, value, size = found[r * vals.shape[1] + k], float(vals[r, k]), first
                 break
         del steps[:r + 1]
     return centre, value
@@ -371,10 +392,10 @@ def compile_parts(p: Pencil) -> Parts:
     return p._derived["parts"]
 
 
-def _powers(pts: np.ndarray, tops) -> list:
-    """powers[i][k] = x^k for x = pts[:, i], 1 <= k <= tops[i]: x^k = x^(k-1) x."""
-    return [[None, *itertools.accumulate([pts[:, i]] * top, np.multiply)]
-            for i, top in enumerate(tops)]
+def _powers(cols: np.ndarray, tops) -> list:
+    """powers[i][k] = x^k for x = cols[i], 1 <= k <= tops[i]: x^k = x^(k-1) x."""
+    return [[None, *itertools.accumulate([x] * top, np.multiply)]
+            for x, top in zip(cols, tops)]
 
 
 def _part(terms, powers):
@@ -386,10 +407,11 @@ def _part(terms, powers):
     return total
 
 
-def homogeneous_part(parts: Parts, j: int, pts: np.ndarray):
-    """A_j(omega) at each row omega of pts, for a part with at least one
-    term: its terms summed in order from the first (a constant part gives
-    a scalar, which broadcasts against the rows).
+def homogeneous_part(parts: Parts, j: int, cols: np.ndarray):
+    """A_j(omega) at each point omega, for a part with at least one term,
+    with the points held coordinate-major (cols[i] holds their i-th
+    coordinates): its terms summed in order from the first (a constant part
+    gives a scalar, which broadcasts against the points).
 
     A monomial is coeff times its factors x^a in coordinate order, zero
     exponents skipped (the products left out are exact), with x^a from _powers'
@@ -399,14 +421,14 @@ def homogeneous_part(parts: Parts, j: int, pts: np.ndarray):
     plus this sum is the sum from 0.0 bit for bit: running sums differ at most
     in a zero's sign, a sum from 0.0 is never -0.0, and 0.0 + (-0.0) = 0.0.
     """
-    return _part(parts.terms[j], _powers(pts, parts.tops[j]))
+    return _part(parts.terms[j], _powers(cols, parts.tops[j]))
 
 
 def homogeneous_table(parts: Parts, dirs: np.ndarray) -> np.ndarray:
     """(directions x (2m+1)) table of the parts A_j(omega), in their dtype,
     from one table of powers: each column is 0.0 plus homogeneous_part's."""
     table = np.zeros((len(dirs), len(parts.terms)), dtype=parts.dtype)
-    powers = _powers(dirs, map(max, *parts.tops))
+    powers = _powers(dirs.T, map(max, *parts.tops))
     for j, terms in enumerate(parts.terms):
         if terms:
             table[:, j] += _part(terms, powers)
@@ -614,30 +636,52 @@ def _slice_nodes(p: Pencil, angular: int):
     return rho, lam, rho ** (2 * p.mu) * (lam + rho) ** (2 * p.m - 2 * p.mu)
 
 
-def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
-    """Smallest |A_j| found on the unit sphere, and its direction.
+def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, the coordinates of points held
+    coordinate-major: np.add.reduce over axis 0, which adds whole rows
+    elementwise, in order, and so runs along numpy's fast contiguous axis
+    (4-6 times faster than axis 1 on 720-5324 points).  With fewer than 8
+    coordinates it equals np.add.reduce over axis 1 of the points as rows,
+    bit for bit, which also adds in order; from 8 values on numpy sums a
+    row pairwise, so for n >= 8 the two may differ in the last bit."""
+    return np.add.reduce(cols, axis=0)
 
-    The grid minimum is refined by zoom, with at most len(dirs) points per
-    call: each round samples a patch of 2*ZOOM+1 points a side, parallel to
-    the tangent plane at the grid minimum and centred on the best direction
-    so far, and the next round samples one cell of it.  The first patch
-    reaches the nearest grid direction, so a zero between grid directions
-    is still found: 90 directions in the plane miss the zero (0, 1) of
-    xi_1^2 with |A_j| = 1.2e-3 at the nearest one, far above the tolerance.
 
-    Each call evaluates the part with homogeneous_part, whose products are
-    the table's, so its values differ from the table's at most in the sign
-    of a zero, which |.| removes, and normalises by np.add.reduce, the sum
-    that np.sum calls.  A part with no term is zero, and A_0 is constant:
-    no patch can hold a smaller value than the grid's, so neither zooms.
+def _sphere_min(parts: Parts, j: int, cols: np.ndarray, table: np.ndarray):
+    """Smallest |A_j| found on the unit sphere, and its direction, over the
+    directions held coordinate-major (cols[i] holds their i-th coordinates,
+    contiguous) and their table.
+
+    The grid minimum is refined by zoom: each round samples a patch of
+    2*ZOOM+1 points a side, parallel to the tangent plane at the grid
+    minimum and centred on the best direction so far, and the next round
+    samples one cell of it.  The first patch reaches the nearest grid
+    direction, so a zero between grid directions is still found: 90
+    directions in the plane miss the zero (0, 1) of xi_1^2 with |A_j| =
+    1.2e-3 at the nearest one, far above the tolerance.  A zoom call takes
+    as many rounds as ZOOM_POINTS points hold at first and after each move,
+    then 4 times the last call's rounds, with at most as many points as
+    the grid has directions or ZOOM_POINTS, whichever is more, and at least
+    one round: on e1 the zoom of A_4 takes 18, 16 and 15 rounds of 11
+    points in three calls and that of A_2 all 18 in one, and a patch of
+    1331 points (n = 4) takes a call of its own.
+
+    The direction differences, the patch offsets and every patch are
+    coordinate-major too, so homogeneous_part reads contiguous columns and
+    each sum over the coordinates is a _coordinate_sum.  Each call
+    evaluates the part with homogeneous_part, whose products are the
+    table's, so its values differ from the table's at most in the sign of a
+    zero, which |.| removes.  A part with no term is zero, and A_0 is
+    constant: no patch can hold a smaller value than the grid's, so neither
+    zooms.
     """
     vals = np.abs(table[:, j])
     k = int(vals.argmin())
-    best, value = dirs[k], float(vals[k])
-    n = dirs.shape[1]
+    best, value = cols[:, k], float(vals[k])
+    n = len(cols)
     if n == 1 or j == 0 or not parts.terms[j]:
         return best, value          # n = 1: the two directions are the sphere
-    gaps = np.add.reduce(np.square(dirs - best), axis=1)
+    gaps = _coordinate_sum(np.square(cols - best[:, None]))
     gaps[k] = 4.0           # no direction is farther than the antipode
     # Columns 2..n of the Householder reflection that maps e_1 to -+best
     # span the tangent plane at best.
@@ -645,16 +689,17 @@ def _sphere_min(parts: Parts, j: int, dirs: np.ndarray, table: np.ndarray):
     v[0] += math.copysign(1.0, best[0])
     tangent = (np.eye(n) - 2.0 * np.outer(v, v) / np.add.reduce(v * v))[:, 1:]
     side = np.arange(-ZOOM, ZOOM + 1, dtype=float)
-    patch = np.stack(np.meshgrid(*[side] * (n - 1)), axis=-1).reshape(-1, n - 1)
-    offsets = np.add.reduce(patch[:, None, :] * tangent[None, :, :], axis=2)
+    patch = np.stack(np.meshgrid(*[side] * (n - 1))).reshape(n - 1, -1)
+    offsets = _coordinate_sum(tangent.T[:, :, None] * patch[:, None, :])
 
     def evaluate(best, steps):
-        pts = (best + steps[:, None, None] * offsets).reshape(-1, n)
-        pts /= np.sqrt(np.add.reduce(pts * pts, axis=1))[:, None]
-        return pts, np.abs(homogeneous_part(parts, j, pts))
+        pts = (steps[:, None] * offsets[:, None, :]).reshape(n, -1)
+        pts += best[:, None]
+        pts /= np.sqrt(_coordinate_sum(pts * pts))
+        return pts.T, np.abs(homogeneous_part(parts, j, pts))
 
     return zoom(evaluate, best, value, math.sqrt(gaps.min()) / ZOOM,
-                max(1, len(dirs) // len(offsets)))
+                offsets.shape[1], cols.shape[1])
 
 
 def _normalised(values: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -719,8 +764,9 @@ def check_lemma21(p: Pencil, grid: GridSpec = GridSpec()) -> EllipticityReport:
     tol = grid.tol * p.coeff_scale
     parts = compile_parts(p)
     table = homogeneous_table(parts, dirs)
-    witness_i, min_a2m = _sphere_min(parts, 2 * p.m, dirs, table)
-    witness_ii, min_a2mu = _sphere_min(parts, 2 * p.mu, dirs, table)
+    cols = np.ascontiguousarray(dirs.T)
+    witness_i, min_a2m = _sphere_min(parts, 2 * p.m, cols, table)
+    witness_ii, min_a2mu = _sphere_min(parts, 2 * p.mu, cols, table)
 
     rho, lam, denom = _slice_nodes(p, grid.angular)
     lowest, negative, positive = column_least(table, rho, lam)

@@ -588,8 +588,8 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
             return nodes, -ratio(least(xa, lam), xa, lam)
 
         point, c_val = zoom(evaluate, np.array(point), -c_val,
-                            np.log(hi / lo) / cells / ZOOM,
-                            len(dirs) * len(xa_col) // len(stencil))
+                            np.log(hi / lo) / cells / ZOOM, len(stencil),
+                            len(dirs) * len(xa_col))
         c_val = -c_val
     rep.extras["C_point"] = [float(point[0]), float(point[1])]
     rep.extras["C"] = float(c_val)

@@ -1554,7 +1554,8 @@ def test_compiled_parts_match_the_term_loop(p, data):
     # in the sign of a zero, which |.| removes.
     for j in range(2 * p.m + 1):
         if parts.terms[j]:
-            part = np.broadcast_to(pencil_mod.homogeneous_part(parts, j, pts), (rows,))
+            part = np.broadcast_to(pencil_mod.homogeneous_part(parts, j, pts.T.copy()),
+                                   (rows,))
             assert np.all(part == ref[:, j])
             assert np.abs(part).tobytes() == np.abs(ref[:, j]).tobytes()
 
@@ -1622,17 +1623,18 @@ def test_no_direction_coordinate_is_raised_to_a_power(name, monkeypatch):
         guarded[:, 0] ** 3
     table = pencil_mod.homogeneous_table(parts, guarded)
     assert _same(table, pencil_mod.homogeneous_table(parts, dirs))
+    cols, guarded_cols = dirs.T.copy(), guarded.T.copy()    # coordinate-major
     for j, terms in enumerate(parts.terms):
         if terms:
-            assert _same(pencil_mod.homogeneous_part(parts, j, guarded),
-                         pencil_mod.homogeneous_part(parts, j, dirs))
+            assert _same(pencil_mod.homogeneous_part(parts, j, guarded_cols),
+                         pencil_mod.homogeneous_part(parts, j, cols))
     seen = []
     real = pencil_mod.homogeneous_part
     monkeypatch.setattr(pencil_mod, "homogeneous_part",
                         lambda parts, j, pts: seen.append(type(pts)) or real(parts, j, pts))
     for j in (2 * p.m, 2 * p.mu):
-        got = pencil_mod._sphere_min(parts, j, guarded, table)
-        want = pencil_mod._sphere_min(parts, j, dirs, table)
+        got = pencil_mod._sphere_min(parts, j, guarded_cols, table)
+        want = pencil_mod._sphere_min(parts, j, cols, table)
         assert _same(got[0], want[0]) and _same(got[1], want[1])
     assert _NoPower in seen
 
@@ -1663,6 +1665,35 @@ def test_searches_match_the_reference_zoom_and_polish(name):
         assert _same(sweep.extras["C_point"], c_point)
 
 
+_NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                      0xFFF80000000000AB], dtype=np.uint64).view(float).tolist()
+_SUM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                     -1e-310, 1.7e308, -1.7e308, math.inf, -math.inf, *_NAN_BITS]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 20), st.data())
+def test_coordinate_sums_equal_the_row_sums(n, points, data):
+    # _sphere_min sums over the coordinates of points held coordinate-major;
+    # its witnesses and minima stay those of the row-major search because
+    # that sum equals the row sum bit for bit for n < 8: signed zeros,
+    # subnormals, overflow and infinities included.  A NaN stays a NaN, but
+    # which operand's sign and payload it keeps is the add kernel's choice
+    # (nan + -nan gave nan in the row sum and -nan in the column sum), so
+    # NaNs compare as NaNs; the search's unit points have none.  A sum in
+    # another order, reversed say, fails here.
+    rows = np.array(data.draw(st.lists(st.lists(_SUM_ENTRIES, min_size=n, max_size=n),
+                                       min_size=points, max_size=points)))
+    with np.errstate(all="ignore"):
+        got = pencil_mod._coordinate_sum(rows.T.copy())
+        want = np.add.reduce(rows, axis=1)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def _round_by_round(evaluate, centre, value, step):
     """pencil.zoom as one evaluation per round, the search it replaced; and
     the rounds that moved the centre."""
@@ -1677,11 +1708,25 @@ def _round_by_round(evaluate, centre, value, step):
     return centre, value, moves
 
 
+def _expected_calls(rounds, moves, first, ahead):
+    """The rounds of each zoom call by the batch rule, and whether the call
+    starts the search or follows a move: `first` rounds then, else 4 times
+    the last call's, at most `ahead`, and never past the last round;
+    `moves` are the rounds that move the centre."""
+    calls, fresh, r, size = [], [], 0, first
+    while r < rounds:
+        calls.append(min(size, rounds - r))
+        fresh.append(r == 0 or r - 1 in moves)
+        hit = [m for m in moves if r <= m < r + calls[-1]]
+        r, size = (hit[0] + 1, first) if hit else (r + calls[-1], min(4 * size, ahead))
+    return calls, fresh
+
+
 def _assert_zoom_matches_round_by_round(table, value):
-    """zoom from the point with id 0 and `value`, for every look-ahead,
-    against _round_by_round; returns the rounds that move the centre.
-    Around the point with id c, round r gives its K points the ids
-    1 + r K + k and the values table[c, r]."""
+    """zoom from the point with id 0 and `value`, for every look-ahead and
+    several point budgets, against _round_by_round; returns the rounds that
+    move the centre.  Around the point with id c, round r gives its K
+    points the ids 1 + r K + k and the values table[c, r]."""
     rounds, size = table.shape[1:]
     first = 2e-15 * float(ZOOM) ** (rounds - 1)
     index, step = {}, first
@@ -1695,17 +1740,29 @@ def _assert_zoom_matches_round_by_round(table, value):
         return (1 + r[:, None] * size + np.arange(size)).ravel(), table[centre, r].ravel()
 
     centre, least, moves = _round_by_round(evaluate, 0, value, first)
-    for ahead in range(1, rounds + 1):
-        calls = []
-        got = pencil_mod.zoom(lambda c, steps: calls.append(len(steps)) or evaluate(c, steps),
-                              0, value, first, ahead)
-        assert _same(got[0], centre) and _same(got[1], least)
-        # No more calls than rounds, at most 4 times the rounds evaluated.
-        assert len(calls) <= rounds <= sum(calls) <= 4 * rounds
-        assert max(calls) <= ahead
-        if ahead == rounds and not moves:       # 1, 4, 16, ... rounds a call
-            assert calls == [min(4 ** i, rounds - (4 ** i - 1) // 3)
-                             for i in range(len(calls))]
+    for budget in (1, size, 2 * size + 1, 5 * size, 1000):
+        for ahead in range(1, rounds + 1):
+            calls = []
+            with mock.patch.object(pencil_mod, "ZOOM_POINTS", budget):
+                got = pencil_mod.zoom(
+                    lambda c, steps: calls.append(len(steps)) or evaluate(c, steps),
+                    0, value, first, size, ahead * size)
+            assert _same(got[0], centre) and _same(got[1], least)
+            start = max(1, budget // size)
+            want, fresh = _expected_calls(rounds, moves, start, max(ahead, start))
+            assert calls == want
+            # No more calls than rounds.  A call that starts the search or
+            # follows a move evaluates at most max(budget, size) points, any
+            # other at most 4 times the last call's rounds, and none more
+            # than max(ahead * size, budget, size) points.
+            assert len(calls) <= rounds <= sum(calls)
+            assert max(calls) * size <= max(ahead * size, budget, size)
+            assert fresh[0]
+            for i, call in enumerate(calls):
+                if fresh[i]:
+                    assert call * size <= max(budget, size)
+                else:
+                    assert call <= 4 * calls[i - 1]
     return moves
 
 
@@ -1743,32 +1800,35 @@ def test_zoom_matches_the_round_by_round_search_on_set_cases(value, rows, moves)
 def test_zoom_evaluates_the_rounds_that_keep_its_centre_together(monkeypatch):
     # check_lemma21(e1) zooms on A_4 and on A_2, 18 rounds of 11 points
     # each, which round by round took 2 x 18 calls; the table's columns
-    # share one table of powers and take no call.  A call takes one round
-    # after a move and 4 times the last one's otherwise.  A_4 = |xi|^4 is 1
-    # on the whole sphere, so where its centre moves follows the rounding
-    # of its values: in rounds 1 and 2 (_round_by_round), and A_2's never.
+    # share one table of powers and take no call.  A call takes as many
+    # rounds as ZOOM_POINTS points hold (46 of 11 points, so all that are
+    # left) first and after a move, else 4 times the last one's.  A_4 =
+    # |xi|^4 is 1 on the whole sphere, so where its centre moves follows the
+    # rounding of its values: in rounds 1 and 2 (_round_by_round), and A_2's
+    # never.  Each move discards the rounds its call evaluated after it.
     calls = []
     real = pencil_mod.homogeneous_part
     monkeypatch.setattr(pencil_mod, "homogeneous_part",
-                        lambda parts, j, pts: calls.append((j, len(pts))) or real(parts, j, pts))
+                        lambda parts, j, cols: calls.append((j, cols.shape[1]))
+                        or real(parts, j, cols))
     check_lemma21(load_pencil(BENCHMARK_PENCILS / "e1.json"))
     rounds = [(j, size // 11) for j, size in calls]
-    assert rounds == [(4, 1), (4, 4), (4, 1), (4, 1), (4, 4), (4, 10),
-                      (2, 1), (2, 4), (2, 13)]
-    assert len(calls) < 2 * 18
+    assert rounds == [(4, 18), (4, 16), (4, 15), (2, 18)]
+    assert pencil_mod.ZOOM_POINTS // 11 >= 18
 
 
 def test_polish_evaluates_the_rounds_that_keep_its_point_together(monkeypatch):
     # sweep_multiplier_rn(e1) weighs its box scan's 88 columns, then the
     # peak column's directions at one node, then the polish's 21 rounds of
     # 121 nodes, which round by round took 21 calls.  The point moves in
-    # round 0 only, and the calls after it take 4 times the last one's
-    # rounds.
+    # round 0 only.  The first call, and the first after the move, take as
+    # many rounds as ZOOM_POINTS points hold (4 of 121 points), the next 4
+    # times as many.
     calls = []
     real = verify_mod.energy_weight_value
     monkeypatch.setattr(verify_mod, "energy_weight_value",
                         lambda p, xa, lam: calls.append(np.size(xa)) or real(p, xa, lam))
     sweep_multiplier_rn(load_pencil(BENCHMARK_PENCILS / "e1.json"))
     assert calls[:2] == [88, 1]
-    assert [size // 121 for size in calls[2:]] == [1, 1, 4, 15]
-    assert len(calls) < 2 + 21
+    assert [size // 121 for size in calls[2:]] == [4, 4, 16]
+    assert pencil_mod.ZOOM_POINTS // 121 == 4

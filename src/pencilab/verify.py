@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -500,10 +501,11 @@ def _asymptotics_report(p: Pencil, density: int, groupings: dict) -> SweepReport
 # ---------------------------------------------------------------------------
 # symbol-level a priori estimates
 
-def energy_weight_value(p: Pencil, xi_abs: float, lam: float) -> float:
-    """(1+|xi|^2)^mu (lambda^2+|xi|^2)^(m-mu): squared energy weight."""
-    return ((1.0 + xi_abs ** 2) ** p.mu
-            * (lam ** 2 + xi_abs ** 2) ** (p.m - p.mu))
+def log_energy_weight(p: Pencil, xi_abs, lam):
+    """log W of the squared energy weight W = (1+|xi|^2)^mu
+    (lambda^2+|xi|^2)^(m-mu), which overflows no sooner than |xi|^2."""
+    return p.mu * np.log1p(xi_abs * xi_abs) + (2 * p.m - 2 * p.mu) * np.log(
+        np.hypot(lam, xi_abs))
 
 
 def _prop52_grid(density: int) -> GridSpec:
@@ -516,7 +518,11 @@ def sweep_multiplier_rn(p: Pencil, lambda0: float = 1.0, density: int = 1,
 
     C = max of W / (|A|^2 / W + lambda^(2m-2mu)) with the squared energy
     weight W; finite and grid-stable exactly when the pencil is elliptic.
-    The verdict fails when the ellipticity preconditions fail.
+    It is computed in logs, log C = log W - logaddexp(2 log|A| - log W,
+    (2m-2mu) log lambda), so that no |A|^2 overflows: extras hold C and
+    log10_C, which carries C where C is no normal float (below 2.2e-308,
+    where C loses digits or underflows to 0).  The verdict fails when the
+    ellipticity preconditions fail.
     """
     rep = _multiplier_constant(p, lambda0, density, lam_max)
     ell = check_lemma21(p, _prop52_grid(density))
@@ -538,31 +544,36 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
     xi_grid = np.concatenate([[0.0], np.geomspace(*PROP52_XI_RANGE, 10 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 8 * density)
 
-    def ratio(a, xa, lam):          # W / (|A|^2 / W + lambda^(2m-2mu))
-        wgt = energy_weight_value(p, xa, lam)
-        return wgt / (a ** 2 / wgt + lam ** (2 * p.m - 2 * p.mu))
+    def log_ratio(a, xa, lam):      # log of W / (|A|^2 / W + lambda^(2m-2mu))
+        log_w = log_energy_weight(p, xa, lam)
+        with np.errstate(divide="ignore"):      # |A| = 0: log 0 = -inf
+            log_a = np.log(a)
+        return log_w - np.logaddexp(2.0 * log_a - log_w,
+                                    (2 * p.m - 2 * p.mu) * np.log(lam))
 
     # One column per record: the largest ratio over the directions.  Each
-    # rounded step of the ratio is monotone in |A|, so it is the ratio at
-    # the column's least |A|, bit for bit.
+    # rounded step of the log ratio (log, the product by 2, differences,
+    # logaddexp in its first argument) is monotone in |A|, so it is the
+    # ratio at the column's least |A|, bit for bit.
     xa_col, lam_col = _box(xi_grid, lam_grid)
     table = homogeneous_table(compile_parts(p), dirs)
-    best = ratio(column_least(table, xa_col, lam_col)[0], xa_col, lam_col)
+    best = log_ratio(column_least(table, xa_col, lam_col)[0], xa_col, lam_col)
 
-    rep.records = _columns(xa_col, lam_col, best, np.ones_like(best))
+    ratios = np.exp(best)
+    rep.records = _columns(xa_col, lam_col, ratios, np.ones_like(ratios))
 
     # Polish the grid maximum so the reported constant does not depend on
     # whether a grid node happens to sit on the smooth peak: a pattern search in
     # (log|xi|, log lambda) on its direction, by pencil.zoom on the negated
-    # ratio (its first least value is the ratio's first largest), with at
-    # most the box scan's nodes per call.  The direction is the first that
-    # attains the maximum in its column.
+    # log ratio (its first least value is the ratio's first largest), with
+    # at most the box scan's nodes per call.  The direction is the first
+    # that attains the maximum in its column.
     i = int(np.argmax(best))
     c_val, point = best[i], (xa_col[i], lam_col[i])
     if point[0] > 0.0:
         xa, lam = xa_col[i:i + 1], lam_col[i:i + 1]
         _, block = next(symbol_blocks(table, xa, lam))
-        row = table[int(np.argmax(ratio(np.abs(block[0]), xa, lam)))]
+        row = table[int(np.argmax(log_ratio(np.abs(block[0]), xa, lam)))]
         top, parts = len(row) - 1, [(j, a) for j, a in enumerate(row) if a]
 
         def least(xa, lam):
@@ -585,14 +596,15 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
             nodes = np.exp(np.log(point) + steps[:, None, :] * stencil).reshape(-1, 2)
             np.maximum(nodes, lo, out=nodes)
             xa, lam = np.minimum(nodes, hi, out=nodes).T
-            return nodes, -ratio(least(xa, lam), xa, lam)
+            return nodes, -log_ratio(least(xa, lam), xa, lam)
 
         point, c_val = zoom(evaluate, np.array(point), -c_val,
                             np.log(hi / lo) / cells / ZOOM, len(stencil),
                             len(dirs) * len(xa_col))
         c_val = -c_val
     rep.extras["C_point"] = [float(point[0]), float(point[1])]
-    rep.extras["C"] = float(c_val)
+    rep.extras["C"] = float(np.exp(c_val))
+    rep.extras["log10_C"] = float(c_val / math.log(10.0))
     return rep
 
 
@@ -753,8 +765,9 @@ def _fitted_slopes(rep: SweepReport) -> dict:
 
 
 def drift_between(r1: SweepReport, r2: SweepReport) -> float:
-    """Relative change of the reported constant (prop52) or max ratio (inf
-    from 0 to anything else); for asymptotics, whose verdict rests on
+    """Relative change of the reported constant (prop52, from log10_C where
+    a C is no normal float) or max ratio (inf from 0 to anything else); for
+    asymptotics, whose verdict rests on
     slopes, the largest absolute change of a fitted slope (inf if the two
     fit different slopes)."""
     if r1.suite == "asymptotics":
@@ -764,6 +777,10 @@ def drift_between(r1: SweepReport, r2: SweepReport) -> float:
         return max((abs(s2[k] - s1[k]) for k in s1), default=0.0)
     c1 = r1.extras["C"] if "C" in r1.extras else r1.max_ratio
     c2 = r2.extras["C"] if "C" in r2.extras else r2.max_ratio
+    if "log10_C" in r1.extras and min(c1, c2) < sys.float_info.min:
+        # A C below the normal range has lost digits: compare its logs.
+        return abs(math.expm1((r2.extras["log10_C"] - r1.extras["log10_C"])
+                              * math.log(10.0)))
     if c1 == 0.0:
         return 0.0 if c2 == 0.0 else math.inf
     return abs(c2 - c1) / abs(c1)

@@ -14,7 +14,7 @@ import pytest
 
 import pencilab
 from pencilab import halfline, verify, weights
-from pencilab.catalog import broken_pencil, e1_pencil
+from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
 from pencilab.errors import EllipticityError
 from pencilab.pencil import GridSpec, Pencil, Term, check_lemma21, tau_roots
@@ -263,17 +263,18 @@ def test_non_finite_coefficients_exit_2(p, coeffs, message, argv, tmp_path, caps
 
 
 @pytest.mark.parametrize("argv, message", [
-    # |A|^2 overflowed in prop52's ratio and gave records with ratio 0.
-    (["--suite", "prop52", "--grid-decades", "80"],
-     "suite prop52: float64 fails on lambda in [1, 1e+80] (overflow"),
+    # lambda^2 overflows in the symbol's lambda powers (prop52's ratio, in
+    # logs, forms no |A|^2, so lambda up to 1e80 no longer overflows).
+    (["--suite", "prop52", "--grid-decades", "160"],
+     "suite prop52: float64 fails on lambda in [1, 1e+160] (overflow"),
     (["--suite", "polygon", "--lambda0", "1e100"],
      "suite polygon: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
     # The trace integral underflowed to 0, which then divided.
     (["--suite", "trace", "--lambda0", "1e100"],
      "suite trace: float64 fails on lambda in [1e+100, 1e+103] (integral of "
      "about 1e-400 underflows float64 (a=[1.0, 1e+100], m=['1', '1'], l=0))"),
-    (["--suite", "prop52", "--lambda0", "1e100"],
-     "suite prop52: float64 fails on lambda in [1e+100, 1e+103] (overflow"),
+    (["--suite", "prop52", "--lambda0", "1e160"],
+     "suite prop52: float64 fails on lambda in [1e+160, 1e+163] (overflow"),
     # 10.0 ** 400 raised OverflowError, a traceback.
     (["--suite", "all", "--grid-decades", "400"],
      "suite polygon: lambda in [1, inf] overflows float64"),
@@ -289,22 +290,48 @@ def test_overflowing_lambda_range_exit_2(argv, message, e1_path, tmp_path, capsy
 
 
 def test_overflow_on_large_coefficients_names_their_size(tmp_path, capsys):
-    # e1 times 1e160 passes ellipticity, but prop52's ratio overflows on the
-    # default lambda range (ROADMAP D13): the message ends with the size of
-    # the coefficients, which the range alone would not explain.
-    data = pencil_to_dict(e1_pencil())
+    # agmon times 1e302, A = 1e302 (|xi|^2 + lambda^2), passes ellipticity,
+    # but A itself exceeds float64 at the corner |xi| = lambda = 1e3 of
+    # prop52's default box: the message ends with the size of the
+    # coefficients, which the range alone would not explain.
+    data = pencil_to_dict(agmon_pencil())
     for t in data["terms"]:
-        t["re"] *= 1e160
+        t["re"] *= 1e302
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "rep"
-    assert run(["verify", str(path), "--out", str(out)]) == 2
+    assert run(["verify", str(path), "--suite", "prop52", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
         "error: suite prop52: float64 fails on lambda in [1, 1000] (overflow")
-    assert captured.err.endswith("; |coefficients| sum to 6e+160\n")
+    assert captured.err.endswith("; |coefficients| sum to 3e+302\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e160, 1e200])
+def test_prop52_takes_coefficients_of_any_size(scale, tmp_path, capsys):
+    # ROADMAP D13: prop52's ratio squared |A|, so e1 times 1e160 and 1e200
+    # exited 2 ("overflow encountered in square").  In logs it forms no
+    # |A|^2: every suite passes on e1 times the scale, and prop52's C keeps
+    # its log in log10_C.
+    data = pencil_to_dict(e1_pencil())
+    for t in data["terms"]:
+        t["re"] *= scale
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "rep"
+    assert run(["verify", str(path), "--suite", "all", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    extras = json.loads((out / "summary.json").read_text())["prop52"]["extras"]
+    assert extras["C"] == pytest.approx(10.0 ** extras["log10_C"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [["--grid-decades", "80"], ["--lambda0", "1e100"]])
+def test_prop52_takes_lambda_ranges_whose_symbol_is_finite(argv, e1_path, tmp_path):
+    # On these ranges |A| stays below 1e213 but |A|^2 overflowed.
+    assert run(["verify", e1_path, "--suite", "prop52",
+                "--out", str(tmp_path / "rep")] + argv) == 0
 
 
 def test_unit_slice_suites_take_any_lambda_range(e1_path, tmp_path, capsys):

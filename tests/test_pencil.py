@@ -29,8 +29,7 @@ from pencilab.pencil import (AMBIGUITY_TOL, CLUSTER_TOL, ZOOM,
                              mesh_group_roots, pencil_from_dict, poly_roots,
                              q_polynomial, remark22_checks, sphere_directions,
                              tau_polynomial, tau_roots)
-from pencilab.verify import (energy_weight_value, scan_directions, scan_s,
-                             sweep_multiplier_rn)
+from pencilab.verify import scan_directions, scan_s, sweep_multiplier_rn
 import reference
 from reference import BENCHMARK_PENCILS, PENCILS, pencil_to_dict
 
@@ -913,7 +912,7 @@ def test_slice_scans_match_scalar_loop(p, angular, directions, records):
         p.n, GridSpec(angular=90, directions=48).direction_count(p.n))
     for k in records:
         xa, lam = sweep.records["xi_prime_abs"][k], sweep.records["lambda"][k]
-        wgt = energy_weight_value(p, xa, lam)
+        wgt = (1.0 + xa ** 2) ** p.mu * (lam ** 2 + xa ** 2) ** (p.m - p.mu)
         best = max(wgt / (abs(eval_symbol(p, xa * w, lam)) ** 2 / wgt
                           + lam ** (2 * p.m - 2 * p.mu)) for w in dirs52)
         assert sweep.records["lhs"][k] == pytest.approx(best, **close)
@@ -998,8 +997,8 @@ def _full_symbol(p, dirs, rho, lam):
 
 
 def _reference_prop52(p, density=1):
-    """sweep_multiplier_rn's records, C and C_point, from the full ratio
-    matrix and its argmax; the polish evaluates the whole symbol at the
+    """sweep_multiplier_rn's records, C and C_point, from the full matrix of
+    log ratios and its argmax; the polish evaluates the whole symbol at the
     peak direction every round."""
     dirs = sphere_directions(p.n, GridSpec(
         angular=90 * density, directions=48 * density).direction_count(p.n))
@@ -1008,9 +1007,15 @@ def _reference_prop52(p, density=1):
     lam_col, xa_col = np.repeat(lam_grid, len(xi)), np.tile(xi, len(lam_grid))
 
     def ratios(dirs, xa, lam):
-        wgt = energy_weight_value(p, xa, lam)[:, None]
-        a = np.abs(_full_symbol(p, dirs, xa, lam))
-        return wgt / (a ** 2 / wgt + lam[:, None] ** (2 * p.m - 2 * p.mu))
+        """log W - logaddexp(2 log|A| - log W, (2m - 2mu) log lambda), the
+        log of W / (|A|^2 / W + lambda^(2m-2mu)) with the squared energy
+        weight W = (1+|xi|^2)^mu (lambda^2+|xi|^2)^(m-mu)."""
+        log_w = (p.mu * np.log1p(xa * xa)
+                 + (2 * p.m - 2 * p.mu) * np.log(np.hypot(lam, xa)))[:, None]
+        with np.errstate(divide="ignore"):
+            log_a = np.log(np.abs(_full_symbol(p, dirs, xa, lam)))
+        return log_w - np.logaddexp(2.0 * log_a - log_w,
+                                    (2 * p.m - 2 * p.mu) * np.log(lam)[:, None])
 
     full = ratios(dirs, xa_col, lam_col)
     best = full.max(axis=1)
@@ -1028,7 +1033,7 @@ def _reference_prop52(p, density=1):
             if vals[k] > c_val:
                 c_val, point = vals[k], (xa[k], lam[k])
             step /= ZOOM
-    return best, float(c_val), [float(point[0]), float(point[1])]
+    return np.exp(best), float(np.exp(c_val)), [float(point[0]), float(point[1])]
 
 
 def _same(x, y):
@@ -1821,14 +1826,14 @@ def test_polish_evaluates_the_rounds_that_keep_its_point_together(monkeypatch):
     # sweep_multiplier_rn(e1) weighs its box scan's 88 columns, then the
     # peak column's directions at one node, then the polish's 21 rounds of
     # 121 nodes, which round by round took 21 calls.  The point moves in
-    # round 0 only.  The first call, and the first after the move, take as
-    # many rounds as ZOOM_POINTS points hold (4 of 121 points), the next 4
-    # times as many.
+    # rounds 0 and 13 (in round 13 by the last bit of its log ratio).  The
+    # first call, and the first after each move, take as many rounds as
+    # ZOOM_POINTS points hold (4 of 121 points), the next 4 times as many.
     calls = []
-    real = verify_mod.energy_weight_value
-    monkeypatch.setattr(verify_mod, "energy_weight_value",
+    real = verify_mod.log_energy_weight
+    monkeypatch.setattr(verify_mod, "log_energy_weight",
                         lambda p, xa, lam: calls.append(np.size(xa)) or real(p, xa, lam))
     sweep_multiplier_rn(load_pencil(BENCHMARK_PENCILS / "e1.json"))
     assert calls[:2] == [88, 1]
-    assert [size // 121 for size in calls[2:]] == [4, 4, 16]
+    assert [size // 121 for size in calls[2:]] == [4, 4, 16, 4, 3]
     assert pencil_mod.ZOOM_POINTS // 121 == 4

@@ -332,16 +332,15 @@ def zoom(evaluate, centre, value, step, points: int, most: int):
     round, `points` a round.
 
     The first call, and the first after a move, takes as many rounds as
-    ZOOM_POINTS points hold; each later call takes 4 times the last one's
-    rounds, as many as max(most, ZOOM_POINTS) points hold at most.  Every
-    call takes at least one round.  The first round whose least value
+    ZOOM_POINTS points hold, and each later call 4 times the last one's, up
+    to as many as max(most, ZOOM_POINTS) points hold; every call takes at
+    least one round.  So a call that starts the search or follows a move
+    evaluates at most max(ZOOM_POINTS, points) points, and any other at
+    most 4 times the last call's.  The first round whose least value
     (argmin's) beats the best so far moves the centre, and the rounds after
     it are evaluated again around the new one.  So every round sees the
     round-by-round search's centre, points, values, ties and NaN
-    comparisons, bit for bit, in no more calls than rounds.  A call that
-    starts the search or follows a move evaluates at most
-    max(ZOOM_POINTS, points) points, any other at most 4 times the last
-    call's and max(most, ZOOM_POINTS, points) in all.
+    comparisons, bit for bit, in no more calls than rounds.
     """
     steps, top = [], float(np.max(step))    # rounded division keeps the largest
     while top > 1e-15:
@@ -659,21 +658,18 @@ def _sphere_min(parts: Parts, j: int, cols: np.ndarray, table: np.ndarray):
     direction, so a zero between grid directions is still found: 90
     directions in the plane miss the zero (0, 1) of xi_1^2 with |A_j| =
     1.2e-3 at the nearest one, far above the tolerance.  A zoom call takes
-    as many rounds as ZOOM_POINTS points hold at first and after each move,
-    then 4 times the last call's rounds, with at most as many points as
-    the grid has directions or ZOOM_POINTS, whichever is more, and at least
-    one round: on e1 the zoom of A_4 takes 18, 16 and 15 rounds of 11
-    points in three calls and that of A_2 all 18 in one, and a patch of
-    1331 points (n = 4) takes a call of its own.
+    as many rounds as ZOOM_POINTS points hold first and after each move,
+    else 4 times the last call's, and at most as many points as the grid
+    has directions or ZOOM_POINTS, whichever is more, but one round at
+    least (a 1331-point patch for n = 4).
 
-    The direction differences, the patch offsets and every patch are
-    coordinate-major too, so homogeneous_part reads contiguous columns and
-    each sum over the coordinates is a _coordinate_sum.  Each call
-    evaluates the part with homogeneous_part, whose products are the
-    table's, so its values differ from the table's at most in the sign of a
-    zero, which |.| removes.  A part with no term is zero, and A_0 is
-    constant: no patch can hold a smaller value than the grid's, so neither
-    zooms.
+    The differences, offsets and patches are coordinate-major too, so
+    homogeneous_part reads contiguous columns and each sum over the
+    coordinates is a _coordinate_sum.  homogeneous_part's products are the
+    table's, so a patch's values differ from the table's at most in the
+    sign of a zero, which |.| removes.  A part with no term is zero, and
+    A_0 is constant: no patch can hold a smaller value than the grid's,
+    so neither zooms.
     """
     vals = np.abs(table[:, j])
     k = int(vals.argmin())

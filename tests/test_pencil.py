@@ -1806,8 +1806,8 @@ def test_zoom_evaluates_the_rounds_that_keep_its_centre_together(monkeypatch):
     # check_lemma21(e1) zooms on A_4 and on A_2, 18 rounds of 11 points
     # each, which round by round took 2 x 18 calls; the table's columns
     # share one table of powers and take no call.  A call takes as many
-    # rounds as ZOOM_POINTS points hold (46 of 11 points, so all that are
-    # left) first and after a move, else 4 times the last one's.  A_4 =
+    # rounds as ZOOM_POINTS points hold (46 rounds of 11 points, so all that
+    # are left) first and after a move, else 4 times the last one's.  A_4 =
     # |xi|^4 is 1 on the whole sphere, so where its centre moves follows the
     # rounding of its values: in rounds 1 and 2 (_round_by_round), and A_2's
     # never.  Each move discards the rounds its call evaluated after it.
@@ -1828,7 +1828,8 @@ def test_polish_evaluates_the_rounds_that_keep_its_point_together(monkeypatch):
     # 121 nodes, which round by round took 21 calls.  The point moves in
     # rounds 0 and 13 (in round 13 by the last bit of its log ratio).  The
     # first call, and the first after each move, take as many rounds as
-    # ZOOM_POINTS points hold (4 of 121 points), the next 4 times as many.
+    # ZOOM_POINTS points hold (4 rounds of 121 nodes), the next 4 times as
+    # many.
     calls = []
     real = verify_mod.log_energy_weight
     monkeypatch.setattr(verify_mod, "log_energy_weight",

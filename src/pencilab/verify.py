@@ -767,9 +767,8 @@ def _fitted_slopes(rep: SweepReport) -> dict:
 def drift_between(r1: SweepReport, r2: SweepReport) -> float:
     """Relative change of the reported constant (prop52, from log10_C where
     a C is no normal float) or max ratio (inf from 0 to anything else); for
-    asymptotics, whose verdict rests on
-    slopes, the largest absolute change of a fitted slope (inf if the two
-    fit different slopes)."""
+    asymptotics, whose verdict rests on slopes, the largest absolute change
+    of a fitted slope (inf if the two fit different slopes)."""
     if r1.suite == "asymptotics":
         s1, s2 = _fitted_slopes(r1), _fitted_slopes(r2)
         if s1.keys() != s2.keys():

@@ -712,6 +712,20 @@ def test_drift_between_a_zero_constant():
     assert verify.drift_between(r1, r2) == np.inf
 
 
+def test_drift_between_constants_below_the_normal_range_compares_their_logs():
+    # prop52's C of e1 times 1e160 is about 1e-320, a subnormal with few
+    # digits, and of e1 times 1e200 it underflows to 0; log10_C keeps both.
+    def report(c, log10_c):
+        return verify.SweepReport("prop52", {}, extras={"C": c, "log10_C": log10_c})
+    assert verify.drift_between(report(0.0, -400.0), report(0.0, -400.0)) == 0.0
+    assert verify.drift_between(report(0.0, -400.0), report(0.0, -399.0)) \
+        == pytest.approx(9.0)
+    assert verify.drift_between(report(1e-320, -320.0), report(0.0, -400.0)) \
+        == pytest.approx(1.0)
+    # Normal constants keep the relative change of C itself.
+    assert verify.drift_between(report(2.0, 0.25), report(2.2, 0.0)) == pytest.approx(0.1)
+
+
 def test_csv_deterministic(tmp_path):
     np_ = build_polygon({(4, 0), (2, 2)})
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -173,8 +173,10 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     worst = 0
-    for name, rep in reports.items():
-        verify.write_csv(rep, out / f"{name}.csv")
+    # Each distinct value of the run's CSVs is formatted once.
+    csv = verify.csv_strings(reports.values())
+    for (name, rep), strings in zip(reports.items(), csv):
+        verify.write_csv(rep, out / f"{name}.csv", strings)
         s = summary[name] = rep.summary()
         print(f"{name:12s} {rep.verdict:8s} band [{s['min_ratio']:.6g}, "
               f"{s['max_ratio']:.6g}]  records={s['records']}")

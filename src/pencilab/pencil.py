@@ -64,7 +64,8 @@ class Pencil:
         # Not fields, so ==, hash, repr and dataclasses.replace ignore them:
         # coeff_scale, the sum of |coeff| (1.0 if it is 0), and what is
         # derived from this pencil alone, kept with it: its compiled Parts,
-        # Q's DegenerationResult and tau_roots' last point (see tau_roots).
+        # Q's DegenerationResult, tau_roots' last point (see tau_roots), and
+        # verify's N(A) with its weight and the energy weight.
         object.__setattr__(self, "coeff_scale", scale or 1.0)
         object.__setattr__(self, "_derived", {})
 

@@ -11,12 +11,18 @@ density, and thm41 and halfspace read the one scan of the unit slice that
 it makes.  `run_refined` runs them, then refines each suite that passes at
 twice the density: the refined pass computes only what `drift_between`
 compares, and its unit-slice scan and asymptotics' root groupings solve
-only the nodes that the first pass lacks.
+only the nodes that the first pass lacks.  What depends on the pencil
+alone is built once and kept on it, across suites and passes: N(A) and its
+product weight (polygon, trace), the energy weight (halfspace), and the
+compiled parts and Q's roots of the pencil module.  `csv_strings` formats
+each distinct value of a run's reports once, and `write_csv` writes a
+report's CSV from its share of them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -73,23 +79,37 @@ class SweepReport:
     reasons: list[str] = field(default_factory=list)
     runtime: float = 0.0
 
-    def _witnesses(self) -> tuple[dict | None, dict | None]:
-        """First rows with the smallest and the largest finite ratio."""
+    def _extreme_row(self, largest: bool) -> int | None:
+        """The first row with the smallest (largest) finite ratio; None
+        when no ratio is finite."""
         ratio = self.records.get("ratio", np.empty(0))
         finite = np.isfinite(ratio)
         if not finite.any():
-            return None, None
-        row = lambda i: {k: col[i].tolist() for k, col in self.records.items()}
-        return (row(np.where(finite, ratio, np.inf).argmin()),
-                row(np.where(finite, ratio, -np.inf).argmax()))
+            return None
+        if largest:
+            return int(np.where(finite, ratio, -np.inf).argmax())
+        return int(np.where(finite, ratio, np.inf).argmin())
+
+    def _extreme_ratio(self, largest: bool) -> float:
+        i = self._extreme_row(largest)
+        return math.nan if i is None else float(self.records["ratio"][i])
+
+    def _witnesses(self) -> tuple[dict | None, dict | None]:
+        """First rows with the smallest and the largest finite ratio."""
+        rows = self._extreme_row(False), self._extreme_row(True)
+        return tuple(None if i is None else
+                     {k: col[i].tolist() for k, col in self.records.items()}
+                     for i in rows)
 
     @property
     def min_ratio(self) -> float:
-        return _ratio(self._witnesses()[0])
+        """The ratio of the first witness_min, without building it."""
+        return self._extreme_ratio(False)
 
     @property
     def max_ratio(self) -> float:
-        return _ratio(self._witnesses()[1])
+        """The ratio of the first witness_max, without building it."""
+        return self._extreme_ratio(True)
 
     @property
     def config_hash(self) -> str:
@@ -120,18 +140,50 @@ class SweepReport:
         }
 
 
-def write_csv(report: SweepReport, path) -> None:
+CSV_COLUMNS = ("xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
+
+
+def csv_strings(reports) -> list[list[str]]:
+    """Each report's CSV values as strings, column after column (the
+    columns of CSV_COLUMNS it has): '%.17g' of the value's float64, which
+    for the small integers of the columns j and l is their '%d'.  Each
+    distinct value of all the reports is formatted once.  Values are told apart by their
+    float64 bits, so -0.0 and 0.0 keep their own strings; every NaN prints
+    nan."""
+    columns = [[np.asarray(rep.records[name], dtype=np.float64)
+                for name in CSV_COLUMNS if name in rep.records] for rep in reports]
+    values = np.concatenate([np.empty(0)] + [col for cols in columns for col in cols])
+    bits = values.view(np.int64)
+    # The distinct values in bit order, and where each value sits among them.
+    order = bits.argsort()
+    first = np.ones(len(bits), dtype=bool)
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    where = np.empty(len(bits), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    text = np.array(["%.17g" % v for v in values[order[first]].tolist()], dtype=object)
+    strings = text[where].tolist()
+    ends = np.cumsum([sum(map(len, cols)) for cols in columns]).tolist()
+    return [strings[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def write_csv(report: SweepReport, path, strings: list[str] | None = None) -> None:
     """Fixed-format CSV: identical invocations give byte-identical files.
-    A column the suite lacks is left empty."""
-    cols = ("xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
-    present = [name for name in cols if name in report.records]
-    row = ",".join([report.suite.replace("%", "%%")] + [
-        "" if name not in present else "%d" if name in ("j", "l") else "%.17g"
-        for name in cols]) + "\n"
-    values = zip(*(report.records[name].tolist() for name in present))
-    text = ",".join(("suite",) + cols) + "\n" + "".join([row % v for v in values])
+    A column the suite lacks is left empty.  `strings` is the report's
+    entry of csv_strings over all of one run's reports (cmd_verify), so
+    that a value the reports share is formatted once per run; by default
+    it is csv_strings of this report alone."""
+    if strings is None:
+        strings, = csv_strings([report])
+    present = [name for name in CSV_COLUMNS if name in report.records]
+    rows = len(report.records[present[0]]) if present else 0
+    start = {name: k * rows for k, name in enumerate(present)}
+    columns = [itertools.repeat(report.suite, rows)] + [
+        strings[start[name]:start[name] + rows] if name in start
+        else itertools.repeat("", rows) for name in CSV_COLUMNS]
+    lines = map(",".join, zip(*columns))
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(itertools.chain([",".join(("suite",) + CSV_COLUMNS)],
+                                           lines, [""])))
 
 
 def fit_loglog(x, y):
@@ -156,34 +208,36 @@ def _columns(xi, lam, lhs, rhs, **fixed) -> dict:
 # ---------------------------------------------------------------------------
 # polygon / weight equivalences
 
-def _polygon_box(np_: NewtonPolygon, density: int, lambda0: float,
-                 lam_max: float):
+def _polygon_box(np_: NewtonPolygon, w: ProductWeight, density: int,
+                 lambda0: float, lam_max: float):
     """The polygon report with its records alone, Xi_sum / Xi_product on
-    the box, which is all a refinement compares; and the weight and the
-    (|xi|, lambda) grids they came from."""
+    the box, which is all a refinement compares; and the (|xi|, lambda)
+    grids they came from.  `w` is from_polygon(np_)."""
     rep = SweepReport("polygon", {
         "density": density, "lambda0": lambda0, "lam_max": lam_max,
         "xi_range": list(POLYGON_XI_RANGE),
         "band_limits": list(POLYGON_BAND_LIMITS),
         "vertices": [[str(v[0]), str(v[1])] for v in np_.vertices]})
-    w = weights.from_polygon(np_)
     xi_grid = np.concatenate([[0.0], np.geomspace(*POLYGON_XI_RANGE, 11 * density)])
     lam_grid = np.geomspace(lambda0, lam_max, 7 * density)
     xi_col, lam_col = _box(xi_grid, lam_grid)
     rep.records = _columns(xi_col, lam_col, weights.xi_sum_eval(np_, xi_col, lam_col),
                            weights.xi_product_eval(w, xi_col, lam_col))
-    return rep, w, xi_grid, lam_grid
+    return rep, xi_grid, lam_grid
 
 
 def sweep_polygon_equivalence(np_: NewtonPolygon, density: int = 1,
-                              lambda0: float = 1.0,
-                              lam_max: float = 1e3) -> SweepReport:
+                              lambda0: float = 1.0, lam_max: float = 1e3,
+                              w: ProductWeight | None = None) -> SweepReport:
     """Sum-vs-product equivalence, binomial identity, and side scaling.
 
     Records carry the ratio Xi_sum / Xi_product on a log grid; the binomial
-    and scaling checks land in `extras`.
+    and scaling checks land in `extras`.  `w` is the polygon's weight,
+    from_polygon(np_) when None.
     """
-    rep, w, xi_grid, lam_grid = _polygon_box(np_, density, lambda0, lam_max)
+    if w is None:
+        w = weights.from_polygon(np_)
+    rep, xi_grid, lam_grid = _polygon_box(np_, w, density, lambda0, lam_max)
     if np_.degenerate:
         rep.extras["degenerate"] = True
         return rep
@@ -609,9 +663,12 @@ def _multiplier_constant(p: Pencil, lambda0: float, density: int,
 
 
 def homogeneous_energy_weight(p: Pencil) -> HomogeneousWeight:
-    """Homogeneous weight of the energy polygon: |xi|^mu (lambda+|xi|)^(m-mu)."""
-    np_ = build_polygon({(p.m, 0), (p.mu, p.m - p.mu)})
-    return HomogeneousWeight(weights.from_polygon(np_).factors)
+    """Homogeneous weight of the energy polygon: |xi|^mu (lambda+|xi|)^(m-mu),
+    built once per pencil and kept with it."""
+    if "energy_weight" not in p._derived:
+        np_ = build_polygon({(p.m, 0), (p.mu, p.m - p.mu)})
+        p._derived["energy_weight"] = HomogeneousWeight(weights.from_polygon(np_).factors)
+    return p._derived["energy_weight"]
 
 
 def sweep_halfspace_ratio(p: Pencil, density: int, scan: NormScan) -> SweepReport:
@@ -646,7 +703,11 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     halfspace read one unit-slice scan (norm_scan), made within the timing
     and error handling of the first of them to run, so that report's
     runtime carries it; nothing is kept after the call (run_refined hands
-    the scan and asymptotics' groupings to its second pass).  Raises
+    the scan and asymptotics' groupings to its second pass).  What depends
+    on the pencil alone is kept on `p` (its `_derived`): N(A) and its
+    product weight, and the energy weight, built by the first suite that
+    needs them, whose runtime carries them; a later call on the same pencil
+    reuses them.  Raises
     OutOfRangeError, naming the suite and where it ran, when the lambda
     range overflows or the suite's float64 arithmetic overflows, divides
     by zero or makes a NaN: its verdict would rest on infinities.  For
@@ -732,18 +793,27 @@ def _run_pass(names, p: Pencil, density: int, lambda0: float, decades: int,
     return reports, shared
 
 
+def _polygon_and_weight(p: Pencil) -> tuple[NewtonPolygon, ProductWeight]:
+    """N(A) of the pencil and its product weight (weights.from_polygon),
+    built once per pencil and kept with it.  A build that raises keeps
+    nothing, so the next call raises the same error."""
+    if "polygon" not in p._derived:
+        np_ = build_polygon(p.exponent_points())
+        p._derived["polygon"] = np_, weights.from_polygon(np_)
+    return p._derived["polygon"]
+
+
 def _dispatch(name: str, p: Pencil, density: int, lambda0: float,
               lam_max: float, shared: _Shared, refined: bool) -> SweepReport:
     if name == "polygon":
-        np_ = build_polygon(p.exponent_points())
+        np_, w = _polygon_and_weight(p)
         if refined:
-            return _polygon_box(np_, density, lambda0, lam_max)[0]
+            return _polygon_box(np_, w, density, lambda0, lam_max)[0]
         return sweep_polygon_equivalence(np_, density=density, lambda0=lambda0,
-                                         lam_max=lam_max)
+                                         lam_max=lam_max, w=w)
     if name == "trace":
-        w = weights.from_polygon(build_polygon(p.exponent_points()))
-        return sweep_trace_equivalence(w, density=density, lambda0=lambda0,
-                                       lam_max=lam_max)
+        return sweep_trace_equivalence(_polygon_and_weight(p)[1], density=density,
+                                       lambda0=lambda0, lam_max=lam_max)
     if name == "thm41":
         return sweep_theorem41(p, density=density, scan=shared.scan)
     if name == "asymptotics":

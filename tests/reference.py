@@ -1,11 +1,12 @@
 """Independent references and helpers that only the tests use.
 
 The oracles here check pencilab's results by a second route: the half-line
-solutions by contour quadrature and by their ODE residual, and polygon
-membership by the side inequalities.  `pencil_to_dict` writes the pencil
-files that the command-line tests read, and `PENCILS` holds the pencil
-files that tests and CI share, `SIGN_CHANGING` among them;
-`BENCHMARK_PENCILS` holds the benchmark's.
+solutions by contour quadrature and by their ODE residual, polygon
+membership by the side inequalities, and the verify CSVs by a per-row
+'%.17g' writer.  `pencil_to_dict` writes the pencil files that the
+command-line tests read, and `PENCILS` holds the pencil files that tests
+and CI share, `SIGN_CHANGING` among them; `BENCHMARK_PENCILS` holds the
+benchmark's, and `VERIFY_PENCILS` names the nine that CI verifies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ CONTOUR_NODES = 256
 # Pencil files that the tests and CI share, and the benchmark's own.
 PENCILS = Path(__file__).resolve().parent / "pencils"
 BENCHMARK_PENCILS = Path(__file__).resolve().parents[1] / "perfbench" / "pencils"
+
+# The nine pencils that CI runs `verify --suite all --check-refinement` on,
+# by file stem, and their files: the first five are the benchmark's.
+VERIFY_PENCILS = ("e1", "agmon", "e1_n3", "double", "near", "n1", "m3", "e1_n4", "cplx")
+VERIFY_PENCIL_FILES = [(BENCHMARK_PENCILS if k < 5 else PENCILS) / f"{name}.json"
+                       for k, name in enumerate(VERIFY_PENCILS)]
 
 # Real pencils whose symbol changes sign on the slice (ROADMAP D16), by
 # test id: |xi|^2 - 2 lambda^2, |xi|^2 - lambda^2, |xi|^2 - 3 lambda^2 with
@@ -102,3 +109,17 @@ def pencil_to_dict(p: Pencil) -> dict:
         "terms": [{"alpha": list(t.alpha), "j": t.j,
                    "re": t.coeff.real, "im": t.coeff.imag} for t in p.terms],
     }
+
+
+def reference_csv(report) -> bytes:
+    """The bytes verify.write_csv writes for a SweepReport, by the writer it
+    replaced: one '%.17g' (or '%d' for j and l) format string per row,
+    applied to the row's Python values, which formats every value anew."""
+    cols = ("xi_prime_abs", "lambda", "j", "l", "lhs", "rhs", "ratio")
+    present = [name for name in cols if name in report.records]
+    row = ",".join([report.suite.replace("%", "%%")] + [
+        "" if name not in present else "%d" if name in ("j", "l") else "%.17g"
+        for name in cols]) + "\n"
+    values = zip(*(report.records[name].tolist() for name in present))
+    text = ",".join(("suite",) + cols) + "\n" + "".join([row % v for v in values])
+    return text.encode()

@@ -18,7 +18,7 @@ from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
 from pencilab.cli import build_parser, run
 from pencilab.errors import EllipticityError
 from pencilab.pencil import GridSpec, Pencil, Term, check_lemma21, tau_roots
-from reference import SIGN_CHANGING, pencil_to_dict
+from reference import SIGN_CHANGING, VERIFY_PENCIL_FILES, pencil_to_dict, reference_csv
 
 
 @pytest.fixture
@@ -490,6 +490,28 @@ def test_verify_byte_identical(e1_path, tmp_path, capsys):
     assert run(["verify", e1_path, "--suite", "all", "--out", str(out2)]) == 0
     for f in out1.glob("*.csv"):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("path", VERIFY_PENCIL_FILES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("density", [1, 2])
+def test_verify_csvs_equal_the_reference_writer(path, density, tmp_path, monkeypatch,
+                                                capsys):
+    # verify formats each distinct value of its six reports once; every CSV
+    # it writes holds the bytes of the per-row '%.17g' writer, and so does
+    # write_csv of each report alone.
+    runs = []
+    run_refined = verify.run_refined
+    monkeypatch.setattr(verify, "run_refined",
+                        lambda *args: runs.append(run_refined(*args)) or runs[-1])
+    out = tmp_path / "rep"
+    assert run(["verify", str(path), "--suite", "all", "--check-refinement",
+                "--density", str(density), "--out", str(out)]) == 0
+    (reports, _), = runs
+    assert sorted(f.stem for f in out.glob("*.csv")) == sorted(reports)
+    for name, rep in reports.items():
+        assert (out / f"{name}.csv").read_bytes() == reference_csv(rep), name
+        verify.write_csv(rep, tmp_path / "alone.csv")
+        assert (tmp_path / "alone.csv").read_bytes() == reference_csv(rep), name
 
 
 @pytest.mark.parametrize("options", [["--lambda0", "10"], ["--grid-decades", "4"]])

@@ -49,7 +49,7 @@ from pathlib import Path
 import pytest
 
 from pencilab.cli import run
-from reference import BENCHMARK_PENCILS, PENCILS
+from reference import BENCHMARK_PENCILS, PENCILS, VERIFY_PENCILS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PENCIL_FILES = sorted([*PENCILS.glob("*.json"), *BENCHMARK_PENCILS.glob("*.json")])
@@ -67,8 +67,6 @@ POINT_QUERIES = {
     "n1": [("", lam) for lam in ("1", "30", "1000")],
 }
 POINT_QUERIES["e1"] += [("1e-8", "1e-3"), ("1", "-1"), ("1", "1e300"), ("0", "0")]
-# The nine pencils that CI runs `verify --suite all --check-refinement` on.
-VERIFY_PENCILS = ("e1", "agmon", "e1_n3", "double", "near", "n1", "m3", "e1_n4", "cplx")
 
 
 def _run_json(argv: list[str]):

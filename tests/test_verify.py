@@ -6,16 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pencilab import pencil, verify, weights
 from pencilab.catalog import agmon_pencil, broken_pencil, e1_pencil
-from pencilab.errors import EllipticityError, PencilabError
+from pencilab.errors import EllipticityError, OutOfRangeError, PencilabError
 from pencilab.pencil import (Pencil, Term, check_lemma21, group_roots, load_pencil,
                              mesh_group_roots, mesh_roots, poly_roots,
                              sphere_directions, tau_polynomial, tau_roots)
 from pencilab.polygon import build_polygon
 from pencilab import halfline
-from reference import BENCHMARK_PENCILS, PENCILS
+from reference import BENCHMARK_PENCILS, PENCILS, VERIFY_PENCIL_FILES, reference_csv
 
 
 def test_summary_band_and_first_witnesses():
@@ -36,6 +38,90 @@ def test_summary_band_and_first_witnesses():
     s = rep.summary()
     assert s["witness_min"] is None and s["witness_max"] is None
     assert np.isnan(s["min_ratio"]) and np.isnan(s["max_ratio"])
+
+
+# Ratios where the first finite extreme is a signed zero, an infinity sits
+# beside it, or no ratio is finite (then the band is NaN).
+SPECIAL_RATIOS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@given(st.lists(st.sampled_from(SPECIAL_RATIOS) | st.floats(), max_size=12))
+@example([0.0, -0.0])
+@example([-0.0, 0.0, np.inf])
+@example([np.nan, np.inf, -np.inf])
+@example([])
+def test_band_extremes_are_the_witness_ratios_bit_for_bit(ratios):
+    # min_ratio and max_ratio skip the witness rows, and still give the
+    # ratio of the row each witness is, -0.0 against 0.0 included.
+    rep = verify.SweepReport("x", {}, records={
+        "i": np.arange(len(ratios)), "ratio": np.array(ratios, dtype=float)})
+    lo, hi = rep._witnesses()
+    for got, witness in ((rep.min_ratio, lo), (rep.max_ratio, hi)):
+        want = np.nan if witness is None else witness["ratio"]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    s = rep.summary()
+    assert np.array([s["min_ratio"], s["max_ratio"]]).tobytes() == \
+        np.array([rep.min_ratio, rep.max_ratio]).tobytes()
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def test_csv_strings_format_a_run_by_bits(tmp_path):
+    # Two reports of one run: signed zeros, NaNs of either sign and with a
+    # payload, infinities, subnormals, and 0.1, which both hold.  Each
+    # writes the reference writer's bytes, with the run's strings and alone;
+    # the value both hold is formatted once, so both hold one string object.
+    cols = lambda *values: dict(zip(("xi_prime_abs", "lambda", "lhs", "rhs", "ratio"),
+                                    map(np.array, values)))
+    a = verify.SweepReport("a", {}, records=cols(
+        [0.0, -0.0, 5e-324, 1e-310], [np.inf, -np.inf, 0.1, 2.0],
+        [np.nan, _nan(0xFFF8000000000000), _nan(0x7FF0000000000001), -0.0],
+        [1.0, 3.0, 7.0, np.inf], [-np.inf, np.nan, 0.5, -0.0]))
+    b = verify.SweepReport("b", {}, records={"l": np.array([0, 3]), **cols(
+        [0.1, 0.0], [1e300, -1e-310], [-5e-324, 1.5], [0.0, 0.25], [np.inf, 6.0])})
+    strings = verify.csv_strings([a, b])
+    for rep, own in zip((a, b), strings):
+        verify.write_csv(rep, tmp_path / "run.csv", own)
+        verify.write_csv(rep, tmp_path / "alone.csv")
+        assert (tmp_path / "run.csv").read_bytes() == reference_csv(rep)
+        assert (tmp_path / "alone.csv").read_bytes() == reference_csv(rep)
+    assert strings[0][6] == "0.10000000000000001" and strings[0][6] is strings[1][0]
+    assert strings[0][:2] == ["0", "-0"] and strings[0][8:11] == ["nan"] * 3
+    # Columns run in CSV order: b's l column comes after lambda.
+    assert strings[1][4:6] == ["0", "3"] and len(strings[1]) == 12
+
+
+def test_a_run_builds_each_polygon_once(monkeypatch):
+    # N(A) and the energy polygon are built once per pencil, for every
+    # suite and both passes, and a later run on the same pencil builds
+    # neither.
+    built = []
+    build_polygon = verify.build_polygon
+    monkeypatch.setattr(verify, "build_polygon",
+                        lambda points: built.append(set(points)) or build_polygon(points))
+    p = e1_pencil()
+    verify.run_refined(verify.SUITES, p)
+    assert sorted(map(sorted, built)) == [[(1, 1), (2, 0)], [(2, 2), (4, 0)]]
+    verify.run_refined(verify.SUITES, p)
+    assert len(built) == 2
+
+
+def test_a_weight_that_cannot_be_built_raises_on_every_run(monkeypatch):
+    # lambda^2 alone: N(A) lies on the ordinate axis and has no product
+    # weight.  Nothing is kept, so the next call builds it again and raises
+    # the same error.
+    p = Pencil(n=2, m=1, mu=0, terms=(Term((0, 0), 0, 1.0),))
+    built = []
+    build_polygon = verify.build_polygon
+    monkeypatch.setattr(verify, "build_polygon",
+                        lambda points: built.append(points) or build_polygon(points))
+    message = "^suite {}: degenerate polygon on the ordinate axis has no product weight$"
+    for suite in ("polygon", "polygon", "trace"):
+        with pytest.raises(OutOfRangeError, match=message.format(suite)):
+            verify.run_suites([suite], p)
+    assert len(built) == 3 and "polygon" not in p._derived
 
 
 def test_polygon_sweep_e1_band():
@@ -439,13 +525,7 @@ def test_scan_s_values_nest(density):
     assert verify.scan_s(2 * density)[::2].tobytes() == verify.scan_s(density).tobytes()
 
 
-# The nine pencils whose verify outputs CI compares (test_golden's VERIFY_PENCILS).
-CI_PENCILS = [BENCHMARK_PENCILS / f"{name}.json"
-              for name in ("e1", "agmon", "e1_n3", "double", "near")] + [
-    PENCILS / f"{name}.json" for name in ("n1", "m3", "e1_n4", "cplx")]
-
-
-@pytest.mark.parametrize("path", CI_PENCILS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", VERIFY_PENCIL_FILES, ids=lambda path: path.stem)
 @pytest.mark.parametrize("density", [1, 2])
 def test_refined_norm_scan_is_the_scan_from_scratch(path, density, monkeypatch):
     p = load_pencil(path)
@@ -500,7 +580,7 @@ def test_refined_scan_raises_the_first_refused_node(monkeypatch):
         verify.run_refined(["thm41", "halfspace"], p)
 
 
-@pytest.mark.parametrize("path", CI_PENCILS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", VERIFY_PENCIL_FILES, ids=lambda path: path.stem)
 @pytest.mark.parametrize("density", [1, 2])
 def test_refined_asymptotics_groups_only_its_new_lambdas(path, density, monkeypatch):
     # run_refined hands asymptotics' groupings to its 2x pass, which groups

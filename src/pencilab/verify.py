@@ -147,9 +147,9 @@ def csv_strings(reports) -> list[list[str]]:
     """Each report's CSV values as strings, column after column (the
     columns of CSV_COLUMNS it has): '%.17g' of the value's float64, which
     for the small integers of the columns j and l is their '%d'.  Each
-    distinct value of all the reports is formatted once.  Values are told apart by their
-    float64 bits, so -0.0 and 0.0 keep their own strings; every NaN prints
-    nan."""
+    distinct value of all the reports is formatted once.  Values are told
+    apart by their float64 bits, so -0.0 and 0.0 keep their own strings;
+    every NaN prints nan."""
     columns = [[np.asarray(rep.records[name], dtype=np.float64)
                 for name in CSV_COLUMNS if name in rep.records] for rep in reports]
     values = np.concatenate([np.empty(0)] + [col for cols in columns for col in cols])
@@ -699,22 +699,21 @@ def run_suites(names, p: Pencil, density: int = 1, lambda0: float = 1.0,
     return {name: report}.
 
     lambda0 and decades reach only polygon, trace and prop52.  Each
-    report's runtime is the wall time of its suite here.  thm41 and
-    halfspace read one unit-slice scan (norm_scan), made within the timing
-    and error handling of the first of them to run, so that report's
-    runtime carries it; nothing is kept after the call (run_refined hands
-    the scan and asymptotics' groupings to its second pass).  What depends
-    on the pencil alone is kept on `p` (its `_derived`): N(A) and its
-    product weight, and the energy weight, built by the first suite that
-    needs them, whose runtime carries them; a later call on the same pencil
-    reuses them.  Raises
-    OutOfRangeError, naming the suite and where it ran, when the lambda
-    range overflows or the suite's float64 arithmetic overflows, divides
-    by zero or makes a NaN: its verdict would rest on infinities.  For
-    polygon, trace and prop52 that message ends with the pencil's
-    coeff_scale.  Any other PencilabError a suite raises is raised again
-    as the same type with the suite's name in front of its message.  The
-    first suite in `names` to fail raises.
+    report's runtime is the wall time of its suite here.  What depends on
+    the pencil alone is shared: N(A), its product weight and the energy
+    weight are built by the first suite that needs them, whose runtime
+    carries them, and kept on `p` (its `_derived`) for later suites and
+    calls.  thm41 and halfspace read one unit-slice scan (norm_scan), made
+    within the timing and error handling of the first of them to run, so
+    that report's runtime carries it; the scan is not kept after the call
+    (run_refined hands the scan and asymptotics' groupings to its second
+    pass).  Raises OutOfRangeError, naming the suite and where it ran, when
+    the lambda range overflows or the suite's float64 arithmetic
+    overflows, divides by zero or makes a NaN: its verdict would rest on
+    infinities.  For polygon, trace and prop52 that message ends with the
+    pencil's coeff_scale.  Any other PencilabError a suite raises is raised
+    again as the same type with the suite's name in front of its message.
+    The first suite in `names` to fail raises.
     """
     return _run_pass(names, p, density, lambda0, decades)[0]
 

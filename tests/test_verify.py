@@ -1,6 +1,7 @@
 """Tests for the certification sweeps and report plumbing."""
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -52,13 +53,19 @@ SPECIAL_RATIOS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0
 @example([])
 def test_band_extremes_are_the_witness_ratios_bit_for_bit(ratios):
     # min_ratio and max_ratio skip the witness rows, and still give the
-    # ratio of the row each witness is, -0.0 against 0.0 included.
+    # ratio of the row each witness is, -0.0 against 0.0 included: the
+    # first finite ratio that Python's min and max pick.
     rep = verify.SweepReport("x", {}, records={
         "i": np.arange(len(ratios)), "ratio": np.array(ratios, dtype=float)})
-    lo, hi = rep._witnesses()
-    for got, witness in ((rep.min_ratio, lo), (rep.max_ratio, hi)):
-        want = np.nan if witness is None else witness["ratio"]
+    finite = [(i, r) for i, r in enumerate(ratios) if math.isfinite(r)]
+    first = [pick(finite, key=lambda row: row[1])[0] if finite else None
+             for pick in (min, max)]
+    for got, witness, i in zip((rep.min_ratio, rep.max_ratio), rep._witnesses(), first):
+        assert (witness is None) == (i is None) and (i is None or witness["i"] == i)
+        want = np.nan if i is None else ratios[i]
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(got).tobytes() == np.float64(
+            np.nan if witness is None else witness["ratio"]).tobytes()
     s = rep.summary()
     assert np.array([s["min_ratio"], s["max_ratio"]]).tobytes() == \
         np.array([rep.min_ratio, rep.max_ratio]).tobytes()

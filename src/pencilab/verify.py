@@ -79,37 +79,34 @@ class SweepReport:
     reasons: list[str] = field(default_factory=list)
     runtime: float = 0.0
 
-    def _extreme_row(self, largest: bool) -> int | None:
-        """The first row with the smallest (largest) finite ratio; None
-        when no ratio is finite."""
+    def _extreme_rows(self, *largest: bool) -> list[int | None]:
+        """For each flag, the first row with the largest (True) or the
+        smallest (False) finite ratio; None when no ratio is finite."""
         ratio = self.records.get("ratio", np.empty(0))
         finite = np.isfinite(ratio)
         if not finite.any():
-            return None
-        if largest:
-            return int(np.where(finite, ratio, -np.inf).argmax())
-        return int(np.where(finite, ratio, np.inf).argmin())
+            return [None] * len(largest)
+        return [int(np.where(finite, ratio, -np.inf).argmax()) if top
+                else int(np.where(finite, ratio, np.inf).argmin()) for top in largest]
 
-    def _extreme_ratio(self, largest: bool) -> float:
-        i = self._extreme_row(largest)
-        return math.nan if i is None else float(self.records["ratio"][i])
+    def _ratio_at(self, i: int | None) -> float:
+        return float("nan") if i is None else float(self.records["ratio"][i])
 
     def _witnesses(self) -> tuple[dict | None, dict | None]:
         """First rows with the smallest and the largest finite ratio."""
-        rows = self._extreme_row(False), self._extreme_row(True)
         return tuple(None if i is None else
                      {k: col[i].tolist() for k, col in self.records.items()}
-                     for i in rows)
+                     for i in self._extreme_rows(False, True))
 
     @property
     def min_ratio(self) -> float:
         """The ratio of the first witness_min, without building it."""
-        return self._extreme_ratio(False)
+        return self._ratio_at(*self._extreme_rows(False))
 
     @property
     def max_ratio(self) -> float:
         """The ratio of the first witness_max, without building it."""
-        return self._extreme_ratio(True)
+        return self._ratio_at(*self._extreme_rows(True))
 
     @property
     def config_hash(self) -> str:
